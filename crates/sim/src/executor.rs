@@ -4,8 +4,7 @@
 //! [`RunSpec`]s; an [`Executor`] decides *where* those specs run. Three
 //! backends ship:
 //!
-//! * [`InProcess`] — the original shared-work-queue thread pool
-//!   ([`par_indexed`]), the default.
+//! * [`InProcess`] — a shared-work-queue thread pool, the default.
 //! * [`Subprocess`] — spawns `N` worker processes (`experiments
 //!   --shard I/N --out FILE`), each of which deterministically re-derives
 //!   the same campaign plan, executes only indices `i % N == I`, and
@@ -23,10 +22,21 @@
 //! `assemble()` sees exactly what a sequential run would have produced —
 //! merged output is byte-identical across backends, shard counts and
 //! worker pools.
+//!
+//! Wherever specs are simulated — the in-process pool, a shard worker,
+//! a distributed worker's lease — they go through one batch primitive,
+//! [`run_batch`]. It simulates each distinct spec once (the identity is
+//! the spec's `Debug` text, which the result cache also matches on) and
+//! copies the result to every plan index that repeats it, and it
+//! generates each synthetic instruction stream once for all the runs
+//! that read it. Each result is identical to [`RunSpec::run`] on its
+//! own, so none of this shows in results, records, fingerprints, lease
+//! or journal indices, or reports. With a result cache, each distinct
+//! spec is also looked up and stored once.
 
 use crate::experiments::ExperimentOpts;
 use crate::metrics_codec::{CampaignHeader, RecordFile, ShardRecord, TailPolicy};
-use crate::run::{campaign_fingerprint, par_indexed, RunResult, RunSpec};
+use crate::run::{campaign_fingerprint, distinct, run_batch, RunResult, RunSpec};
 use std::fmt;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -128,14 +138,14 @@ pub trait Executor {
     fn execute(&self, specs: &[&RunSpec]) -> Result<Vec<RunResult>, ExecutorError>;
 }
 
-/// The in-process thread-pool backend: a shared work queue over `jobs`
-/// worker threads (0 = one per available core). Infallible and
-/// zero-overhead — the default for everything that fits in one process.
+/// The in-process thread-pool backend: [`run_batch`] on `jobs` worker
+/// threads (0 = one per available core). Infallible — the default for
+/// everything that fits in one process.
 ///
-/// With [`with_cache`](Self::with_cache), every spec is looked up in
-/// the result cache first and only the misses are simulated (in
-/// parallel, as usual); fresh results are stored back. A cache hit
-/// returns the exact metrics the original simulation produced, so
+/// With [`with_cache`](Self::with_cache), each distinct spec is looked
+/// up in the result cache first and only the misses are simulated (in
+/// parallel, as usual); each fresh result is stored back once. A cache
+/// hit returns the exact metrics the original simulation produced, so
 /// reports stay byte-identical either way.
 #[derive(Debug, Clone)]
 pub struct InProcess {
@@ -165,36 +175,53 @@ impl Executor for InProcess {
     }
 
     fn execute(&self, specs: &[&RunSpec]) -> Result<Vec<RunResult>, ExecutorError> {
-        let Some(cache) = &self.cache else {
-            return Ok(par_indexed(specs.len(), self.jobs, |i| specs[i].run()));
-        };
-        let mut slots: Vec<Option<RunResult>> = specs.iter().map(|s| cache.lookup(s)).collect();
-        let hits = slots.iter().filter(|s| s.is_some()).count();
-        let misses: Vec<usize> =
-            slots.iter().enumerate().filter(|(_, s)| s.is_none()).map(|(i, _)| i).collect();
-        let fresh = par_indexed(misses.len(), self.jobs, |k| specs[misses[k]].run());
-        let mut stores = 0u64;
-        for (&index, result) in misses.iter().zip(&fresh) {
-            match cache.store(specs[index], result) {
-                Ok(()) => stores += 1,
-                Err(e) => eprintln!("[cache: warning: cannot store result {index}: {e}]"),
-            }
-            slots[index] = Some(result.clone());
-        }
-        let session =
-            crate::cache::CacheSession::now("in-process", specs.len() as u64, hits as u64, stores);
-        if let Err(e) = cache.record_session(&session) {
-            eprintln!("[cache: warning: cannot record the session: {e}]");
-        }
-        if hits > 0 {
-            eprintln!(
-                "[cache: {hits} of {} run(s) served from {}]",
-                specs.len(),
-                cache.dir().display()
-            );
-        }
-        Ok(slots.into_iter().map(|s| s.expect("miss slots were filled above")).collect())
+        Ok(match &self.cache {
+            Some(cache) => run_batch_cached(specs, self.jobs, cache, "in-process"),
+            None => run_batch(specs, self.jobs),
+        })
     }
+}
+
+/// [`run_batch`] behind a result cache: each distinct spec is looked up
+/// once, only the distinct misses are simulated, and each fresh result is
+/// stored once. Records one cache session named `mode`, whose lookups and
+/// hits count plan indices.
+fn run_batch_cached(
+    specs: &[&RunSpec],
+    jobs: usize,
+    cache: &crate::cache::Cache,
+    mode: &str,
+) -> Vec<RunResult> {
+    let (firsts, slots) = distinct(specs);
+    let mut found: Vec<Option<RunResult>> =
+        firsts.iter().map(|&i| cache.lookup(specs[i])).collect();
+    let hits = slots.iter().filter(|&&k| found[k].is_some()).count();
+    let misses: Vec<usize> = (0..firsts.len()).filter(|&k| found[k].is_none()).collect();
+    let miss_specs: Vec<&RunSpec> = misses.iter().map(|&k| specs[firsts[k]]).collect();
+    let mut stores = 0u64;
+    for (&k, result) in misses.iter().zip(run_batch(&miss_specs, jobs)) {
+        let spec = specs[firsts[k]];
+        match cache.store(spec, &result) {
+            Ok(()) => stores += 1,
+            Err(e) => eprintln!(
+                "[cache: warning: cannot store the result of spec {:016x}: {e}]",
+                spec.fingerprint()
+            ),
+        }
+        found[k] = Some(result);
+    }
+    let session = crate::cache::CacheSession::now(mode, specs.len() as u64, hits as u64, stores);
+    if let Err(e) = cache.record_session(&session) {
+        eprintln!("[cache: warning: cannot record the session: {e}]");
+    }
+    if hits > 0 {
+        eprintln!(
+            "[cache: {hits} of {} run(s) served from {}]",
+            specs.len(),
+            cache.dir().display()
+        );
+    }
+    slots.iter().map(|&k| found[k].clone().expect("misses were filled above")).collect()
 }
 
 /// The multi-process sharded backend.
@@ -685,10 +712,11 @@ pub fn run_shard<W: Write>(
     run_shard_cached(header, specs, jobs, None, out)
 }
 
-/// [`run_shard`] with an optional result cache: this shard's indices
-/// are looked up first, only the misses are simulated, and fresh
-/// results are stored back — the emitted shard file is byte-identical
-/// either way. Records one cache session (`shard I/N`) per invocation.
+/// [`run_shard`] with an optional result cache: each distinct spec among
+/// this shard's indices is looked up first, only the misses are
+/// simulated, and each fresh result is stored back once — the emitted
+/// shard file is byte-identical either way. Records one cache session
+/// (`shard I/N`) per invocation.
 ///
 /// # Errors
 ///
@@ -707,45 +735,16 @@ pub fn run_shard_cached<W: Write>(
 ) -> io::Result<()> {
     assert_eq!(header.runs, specs.len(), "header must describe this plan");
     let mine: Vec<usize> = (0..specs.len()).filter(|i| i % header.of == header.shard).collect();
-    let mut slots: Vec<Option<RunResult>> = match cache {
-        Some(cache) => mine.iter().map(|&i| cache.lookup(specs[i])).collect(),
-        None => mine.iter().map(|_| None).collect(),
+    let my_specs: Vec<&RunSpec> = mine.iter().map(|&i| specs[i]).collect();
+    let results = match cache {
+        Some(cache) => {
+            let mode = format!("shard {}/{}", header.shard, header.of);
+            run_batch_cached(&my_specs, jobs, cache, &mode)
+        }
+        None => run_batch(&my_specs, jobs),
     };
-    let hits = slots.iter().filter(|s| s.is_some()).count();
-    let misses: Vec<usize> =
-        slots.iter().enumerate().filter(|(_, s)| s.is_none()).map(|(k, _)| k).collect();
-    let fresh = par_indexed(misses.len(), jobs, |j| specs[mine[misses[j]]].run());
-    let mut stores = 0u64;
-    for (&k, result) in misses.iter().zip(&fresh) {
-        if let Some(cache) = cache {
-            match cache.store(specs[mine[k]], result) {
-                Ok(()) => stores += 1,
-                Err(e) => eprintln!("[cache: warning: cannot store result {}: {e}]", mine[k]),
-            }
-        }
-        slots[k] = Some(result.clone());
-    }
-    if let Some(cache) = cache {
-        let session = crate::cache::CacheSession::now(
-            format!("shard {}/{}", header.shard, header.of),
-            mine.len() as u64,
-            hits as u64,
-            stores,
-        );
-        if let Err(e) = cache.record_session(&session) {
-            eprintln!("[cache: warning: cannot record the session: {e}]");
-        }
-        if hits > 0 {
-            eprintln!(
-                "[cache: {hits} of {} run(s) served from {}]",
-                mine.len(),
-                cache.dir().display()
-            );
-        }
-    }
     writeln!(out, "{}", header.to_line())?;
-    for (&index, slot) in mine.iter().zip(&slots) {
-        let result = slot.as_ref().expect("miss slots were filled above");
+    for (&index, result) in mine.iter().zip(&results) {
         let record = ShardRecord::from_result(index, specs[index].fingerprint(), result);
         writeln!(out, "{}", record.to_line())?;
     }

@@ -44,9 +44,12 @@ pub use executor::{Distributed, Executor, ExecutorError, InProcess, JournalSpec,
 pub use json::{parse_json, write_json, JsonParseError, JsonValue};
 pub use means::{geometric_mean, harmonic_mean};
 pub use rfcache_area::{pareto_frontier, ParetoPoint};
+#[doc(hidden)]
+pub use run::run_batch_capped;
 pub use run::{
-    campaign_fingerprint, flatten_plans, fnv1a_64, par_indexed, run_suite, run_suite_jobs,
-    RunResult, RunSpec, TraceWorkload, WorkloadSource, DEFAULT_INSTS, DEFAULT_WARMUP,
+    campaign_fingerprint, flatten_plans, fnv1a_64, par_indexed, run_batch, run_suite,
+    run_suite_jobs, RunResult, RunSpec, TraceWorkload, WorkloadSource, DEFAULT_INSTS,
+    DEFAULT_WARMUP,
 };
 pub use scenario::{
     run_campaign, run_campaign_from_parts, run_campaign_planned, run_campaign_planned_with,

@@ -1,12 +1,13 @@
-//! Single-run and suite-run drivers.
+//! Single-run, batch and suite-run drivers.
 
 use rfcache_core::RegFileConfig;
 use rfcache_isa::TraceInst;
 use rfcache_pipeline::{Cpu, PipelineConfig, SimMetrics};
 use rfcache_workload::{family_member, read_trace, BenchProfile, TraceGenerator};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Default measured instructions per simulation (the paper simulates
 /// 100M; the synthetic traces converge well before 200k).
@@ -246,28 +247,50 @@ impl RunSpec {
     }
 
     /// Simulates the spec and returns the result.
+    ///
+    /// This is the reference path: [`run_batch`] must return exactly
+    /// this for every spec it is given.
     pub fn run(&self) -> RunResult {
-        let metrics = match &self.workload {
-            WorkloadSource::Synthetic(p) => self.measure(TraceGenerator::new(*p, self.seed)),
+        match self.stream() {
+            Stream::Generated(profile, seed) => self.run_on(TraceGenerator::new(profile, seed)),
+            Stream::Recorded(t) => self.run_on(t.insts.iter().cycle().cloned()),
+        }
+    }
+
+    /// The instruction stream the spec reads.
+    fn stream(&self) -> Stream<'_> {
+        match &self.workload {
+            WorkloadSource::Synthetic(p) => Stream::Generated(*p, self.seed),
             WorkloadSource::Family { base, member } => {
                 // Fold the member into the seed so siblings decorrelate
                 // even when the jitter leaves a parameter unchanged.
                 let seed = self.seed ^ u64::from(*member).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                self.measure(TraceGenerator::new(family_member(base, *member), seed))
+                Stream::Generated(family_member(base, *member), seed)
             }
-            WorkloadSource::Trace(t) => self.measure(t.insts.iter().cycle().cloned()),
-        };
-        RunResult { bench: self.workload.label(), fp: self.workload.fp(), metrics }
+            WorkloadSource::Trace(t) => Stream::Recorded(t),
+        }
     }
 
-    fn measure<I: Iterator<Item = TraceInst>>(&self, trace: I) -> SimMetrics {
+    /// Simulates the spec over `trace`: warmup, then the measured run.
+    fn run_on<I: Iterator<Item = TraceInst>>(&self, trace: I) -> RunResult {
         let mut cpu = Cpu::new(self.pipeline, self.rf, trace);
         if self.warmup > 0 {
             cpu.run(self.warmup);
             cpu.reset_metrics(); // counters restart at zero
         }
-        cpu.run(self.insts)
+        let metrics = cpu.run(self.insts);
+        RunResult { bench: self.workload.label(), fp: self.workload.fp(), metrics }
     }
+}
+
+/// The instruction stream a run reads.
+#[allow(clippy::large_enum_variant)] // a short-lived return value, never stored in bulk
+enum Stream<'a> {
+    /// `TraceGenerator::new(profile, seed)`: the stream is identified by
+    /// the profile and the (effective) seed.
+    Generated(BenchProfile, u64),
+    /// A recorded trace, replayed cyclically.
+    Recorded(&'a TraceWorkload),
 }
 
 /// The 64-bit FNV-1a hash of a byte stream: the repo's one content
@@ -375,6 +398,175 @@ where
     tagged.into_iter().map(|(_, t)| t).collect()
 }
 
+/// Instructions a shared stream prefix extends past its group's longest
+/// run: the ones still in flight when that run stops. Fetch runs ahead of
+/// commit by at most the reorder buffer plus the fetch queue, well under
+/// this on the paper's cores; a run that fetches further continues on the
+/// generator.
+const STREAM_SLACK: u64 = 1_024;
+
+/// Longest stream prefix a batch generates (2^20 instructions, about
+/// 48 MiB): longer runs continue on the generator past it, so a batch
+/// holds bounded memory however long its runs are.
+const MAX_SHARED_PREFIX: u64 = 1 << 20;
+
+/// Simulates a batch of specs on `jobs` worker threads (0 = one per
+/// available core): one result per spec, in input order, each identical
+/// to what [`RunSpec::run`] returns for it. Every executor runs its specs
+/// through here.
+///
+/// Repeated work is done once:
+///
+/// * **Specs.** Specs with the same `Debug` text, the identity the result
+///   cache matches on ([`crate::cache`]), are simulated once, and the
+///   result is copied to every index that repeats the spec.
+/// * **Streams.** Synthetic and family runs that read the same
+///   instruction stream (the same generator profile and effective seed)
+///   share it. The stream is generated once into a prefix as long as the
+///   longest of those runs plus the instructions still in flight when it
+///   stops. Each run replays the prefix and then continues on a clone of
+///   the generator positioned at its end, so a run that fetches past the
+///   prefix still sees the generator's exact sequence. The runs of a
+///   stream are queued together and its prefix is dropped after the last
+///   of them, so at most `jobs` prefixes are held at once.
+///
+/// Trace replays, and streams that only one run reads, go through
+/// [`RunSpec::run`] unchanged.
+///
+/// # Panics
+///
+/// Propagates a panic from any simulation.
+pub fn run_batch(specs: &[&RunSpec], jobs: usize) -> Vec<RunResult> {
+    run_batch_capped(specs, jobs, MAX_SHARED_PREFIX)
+}
+
+/// [`run_batch`] with shared stream prefixes capped at `cap`
+/// instructions instead of 2^20. This is a test hook: a cap below a run's
+/// length makes that run fetch past the shared prefix onto the generator.
+#[doc(hidden)]
+pub fn run_batch_capped(specs: &[&RunSpec], jobs: usize, cap: u64) -> Vec<RunResult> {
+    let (firsts, slots) = distinct(specs);
+    let unique: Vec<&RunSpec> = firsts.iter().map(|&i| specs[i]).collect();
+    let results = run_shared(&unique, jobs, cap);
+    slots.iter().map(|&k| results[k].clone()).collect()
+}
+
+/// Groups a plan by spec identity, the `Debug` text the result cache
+/// matches on (not the 64-bit fingerprint alone, which can collide).
+/// Returns the first index of each distinct spec, in order of first
+/// occurrence, and for every index the position of its spec in that list.
+pub(crate) fn distinct(specs: &[&RunSpec]) -> (Vec<usize>, Vec<usize>) {
+    let mut position: HashMap<String, usize> = HashMap::with_capacity(specs.len());
+    let mut firsts = Vec::new();
+    let slots = specs
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            *position.entry(format!("{spec:?}")).or_insert_with(|| {
+                firsts.push(i);
+                firsts.len() - 1
+            })
+        })
+        .collect();
+    (firsts, slots)
+}
+
+/// Simulates distinct specs, sharing every generated stream that several
+/// of them read (see [`run_batch`]).
+fn run_shared(specs: &[&RunSpec], jobs: usize, cap: u64) -> Vec<RunResult> {
+    // Runs grouped by stream, in order of first occurrence; every trace
+    // replay is a group of its own.
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut by_stream: HashMap<(String, u64), usize> = HashMap::new();
+    for (i, spec) in specs.iter().enumerate() {
+        let mut new_group = || {
+            groups.push(Vec::new());
+            groups.len() - 1
+        };
+        let g = match spec.stream() {
+            Stream::Generated(profile, seed) => {
+                *by_stream.entry((format!("{profile:?}"), seed)).or_insert_with(new_group)
+            }
+            Stream::Recorded(_) => new_group(),
+        };
+        groups[g].push(i);
+    }
+    let shared: Vec<Option<SharedStream>> = groups
+        .iter()
+        .map(|runs| match specs[runs[0]].stream() {
+            Stream::Generated(profile, seed) if runs.len() > 1 => {
+                let longest = runs.iter().map(|&i| specs[i].warmup.saturating_add(specs[i].insts));
+                let len = longest.max().unwrap_or(0).saturating_add(STREAM_SLACK).min(cap);
+                Some(SharedStream::new(profile, seed, len as usize, runs.len()))
+            }
+            _ => None,
+        })
+        .collect();
+    // One task per run, a stream's runs consecutive: a worker moves on to
+    // the next stream only when every run of the current one has started.
+    let tasks: Vec<(usize, usize)> =
+        groups.iter().enumerate().flat_map(|(g, runs)| runs.iter().map(move |&i| (g, i))).collect();
+    let results = par_indexed(tasks.len(), jobs, |t| {
+        let (g, i) = tasks[t];
+        match &shared[g] {
+            Some(stream) => stream.run(specs[i]),
+            None => specs[i].run(),
+        }
+    });
+    let mut ordered: Vec<Option<RunResult>> = vec![None; specs.len()];
+    for (&(_, i), result) in tasks.iter().zip(results) {
+        ordered[i] = Some(result);
+    }
+    ordered.into_iter().map(|r| r.expect("every spec has a task")).collect()
+}
+
+/// A generated stream that several runs of a batch read: generated by the
+/// first of them to start and dropped when the last one finishes.
+struct SharedStream {
+    profile: BenchProfile,
+    seed: u64,
+    /// Instructions to generate into the prefix.
+    len: usize,
+    /// Runs not yet finished, and the prefix while any of them runs.
+    state: Mutex<(usize, Option<Arc<Prefix>>)>,
+}
+
+/// A generated stream prefix and the generator positioned just past it.
+struct Prefix {
+    insts: Vec<TraceInst>,
+    rest: TraceGenerator,
+}
+
+impl SharedStream {
+    fn new(profile: BenchProfile, seed: u64, len: usize, runs: usize) -> Self {
+        SharedStream { profile, seed, len, state: Mutex::new((runs, None)) }
+    }
+
+    /// Simulates `spec` over the stream: the shared prefix, then a clone
+    /// of the generator at its end, which together are exactly the
+    /// generator's own sequence.
+    fn run(&self, spec: &RunSpec) -> RunResult {
+        let prefix = {
+            let mut state = self.state.lock().expect("stream generation panicked");
+            let prefix = state.1.get_or_insert_with(|| {
+                let mut rest = TraceGenerator::new(self.profile, self.seed);
+                let mut insts = Vec::with_capacity(self.len);
+                insts.extend(rest.by_ref().take(self.len));
+                Arc::new(Prefix { insts, rest })
+            });
+            Arc::clone(prefix)
+        };
+        let result = spec.run_on(prefix.insts.iter().copied().chain(prefix.rest.clone()));
+        drop(prefix);
+        let mut state = self.state.lock().expect("stream generation panicked");
+        state.0 -= 1;
+        if state.0 == 0 {
+            state.1 = None; // the stream's last run: free the prefix
+        }
+        result
+    }
+}
+
 /// Runs a set of specs in parallel (the simulations are independent) on
 /// one worker per available core, preserving input order in the output.
 pub fn run_suite(specs: &[RunSpec]) -> Vec<RunResult> {
@@ -383,8 +575,9 @@ pub fn run_suite(specs: &[RunSpec]) -> Vec<RunResult> {
 
 /// [`run_suite`] with an explicit worker count (0 = one per available
 /// core), as selected by `ExperimentOpts::jobs` / `experiments --jobs N`.
+/// Goes through [`run_batch`].
 pub fn run_suite_jobs(specs: &[RunSpec], jobs: usize) -> Vec<RunResult> {
-    par_indexed(specs.len(), jobs, |i| specs[i].run())
+    run_batch(&specs.iter().collect::<Vec<_>>(), jobs)
 }
 
 #[cfg(test)]

@@ -157,9 +157,11 @@ impl fmt::Debug for Scenario {
 
 /// Runs many scenarios through **one** global work queue.
 ///
-/// All scenarios' specs are flattened into a single [`par_indexed`]
-/// batch, so the tail of one scenario's sweep overlaps the head of the
-/// next and the worker pool stays saturated across scenario boundaries.
+/// All scenarios' specs are flattened into a single
+/// [`run_batch`](crate::run_batch), so the tail of one scenario's sweep
+/// overlaps the head of the next, the worker pool stays saturated across
+/// scenario boundaries, and a spec or instruction stream that several
+/// scenarios plan is simulated or generated once.
 /// Each result is routed back to its scenario by index, so the returned
 /// reports (in input order) are byte-identical to what the same
 /// [`Scenario::run`] calls would produce sequentially.

@@ -58,7 +58,7 @@ use crate::metrics_codec::{
     CampaignHeader, CodecError, Frame, RecordFile, ShardRecord, TailPolicy,
 };
 use crate::readiness::{listener_fd, stream_fd, PollSet};
-use crate::run::{campaign_fingerprint, par_indexed, RunResult, RunSpec};
+use crate::run::{campaign_fingerprint, run_batch, RunResult, RunSpec};
 use crate::scenario;
 use std::collections::VecDeque;
 use std::fs::OpenOptions;
@@ -1375,7 +1375,8 @@ pub fn work(addr: &str, opts: &WorkOptions) -> Result<WorkSummary, String> {
                         flat.len()
                     ));
                 }
-                let results = par_indexed(indices.len(), opts.jobs, |k| flat[indices[k]].run());
+                let leased: Vec<&RunSpec> = indices.iter().map(|&i| flat[i]).collect();
+                let results = run_batch(&leased, opts.jobs);
                 for (&index, result) in indices.iter().zip(&results) {
                     let record = ShardRecord::from_result(index, flat[index].fingerprint(), result);
                     send_line(&mut stream, &Frame::Record(Box::new(record))).map_err(read_err)?;

@@ -2,14 +2,17 @@
 //! [`SimMetrics`] must survive a store → lookup round trip bit-exactly,
 //! arbitrary single-byte corruption or truncation of the object file
 //! must never be served (a miss, or the untouched original — never torn
-//! data), and the cache-backed executor must fall back to simulating
-//! and heal the store.
+//! data), the cache-backed executor must fall back to simulating and
+//! heal the store, and a plan that repeats a spec must simulate and
+//! store it once.
 
 use proptest::prelude::*;
 use rfcache_core::{RegFileCacheConfig, RegFileConfig, RegFileStats, SingleBankConfig};
 use rfcache_frontend::FetchStats;
 use rfcache_pipeline::{OccupancyHistogram, SimMetrics};
-use rfcache_sim::executor::Executor as _;
+use rfcache_sim::executor::{run_shard_cached, Executor as _};
+use rfcache_sim::experiments::ExperimentOpts;
+use rfcache_sim::metrics_codec::CampaignHeader;
 use rfcache_sim::{Cache, InProcess, RunResult, RunSpec};
 use std::path::{Path, PathBuf};
 
@@ -212,6 +215,46 @@ fn executor_falls_back_to_simulating_and_heals_after_corruption() {
     let healed = cache.lookup(&spec).expect("store-back must heal the entry");
     assert_eq!(healed.metrics, baseline.metrics);
     assert!(cache.verify().expect("verify reads").is_empty(), "healed cache must verify clean");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Regression: a cold cache used to simulate and store a repeated spec
+/// once per plan index. Every cache-backed path now looks up, simulates
+/// and stores each distinct spec once, while the session still counts
+/// plan indices.
+#[test]
+fn a_cold_cache_simulates_and_stores_each_repeated_spec_once() {
+    let (a, b) = (spec_for(3, 1_500), bench_spec_for("go", 3, 1_500));
+    let plan = [&a, &b, &a, &a, &b];
+    let reference = [a.run(), b.run()];
+    let check = |results: &[RunResult]| {
+        for (got, want) in results.iter().zip([0, 1, 0, 0, 1].map(|k| &reference[k])) {
+            assert_eq!((&got.bench, &got.metrics), (&want.bench, &want.metrics));
+        }
+    };
+    let session = |cache: &Cache| {
+        let s = cache.stats().expect("stats read").last_session.expect("a session was recorded");
+        (s.lookups, s.hits, s.stores)
+    };
+
+    let dir = temp_cache("dedupe");
+    let cache = Cache::open(&dir).expect("cache opens");
+    let executor = InProcess::new(2).with_cache(cache.clone());
+    check(&executor.execute(&plan).expect("in-process execution is infallible"));
+    assert_eq!(session(&cache), (5, 0, 2), "cold: five lookups, two stores");
+    assert_eq!(cache.stats().unwrap().entries, 2);
+    check(&executor.execute(&plan).expect("in-process execution is infallible"));
+    assert_eq!(session(&cache), (5, 5, 0), "warm: every index hits");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = temp_cache("dedupe_shard");
+    let cache = Cache::open(&dir).expect("cache opens");
+    let opts = ExperimentOpts::smoke();
+    let header = CampaignHeader::new(vec!["x".into()], &opts, 0, 1, plan.len());
+    let mut out = Vec::new();
+    run_shard_cached(&header, &plan, 2, Some(&cache), &mut out).expect("shard writes");
+    assert_eq!(session(&cache), (5, 0, 2), "cold shard: five lookups, two stores");
+    assert_eq!(cache.stats().unwrap().entries, 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
