@@ -4,12 +4,12 @@
 //! ```text
 //! experiments --list
 //! experiments <name>... | all [--insts N] [--warmup N] [--seed N] [--quick] [--jobs N]
-//!                             [--csv DIR] [--json DIR] [--workers N] [--dist-workers N]
-//!                             [--cache DIR]
+//!                             [--csv DIR] [--json DIR] [--dist-workers N [--http ADDR]
+//!                             [--journal FILE [--journal-sync N]]] [--cache DIR]
 //! experiments <name>... | all [opts] --shard I/N [--out FILE] [--cache DIR]
 //! experiments merge FILE... [--csv DIR] [--json DIR]
-//! experiments serve --bind ADDR [--http ADDR] [--expect K] [--lease-timeout SECS]
-//!                   [--chunk N] [--journal FILE [--journal-sync N]] [--cache DIR]
+//! experiments serve --bind ADDR [--http ADDR] [--lease-timeout SECS] [--chunk N]
+//!                   [--journal FILE [--journal-sync N]] [--cache DIR]
 //!                   <name>... | all [opts] [--csv DIR] [--json DIR]
 //! experiments serve --bind ADDR --http ADDR [--lease-timeout SECS] [--chunk N]
 //!                   [--journal DIR [--journal-sync N]] [--cache DIR]
@@ -19,7 +19,7 @@
 //! experiments fetch --connect ADDR --id N [--timeout SECS] [--csv DIR] [--json DIR]
 //! experiments work --connect ADDR [--jobs N] [--connect-timeout SECS]
 //!                  [--quit-after-leases N]
-//! experiments resume --journal FILE --bind ADDR [--http ADDR] [--expect K]
+//! experiments resume --journal FILE --bind ADDR [--http ADDR]
 //!                    [--lease-timeout SECS] [--chunk N] [--journal-sync N]
 //!                    [--csv DIR] [--json DIR] [--cache DIR]
 //! experiments status --connect ADDR [--json]
@@ -49,67 +49,68 @@
 //! headers describe one campaign, every plan index is covered exactly
 //! once, and every fingerprint matches the re-derived plan — producing
 //! reports and exports byte-identical to the single-process run.
-//! `--workers N` does the whole round trip in one command by spawning
-//! `N` shard subprocesses of this binary (the `Subprocess` executor).
 //!
-//! **Distributed campaigns.** `serve` turns the invocation into a TCP
-//! coordinator (the `Distributed` executor): it plans the campaign,
-//! listens on `--bind ADDR`, and leases plan-index ranges to every
-//! `work --connect ADDR` process that joins — on this host or others.
-//! Workers re-derive the plan from the `hello` frame and prove it with
-//! a campaign fingerprint; a worker that disconnects or stalls past
-//! `--lease-timeout` has its in-flight indices re-issued, duplicates
-//! are deduplicated by index, and the assembled reports/exports are
-//! byte-identical to the single-process run. `--dist-workers N` is the
-//! one-command localhost path: serve on an ephemeral port and
-//! self-spawn `N` local `work` subprocesses. (`--quit-after-leases N`
-//! is fault injection for tests: the worker simulates a crash after
-//! completing `N` leases.)
+//! **The coordinator.** One readiness loop (`rfcache_sim::service`)
+//! coordinates every distributed run. It listens on `--bind ADDR` and
+//! leases plan-index ranges to every `work --connect ADDR` process that
+//! joins — on this host or others. Workers re-derive the plan from the
+//! `hello` frame and prove it with a campaign fingerprint; a worker that
+//! planned a different campaign (mismatched binaries or options) is
+//! rejected alone while the campaign continues through the rest. A worker
+//! that disconnects or stalls past `--lease-timeout` has its in-flight
+//! indices re-issued, duplicates are deduplicated by index, and the
+//! assembled reports/exports are byte-identical to the single-process
+//! run. (`--quit-after-leases N` is fault injection for tests: the
+//! worker simulates a crash after completing `N` leases.)
 //!
-//! **The control plane.** `--http ADDR` (on `serve`, `resume`, and
-//! `--dist-workers`) makes the coordinator's readiness loop additionally
-//! answer plain HTTP on a second address: `GET /status` returns a JSON
-//! snapshot of campaign progress (plan size, completed/leased/pending
-//! counts, the per-worker roster with lease ages, journal position) and
+//! **One-campaign sessions.** `serve <names>` runs the loop with that one
+//! campaign already queued; its completion ends the process, which then
+//! prints the reports and writes the `--csv`/`--json` exports.
+//! `--dist-workers N` is the one-command localhost path: a session on an
+//! ephemeral port plus `N` self-spawned local `work` subprocesses, given
+//! up on if every one of them dies. `--http ADDR` (on `serve`, `resume`
+//! and `--dist-workers`) adds the HTTP control plane: `GET /status`
+//! returns a JSON snapshot (the campaign table with completed/leased/
+//! pending counts, the per-worker roster with lease ages), `GET
+//! /campaigns/<id>` one campaign's progress and journal position, and
 //! `GET /healthz` answers liveness probes. `status --connect ADDR`
-//! fetches `/status` and renders it as a table (`--json` passes the raw
-//! JSON through for scripts).
+//! renders `/status` as tables (`--json` passes the raw JSON through
+//! for scripts).
 //!
 //! **The campaign service.** `serve` with **no scenario names** runs the
-//! multi-campaign coordinator service (`rfcache_sim::service`) instead
-//! of a single campaign: campaigns arrive over HTTP (`--http` is
-//! mandatory) as `POST /campaigns` submissions and move through a
-//! queued → serving → complete → fetched lifecycle while workers lease
-//! from whichever campaign is serving — one coordinator process, any
-//! number of campaigns, no restarts. `submit --connect ADDR <name>...`
-//! POSTs a description (printing the campaign id to stdout) and `fetch
-//! --connect ADDR --id N` polls until the campaign completes, prints
-//! the reports, and writes `--csv`/`--json` exports — all byte-identical
-//! to running the same scenarios in process. In service mode
-//! `--journal` names a *directory* (each campaign write-ahead journals
-//! to `campaign-<id>.journal` inside it), `--cache` pre-fills each
-//! campaign at admission (so one submission's results satisfy the
-//! next), `--max-campaigns N` exits cleanly after `N` campaigns are
-//! fetched (CI and scripts), and a worker that connects between
-//! campaigns is told to retry shortly rather than left hanging.
-//! `status --connect` recognises the service's `/status` schema and
-//! renders the campaign table.
+//! same loop as a long-lived service: campaigns arrive over HTTP
+//! (`--http` is mandatory) as `POST /campaigns` submissions and move
+//! through a queued → serving → complete → fetched lifecycle while
+//! workers lease from whichever campaign is serving — one coordinator
+//! process, any number of campaigns, no restarts. `submit --connect ADDR
+//! <name>...` POSTs a description (printing the campaign id to stdout)
+//! and `fetch --connect ADDR --id N` polls until the campaign completes,
+//! prints the reports, and writes `--csv`/`--json` exports — all
+//! byte-identical to running the same scenarios in process. In service
+//! mode `--journal` names a *directory* (each campaign write-ahead
+//! journals to `campaign-<id>.journal` inside it, ids continuing after
+//! any journal already there), `--cache` pre-fills each campaign at
+//! admission (so one submission's results satisfy the next),
+//! `--max-campaigns N` exits cleanly after `N` campaigns are fetched (CI
+//! and scripts), and a worker that connects between campaigns is told
+//! to retry shortly rather than left hanging.
 //!
-//! **Crash-durable campaigns.** `--journal FILE` (on `serve` and
+//! **Crash-durable campaigns.** `--journal FILE` (on `serve <names>` and
 //! `--dist-workers`) write-ahead journals the campaign: the header line
 //! at start, then every verified record as it is accepted — each line
 //! one `write`, `sync_data` every `--journal-sync N` records (default
 //! 1; 0 = only at completion) — so the file is always a valid
-//! shard-file prefix. If the coordinator crashes, `resume --journal
-//! FILE --bind ADDR` re-derives the plan from the journaled header,
-//! verifies the stamped campaign fingerprint, replays the completed
-//! records into the slot table (deduplicated and fingerprint-verified
+//! shard-file prefix. An existing file is never overwritten. If the
+//! coordinator crashes, `resume --journal FILE --bind ADDR` runs a
+//! one-campaign session of the journaled campaign: it re-derives the
+//! plan from the header, verifies the stamped campaign fingerprint,
+//! replays the completed records (deduplicated and fingerprint-verified
 //! exactly like live records; a torn final line is dropped, never
 //! mis-parsed), and serves only the remaining indices — reports and
 //! exports come out byte-identical to an uninterrupted run.
 //!
 //! **Result caching.** `--cache DIR` (on campaign runs, `--shard`
-//! workers, `--workers`, `--dist-workers`, `serve` and `resume`) wraps
+//! workers, `--dist-workers`, `serve` and `resume`) wraps
 //! every simulation in a persistent content-addressed result cache
 //! (`rfcache_sim::cache`): already-simulated `RunSpec`s are served from
 //! the cache (exact metrics, so reports stay byte-identical) and fresh
@@ -139,30 +140,34 @@
 
 use rfcache_sim::cache::Cache;
 use rfcache_sim::executor::{
-    assemble_shard_results, read_shard_file, run_shard_cached, Distributed, InProcess, JournalSpec,
-    Subprocess,
+    assemble_shard_results, read_shard_file, run_shard_cached, ExecutorError, InProcess,
 };
 use rfcache_sim::experiments::ExperimentOpts;
 use rfcache_sim::metrics_codec::CampaignHeader;
+use rfcache_sim::service::{serve_service, JournalMode, ServiceConfig, ServiceSummary};
 use rfcache_sim::sweep::SweepDef;
 use rfcache_sim::transport::{self, ServeOptions, WorkOptions};
 use rfcache_sim::{
     http, parse_json, run_campaign_from_parts, run_campaign_planned, run_campaign_planned_with,
-    scenario, write_csv, write_json, JsonValue, Registry, RunSpec, ScenarioReport, TextTable,
+    scenario, write_csv, write_json, CampaignRequest, JsonValue, Registry, RunSpec, ScenarioReport,
+    TextTable,
 };
 use std::io::{BufRead as _, Write as _};
+use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: experiments --list [--sweep FILE]
        experiments <name>... | all [--insts N] [--warmup N] [--seed N] [--quick] [--jobs N]
-                                   [--csv DIR] [--json DIR] [--workers N] [--dist-workers N]
-                                   [--cache DIR] [--sweep FILE]
+                                   [--csv DIR] [--json DIR] [--dist-workers N [--http ADDR]
+                                   [--journal FILE [--journal-sync N]]] [--cache DIR]
+                                   [--sweep FILE]
        experiments <name>... | all [opts] --shard I/N [--out FILE] [--cache DIR]
        experiments sweep FILE... [same options as a named campaign]
        experiments merge FILE... [--csv DIR] [--json DIR]
-       experiments serve --bind ADDR [--http ADDR] [--expect K] [--lease-timeout SECS]
-                         [--chunk N] [--journal FILE [--journal-sync N]] [--cache DIR]
+       experiments serve --bind ADDR [--http ADDR] [--lease-timeout SECS] [--chunk N]
+                         [--journal FILE [--journal-sync N]] [--cache DIR]
                          <name>... | all [opts] [--csv DIR] [--json DIR] [--sweep FILE]
        experiments serve --bind ADDR --http ADDR [--lease-timeout SECS] [--chunk N]
                          [--journal DIR [--journal-sync N]] [--cache DIR]
@@ -172,7 +177,7 @@ const USAGE: &str = "usage: experiments --list [--sweep FILE]
        experiments fetch --connect ADDR --id N [--timeout SECS] [--csv DIR] [--json DIR]
        experiments work --connect ADDR [--jobs N] [--connect-timeout SECS]
                         [--quit-after-leases N]
-       experiments resume --journal FILE --bind ADDR [--http ADDR] [--expect K]
+       experiments resume --journal FILE --bind ADDR [--http ADDR]
                           [--lease-timeout SECS] [--chunk N] [--journal-sync N]
                           [--csv DIR] [--json DIR] [--cache DIR]
        experiments status --connect ADDR [--json]
@@ -241,7 +246,6 @@ fn run_main(args: &[String]) {
     let mut json_dir: Option<PathBuf> = None;
     let mut shard: Option<(usize, usize)> = None;
     let mut out_file: Option<PathBuf> = None;
-    let mut workers: Option<usize> = None;
     let mut dist_workers: Option<usize> = None;
     let mut journal: Option<PathBuf> = None;
     let mut journal_sync: Option<usize> = None;
@@ -262,9 +266,6 @@ fn run_main(args: &[String]) {
             "--shard" => shard = Some(parse_shard(it.next())),
             "--out" => out_file = Some(parse_path("--out", it.next())),
             "--sweep" => sweep_files.push(parse_path("--sweep", it.next())),
-            "--workers" => {
-                workers = Some(parse_positive("--workers", it.next()));
-            }
             "--dist-workers" => {
                 dist_workers = Some(parse_positive("--dist-workers", it.next()));
             }
@@ -289,11 +290,11 @@ fn run_main(args: &[String]) {
     if out_file.is_some() && shard.is_none() {
         usage_error("--out requires --shard");
     }
-    if shard.is_some() && (csv_dir.is_some() || json_dir.is_some() || workers.is_some()) {
-        usage_error("--shard emits a shard file, not reports: drop --csv/--json/--workers");
+    if shard.is_some() && (csv_dir.is_some() || json_dir.is_some()) {
+        usage_error("--shard emits a shard file, not reports: drop --csv/--json");
     }
-    if dist_workers.is_some() && (shard.is_some() || workers.is_some()) {
-        usage_error("--dist-workers picks the distributed backend: drop --shard/--workers");
+    if dist_workers.is_some() && shard.is_some() {
+        usage_error("--dist-workers runs a coordinator session: drop --shard");
     }
     if journal.is_some() && dist_workers.is_none() {
         usage_error("--journal requires --dist-workers (or the serve/resume subcommands)");
@@ -334,63 +335,53 @@ fn run_main(args: &[String]) {
         return;
     }
 
-    let reports = if let Some(count) = workers {
-        let exe = std::env::current_exe()
-            .unwrap_or_else(|e| die(&format!("cannot locate this executable: {e}")));
-        let scratch = std::env::temp_dir().join(format!("rfcache_shards_{}", std::process::id()));
-        let worker_opts = ExperimentOpts { jobs: split_jobs(opts.jobs, count), ..opts };
-        let mut executor = Subprocess::new(
-            exe,
-            campaign_args(&selected, &worker_opts, &sweep_files),
-            count,
-            &scratch,
-        );
-        if let Some(dir) = &cache_dir {
-            executor = executor.cache(dir);
-        }
-        let reports = run_campaign_planned_with(&executor, &selected, &opts, plans)
-            .unwrap_or_else(|e| die(&format!("sharded campaign failed: {e}")));
-        let _ = std::fs::remove_dir_all(&scratch);
-        reports
-    } else if let Some(count) = dist_workers {
-        let exe = std::env::current_exe()
-            .unwrap_or_else(|e| die(&format!("cannot locate this executable: {e}")));
-        let serve_opts = ServeOptions { expect: count, ..ServeOptions::default() };
-        let mut executor = Distributed::new(
-            "127.0.0.1:0",
-            selected.iter().map(|s| s.name.to_string()).collect(),
-            &opts,
-            serve_opts,
-        )
-        .sweeps(registry.sweep_texts().to_vec())
-        .self_spawn(exe, count, split_jobs(opts.jobs, count));
-        if let Some(path) = journal {
-            executor = executor.journal(JournalSpec {
-                path,
-                sync_every: journal_sync.unwrap_or(1),
-                resume: false,
-            });
-        }
-        if let Some(bind) = http {
-            executor = executor.http(bind);
-        }
-        if let Some(dir) = &cache_dir {
-            executor = executor.cache(dir);
-        }
-        run_campaign_planned_with(&executor, &selected, &opts, plans)
-            .unwrap_or_else(|e| die(&e.to_string()))
-    } else if let Some(dir) = &cache_dir {
-        let executor = InProcess::new(opts.jobs).with_cache(open_cache(dir));
-        run_campaign_planned_with(&executor, &selected, &opts, plans)
-            .unwrap_or_else(|e| die(&e.to_string()))
+    let backend = if let Some(count) = dist_workers {
+        let (listener, control) = bind_session("127.0.0.1:0", http.as_deref(), runs);
+        let addr = listener
+            .local_addr()
+            .unwrap_or_else(|e| die(&format!("cannot read the bound address: {e}")));
+        let cache = cache_dir.as_deref().map(open_cache);
+        let mut pool = spawn_pool(addr, count, split_jobs(opts.jobs, count));
+        let outcome = {
+            // A session whose whole self-spawned pool died must end, not
+            // wait forever for workers that will never reconnect.
+            let mut pool_check = || {
+                let all_gone = pool.iter_mut().all(|c| matches!(c.try_wait(), Ok(Some(_))));
+                all_gone.then(|| {
+                    format!(
+                        "all {count} self-spawned worker(s) exited before the campaign completed"
+                    )
+                })
+            };
+            serve_service(ServiceConfig {
+                listener: &listener,
+                http: control.as_ref(),
+                opts: &ServeOptions::default(),
+                cache: cache.as_ref(),
+                journal: journal.as_deref().map(JournalMode::Create),
+                journal_sync: journal_sync.unwrap_or(1),
+                max_campaigns: Some(1),
+                campaign: Some(campaign_request(&selected, &registry, opts)),
+                supervise: Some(&mut pool_check),
+            })
+        };
+        // The session is over either way: on success the workers have
+        // been sent `done`; on failure they would block on a dead
+        // coordinator.
+        reap(pool);
+        emit_results(&session_results(outcome), csv_dir.as_deref(), json_dir.as_deref());
+        format!("{count} distributed worker(s)")
     } else {
-        run_campaign_planned(&selected, &opts, plans)
-    };
-    emit_reports(&selected, &reports, csv_dir.as_deref(), json_dir.as_deref());
-    let backend = match (workers, dist_workers) {
-        (Some(n), _) => format!("{n} subprocess shard(s)"),
-        (None, Some(n)) => format!("{n} distributed worker(s)"),
-        (None, None) => "in-process".to_string(),
+        let reports = match &cache_dir {
+            Some(dir) => {
+                let executor = InProcess::new(opts.jobs).with_cache(open_cache(dir));
+                run_campaign_planned_with(&executor, &selected, &opts, plans)
+                    .unwrap_or_else(|e| die(&e.to_string()))
+            }
+            None => run_campaign_planned(&selected, &opts, plans),
+        };
+        emit_reports(&selected, &reports, csv_dir.as_deref(), json_dir.as_deref());
+        "in-process".to_string()
     };
     eprintln!(
         "[campaign: {} scenario(s), {} simulation(s), {backend}, {:.1}s]",
@@ -457,7 +448,8 @@ fn split_jobs(jobs: usize, count: usize) -> usize {
     (total / count).max(1)
 }
 
-/// Runs the campaign as a distributed TCP coordinator.
+/// Runs the coordinator: a one-campaign session when scenarios are
+/// named, the multi-campaign service otherwise.
 fn serve_main(args: &[String]) {
     let mut opts = ExperimentOpts::default();
     let mut serve_opts = ServeOptions::default();
@@ -480,7 +472,6 @@ fn serve_main(args: &[String]) {
             "--max-campaigns" => {
                 max_campaigns = Some(parse_positive("--max-campaigns", it.next()));
             }
-            "--expect" => serve_opts.expect = parse_num("--expect", it.next()) as usize,
             "--lease-timeout" => {
                 serve_opts.lease_timeout =
                     Duration::from_secs(parse_positive("--lease-timeout", it.next()) as u64);
@@ -534,15 +525,34 @@ fn serve_main(args: &[String]) {
                  --http ADDR to accept submissions (or name scenarios for a single campaign)",
             );
         };
-        serve_service_main(
-            &bind,
-            &http,
-            serve_opts,
-            journal.as_deref(),
-            journal_sync.unwrap_or(1),
-            cache_dir.as_deref(),
+        let (listener, addr) = bind_or_die(&bind);
+        let (control, http_addr) = bind_or_die(&http);
+        eprintln!("[service: workers on {addr}, submissions on http://{http_addr}/campaigns]");
+        let cache = cache_dir.as_deref().map(open_cache);
+        let start = Instant::now();
+        let summary = serve_service(ServiceConfig {
+            listener: &listener,
+            http: Some(&control),
+            opts: &serve_opts,
+            cache: cache.as_ref(),
+            journal: journal.as_deref().map(JournalMode::Dir),
+            journal_sync: journal_sync.unwrap_or(1),
             max_campaigns,
+            campaign: None,
+            supervise: None,
+        })
+        .unwrap_or_else(|e| die(&e.to_string()));
+        eprintln!(
+            "[service: {} campaign(s) submitted, {} completed, {} fetched, {} failed, {:.1}s]",
+            summary.submitted,
+            summary.completed,
+            summary.fetched,
+            summary.failed,
+            start.elapsed().as_secs_f64()
         );
+        if summary.failed > 0 {
+            std::process::exit(1);
+        }
         return;
     }
     if max_campaigns.is_some() {
@@ -551,32 +561,22 @@ fn serve_main(args: &[String]) {
     let registry = load_registry(&sweep_files);
     let names = with_sweep_names(names, &registry);
     let selected = select_scenarios(&registry, &names);
-    let plans: Vec<_> = selected.iter().map(|s| s.plan(&opts)).collect();
-    let runs: usize = plans.iter().map(Vec::len).sum();
+    let runs: usize = selected.iter().map(|s| s.plan(&opts).len()).sum();
     let start = Instant::now();
-    let mut executor = Distributed::new(
-        bind,
-        selected.iter().map(|s| s.name.to_string()).collect(),
-        &opts,
-        serve_opts,
-    )
-    .sweeps(registry.sweep_texts().to_vec());
-    if let Some(path) = journal {
-        executor = executor.journal(JournalSpec {
-            path,
-            sync_every: journal_sync.unwrap_or(1),
-            resume: false,
-        });
-    }
-    if let Some(addr) = http {
-        executor = executor.http(addr);
-    }
-    if let Some(dir) = &cache_dir {
-        executor = executor.cache(dir);
-    }
-    let reports = run_campaign_planned_with(&executor, &selected, &opts, plans)
-        .unwrap_or_else(|e| die(&e.to_string()));
-    emit_reports(&selected, &reports, csv_dir.as_deref(), json_dir.as_deref());
+    let (listener, control) = bind_session(&bind, http.as_deref(), runs);
+    let cache = cache_dir.as_deref().map(open_cache);
+    let outcome = serve_service(ServiceConfig {
+        listener: &listener,
+        http: control.as_ref(),
+        opts: &serve_opts,
+        cache: cache.as_ref(),
+        journal: journal.as_deref().map(JournalMode::Create),
+        journal_sync: journal_sync.unwrap_or(1),
+        max_campaigns: Some(1),
+        campaign: Some(campaign_request(&selected, &registry, opts)),
+        supervise: None,
+    });
+    emit_results(&session_results(outcome), csv_dir.as_deref(), json_dir.as_deref());
     eprintln!(
         "[campaign: {} scenario(s), {} simulation(s), distributed coordinator, {:.1}s]",
         selected.len(),
@@ -585,55 +585,80 @@ fn serve_main(args: &[String]) {
     );
 }
 
-/// Runs the multi-campaign coordinator service: binds the worker and
-/// control-plane listeners, then hands the loop to
-/// `rfcache_sim::service::serve_service` until `--max-campaigns`
-/// campaigns have been fetched (or forever).
-fn serve_service_main(
-    bind: &str,
-    http_bind: &str,
-    serve_opts: ServeOptions,
-    journal_dir: Option<&Path>,
-    journal_sync: usize,
-    cache_dir: Option<&Path>,
-    max_campaigns: Option<usize>,
-) {
-    let listener = std::net::TcpListener::bind(bind)
-        .unwrap_or_else(|e| die(&format!("cannot bind {bind}: {e}")));
+/// Binds a listener, dying with the address on failure.
+fn bind_or_die(bind: &str) -> (TcpListener, SocketAddr) {
+    let listener =
+        TcpListener::bind(bind).unwrap_or_else(|e| die(&format!("cannot bind {bind}: {e}")));
     let addr = listener
         .local_addr()
-        .unwrap_or_else(|e| die(&format!("cannot read the bound address: {e}")));
-    let http_listener = std::net::TcpListener::bind(http_bind)
-        .unwrap_or_else(|e| die(&format!("cannot bind {http_bind}: {e}")));
-    let http_addr = http_listener
-        .local_addr()
-        .unwrap_or_else(|e| die(&format!("cannot read the control-plane address: {e}")));
-    eprintln!("[service: workers on {addr}, submissions on http://{http_addr}/campaigns]");
-    let cache = cache_dir.map(open_cache);
-    let signals = rfcache_sim::transport::ServeSignals::new();
-    let start = Instant::now();
-    let summary = rfcache_sim::service::serve_service(rfcache_sim::ServiceConfig {
-        listener: &listener,
-        http: &http_listener,
-        opts: &serve_opts,
-        signals: &signals,
-        cache: cache.as_ref(),
-        journal_dir,
-        journal_sync,
-        max_campaigns,
-    })
-    .unwrap_or_else(|e| die(&e.to_string()));
-    eprintln!(
-        "[service: {} campaign(s) submitted, {} completed, {} fetched, {} failed, {:.1}s]",
-        summary.submitted,
-        summary.completed,
-        summary.fetched,
-        summary.failed,
-        start.elapsed().as_secs_f64()
-    );
-    if summary.failed > 0 {
-        std::process::exit(1);
+        .unwrap_or_else(|e| die(&format!("cannot read the address bound to {bind}: {e}")));
+    (listener, addr)
+}
+
+/// Binds a one-campaign session's worker listener and optional control
+/// plane, logging the addresses workers and probes connect to.
+fn bind_session(bind: &str, http: Option<&str>, runs: usize) -> (TcpListener, Option<TcpListener>) {
+    let (listener, addr) = bind_or_die(bind);
+    eprintln!("[serve: listening on {addr}, {runs} simulation(s)]");
+    let control = http.map(|bind| {
+        let (control, addr) = bind_or_die(bind);
+        eprintln!("[serve: http status on {addr}]");
+        control
+    });
+    (listener, control)
+}
+
+/// The results document of a finished one-campaign session. A failed
+/// campaign exits 1: the loop has already said why.
+fn session_results(outcome: Result<ServiceSummary, ExecutorError>) -> String {
+    let summary = outcome.unwrap_or_else(|e| die(&e.to_string()));
+    summary.results.unwrap_or_else(|| std::process::exit(1))
+}
+
+/// Spawns `count` local `work` processes of this binary against `addr`.
+fn spawn_pool(addr: SocketAddr, count: usize, jobs: usize) -> Vec<Child> {
+    let exe = std::env::current_exe()
+        .unwrap_or_else(|e| die(&format!("cannot locate this executable: {e}")));
+    let mut pool = Vec::with_capacity(count);
+    for _ in 0..count {
+        let child = Command::new(&exe)
+            .arg("work")
+            .arg("--connect")
+            .arg(addr.to_string())
+            .arg("--jobs")
+            .arg(jobs.to_string())
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            // stderr inherits: worker diagnostics surface directly.
+            .spawn();
+        match child {
+            Ok(child) => pool.push(child),
+            Err(e) => {
+                reap(pool);
+                die(&format!("cannot spawn {}: {e}", exe.display()));
+            }
+        }
     }
+    pool
+}
+
+/// Kills and waits for every process of a worker pool.
+fn reap(pool: Vec<Child>) {
+    for mut child in pool {
+        let _ = child.kill();
+        let _ = child.wait();
+    }
+}
+
+/// The description of a campaign over `selected`, carrying any sweep
+/// definitions inline so other processes can rebuild the namespace.
+fn campaign_request(
+    selected: &[&scenario::Scenario],
+    registry: &Registry,
+    opts: ExperimentOpts,
+) -> CampaignRequest {
+    CampaignRequest::new(selected.iter().map(|s| s.name.to_string()).collect(), opts)
+        .with_sweeps(registry.sweep_texts().to_vec())
 }
 
 /// Submits a campaign description to a running campaign service and
@@ -671,9 +696,7 @@ fn submit_main(args: &[String]) {
     let registry = load_registry(&sweep_files);
     let names = with_sweep_names(names, &registry);
     let selected = select_scenarios(&registry, &names);
-    let request =
-        scenario::CampaignRequest::new(selected.iter().map(|s| s.name.to_string()).collect(), opts)
-            .with_sweeps(registry.sweep_texts().to_vec());
+    let request = campaign_request(&selected, &registry, opts);
     let (code, body) = http::post(
         &addr,
         "/campaigns",
@@ -768,12 +791,20 @@ fn fetch_main(args: &[String]) {
     if code != 200 {
         die(&format!("{addr}: GET /campaigns/{id}/results answered {code}: {}", body.trim()));
     }
-    let doc = parse_json(&body)
-        .unwrap_or_else(|e| die(&format!("{addr}: malformed results document: {e}")));
-    let entries = doc
+    let reports = emit_results(&body, csv_dir.as_deref(), json_dir.as_deref());
+    eprintln!("[fetch: campaign {id}: {reports} scenario report(s)]");
+}
+
+/// Prints the reports of a results document (`GET /campaigns/<id>/results`)
+/// and writes its exports — byte for byte what [`emit_reports`] produces
+/// in process. Returns how many scenario reports it held.
+fn emit_results(doc: &str, csv_dir: Option<&Path>, json_dir: Option<&Path>) -> usize {
+    let parsed =
+        parse_json(doc).unwrap_or_else(|e| die(&format!("malformed results document: {e}")));
+    let entries = parsed
         .get("scenarios")
         .and_then(JsonValue::as_array)
-        .unwrap_or_else(|| die(&format!("{addr}: results document carries no scenarios: {body}")));
+        .unwrap_or_else(|| die(&format!("results document carries no scenarios: {doc}")));
     for entry in entries {
         let name = entry
             .get("name")
@@ -785,17 +816,15 @@ fn fetch_main(args: &[String]) {
                 .and_then(JsonValue::as_str)
                 .unwrap_or_else(|| die(&format!("results entry {name} carries no {key}")))
         };
-        // Byte-for-byte what `emit_reports` produces in process: the
-        // report to stdout, the table renders to DIR/<name>.{csv,json}.
         println!("{}", field("report"));
-        if let Some(dir) = &csv_dir {
+        if let Some(dir) = csv_dir {
             write_fetched(dir, name, "csv", field("csv"));
         }
-        if let Some(dir) = &json_dir {
+        if let Some(dir) = json_dir {
             write_fetched(dir, name, "json", field("json"));
         }
     }
-    eprintln!("[fetch: campaign {id}: {} scenario report(s)]", entries.len());
+    entries.len()
 }
 
 /// Writes one fetched export exactly as the in-process exporters would.
@@ -807,9 +836,10 @@ fn write_fetched(dir: &Path, name: &str, ext: &str, content: &str) {
         .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())));
 }
 
-/// Resumes an interrupted journaled campaign: the plan is re-derived
-/// from the journaled header (no scenario names on the command line),
-/// completed records are replayed, and only the remainder is served.
+/// Resumes an interrupted journaled campaign as a one-campaign session:
+/// the plan is re-derived from the journaled header (no scenario names
+/// on the command line), completed records are replayed, and only the
+/// remainder is served.
 fn resume_main(args: &[String]) {
     let mut serve_opts = ServeOptions::default();
     let mut bind: Option<String> = None;
@@ -824,7 +854,6 @@ fn resume_main(args: &[String]) {
         match arg.as_str() {
             "--bind" => bind = Some(parse_value("--bind", it.next())),
             "--http" => http = Some(parse_value("--http", it.next())),
-            "--expect" => serve_opts.expect = parse_num("--expect", it.next()) as usize,
             "--lease-timeout" => {
                 serve_opts.lease_timeout =
                     Duration::from_secs(parse_positive("--lease-timeout", it.next()) as u64);
@@ -851,7 +880,7 @@ fn resume_main(args: &[String]) {
     };
 
     // The journal header is the campaign description; only the first
-    // line is read here — the executor reads the file once and replays
+    // line is read here — the session reads the file once and replays
     // every record with full verification, so pulling a potentially
     // huge journal into memory twice would be pure waste.
     let file = std::fs::File::open(&journal)
@@ -874,8 +903,7 @@ fn resume_main(args: &[String]) {
     let selected = registry
         .resolve(&header.scenarios)
         .unwrap_or_else(|e| die(&format!("journal {e} (written by a different binary version?)")));
-    let plans: Vec<_> = selected.iter().map(|s| s.plan(&opts)).collect();
-    let runs: usize = plans.iter().map(Vec::len).sum();
+    let runs: usize = selected.iter().map(|s| s.plan(&opts).len()).sum();
     if runs != header.runs {
         die(&format!(
             "journal describes a {}-run campaign but this binary plans {runs} runs (plan drift)",
@@ -884,27 +912,22 @@ fn resume_main(args: &[String]) {
     }
     eprintln!("[resume: resuming a {runs}-run campaign from {}]", journal.display());
     let start = Instant::now();
-    let mut executor = Distributed::new(
-        bind,
-        selected.iter().map(|s| s.name.to_string()).collect(),
-        &opts,
-        serve_opts,
-    )
-    .sweeps(header.sweeps.clone())
-    .journal(JournalSpec {
-        path: journal,
-        sync_every: journal_sync.unwrap_or(1),
-        resume: true,
+    let (listener, control) = bind_session(&bind, http.as_deref(), runs);
+    let cache = cache_dir.as_deref().map(open_cache);
+    let outcome = serve_service(ServiceConfig {
+        listener: &listener,
+        http: control.as_ref(),
+        opts: &serve_opts,
+        cache: cache.as_ref(),
+        journal: Some(JournalMode::Resume(&journal)),
+        journal_sync: journal_sync.unwrap_or(1),
+        max_campaigns: Some(1),
+        campaign: Some(
+            CampaignRequest::new(header.scenarios.clone(), opts).with_sweeps(header.sweeps),
+        ),
+        supervise: None,
     });
-    if let Some(addr) = http {
-        executor = executor.http(addr);
-    }
-    if let Some(dir) = &cache_dir {
-        executor = executor.cache(dir);
-    }
-    let reports = run_campaign_planned_with(&executor, &selected, &opts, plans)
-        .unwrap_or_else(|e| die(&e.to_string()));
-    emit_reports(&selected, &reports, csv_dir.as_deref(), json_dir.as_deref());
+    emit_results(&session_results(outcome), csv_dir.as_deref(), json_dir.as_deref());
     eprintln!(
         "[campaign: {} scenario(s), {} simulation(s), resumed coordinator, {:.1}s]",
         selected.len(),
@@ -953,9 +976,10 @@ fn work_main(args: &[String]) {
     );
 }
 
-/// Fetches a running coordinator's `/status` snapshot and renders it as
-/// a progress summary plus per-worker roster (`--json` passes the raw
-/// snapshot through untouched for scripts).
+/// Fetches a running coordinator's `/status` snapshot and renders it:
+/// the serving campaign's progress, the campaign table and the worker
+/// roster (`--json` passes the raw snapshot through untouched for
+/// scripts).
 fn status_main(args: &[String]) {
     let mut connect: Option<String> = None;
     let mut raw = false;
@@ -982,43 +1006,59 @@ fn status_main(args: &[String]) {
     }
     let status = parse_json(&body)
         .unwrap_or_else(|e| die(&format!("{addr}: malformed /status response: {e}")));
-    if status.get("schema").and_then(JsonValue::as_str) == Some("rfcache-service/v1") {
-        render_service_status(&status);
-        return;
-    }
-    let count = |key: &str| status.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-    let scenarios: Vec<&str> = status
-        .get("scenarios")
-        .and_then(JsonValue::as_array)
-        .map(|names| names.iter().filter_map(JsonValue::as_str).collect())
-        .unwrap_or_default();
-    let (runs, completed, leased, pending) =
-        (count("runs"), count("completed"), count("leased"), count("pending"));
+    let count = |value: &JsonValue, key: &str| value.get(key).and_then(JsonValue::as_u64);
+    let cell =
+        |value: &JsonValue, key: &str| count(value, key).map_or("?".into(), |n| n.to_string());
+    let serving = count(&status, "serving");
     println!(
-        "campaign {}: {}",
-        status.get("fingerprint").and_then(JsonValue::as_str).unwrap_or("?"),
-        scenarios.join(" ")
-    );
-    println!(
-        "  {runs} run(s): {completed} completed ({} from cache), {leased} leased, \
-         {pending} pending ({:.1}% done), {:.1}s elapsed",
-        count("cached"),
-        if runs == 0 { 100.0 } else { 100.0 * completed as f64 / runs as f64 },
+        "campaign service: {} campaign(s) submitted, serving {}, {:.1}s up",
+        cell(&status, "submitted"),
+        serving.map_or("-".to_string(), |id| id.to_string()),
         status.get("elapsed_secs").and_then(JsonValue::as_f64).unwrap_or(0.0)
     );
     println!(
         "  workers: {} connected, {} joined in total",
-        count("workers_connected"),
-        count("workers_joined")
+        cell(&status, "workers_connected"),
+        cell(&status, "workers_joined")
     );
-    if let Some(journal) = status.get("journal").filter(|j| !matches!(j, JsonValue::Null)) {
-        let jcount = |key: &str| journal.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
+    let campaigns = status.get("campaigns").and_then(JsonValue::as_array).unwrap_or(&[]);
+    for campaign in campaigns.iter().filter(|c| serving.is_some() && count(c, "id") == serving) {
+        let n = |key: &str| count(campaign, key).unwrap_or(0);
         println!(
-            "  journal: {} record(s) written ({} replayed), {} byte(s)",
-            jcount("records"),
-            jcount("replayed"),
-            jcount("bytes")
+            "  campaign {}: {} run(s): {} completed ({} from cache), {} leased, {} pending \
+             ({:.1}% done)",
+            n("id"),
+            n("runs"),
+            n("completed"),
+            n("cached"),
+            n("leased"),
+            n("pending"),
+            if n("runs") == 0 { 100.0 } else { 100.0 * n("completed") as f64 / n("runs") as f64 }
         );
+    }
+    if !campaigns.is_empty() {
+        let mut table = TextTable::new(
+            ["id", "state", "scenarios", "runs", "completed", "cached"]
+                .map(String::from)
+                .into_iter()
+                .collect(),
+        );
+        for campaign in campaigns {
+            let names: Vec<&str> = campaign
+                .get("scenarios")
+                .and_then(JsonValue::as_array)
+                .map(|names| names.iter().filter_map(JsonValue::as_str).collect())
+                .unwrap_or_default();
+            table.row(vec![
+                cell(campaign, "id"),
+                campaign.get("state").and_then(JsonValue::as_str).unwrap_or("?").to_string(),
+                names.join(" "),
+                cell(campaign, "runs"),
+                cell(campaign, "completed"),
+                cell(campaign, "cached"),
+            ]);
+        }
+        println!("\n{table}");
     }
     let roster = status.get("workers").and_then(JsonValue::as_array).unwrap_or(&[]);
     if !roster.is_empty() {
@@ -1029,63 +1069,15 @@ fn status_main(args: &[String]) {
                 .collect(),
         );
         for worker in roster {
-            let cell = |key: &str| {
-                worker.get(key).and_then(JsonValue::as_u64).map_or("?".into(), |n| n.to_string())
-            };
             table.row(vec![
                 worker.get("peer").and_then(JsonValue::as_str).unwrap_or("?").to_string(),
                 worker.get("phase").and_then(JsonValue::as_str).unwrap_or("?").to_string(),
-                cell("leases"),
-                cell("records"),
+                cell(worker, "leases"),
+                cell(worker, "records"),
                 worker
                     .get("lease_age_secs")
                     .and_then(JsonValue::as_f64)
                     .map_or("-".to_string(), |age| format!("{age:.1}s")),
-            ]);
-        }
-        println!("\n{table}");
-    }
-}
-
-/// Renders a campaign service's `/status` snapshot: one row per
-/// submitted campaign plus the connected-worker roster.
-fn render_service_status(status: &JsonValue) {
-    let count = |key: &str| status.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-    let serving = status
-        .get("serving")
-        .and_then(JsonValue::as_u64)
-        .map_or("-".to_string(), |id| id.to_string());
-    println!(
-        "campaign service: {} campaign(s) submitted, serving {serving}, \
-         {} worker(s) connected, {:.1}s up",
-        count("submitted"),
-        count("workers_connected"),
-        status.get("elapsed_secs").and_then(JsonValue::as_f64).unwrap_or(0.0)
-    );
-    let campaigns = status.get("campaigns").and_then(JsonValue::as_array).unwrap_or(&[]);
-    if !campaigns.is_empty() {
-        let mut table = TextTable::new(
-            ["id", "state", "scenarios", "runs", "completed", "cached"]
-                .map(String::from)
-                .into_iter()
-                .collect(),
-        );
-        for campaign in campaigns {
-            let cell = |key: &str| {
-                campaign.get(key).and_then(JsonValue::as_u64).map_or("?".into(), |n| n.to_string())
-            };
-            let names: Vec<&str> = campaign
-                .get("scenarios")
-                .and_then(JsonValue::as_array)
-                .map(|names| names.iter().filter_map(JsonValue::as_str).collect())
-                .unwrap_or_default();
-            table.row(vec![
-                cell("id"),
-                campaign.get("state").and_then(JsonValue::as_str).unwrap_or("?").to_string(),
-                names.join(" "),
-                cell("runs"),
-                cell("completed"),
-                cell("cached"),
             ]);
         }
         println!("\n{table}");
@@ -1401,32 +1393,6 @@ fn emit_reports(
     }
 }
 
-/// The arguments a shard worker needs to re-derive this campaign's plan.
-fn campaign_args(
-    selected: &[&scenario::Scenario],
-    opts: &ExperimentOpts,
-    sweep_files: &[PathBuf],
-) -> Vec<String> {
-    let mut args: Vec<String> = selected.iter().map(|s| s.name.to_string()).collect();
-    for file in sweep_files {
-        args.push("--sweep".to_string());
-        args.push(file.display().to_string());
-    }
-    for (flag, value) in [
-        ("--insts", opts.insts),
-        ("--warmup", opts.warmup),
-        ("--seed", opts.seed),
-        ("--jobs", opts.jobs as u64),
-    ] {
-        args.push(flag.to_string());
-        args.push(value.to_string());
-    }
-    if opts.quick {
-        args.push("--quick".to_string());
-    }
-    args
-}
-
 /// `--list`: the built-in scenarios, plus any `--sweep FILE` sweeps
 /// rendered with their axis summaries.
 fn list(args: &[String]) {
@@ -1441,7 +1407,7 @@ fn list(args: &[String]) {
     }
     let registry = load_registry(&sweep_files);
     let width = registry.iter().map(|s| s.name.len()).max().unwrap_or(0);
-    for s in scenario::registry() {
+    for s in Registry::builtin().iter() {
         println!("{:width$}  {}", s.name, s.description);
     }
     if !registry.sweeps().is_empty() {

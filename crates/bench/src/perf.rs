@@ -18,7 +18,9 @@ use rfcache_core::{
 use rfcache_pipeline::{Cpu, PipelineConfig};
 use rfcache_sim::experiments::ExperimentOpts;
 use rfcache_sim::scenario::ScenarioReport;
-use rfcache_sim::{run_campaign_planned, run_campaign_planned_with, scenario, Cache, InProcess};
+use rfcache_sim::{
+    run_campaign_planned, run_campaign_planned_with, Cache, InProcess, Registry, Scenario,
+};
 use rfcache_workload::{BenchProfile, TraceGenerator};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -229,7 +231,8 @@ fn time_campaign(opts: &BenchOptions) -> ScenarioStat {
         c_opts.insts /= 10;
         c_opts.warmup /= 10;
     }
-    let selected: Vec<&scenario::Scenario> = scenario::registry().iter().collect();
+    let registry = Registry::builtin();
+    let selected: Vec<&Scenario> = registry.iter().collect();
     let cached_executor = opts.cache.as_deref().map(|dir| {
         let cache = Cache::open(dir)
             .unwrap_or_else(|e| panic!("cannot open result cache {}: {e}", dir.display()));

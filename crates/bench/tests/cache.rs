@@ -1,6 +1,6 @@
 //! End-to-end tests of `--cache` and the `cache` subcommand: a warm
 //! cache must reproduce the cold run's reports byte for byte in every
-//! execution mode (in-process, `--workers`, `--dist-workers`), `cache
+//! execution mode (in-process, `--shard` + `merge`, `--dist-workers`), `cache
 //! stats` must show a 100%-hit warm session, and `verify`/`clear` must
 //! catch corruption and empty the store.
 
@@ -93,13 +93,29 @@ fn warm_cache_is_byte_identical_in_every_mode() {
     let stderr = String::from_utf8_lossy(&warm.stderr);
     assert!(stderr.contains("served from"), "warm run must report its hits: {stderr}");
 
-    // Warm subprocess shards: every worker consults the same directory.
+    // Warm shard workers: every shard consults the same directory, and
+    // merging their files reproduces the reference.
     let shard_dir = work.join("shard");
-    let sharded = run_campaign(&shard_dir, &["--workers", "2", "--cache", &cache_str]);
+    let mut merge_args: Vec<String> = vec!["merge".into()];
+    for shard in ["0/2", "1/2"] {
+        let file = work.join(format!("shard{}.jsonl", &shard[..1]));
+        let args = ["--shard", shard, "--cache", &cache_str, "--out", file.to_str().unwrap()];
+        let out = experiments(&[CAMPAIGN, &args[..]].concat());
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("served from"), "shard {shard} must hit the cache: {stderr}");
+        merge_args.push(file.to_str().unwrap().into());
+    }
+    for flag in ["--csv", "--json"] {
+        merge_args.push(flag.into());
+        merge_args.push(shard_dir.to_str().unwrap().into());
+    }
+    let merged = experiments(&merge_args.iter().map(String::as_str).collect::<Vec<_>>());
+    assert!(merged.status.success(), "stderr: {}", String::from_utf8_lossy(&merged.stderr));
     assert_eq!(
         String::from_utf8_lossy(&reference.stdout),
-        String::from_utf8_lossy(&sharded.stdout),
-        "warm --workers reports diverge"
+        String::from_utf8_lossy(&merged.stdout),
+        "warm --shard + merge reports diverge"
     );
     assert_eq!(dir_contents(&ref_dir), dir_contents(&shard_dir));
 

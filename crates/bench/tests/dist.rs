@@ -158,6 +158,61 @@ fn killed_worker_leases_are_reissued_and_output_converges() {
     let _ = std::fs::remove_dir_all(&work);
 }
 
+/// A worker whose handshake fingerprint disagrees with the campaign
+/// (mismatched binaries or options) is rejected alone: an idle client
+/// that never sends its hello holds nothing up, and the campaign still
+/// completes through an honest worker, byte-identical to the
+/// single-process run.
+#[test]
+fn drifting_worker_is_rejected_alone_and_the_campaign_completes() {
+    use rfcache_sim::metrics_codec::Frame;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
+
+    let work = temp_dir("drift");
+    let ref_dir = work.join("ref");
+    let dist_dir = work.join("dist");
+    let reference = run_reference(&ref_dir);
+    let (serve, addr, serve_log) = spawn_serve(&dist_dir);
+
+    // Connected for the whole campaign, never saying hello.
+    let idle = TcpStream::connect(&addr).unwrap();
+
+    // The drifter answers the coordinator's hello with the fingerprint
+    // of a different plan; the coordinator must close it promptly.
+    let started = Instant::now();
+    let mut drifter = TcpStream::connect(&addr).unwrap();
+    drifter.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut hello = Frame::Hello { campaign: None, fingerprint: 0xbad }.to_line();
+    hello.push('\n');
+    drifter.write_all(hello.as_bytes()).unwrap();
+    let mut received = Vec::new();
+    drifter.read_to_end(&mut received).expect("the coordinator closes the drifter's connection");
+    let rejected = started.elapsed();
+    assert!(rejected < Duration::from_secs(5), "the drifter was dropped after {rejected:?}");
+
+    let honest = experiments(&["work", "--connect", &addr]);
+    assert!(honest.status.success(), "stderr: {}", String::from_utf8_lossy(&honest.stderr));
+    let out = serve.wait_with_output().expect("serve exits");
+    let finished = started.elapsed();
+    drop(idle);
+    let log = serve_log.recv_timeout(Duration::from_secs(10)).unwrap_or_default();
+    assert!(out.status.success(), "serve stderr: {log}");
+    assert!(finished < Duration::from_secs(10), "the campaign took {finished:?}: {log}");
+    assert!(
+        log.contains("mismatched binaries or options"),
+        "the drifter must be rejected by name: {log}"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&reference.stdout),
+        String::from_utf8_lossy(&out.stdout),
+        "reports diverge after rejecting a drifting worker"
+    );
+    assert_eq!(dir_contents(&ref_dir), dir_contents(&dist_dir));
+    let _ = std::fs::remove_dir_all(&work);
+}
+
 #[test]
 fn work_and_serve_name_their_required_flags() {
     let out = experiments(&["work"]);
@@ -175,10 +230,10 @@ fn work_and_serve_name_their_required_flags() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("invalid value 0 for --dist-workers"), "stderr: {stderr}");
 
-    let out = experiments(&["fig6", "--dist-workers", "2", "--workers", "2"]);
+    let out = experiments(&["fig6", "--dist-workers", "2", "--shard", "0/2"]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("drop --shard/--workers"), "stderr: {stderr}");
+    assert!(stderr.contains("drop --shard"), "stderr: {stderr}");
 
     // A zero connect window would make the deadline expire before the
     // first attempt; like --lease-timeout, it must be rejected by name.
@@ -224,11 +279,10 @@ fn thread_count(pid: u32) -> Option<usize> {
         .and_then(|rest| rest.trim().parse().ok())
 }
 
-/// The tentpole invariant, end to end: 64 concurrent workers against
-/// one coordinator whose readiness loop runs handshakes, leasing,
-/// record streaming, and the HTTP control plane on a single thread —
-/// and the output is still byte-identical to the in-process and
-/// sharded backends.
+/// The readiness-loop invariant, end to end: 64 concurrent workers
+/// against one coordinator whose loop runs handshakes, leasing, record
+/// streaming, and the HTTP control plane on a single thread — and the
+/// output is still byte-identical to the in-process and sharded runs.
 #[test]
 fn soak_64_workers_one_thread_and_a_live_control_plane() {
     use rfcache_sim::JsonValue;
@@ -245,20 +299,19 @@ fn soak_64_workers_one_thread_and_a_live_control_plane() {
     );
     assert!(reference.status.success(), "stderr: {}", String::from_utf8_lossy(&reference.stderr));
 
-    let sharded = experiments(
-        &[
-            soak,
-            &[
-                "--workers",
-                "2",
-                "--csv",
-                shard_dir.to_str().unwrap(),
-                "--json",
-                shard_dir.to_str().unwrap(),
-            ],
-        ]
-        .concat(),
-    );
+    let mut merge_args: Vec<String> = vec!["merge".into()];
+    for shard in ["0/2", "1/2"] {
+        let file = work.join(format!("shard{}.jsonl", &shard[..1]));
+        let out =
+            experiments(&[soak, &["--shard", shard, "--out", file.to_str().unwrap()]].concat());
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        merge_args.push(file.to_str().unwrap().into());
+    }
+    for flag in ["--csv", "--json"] {
+        merge_args.push(flag.into());
+        merge_args.push(shard_dir.to_str().unwrap().into());
+    }
+    let sharded = experiments(&merge_args.iter().map(String::as_str).collect::<Vec<_>>());
     assert!(sharded.status.success(), "stderr: {}", String::from_utf8_lossy(&sharded.stderr));
     assert_eq!(
         String::from_utf8_lossy(&reference.stdout),
@@ -334,8 +387,11 @@ fn soak_64_workers_one_thread_and_a_live_control_plane() {
         assert_eq!(threads, 1, "the coordinator must stay single-threaded while serving");
     }
 
-    // Progress counters partition the plan at every instant.
-    let count = |key: &str| status.get(key).and_then(JsonValue::as_u64).unwrap_or(u64::MAX);
+    // The session's one campaign: its progress counters partition the
+    // plan at every instant.
+    let campaigns = status.get("campaigns").and_then(JsonValue::as_array).expect("campaigns");
+    assert_eq!(campaigns.len(), 1, "a session serves exactly one campaign: {status:?}");
+    let count = |key: &str| campaigns[0].get(key).and_then(JsonValue::as_u64).unwrap_or(u64::MAX);
     assert_eq!(
         count("completed") + count("leased") + count("pending"),
         count("runs"),

@@ -213,6 +213,48 @@ fn two_campaigns_through_one_service_are_byte_identical_and_cache_warmed() {
     let _ = std::fs::remove_dir_all(&work);
 }
 
+/// A service restarted on the same journal directory continues campaign
+/// ids after the journals already there: its campaign completes as id 2
+/// instead of failing to create `campaign-1.journal`, which it leaves
+/// byte-unchanged.
+#[test]
+fn restarted_service_continues_ids_after_the_journals_already_there() {
+    let work = temp_dir("restart");
+    let journals = work.join("journals");
+    let reference = experiments(&[CAMPAIGN_A, OPTS].concat());
+    assert!(reference.status.success());
+    let first_journal = journals.join("campaign-1.journal");
+    let mut journaled = Vec::new();
+    for expected in ["1", "2"] {
+        let (service, workers, control, service_log) =
+            spawn_service(&["--journal", journals.to_str().unwrap(), "--max-campaigns", "1"]);
+        let id = submit(&control, CAMPAIGN_A);
+        assert_eq!(id, expected, "campaign ids continue after the existing journals");
+        let worker = experiments(&["work", "--connect", &workers, "--jobs", "2"]);
+        assert!(worker.status.success(), "stderr: {}", String::from_utf8_lossy(&worker.stderr));
+        let fetched = experiments(&["fetch", "--connect", &control, "--id", &id]);
+        assert!(fetched.status.success(), "stderr: {}", String::from_utf8_lossy(&fetched.stderr));
+        assert_eq!(
+            String::from_utf8_lossy(&reference.stdout),
+            String::from_utf8_lossy(&fetched.stdout),
+            "campaign {id} reports diverge from the in-process run"
+        );
+        let out = service.wait_with_output().expect("service exits");
+        let log = service_log.recv_timeout(Duration::from_secs(10)).unwrap_or_default();
+        assert!(out.status.success(), "service stderr: {log}");
+        if journaled.is_empty() {
+            journaled = std::fs::read(&first_journal).expect("campaign 1 journaled");
+        }
+    }
+    assert_eq!(
+        std::fs::read(&first_journal).unwrap(),
+        journaled,
+        "the restarted service must leave campaign 1's journal untouched"
+    );
+    assert!(journals.join("campaign-2.journal").exists(), "campaign 2 journals beside it");
+    let _ = std::fs::remove_dir_all(&work);
+}
+
 /// Every control-plane error path answers with the right status code —
 /// and none of them disturb the campaign that is serving throughout.
 #[test]

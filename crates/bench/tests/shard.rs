@@ -1,7 +1,6 @@
 //! End-to-end tests of sharded campaign execution: N shard-worker
-//! invocations plus `merge` (and the one-command `--workers` path) must
-//! reproduce the single-process run byte for byte — stdout reports and
-//! CSV/JSON exports alike.
+//! invocations plus `merge` must reproduce the single-process run byte
+//! for byte — stdout reports and CSV/JSON exports alike.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -116,26 +115,6 @@ fn four_shards_and_stdout_workers_also_reproduce_the_reference() {
     assert!(merge.status.success(), "stderr: {}", String::from_utf8_lossy(&merge.stderr));
     assert_eq!(reference.stdout, merge.stdout);
     assert_eq!(dir_contents(&ref_dir), dir_contents(&work.join("merged")));
-
-    // And the one-command Subprocess-executor path.
-    let workers_dir = work.join("workers");
-    let workers = experiments(
-        &[
-            CAMPAIGN,
-            &[
-                "--workers",
-                "2",
-                "--csv",
-                workers_dir.to_str().unwrap(),
-                "--json",
-                workers_dir.to_str().unwrap(),
-            ],
-        ]
-        .concat(),
-    );
-    assert!(workers.status.success(), "stderr: {}", String::from_utf8_lossy(&workers.stderr));
-    assert_eq!(reference.stdout, workers.stdout);
-    assert_eq!(dir_contents(&ref_dir), dir_contents(&workers_dir));
     let _ = std::fs::remove_dir_all(&work);
 }
 

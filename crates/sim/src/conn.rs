@@ -2,8 +2,8 @@
 //! loop: nonblocking read/write buffering plus the worker-protocol and
 //! HTTP connection state machines.
 //!
-//! Nothing here decides *protocol* — `transport::serve_with` owns the
-//! lease table and frame semantics; this module owns the mechanics of
+//! Nothing here decides *protocol* — `service::serve_service` owns the
+//! lease tables and frame semantics; this module owns the mechanics of
 //! moving bytes in and out of a socket that is never allowed to block
 //! the loop.
 
@@ -100,11 +100,10 @@ pub(crate) struct WorkerConn {
     pub out: WriteBuf,
     pub phase: WorkerPhase,
     pub lease: Option<ActiveLease>,
-    /// The campaign this worker handshook against (`None` for the
-    /// single-campaign loop, and for service connections that arrived
-    /// between campaigns and are only draining a `retry` frame). A
-    /// lease may only be issued to — and records only admitted from —
-    /// the campaign the connection is bound to.
+    /// The campaign this worker handshook against (`None` for
+    /// connections that arrived between campaigns and are only draining
+    /// a `retry` frame). A lease may only be issued to — and records only
+    /// admitted from — the campaign the connection is bound to.
     pub campaign: Option<u64>,
     /// Leases this worker completed (for the status roster).
     pub leases_done: usize,

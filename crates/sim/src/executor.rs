@@ -1,27 +1,25 @@
-//! Pluggable campaign execution backends.
+//! Campaign execution backends and the shard-file path.
 //!
 //! [`run_campaign`](crate::scenario::run_campaign) plans a flat list of
-//! [`RunSpec`]s; an [`Executor`] decides *where* those specs run. Three
-//! backends ship:
+//! [`RunSpec`]s; an [`Executor`] decides *where* those specs run and
+//! returns the results in plan order, so every scenario's `assemble()`
+//! sees exactly what a sequential run would have produced. The in-tree
+//! backend is [`InProcess`], a shared-work-queue thread pool.
 //!
-//! * [`InProcess`] — a shared-work-queue thread pool, the default.
-//! * [`Subprocess`] — spawns `N` worker processes (`experiments
-//!   --shard I/N --out FILE`), each of which deterministically re-derives
-//!   the same campaign plan, executes only indices `i % N == I`, and
-//!   emits one JSON-lines [`ShardRecord`] per completed spec. The
-//!   coordinator folds the shard files back into a complete,
-//!   plan-ordered result vector, verifying each record's spec
-//!   fingerprint so *plan drift* between coordinator and worker is an
-//!   error instead of a silently scrambled report.
-//! * [`Distributed`] — a TCP coordinator ([`crate::transport`]) leasing
-//!   plan-index ranges to an elastic pool of `experiments work`
-//!   processes on any host, with disconnect re-queue, lease-timeout
-//!   re-issue for stragglers, and per-record fingerprint verification.
+//! Two more ways to run a campaign live outside this trait:
 //!
-//! All backends return results in plan order, so every scenario's
-//! `assemble()` sees exactly what a sequential run would have produced —
-//! merged output is byte-identical across backends, shard counts and
-//! worker pools.
+//! * **Shards.** `experiments --shard I/N` runs [`run_shard_cached`] on
+//!   the plan indices `i % N == I` and writes a JSON-lines shard file
+//!   (one [`ShardRecord`] per run, stamped with its spec fingerprint);
+//!   `merge` folds the files of all `N` shards back through
+//!   [`assemble_shard_results`], which verifies every fingerprint so
+//!   *plan drift* between processes is an error instead of a silently
+//!   scrambled report.
+//! * **The coordinator.** [`crate::service::serve_service`] leases plan
+//!   indices over TCP to `experiments work` processes on any host.
+//!
+//! Merged output is byte-identical across all of them, whatever the
+//! shard count or worker pool.
 //!
 //! Wherever specs are simulated — the in-process pool, a shard worker,
 //! a distributed worker's lease — they go through one batch primitive,
@@ -34,30 +32,21 @@
 //! or journal indices, or reports. With a result cache, each distinct
 //! spec is also looked up and stored once.
 
-use crate::experiments::ExperimentOpts;
 use crate::metrics_codec::{CampaignHeader, RecordFile, ShardRecord, TailPolicy};
-use crate::run::{campaign_fingerprint, distinct, run_batch, RunResult, RunSpec};
+use crate::run::{distinct, run_batch, RunResult, RunSpec};
 use std::fmt;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
 
 /// Why a campaign execution failed.
 #[derive(Debug)]
 pub enum ExecutorError {
-    /// A filesystem or process-spawn failure.
+    /// A filesystem or socket failure.
     Io {
         /// What was being done.
         context: String,
         /// The underlying error.
         source: io::Error,
-    },
-    /// A worker process exited unsuccessfully.
-    Worker {
-        /// Shard index of the worker.
-        shard: usize,
-        /// Exit status / failure description.
-        detail: String,
     },
     /// A shard file could not be decoded.
     Corrupt {
@@ -79,8 +68,8 @@ pub enum ExecutorError {
         /// Which indices are missing or duplicated.
         detail: String,
     },
-    /// The distributed transport could not complete the campaign
-    /// (aborted, or every worker was lost).
+    /// The coordinator could not complete the campaign (it could not
+    /// be planned, or every self-spawned worker was lost).
     Transport {
         /// What went wrong.
         detail: String,
@@ -91,9 +80,6 @@ impl fmt::Display for ExecutorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExecutorError::Io { context, source } => write!(f, "{context}: {source}"),
-            ExecutorError::Worker { shard, detail } => {
-                write!(f, "shard worker {shard} failed: {detail}")
-            }
             ExecutorError::Corrupt { file, detail } => {
                 write!(f, "corrupt shard file {}: {detail}", file.display())
             }
@@ -222,472 +208,6 @@ fn run_batch_cached(
         );
     }
     slots.iter().map(|&k| found[k].clone().expect("misses were filled above")).collect()
-}
-
-/// The multi-process sharded backend.
-///
-/// Spawns `shards` copies of a worker binary (normally the `experiments`
-/// CLI itself), each invoked as `<worker> <campaign_args>... --shard I/N
-/// --out <scratch>/shard-I.jsonl`. The workers re-derive the campaign
-/// plan from `campaign_args` — the scenario names and planning options —
-/// so no specs cross the process boundary; only results come back, as
-/// fingerprint-stamped JSON-lines records that [`execute`](Executor::execute)
-/// verifies against its own plan.
-#[derive(Debug, Clone)]
-pub struct Subprocess {
-    worker: PathBuf,
-    campaign_args: Vec<String>,
-    shards: usize,
-    scratch: PathBuf,
-    cache: Option<PathBuf>,
-}
-
-impl Subprocess {
-    /// Configures the backend.
-    ///
-    /// `campaign_args` must make `worker` plan exactly the campaign the
-    /// coordinator planned (scenario names plus `--insts/--warmup/--seed
-    /// /--quick`); fingerprint verification catches any disagreement.
-    /// Shard files are written under `scratch` (created on demand, left
-    /// on disk for inspection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn new(
-        worker: impl Into<PathBuf>,
-        campaign_args: Vec<String>,
-        shards: usize,
-        scratch: impl Into<PathBuf>,
-    ) -> Self {
-        assert!(shards > 0, "at least one shard");
-        Subprocess {
-            worker: worker.into(),
-            campaign_args,
-            shards,
-            scratch: scratch.into(),
-            cache: None,
-        }
-    }
-
-    /// Makes every shard worker consult (and populate) the result cache
-    /// at `dir` — each is spawned with `--cache DIR`, and the advisory
-    /// lock lets all of them share the directory safely (builder-style).
-    #[must_use]
-    pub fn cache(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cache = Some(dir.into());
-        self
-    }
-
-    /// The shard file a given worker writes.
-    pub fn shard_path(&self, shard: usize) -> PathBuf {
-        self.scratch.join(format!("shard-{shard}.jsonl"))
-    }
-}
-
-impl Executor for Subprocess {
-    fn name(&self) -> String {
-        format!("{} subprocess shard(s)", self.shards)
-    }
-
-    fn execute(&self, specs: &[&RunSpec]) -> Result<Vec<RunResult>, ExecutorError> {
-        std::fs::create_dir_all(&self.scratch).map_err(|e| {
-            ExecutorError::io(format!("cannot create {}", self.scratch.display()), e)
-        })?;
-        let mut children = Vec::with_capacity(self.shards);
-        for shard in 0..self.shards {
-            let mut command = Command::new(&self.worker);
-            command.args(&self.campaign_args);
-            if let Some(dir) = &self.cache {
-                command.arg("--cache").arg(dir);
-            }
-            let child = command
-                .arg("--shard")
-                .arg(format!("{shard}/{}", self.shards))
-                .arg("--out")
-                .arg(self.shard_path(shard))
-                .stdin(Stdio::null())
-                .stdout(Stdio::null())
-                // stderr inherits: worker diagnostics surface directly.
-                .spawn()
-                .map_err(|e| {
-                    ExecutorError::io(format!("cannot spawn {}", self.worker.display()), e)
-                });
-            match child {
-                Ok(child) => children.push(child),
-                Err(e) => {
-                    // Don't leak already-started workers.
-                    for mut c in children {
-                        let _ = c.kill();
-                        let _ = c.wait();
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        // Reap every worker even if one wait fails — an early return here
-        // would leak the remaining children as running orphans.
-        let mut failure = None;
-        for (shard, mut child) in children.into_iter().enumerate() {
-            match child.wait() {
-                Ok(status) if status.success() => {}
-                Ok(status) => {
-                    failure
-                        .get_or_insert(ExecutorError::Worker { shard, detail: status.to_string() });
-                }
-                Err(e) => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    failure.get_or_insert(ExecutorError::io(
-                        format!("cannot wait for shard {shard}"),
-                        e,
-                    ));
-                }
-            }
-        }
-        if let Some(e) = failure {
-            return Err(e);
-        }
-
-        let mut records = Vec::with_capacity(specs.len());
-        for shard in 0..self.shards {
-            let path = self.shard_path(shard);
-            let (header, shard_records) = read_shard_file(&path)?;
-            if header.shard != shard || header.of != self.shards || header.runs != specs.len() {
-                return Err(ExecutorError::Corrupt {
-                    file: path,
-                    detail: format!(
-                        "header says shard {}/{} of {} run(s), expected {shard}/{} of {}",
-                        header.shard,
-                        header.of,
-                        header.runs,
-                        self.shards,
-                        specs.len()
-                    ),
-                });
-            }
-            records.extend(shard_records);
-        }
-        assemble_shard_results(specs, records)
-    }
-}
-
-/// The distributed TCP backend: a lease-based coordinator
-/// ([`crate::transport::serve`]) over an elastic pool of `experiments
-/// work` processes, on this host or others.
-///
-/// Workers re-derive the campaign plan from the `hello` frame's
-/// [`CampaignHeader`] and prove it with a campaign fingerprint, then
-/// stream fingerprint-verified records back lease by lease; a worker
-/// that disconnects or stalls past the lease timeout has its in-flight
-/// indices re-issued, and duplicate records are deduplicated by plan
-/// index — so the assembled results (and therefore all reports and
-/// exports) are byte-identical to [`InProcess`] no matter how many
-/// workers join, leave, or crash along the way.
-///
-/// With [`self_spawn`](Self::self_spawn) the backend also launches `N`
-/// local worker subprocesses and supervises them (the CLI's
-/// `--dist-workers N` path): if every self-spawned worker exits before
-/// the campaign completes, the campaign aborts instead of waiting for
-/// workers that will never come.
-#[derive(Debug, Clone)]
-pub struct Distributed {
-    bind: String,
-    http_bind: Option<String>,
-    scenarios: Vec<String>,
-    /// Canonical JSON texts of any declarative sweeps the scenario
-    /// names refer to — carried in the campaign header so workers can
-    /// rebuild the namespace.
-    sweeps: Vec<String>,
-    opts: ExperimentOpts,
-    serve_opts: crate::transport::ServeOptions,
-    self_spawn: Option<SelfSpawn>,
-    journal: Option<JournalSpec>,
-    cache: Option<PathBuf>,
-}
-
-/// Write-ahead journal configuration for [`Distributed`]: where the
-/// coordinator checkpoints accepted records, and whether this run is a
-/// fresh campaign or the resumption of an interrupted one.
-#[derive(Debug, Clone)]
-pub struct JournalSpec {
-    /// The journal file. Fresh runs refuse an existing file (it may be
-    /// an interrupted campaign worth resuming); `resume` requires one.
-    pub path: PathBuf,
-    /// `sync_data` after every this-many accepted records (0 = only at
-    /// campaign completion; every record still reaches the OS
-    /// immediately — the interval only bounds what a *host* crash can
-    /// lose, a coordinator crash loses nothing).
-    pub sync_every: usize,
-    /// Replay the journal's records into the slot table and serve only
-    /// the remaining plan indices.
-    pub resume: bool,
-}
-
-/// Self-spawned local worker pool configuration (the one-command
-/// localhost path).
-#[derive(Debug, Clone)]
-pub struct SelfSpawn {
-    /// The worker binary (normally the `experiments` CLI itself).
-    pub worker: PathBuf,
-    /// How many worker processes to launch.
-    pub count: usize,
-    /// `--jobs` threads per worker.
-    pub jobs: usize,
-}
-
-impl Distributed {
-    /// Configures the backend: listen on `bind` (e.g. `0.0.0.0:7841`,
-    /// or port `0` for an ephemeral port — the chosen address is logged
-    /// to stderr) and serve the campaign described by `scenarios` +
-    /// `opts` under the given lease policy.
-    pub fn new(
-        bind: impl Into<String>,
-        scenarios: Vec<String>,
-        opts: &ExperimentOpts,
-        serve_opts: crate::transport::ServeOptions,
-    ) -> Self {
-        Distributed {
-            bind: bind.into(),
-            http_bind: None,
-            scenarios,
-            sweeps: Vec::new(),
-            opts: *opts,
-            serve_opts,
-            self_spawn: None,
-            journal: None,
-            cache: None,
-        }
-    }
-
-    /// Embeds declarative sweep definitions (canonical JSON texts) in
-    /// the campaign header, so every worker re-derives the same plan
-    /// for sweep scenarios (builder-style).
-    #[must_use]
-    pub fn sweeps(mut self, sweeps: Vec<String>) -> Self {
-        self.sweeps = sweeps;
-        self
-    }
-
-    /// Consults (and populates) the result cache at `dir`: cached plan
-    /// indices are admitted — and journaled — at plan time, before any
-    /// lease is issued, so workers only ever simulate the remainder;
-    /// every live record they stream back is stored for the next
-    /// campaign (builder-style).
-    #[must_use]
-    pub fn cache(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cache = Some(dir.into());
-        self
-    }
-
-    /// Additionally serve the HTTP control plane (`GET /status`, `GET
-    /// /healthz`) on a second address — same readiness loop, observable
-    /// from the outside (builder-style). Port `0` picks an ephemeral
-    /// port; the chosen address is logged to stderr.
-    #[must_use]
-    pub fn http(mut self, bind: impl Into<String>) -> Self {
-        self.http_bind = Some(bind.into());
-        self
-    }
-
-    /// Additionally spawn and supervise `count` local worker processes
-    /// (builder-style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero.
-    #[must_use]
-    pub fn self_spawn(mut self, worker: impl Into<PathBuf>, count: usize, jobs: usize) -> Self {
-        assert!(count > 0, "at least one worker");
-        self.self_spawn = Some(SelfSpawn { worker: worker.into(), count, jobs });
-        self
-    }
-
-    /// Write-ahead journal the accepted records — and, with
-    /// [`JournalSpec::resume`], replay an interrupted campaign's journal
-    /// and serve only what remains (builder-style).
-    #[must_use]
-    pub fn journal(mut self, spec: JournalSpec) -> Self {
-        self.journal = Some(spec);
-        self
-    }
-
-    /// Opens (or resumes) the write-ahead journal for this campaign.
-    ///
-    /// On resume the journaled header must describe this exact campaign
-    /// and the stamped campaign fingerprint must match the re-derived
-    /// plan — the same drift check a live worker handshake gets.
-    fn open_journal(
-        &self,
-        spec: &JournalSpec,
-        header: &CampaignHeader,
-        specs: &[&RunSpec],
-    ) -> Result<crate::transport::Journal, ExecutorError> {
-        use crate::transport::{Journal, JournalReader, JournalWriter};
-        let fingerprint = campaign_fingerprint(specs);
-        if !spec.resume {
-            let writer = JournalWriter::create(&spec.path, header, fingerprint, spec.sync_every)
-                .map_err(|e| {
-                    let context = if e.kind() == io::ErrorKind::AlreadyExists {
-                        format!(
-                            "journal {} already exists — resume the interrupted campaign with \
-                             `experiments resume --journal {}`, or delete the file to start over",
-                            spec.path.display(),
-                            spec.path.display()
-                        )
-                    } else {
-                        format!("cannot create journal {}", spec.path.display())
-                    };
-                    ExecutorError::io(context, e)
-                })?;
-            return Ok(Journal { writer, replay: Vec::new() });
-        }
-        let replay = JournalReader::read(&spec.path)?;
-        if !replay.header.same_campaign(header) {
-            return Err(ExecutorError::Corrupt {
-                file: spec.path.clone(),
-                detail: "journal header describes a different campaign (scenarios/options/plan \
-                         size disagree)"
-                    .into(),
-            });
-        }
-        if let Some(journaled) = replay.campaign_fingerprint {
-            if journaled != fingerprint {
-                return Err(ExecutorError::PlanDrift {
-                    index: 0,
-                    detail: format!(
-                        "journal stamps campaign fingerprint {journaled:016x}, this binary plans \
-                         {fingerprint:016x} (mismatched binaries or options)"
-                    ),
-                });
-            }
-        }
-        if replay.torn > 0 {
-            eprintln!(
-                "[serve: dropping a torn {}-byte final journal line (crash mid-write)]",
-                replay.torn
-            );
-        }
-        let writer = JournalWriter::resume(&spec.path, replay.valid_len as u64, spec.sync_every)
-            .map_err(|e| {
-                ExecutorError::io(format!("cannot reopen journal {}", spec.path.display()), e)
-            })?;
-        Ok(Journal { writer, replay: replay.records })
-    }
-}
-
-impl Executor for Distributed {
-    fn name(&self) -> String {
-        match &self.self_spawn {
-            Some(sp) => format!("distributed ({} self-spawned worker(s))", sp.count),
-            None => "distributed (TCP coordinator)".into(),
-        }
-    }
-
-    fn execute(&self, specs: &[&RunSpec]) -> Result<Vec<RunResult>, ExecutorError> {
-        let listener = std::net::TcpListener::bind(&self.bind)
-            .map_err(|e| ExecutorError::io(format!("cannot bind {}", self.bind), e))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| ExecutorError::io("cannot read the bound address", e))?;
-        eprintln!("[serve: listening on {addr}, {} simulation(s)]", specs.len());
-        let http_listener = match &self.http_bind {
-            Some(bind) => {
-                let control = std::net::TcpListener::bind(bind)
-                    .map_err(|e| ExecutorError::io(format!("cannot bind {bind}"), e))?;
-                let control_addr = control
-                    .local_addr()
-                    .map_err(|e| ExecutorError::io("cannot read the control-plane address", e))?;
-                eprintln!("[serve: http status on {control_addr}]");
-                Some(control)
-            }
-            None => None,
-        };
-        let header = CampaignHeader::new(self.scenarios.clone(), &self.opts, 0, 1, specs.len())
-            .with_sweeps(self.sweeps.clone());
-        let journal = match &self.journal {
-            Some(spec) => Some(self.open_journal(spec, &header, specs)?),
-            None => None,
-        };
-        let cache = match &self.cache {
-            Some(dir) => Some(crate::cache::Cache::open(dir).map_err(|e| {
-                ExecutorError::io(format!("cannot open cache {}", dir.display()), e)
-            })?),
-            None => None,
-        };
-
-        let mut children: Vec<std::process::Child> = Vec::new();
-        if let Some(sp) = &self.self_spawn {
-            for _ in 0..sp.count {
-                let child = Command::new(&sp.worker)
-                    .arg("work")
-                    .arg("--connect")
-                    .arg(addr.to_string())
-                    .arg("--jobs")
-                    .arg(sp.jobs.to_string())
-                    .stdin(Stdio::null())
-                    .stdout(Stdio::null())
-                    // stderr inherits: worker diagnostics surface directly.
-                    .spawn()
-                    .map_err(|e| {
-                        ExecutorError::io(format!("cannot spawn {}", sp.worker.display()), e)
-                    });
-                match child {
-                    Ok(child) => children.push(child),
-                    Err(e) => {
-                        for mut c in children.drain(..) {
-                            let _ = c.kill();
-                            let _ = c.wait();
-                        }
-                        return Err(e);
-                    }
-                }
-            }
-        }
-
-        let signals = crate::transport::ServeSignals::new();
-        let result = {
-            // Supervision runs inside the serve loop (no watcher thread):
-            // a campaign whose whole self-spawned pool died must abort,
-            // not wait forever for workers that will never reconnect.
-            let count = children.len();
-            let mut watch_pool;
-            let supervise: Option<&mut dyn FnMut() -> Option<String>> = if count > 0 {
-                watch_pool = || {
-                    let all_gone = children.iter_mut().all(|c| matches!(c.try_wait(), Ok(Some(_))));
-                    all_gone.then(|| {
-                        format!(
-                            "all {count} self-spawned worker(s) exited before the campaign \
-                             completed"
-                        )
-                    })
-                };
-                Some(&mut watch_pool)
-            } else {
-                None
-            };
-            crate::transport::serve_with(crate::transport::ServeConfig {
-                listener: &listener,
-                http: http_listener.as_ref(),
-                header: &header,
-                specs,
-                opts: &self.serve_opts,
-                signals: &signals,
-                journal,
-                cache: cache.as_ref(),
-                supervise,
-            })
-        };
-
-        // The campaign is over either way: reap the worker pool. On
-        // success workers have been sent `done` and are exiting; on
-        // failure they would block on a dead coordinator.
-        for mut child in children.drain(..) {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        result
-    }
 }
 
 /// Runs the worker half of a sharded campaign: executes the plan indices

@@ -40,7 +40,7 @@ pub mod transport;
 
 pub use cache::{Cache, CacheSession, CacheStats};
 pub use csv::write_csv;
-pub use executor::{Distributed, Executor, ExecutorError, InProcess, JournalSpec, Subprocess};
+pub use executor::{Executor, ExecutorError, InProcess};
 pub use json::{parse_json, write_json, JsonParseError, JsonValue};
 pub use means::{geometric_mean, harmonic_mean};
 pub use rfcache_area::{pareto_frontier, ParetoPoint};

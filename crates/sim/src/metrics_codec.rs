@@ -7,9 +7,9 @@
 //! bare JSON integer and parsed back through the literal-preserving
 //! reader in [`crate::parse_json`], so the round trip is exact for the
 //! whole `u64` range; `f64` values use Rust's shortest round-trip
-//! `Display` form. The merge path (CLI `merge`, the `Subprocess`
-//! executor) decodes these files and verifies each record's spec
-//! fingerprint against its own campaign plan before assembling reports.
+//! `Display` form. The merge path (CLI `merge`) decodes these files and
+//! verifies each record's spec fingerprint against its own campaign plan
+//! before assembling reports.
 
 use crate::experiments::ExperimentOpts;
 use crate::json::{escape, parse_json, JsonValue};
@@ -486,9 +486,8 @@ pub enum TailPolicy {
 }
 
 /// A parsed header+records JSON-lines file: the shard files workers
-/// emit and the write-ahead journal the distributed coordinator keeps
-/// share this exact shape, so one reader serves `merge`, the
-/// `Subprocess` executor, and `resume`.
+/// emit and the write-ahead journal the coordinator keeps share this
+/// exact shape, so one reader serves `merge` and `resume`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecordFile {
     /// The campaign header from the first line.
@@ -608,7 +607,7 @@ pub enum Frame {
     Done,
     /// Coordinator → worker, instead of a hello: no campaign is being
     /// served right now — disconnect and try again after `after_ms`
-    /// milliseconds (the multi-campaign service sends this to workers
+    /// milliseconds (the coordinator sends this to workers
     /// that arrive between campaigns, so they never sit in a handshake
     /// that cannot progress).
     Retry {

@@ -1,7 +1,7 @@
 //! Socket readiness for the event-driven coordinator: a thin,
 //! dependency-free wrapper over `poll(2)`.
 //!
-//! The distributed coordinator ([`crate::transport::serve`]) owns every
+//! The coordinator loop ([`crate::service::serve_service`]) owns every
 //! connection on one thread; instead of blocking per socket it asks the
 //! OS which sockets are ready and only then reads/writes them. The
 //! stdlib has no readiness API, so this module declares the `poll`

@@ -5,10 +5,10 @@
 //! a **planner** that expands [`ExperimentOpts`] into the experiment's
 //! flat [`RunSpec`] list, and an **assembler** that folds the matching
 //! [`RunResult`]s back into a boxed [`ScenarioReport`]. Frontends (the
-//! `experiments` CLI, the smoke tests, future services) enumerate and
-//! dispatch through [`registry`] instead of hard-coding the experiment
-//! list, so adding an experiment means adding one module plus one
-//! registry line — every frontend picks it up automatically.
+//! `experiments` CLI, the smoke tests, the coordinator service) enumerate
+//! and dispatch through a [`Registry`] instead of hard-coding the
+//! experiment list, so adding an experiment means adding one module plus
+//! one registry line — every frontend picks it up automatically.
 //!
 //! The split matters for scheduling: [`Scenario::run`] plans, simulates
 //! and assembles one scenario, while [`run_campaign`] flattens the specs
@@ -21,9 +21,10 @@
 //!
 //! ```
 //! use rfcache_sim::experiments::ExperimentOpts;
-//! use rfcache_sim::scenario;
+//! use rfcache_sim::Registry;
 //!
-//! let fig6 = scenario::find("fig6").expect("registered");
+//! let registry = Registry::builtin();
+//! let fig6 = registry.find("fig6").expect("registered");
 //! let report = fig6.run(&ExperimentOpts::smoke());
 //! assert!(report.series().iter().any(|(_, v)| !v.is_empty()));
 //! ```
@@ -273,28 +274,6 @@ fn builtins() -> &'static [Scenario] {
     })
 }
 
-/// The built-in scenario registry, in canonical run order.
-pub fn registry() -> &'static [Scenario] {
-    builtins()
-}
-
-/// Looks up a built-in scenario by name.
-pub fn find(name: &str) -> Option<&'static Scenario> {
-    registry().iter().find(|s| s.name == name)
-}
-
-/// Resolves a list of scenario names against the built-in registry,
-/// preserving input order. Campaigns that may carry runtime sweeps
-/// resolve through a [`Registry`] value instead.
-///
-/// # Errors
-///
-/// Returns the first unknown name (typically: the names were recorded
-/// by a different binary version).
-pub fn resolve(names: &[String]) -> Result<Vec<&'static Scenario>, String> {
-    names.iter().map(|name| find(name).ok_or_else(|| name.clone())).collect()
-}
-
 /// A scenario namespace: the 13 built-ins plus any runtime-loaded
 /// declarative sweeps ([`crate::sweep`]).
 ///
@@ -328,7 +307,7 @@ impl Registry {
     pub fn with_sweeps(defs: Vec<crate::sweep::SweepDef>) -> Result<Self, String> {
         let mut registry = Registry::default();
         for def in defs {
-            if find(&def.name).is_some() {
+            if builtins().iter().any(|s| s.name == def.name) {
                 return Err(format!("sweep `{}` collides with a built-in scenario", def.name));
             }
             if registry.sweeps.iter().any(|s| s.name == def.name) {
@@ -402,8 +381,8 @@ impl fmt::Debug for Registry {
     }
 }
 
-/// A campaign description submitted to the multi-campaign coordinator
-/// service (`POST /campaigns`): which scenarios to run and the
+/// A campaign description the coordinator serves (`POST /campaigns`, or
+/// the one campaign of a session): which scenarios to run and the
 /// [`ExperimentOpts`] to plan them under.
 ///
 /// The wire format is one JSON object — `{"scenarios": ["fig1", ...],
@@ -562,45 +541,50 @@ mod tests {
 
     #[test]
     fn registry_names_are_unique_and_findable() {
-        let names: Vec<&str> = registry().iter().map(|s| s.name.as_str()).collect();
+        let registry = Registry::builtin();
+        let names: Vec<&str> = registry.iter().map(|s| s.name.as_str()).collect();
         let mut dedup = names.clone();
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len(), "duplicate scenario names");
         for name in names {
-            assert_eq!(find(name).unwrap().name, name);
+            assert_eq!(registry.find(name).unwrap().name, name);
         }
-        assert!(find("fig4").is_none(), "the paper has no figure 4");
+        assert!(registry.find("fig4").is_none(), "the paper has no figure 4");
     }
 
     #[test]
     fn resolve_preserves_order_and_names_the_unknown() {
+        let registry = Registry::builtin();
         let names: Vec<String> = vec!["fig6".into(), "table2".into()];
-        let resolved = resolve(&names).unwrap();
+        let resolved = registry.resolve(&names).unwrap();
         assert_eq!(resolved[0].name, "fig6");
         assert_eq!(resolved[1].name, "table2");
         let bad: Vec<String> = vec!["fig6".into(), "fig4".into()];
-        assert_eq!(resolve(&bad).unwrap_err(), "fig4");
+        let err = registry.resolve(&bad).unwrap_err();
+        assert!(err.contains("`fig4`"), "{err}");
     }
 
     #[test]
     fn descriptions_are_nonempty() {
-        for s in registry() {
+        for s in Registry::builtin().iter() {
             assert!(!s.description.is_empty(), "{} lacks a description", s.name);
         }
     }
 
     #[test]
     fn plan_sizes_match_what_run_consumes() {
+        let registry = Registry::builtin();
         let opts = ExperimentOpts::smoke();
-        let scenarios: Vec<&Scenario> = vec![find("fig6").unwrap(), find("table2").unwrap()];
+        let (fig6, table2) = (registry.find("fig6").unwrap(), registry.find("table2").unwrap());
+        let scenarios: Vec<&Scenario> = vec![fig6, table2];
         assert_eq!(
             campaign_size(&scenarios, &opts),
             scenarios.iter().map(|s| s.plan(&opts).len()).sum::<usize>()
         );
         // table2 is purely analytical: it plans zero simulations.
-        assert!(find("table2").unwrap().plan(&opts).is_empty());
-        assert!(!find("fig6").unwrap().plan(&opts).is_empty());
+        assert!(table2.plan(&opts).is_empty());
+        assert!(!fig6.plan(&opts).is_empty());
     }
 
     struct RaggedReport;

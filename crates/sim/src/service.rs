@@ -1,12 +1,10 @@
-//! The multi-campaign coordinator service: `POST /campaigns` over the
-//! readiness loop.
+//! The coordinator: one single-threaded `poll(2)` readiness loop that
+//! leases campaigns to workers and answers the HTTP control plane.
 //!
-//! [`transport::serve_with`](crate::transport::serve_with) runs exactly
-//! one campaign and exits; this module runs the same single-threaded
-//! `poll(2)` loop as a **long-lived service** that outlives any one
-//! campaign. HTTP clients submit campaign descriptions
-//! ([`CampaignRequest`], validated against the scenario registry),
-//! each submission moves through the lifecycle
+//! [`serve_service`] is the only coordinator loop. HTTP clients submit
+//! campaign descriptions ([`CampaignRequest`], validated against the
+//! scenario registry) with `POST /campaigns`, and each campaign moves
+//! through the lifecycle
 //!
 //! ```text
 //! queued → serving → complete → fetched
@@ -14,96 +12,137 @@
 //!          failed
 //! ```
 //!
-//! and workers are handed leases from whichever campaign is currently
-//! serving. One campaign serves at a time — determinism and the
-//! fingerprint handshake stay exactly as strong as the single-campaign
-//! coordinator's — while submissions queue behind it, so a single
-//! coordinator process accepts and completes any number of campaigns
-//! without restarting.
+//! Workers are handed leases from whichever campaign is currently
+//! serving. One campaign serves at a time, so determinism and the
+//! fingerprint handshake are as strong as for a lone campaign, while
+//! submissions queue behind it: a single coordinator process accepts and
+//! completes any number of campaigns without restarting.
+//!
+//! **One-campaign sessions.** `experiments serve <names>`,
+//! `--dist-workers N` and `experiments resume` run the same loop with one
+//! campaign already queued ([`ServiceConfig::campaign`]). The loop treats
+//! that campaign's completion as its fetch, so `max_campaigns: Some(1)`
+//! ends the session, and it hands the results document back in
+//! [`ServiceSummary::results`]. If the campaign fails, the session ends
+//! too. A session takes no submissions, and its campaign journals to one
+//! file ([`JournalMode::Create`]) or resumes an interrupted one
+//! ([`JournalMode::Resume`]).
 //!
 //! **Same admission path.** Every record enters a campaign through
-//! [`ServeState::admit`] — the identical verify/dedup/write-ahead path
-//! the single-campaign loop uses — whether it arrives as a live worker
-//! frame, a per-campaign journal replay, or a `--cache` pre-fill at
-//! promotion time. Results fetched from the service are therefore
-//! byte-identical to an in-process run of the same description
-//! (asserted end-to-end in `crates/bench/tests/service.rs` and the CI
-//! `service` job).
+//! [`ServeState::admit`], whether it arrives as a live worker frame, a
+//! journal replay, or a `--cache` pre-fill at promotion time. Results are
+//! therefore byte-identical to an in-process run of the same description
+//! (asserted end to end in `crates/bench/tests/{service,dist}.rs` and
+//! the CI `service` and `distributed` jobs).
 //!
 //! **Endpoints.**
 //!
 //! | Method + path | Purpose |
 //! |---|---|
 //! | `GET /healthz` | liveness probe |
-//! | `GET /status` | service overview: campaign table + worker roster |
+//! | `GET /status` | overview: campaign table + worker roster |
 //! | `POST /campaigns` | submit a campaign description (JSON body) |
 //! | `GET /campaigns/<id>` | one campaign's lifecycle + progress |
 //! | `GET /campaigns/<id>/results` | assembled reports (text/CSV/JSON) |
 //!
 //! Malformed descriptions get a `400` with the reason, oversized bodies
-//! a `413`, unknown ids a `404`, and premature result fetches a `409` —
-//! none of which disturb an in-flight campaign.
+//! a `413`, unknown ids a `404`, and premature result fetches (or a
+//! submission to a one-campaign session) a `409` — none of which disturb
+//! an in-flight campaign.
 //!
-//! **Workers between campaigns.** A worker that connects while nothing
-//! is serving receives a [`Frame::Retry`] instead of a hello and
-//! reconnects after the suggested delay ([`transport::work`] honors it
-//! within its connect window), so idle periods cannot wedge a worker in
-//! a handshake that will never progress.
+//! **Workers.** A worker whose handshake fingerprint disagrees with the
+//! serving campaign is rejected by name and the campaign continues
+//! through the rest. A worker that connects while nothing is serving
+//! receives a [`Frame::Retry`] instead of a hello and reconnects after
+//! the suggested delay ([`crate::transport::work`] honors it within its
+//! connect window), so idle periods cannot wedge a worker in a handshake
+//! that will never progress.
+//!
+//! **Architecture.** The listener, every worker connection and every
+//! HTTP client are nonblocking sockets multiplexed through `poll(2)`
+//! ([`crate::readiness`]), with per-connection state machines
+//! ([`crate::conn`]) instead of per-connection threads. One thread owns
+//! everything, so lease tables, slot vectors and journals need no locks,
+//! and the design scales to thousands of worker connections.
 
-use crate::cache::Cache;
+use crate::cache::{Cache, CacheSession};
 use crate::conn::{ActiveLease, HttpConn, WorkerConn, WorkerPhase};
 use crate::executor::ExecutorError;
 use crate::http;
 use crate::json;
 use crate::metrics_codec::{CampaignHeader, Frame, ShardRecord};
 use crate::readiness::{listener_fd, stream_fd, PollSet};
-use crate::run::{campaign_fingerprint, flatten_plans, RunSpec};
+use crate::run::{campaign_fingerprint, distinct, flatten_plans, RunResult, RunSpec};
 use crate::scenario::{self, CampaignRequest, Registry, ScenarioReport};
 use crate::transport::{
-    worker_roster_json, JournalWriter, ServeOptions, ServeSignals, ServeState, DRAIN_WINDOW,
-    HANDSHAKE_DEADLINE, HTTP_CLIENT_WINDOW, READ_TICK,
+    JournalReader, JournalWriter, ServeOptions, ServeState, HANDSHAKE_DEADLINE, READ_TICK,
 };
 use std::io;
 use std::net::TcpListener;
-use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::path::Path;
+use std::time::{Duration, Instant};
 
 /// Reconnect delay suggested to workers that arrive between campaigns.
 pub const RETRY_AFTER_MS: u64 = 500;
+/// How long the finished loop keeps flushing final `done` frames and
+/// responses to sockets that are backpressured.
+const DRAIN_WINDOW: Duration = Duration::from_secs(5);
+/// How long an HTTP client may dribble its request before being reaped.
+const HTTP_CLIENT_WINDOW: Duration = Duration::from_secs(10);
 
-/// Everything [`serve_service`] needs, bundled like
-/// [`transport::ServeConfig`](crate::transport::ServeConfig).
+/// Where campaigns write-ahead journal their accepted records.
+#[derive(Debug, Clone, Copy)]
+pub enum JournalMode<'a> {
+    /// Each campaign journals to `campaign-<id>.journal` in this
+    /// directory. Ids continue after the highest journal already there,
+    /// so a restarted service never collides with an earlier run.
+    Dir(&'a Path),
+    /// The session campaign journals to this file, which must not exist
+    /// yet: an existing journal may be an interrupted campaign worth
+    /// resuming.
+    Create(&'a Path),
+    /// The session campaign resumes this interrupted journal: its
+    /// complete records are replayed (a torn final line is dropped), and
+    /// only the remaining indices are leased.
+    Resume(&'a Path),
+}
+
+/// Everything [`serve_service`] needs, bundled.
 pub struct ServiceConfig<'a> {
     /// The already-bound listener workers connect to.
     pub listener: &'a TcpListener,
-    /// The already-bound HTTP listener (mandatory here: a submission
-    /// service without a submission endpoint is useless).
-    pub http: &'a TcpListener,
-    /// Lease policy applied to every campaign (`expect` is ignored —
-    /// the quorum gate is a single-campaign start-up optimisation).
+    /// The already-bound HTTP control-plane listener. The CLI requires
+    /// it for service mode (a submission service without a submission
+    /// endpoint is useless); a one-campaign session may run without.
+    pub http: Option<&'a TcpListener>,
+    /// Lease policy applied to every campaign.
     pub opts: &'a ServeOptions,
-    /// Out-of-band abort/finished signalling shared with the caller.
-    pub signals: &'a ServeSignals,
     /// Optional result cache: consulted at each campaign's promotion
     /// (pre-fill through the admission path) and fed by every live
-    /// record, so one campaign's results warm the next submission's.
+    /// record, so one campaign's results warm the next.
     pub cache: Option<&'a Cache>,
-    /// Optional journal *directory*: each campaign write-ahead journals
-    /// to `campaign-<id>.journal` inside it.
-    pub journal_dir: Option<&'a Path>,
+    /// Optional write-ahead journal.
+    pub journal: Option<JournalMode<'a>>,
     /// `sync_data` interval for campaign journals (records per sync;
     /// 0 = only at completion).
     pub journal_sync: usize,
     /// Exit cleanly once this many campaigns reach `fetched` (`None` =
-    /// serve forever). This is how CI and tests get a deterministic
-    /// shutdown without killing the process.
+    /// serve forever). This is how CI, tests and one-campaign sessions
+    /// get a deterministic shutdown without killing the process.
     pub max_campaigns: Option<usize>,
+    /// A campaign queued before the loop starts, which makes the run a
+    /// one-campaign session (see the module docs).
+    pub campaign: Option<CampaignRequest>,
+    /// Polled about once per tick; returning a reason ends the loop with
+    /// [`ExecutorError::Transport`]. `--dist-workers` uses it to give up
+    /// once every worker it spawned has died.
+    pub supervise: Option<&'a mut dyn FnMut() -> Option<String>>,
 }
 
 /// What a finished [`serve_service`] session did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceSummary {
-    /// Campaigns accepted via `POST /campaigns`.
+    /// Campaigns accepted (the session campaign included).
     pub submitted: usize,
     /// Campaigns served to completion (fetched ones included).
     pub completed: usize,
@@ -111,6 +150,9 @@ pub struct ServiceSummary {
     pub fetched: usize,
     /// Campaigns that failed admission or serving.
     pub failed: usize,
+    /// The session campaign's results document, as `GET
+    /// /campaigns/<id>/results` serves it, when it completed.
+    pub results: Option<String>,
 }
 
 /// Where a submitted campaign stands.
@@ -144,6 +186,36 @@ impl Lifecycle {
     }
 }
 
+/// One campaign's use of the result cache: each distinct spec is looked
+/// up once at promotion and stored at most once, however often the plan
+/// repeats it.
+struct CacheUse {
+    /// For every plan index, the position of its spec among the
+    /// distinct specs.
+    group: Vec<usize>,
+    /// Distinct specs the cache already holds: hit at promotion, or
+    /// stored since.
+    held: Vec<bool>,
+    lookups: u64,
+    stores: u64,
+}
+
+impl CacheUse {
+    /// Stores a freshly admitted result unless the cache already holds
+    /// its spec.
+    fn store(&mut self, cache: &Cache, index: usize, spec: &RunSpec, result: &RunResult) {
+        let held = &mut self.held[self.group[index]];
+        if *held {
+            return;
+        }
+        *held = true;
+        match cache.store(spec, result) {
+            Ok(()) => self.stores += 1,
+            Err(e) => eprintln!("[service: warning: cannot cache result {index}: {e}]"),
+        }
+    }
+}
+
 /// One submitted campaign, from POST body to fetched results.
 struct Campaign {
     id: u64,
@@ -159,6 +231,8 @@ struct Campaign {
     failure: Option<String>,
     /// Indices satisfied from the cache at promotion.
     cached: usize,
+    /// Set at promotion when the coordinator has a cache.
+    cache_use: Option<CacheUse>,
     submitted: Instant,
     /// The rendered results document, built once at completion.
     results: Option<String>,
@@ -192,6 +266,7 @@ impl Campaign {
             lifecycle: Lifecycle::Queued,
             failure: None,
             cached: 0,
+            cache_use: None,
             submitted: Instant::now(),
             results: None,
         })
@@ -201,9 +276,8 @@ impl Campaign {
         self.header.runs
     }
 
-    /// Marks the campaign failed (first reason wins) — unlike the
-    /// single-campaign coordinator, where these conditions are fatal to
-    /// the process, a service isolates the failure to the one campaign.
+    /// Marks the campaign failed (first reason wins). The failure stays
+    /// with this one campaign; the loop keeps serving the rest.
     fn fail(&mut self, reason: String) {
         if self.failure.is_none() {
             eprintln!("[service: campaign {} failed: {reason}]", self.id);
@@ -212,44 +286,21 @@ impl Campaign {
         self.lifecycle = Lifecycle::Failed;
     }
 
-    /// Promotes a queued campaign to serving: create its journal, then
-    /// pre-fill from the cache — both through [`ServeState::admit`], the
-    /// same admission path live records use.
+    /// Promotes a queued campaign to serving: open (or replay) its
+    /// journal, then pre-fill from the cache — all through
+    /// [`ServeState::admit`], the same admission path live records use.
     fn promote(&mut self, cfg: &ServiceConfig<'_>) {
         debug_assert_eq!(self.lifecycle, Lifecycle::Queued);
-        if let Some(dir) = cfg.journal_dir {
-            match open_campaign_journal(dir, self, cfg.journal_sync) {
-                Ok(writer) => self.state.journal = Some(writer),
-                Err(e) => {
-                    self.fail(format!("cannot create the campaign journal: {e}"));
-                    return;
-                }
+        if let Some(journal) = cfg.journal {
+            if let Err(reason) = self.open_journal(journal, cfg.journal_sync) {
+                self.fail(reason);
+                return;
             }
         }
         if let Some(cache) = cfg.cache {
-            let flat = flatten_plans(&self.plans);
-            let mut lookups = 0u64;
-            for index in 0..flat.len() {
-                if self.state.table.is_filled(index) {
-                    continue;
-                }
-                lookups += 1;
-                let Some(result) = cache.lookup(flat[index]) else { continue };
-                let record = ShardRecord::from_result(index, flat[index].fingerprint(), &result);
-                match self.state.admit(&flat, record, true) {
-                    Ok(true) => self.cached += 1,
-                    Ok(false) => {}
-                    Err(e) => {
-                        self.fail(format!("cache pre-fill rejected: {e}"));
-                        return;
-                    }
-                }
-            }
-            self.state.table.prune_pending();
-            let session =
-                crate::cache::CacheSession::now("service", lookups, self.cached as u64, 0);
-            if let Err(e) = cache.record_session(&session) {
-                eprintln!("[service: warning: cannot record the cache session: {e}]");
+            if let Err(e) = self.prefill(cache) {
+                self.fail(format!("cache pre-fill rejected: {e}"));
+                return;
             }
         }
         self.lifecycle = Lifecycle::Serving;
@@ -262,13 +313,134 @@ impl Campaign {
         );
     }
 
-    /// Completes a serving campaign: sync the journal, assemble the
-    /// reports, and render the results document clients will fetch.
-    fn finish(&mut self) {
+    /// Opens the campaign's write-ahead journal.
+    fn open_journal(&mut self, journal: JournalMode<'_>, sync_every: usize) -> Result<(), String> {
+        let path = match journal {
+            JournalMode::Dir(dir) => {
+                std::fs::create_dir_all(dir).map_err(|e| {
+                    format!("cannot create journal directory {}: {e}", dir.display())
+                })?;
+                dir.join(format!("campaign-{}.journal", self.id))
+            }
+            JournalMode::Create(path) => path.to_path_buf(),
+            JournalMode::Resume(path) => return self.resume_journal(path, sync_every),
+        };
+        let writer = JournalWriter::create(&path, &self.header, self.fingerprint, sync_every)
+            .map_err(|e| {
+                if e.kind() == io::ErrorKind::AlreadyExists {
+                    format!(
+                        "journal {0} already exists — resume the interrupted campaign with \
+                         `experiments resume --journal {0}`, or delete the file to start over: {e}",
+                        path.display()
+                    )
+                } else {
+                    format!("cannot create journal {}: {e}", path.display())
+                }
+            })?;
+        self.state.journal = Some(writer);
+        Ok(())
+    }
+
+    /// Reopens an interrupted campaign's journal and replays its records.
+    /// The journaled header must describe this campaign and the stamped
+    /// campaign fingerprint must match the re-derived plan — the same
+    /// drift check a live worker handshake gets.
+    fn resume_journal(&mut self, path: &Path, sync_every: usize) -> Result<(), String> {
+        let replay = JournalReader::read(path).map_err(|e| e.to_string())?;
+        if !replay.header.same_campaign(&self.header) {
+            return Err(format!(
+                "journal {} describes a different campaign (scenarios/options/plan size disagree)",
+                path.display()
+            ));
+        }
+        if let Some(journaled) = replay.campaign_fingerprint {
+            if journaled != self.fingerprint {
+                return Err(format!(
+                    "plan drift: journal {} stamps campaign fingerprint {journaled:016x}, this \
+                     binary plans {:016x} (mismatched binaries or options)",
+                    path.display(),
+                    self.fingerprint
+                ));
+            }
+        }
+        if replay.torn > 0 {
+            eprintln!(
+                "[service: dropping a torn {}-byte final journal line (crash mid-write)]",
+                replay.torn
+            );
+        }
+        let writer = JournalWriter::resume(path, replay.valid_len as u64, sync_every)
+            .map_err(|e| format!("cannot reopen journal {}: {e}", path.display()))?;
+        self.state.journal = Some(writer);
+        let flat = flatten_plans(&self.plans);
+        let mut replayed = 0usize;
+        for record in replay.records {
+            if self.state.admit(&flat, record, false).map_err(|e| e.to_string())? {
+                replayed += 1;
+            }
+        }
+        self.state.table.prune_pending();
+        if replayed > 0 {
+            eprintln!(
+                "[service: campaign {}: replayed {replayed} of {} plan index(es) from the journal]",
+                self.id,
+                flat.len()
+            );
+        }
+        Ok(())
+    }
+
+    /// Admits every unfilled index the cache can satisfy, looking each
+    /// distinct spec up once. Pre-filled indices are journaled like live
+    /// records and never leased.
+    fn prefill(&mut self, cache: &Cache) -> Result<(), ExecutorError> {
+        let flat = flatten_plans(&self.plans);
+        let (firsts, group) = distinct(&flat);
+        let mut found: Vec<Option<Option<RunResult>>> = firsts.iter().map(|_| None).collect();
+        let mut lookups = 0u64;
+        for index in 0..flat.len() {
+            if self.state.table.is_filled(index) {
+                continue;
+            }
+            lookups += 1;
+            let hit = found[group[index]].get_or_insert_with(|| cache.lookup(flat[index]));
+            let Some(result) = hit else { continue };
+            let record = ShardRecord::from_result(index, flat[index].fingerprint(), result);
+            if self.state.admit(&flat, record, true)? {
+                self.cached += 1;
+            }
+        }
+        self.state.table.prune_pending();
+        let held = found.iter().map(|f| matches!(f, Some(Some(_)))).collect();
+        self.cache_use = Some(CacheUse { group, held, lookups, stores: 0 });
+        if self.cached > 0 {
+            eprintln!(
+                "[service: campaign {}: {} of {} plan index(es) satisfied from the cache]",
+                self.id,
+                self.cached,
+                flat.len()
+            );
+        }
+        Ok(())
+    }
+
+    /// Completes a serving campaign: sync the journal, record the cache
+    /// session, assemble the reports, and render the results document
+    /// clients will fetch.
+    fn finish(&mut self, cache: Option<&Cache>) {
         debug_assert!(self.state.table.complete());
         if let Some(writer) = &mut self.state.journal {
+            // The results are in memory; a failed final sync only
+            // weakens the (now redundant) journal, so it warns.
             if let Err(e) = writer.sync() {
                 eprintln!("[service: warning: cannot sync campaign {} journal: {e}]", self.id);
+            }
+        }
+        if let (Some(cache), Some(tally)) = (cache, &self.cache_use) {
+            let session =
+                CacheSession::now("service", tally.lookups, self.cached as u64, tally.stores);
+            if let Err(e) = cache.record_session(&session) {
+                eprintln!("[service: warning: cannot record the cache session: {e}]");
             }
         }
         let results: Vec<_> = std::mem::take(&mut self.state.slots)
@@ -276,7 +448,7 @@ impl Campaign {
             .map(|slot| slot.expect("complete table implies full slots"))
             .collect();
         // The names resolved at admission; a registry that no longer
-        // resolves them here would be a logic bug, but a service fails
+        // resolves them here would be a logic bug, but the loop fails
         // the one campaign instead of panicking.
         let scenarios = match self.registry.resolve(&self.request.scenarios) {
             Ok(scenarios) => scenarios,
@@ -295,8 +467,6 @@ impl Campaign {
     /// The per-campaign status document (`GET /campaigns/<id>`).
     fn status_json(&self) -> String {
         let (completed, leased, pending) = self.state.table.counts();
-        let names: Vec<String> =
-            self.request.scenarios.iter().map(|s| format!("\"{}\"", json::escape(s))).collect();
         let failure = self
             .failure
             .as_ref()
@@ -313,7 +483,7 @@ impl Campaign {
              \"failure\": {failure}, \"journal\": {journal}, \"age_secs\": {:.3}}}\n",
             self.id,
             self.lifecycle.as_str(),
-            names.join(", "),
+            self.names_json(),
             self.request.opts.insts,
             self.request.opts.warmup,
             self.request.opts.seed,
@@ -325,27 +495,40 @@ impl Campaign {
         )
     }
 
-    /// The short row this campaign contributes to `GET /status`.
+    /// The row this campaign contributes to `GET /status`. Its
+    /// `completed`, `leased` and `pending` always sum to `runs`.
     fn brief_json(&self) -> String {
-        let (completed, _, _) = self.state.table.counts();
-        let names: Vec<String> =
-            self.request.scenarios.iter().map(|s| format!("\"{}\"", json::escape(s))).collect();
+        let (completed, leased, pending) = self.state.table.counts();
         format!(
             "{{\"id\": {}, \"state\": \"{}\", \"scenarios\": [{}], \"runs\": {}, \
-             \"completed\": {completed}, \"cached\": {}}}",
+             \"completed\": {completed}, \"leased\": {leased}, \"pending\": {pending}, \
+             \"cached\": {}}}",
             self.id,
             self.lifecycle.as_str(),
-            names.join(", "),
+            self.names_json(),
             self.runs(),
             self.cached
         )
     }
+
+    fn names_json(&self) -> String {
+        let names: Vec<String> =
+            self.request.scenarios.iter().map(|s| format!("\"{}\"", json::escape(s))).collect();
+        names.join(", ")
+    }
 }
 
-fn open_campaign_journal(dir: &Path, c: &Campaign, sync_every: usize) -> io::Result<JournalWriter> {
-    std::fs::create_dir_all(dir)?;
-    let path: PathBuf = dir.join(format!("campaign-{}.journal", c.id));
-    JournalWriter::create(&path, &c.header, c.fingerprint, sync_every)
+/// The first campaign id after every `campaign-<id>.journal` already in
+/// `dir` (1 for a missing or empty directory).
+fn first_free_id(dir: &Path) -> u64 {
+    let Ok(entries) = std::fs::read_dir(dir) else { return 1 };
+    entries
+        .filter_map(|entry| {
+            let name = entry.ok()?.file_name();
+            name.to_str()?.strip_prefix("campaign-")?.strip_suffix(".journal")?.parse::<u64>().ok()
+        })
+        .max()
+        .map_or(1, |id| id.saturating_add(1))
 }
 
 /// Renders the results document (`GET /campaigns/<id>/results`): one
@@ -379,8 +562,39 @@ fn render_results(c: &Campaign, reports: &[Box<dyn ScenarioReport>]) -> String {
     )
 }
 
-/// The service overview document (`GET /status`).
-fn service_status_json(campaigns: &[Campaign], workers: &[WorkerConn], started: Instant) -> String {
+/// The per-worker roster entries of `GET /status`.
+fn worker_roster_json(workers: &[WorkerConn]) -> Vec<String> {
+    workers
+        .iter()
+        .map(|conn| {
+            let phase = match conn.phase {
+                WorkerPhase::Handshake { .. } => "handshake",
+                WorkerPhase::Ready => "ready",
+                WorkerPhase::Streaming => "streaming",
+                WorkerPhase::Closing => "closing",
+            };
+            let lease_age = conn.lease.map_or("null".to_string(), |lease| {
+                format!("{:.3}", lease.issued.elapsed().as_secs_f64())
+            });
+            format!(
+                "{{\"peer\": \"{}\", \"phase\": \"{phase}\", \"leases\": {}, \
+                 \"records\": {}, \"lease_age_secs\": {lease_age}}}",
+                json::escape(&conn.peer),
+                conn.leases_done,
+                conn.records
+            )
+        })
+        .collect()
+}
+
+/// The overview document (`GET /status`). `workers_joined` counts every
+/// handshake ever verified, `workers_connected` the live connections.
+fn service_status_json(
+    campaigns: &[Campaign],
+    workers: &[WorkerConn],
+    joined: usize,
+    started: Instant,
+) -> String {
     let serving = campaigns
         .iter()
         .find(|c| c.lifecycle == Lifecycle::Serving)
@@ -389,7 +603,8 @@ fn service_status_json(campaigns: &[Campaign], workers: &[WorkerConn], started: 
     let roster = worker_roster_json(workers);
     format!(
         "{{\"schema\": \"rfcache-service/v1\", \"elapsed_secs\": {:.3}, \"serving\": {serving}, \
-         \"submitted\": {}, \"campaigns\": [{}], \"workers_connected\": {}, \"workers\": [{}]}}\n",
+         \"submitted\": {}, \"campaigns\": [{}], \"workers_connected\": {}, \
+         \"workers_joined\": {joined}, \"workers\": [{}]}}\n",
         started.elapsed().as_secs_f64(),
         campaigns.len(),
         briefs.join(", "),
@@ -405,8 +620,9 @@ fn route_request(
     req: &http::Request,
     campaigns: &mut Vec<Campaign>,
     next_id: &mut u64,
-    cfg: &ServiceConfig<'_>,
+    opts: &ServeOptions,
     workers: &[WorkerConn],
+    joined: usize,
     started: Instant,
 ) -> Vec<u8> {
     match (req.method.as_str(), req.path()) {
@@ -430,7 +646,7 @@ fn route_request(
             };
             let id = *next_id;
             *next_id += 1;
-            let campaign = match Campaign::new(id, request, cfg.opts) {
+            let campaign = match Campaign::new(id, request, opts) {
                 Ok(campaign) => campaign,
                 Err(reason) => {
                     return http::respond(400, "Bad Request", "text/plain", &format!("{reason}\n"))
@@ -451,7 +667,9 @@ fn route_request(
             http::respond(201, "Created", "application/json", &body)
         }
         ("GET", "/healthz") => http::json_ok("{\"status\": \"ok\"}\n"),
-        ("GET", "/status") => http::json_ok(&service_status_json(campaigns, workers, started)),
+        ("GET", "/status") => {
+            http::json_ok(&service_status_json(campaigns, workers, joined, started))
+        }
         ("GET", path) => match parse_campaign_path(path) {
             Some((id, want_results)) => {
                 let Some(campaign) = campaigns.iter_mut().find(|c| c.id == id) else {
@@ -512,60 +730,108 @@ fn parse_campaign_path(path: &str) -> Option<(u64, bool)> {
     id.parse().ok().map(|id: u64| (id, want_results))
 }
 
-/// Runs the multi-campaign coordinator service until aborted (via
-/// `cfg.signals`) or until `cfg.max_campaigns` campaigns have been
-/// fetched. See the module docs for the lifecycle and endpoints.
+/// Runs the coordinator loop until `cfg.max_campaigns` campaigns have
+/// been fetched (or forever), or until a one-campaign session's campaign
+/// fails. See the module docs for the lifecycle and endpoints.
 ///
 /// # Errors
 ///
 /// Returns [`ExecutorError::Io`] when a listener or the readiness poll
-/// fails — infrastructure trouble that dooms the whole service.
-/// Campaign-level failures (bad submissions, drifting workers, journal
-/// trouble) are isolated to the affected campaign and reported through
-/// its lifecycle instead.
-pub fn serve_service(cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorError> {
+/// fails — infrastructure trouble that dooms the whole loop — and
+/// [`ExecutorError::Transport`] when the session campaign cannot be
+/// planned or `cfg.supervise` gives up. Campaign-level failures (bad
+/// submissions, drifting records, journal trouble) are isolated to the
+/// affected campaign and reported through its lifecycle instead.
+pub fn serve_service(mut cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorError> {
     cfg.listener
         .set_nonblocking(true)
         .map_err(|e| ExecutorError::io("cannot poll the campaign listener", e))?;
-    cfg.http
-        .set_nonblocking(true)
-        .map_err(|e| ExecutorError::io("cannot poll the control-plane listener", e))?;
+    if let Some(control) = cfg.http {
+        control
+            .set_nonblocking(true)
+            .map_err(|e| ExecutorError::io("cannot poll the control-plane listener", e))?;
+    }
+    let mut supervise = cfg.supervise.take();
 
     let started = Instant::now();
     let mut campaigns: Vec<Campaign> = Vec::new();
-    let mut next_id: u64 = 1;
+    let mut next_id = match cfg.journal {
+        Some(JournalMode::Dir(dir)) => first_free_id(dir),
+        _ => 1,
+    };
+    let session = match cfg.campaign.take() {
+        Some(request) => {
+            let id = next_id;
+            next_id += 1;
+            let campaign = Campaign::new(id, request, cfg.opts)
+                .map_err(|detail| ExecutorError::Transport { detail })?;
+            campaigns.push(campaign);
+            Some(id)
+        }
+        None => None,
+    };
     let mut workers: Vec<WorkerConn> = Vec::new();
     let mut https: Vec<HttpConn> = Vec::new();
+    // Handshakes ever verified (monotonic), for the status document.
+    let mut joined = 0usize;
+    let mut last_supervise = Instant::now();
     let mut poll = PollSet::new();
     let mut fatal: Option<ExecutorError> = None;
 
     loop {
-        if fatal.is_some() || cfg.signals.aborted() {
-            break;
+        // Settle the campaign table: finish the serving campaign once
+        // every index is filled (its workers get the final `done`), and
+        // promote the oldest queued campaign whenever nothing serves. A
+        // campaign its journal or the cache satisfies completes without
+        // any worker.
+        loop {
+            match campaigns.iter_mut().find(|c| c.lifecycle == Lifecycle::Serving) {
+                Some(c) if c.state.table.complete() => {
+                    c.finish(cfg.cache);
+                    for conn in workers.iter_mut() {
+                        if conn.dead.is_none() && conn.campaign == Some(c.id) {
+                            conn.out.queue_frame(&Frame::Done);
+                            conn.phase = WorkerPhase::Closing;
+                        }
+                    }
+                    // A session fetches its own campaign.
+                    if session == Some(c.id) && c.lifecycle == Lifecycle::Complete {
+                        c.lifecycle = Lifecycle::Fetched;
+                    }
+                }
+                Some(_) => break,
+                None => match campaigns.iter_mut().find(|c| c.lifecycle == Lifecycle::Queued) {
+                    Some(c) => c.promote(&cfg),
+                    None => break,
+                },
+            }
         }
+
         if let Some(max) = cfg.max_campaigns {
             if campaigns.iter().filter(|c| c.lifecycle == Lifecycle::Fetched).count() >= max {
                 eprintln!("[service: {max} campaign(s) fetched; shutting down]");
                 break;
             }
         }
-
-        // Promote the oldest queued campaign when nothing is serving
-        // (admission failures just move on to the next submission).
-        while !campaigns.iter().any(|c| c.lifecycle == Lifecycle::Serving) {
-            let Some(campaign) = campaigns.iter_mut().find(|c| c.lifecycle == Lifecycle::Queued)
-            else {
-                break;
-            };
-            campaign.promote(&cfg);
-            if campaign.lifecycle == Lifecycle::Serving && campaign.state.table.complete() {
-                // Fully satisfied by journal/cache pre-fill: no worker
-                // needs to connect at all.
-                campaign.finish();
+        // Nothing but the session campaign is ever served in a session.
+        if session.is_some_and(|id| {
+            campaigns.iter().any(|c| c.id == id && c.lifecycle == Lifecycle::Failed)
+        }) {
+            break;
+        }
+        if let Some(watch) = supervise.as_mut() {
+            if last_supervise.elapsed() >= READ_TICK {
+                last_supervise = Instant::now();
+                if let Some(detail) = watch() {
+                    fatal = Some(ExecutorError::Transport { detail });
+                    break;
+                }
             }
         }
 
-        // Lease issue: idle handshaked workers of the serving campaign.
+        // Lease issue: idle handshaked workers of the serving campaign
+        // get fresh pending work, or the overdue remainder of a stalled
+        // lease (straggler re-issue).
         let now = Instant::now();
         if let Some(campaign) = campaigns.iter_mut().find(|c| c.lifecycle == Lifecycle::Serving) {
             for conn in workers.iter_mut() {
@@ -583,10 +849,10 @@ pub fn serve_service(cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorE
         }
 
         // Declare interest, then block until something is ready (or a
-        // tick passes).
+        // tick passes — deadlines and supervision still need to run).
         poll.clear();
         let listener_slot = poll.register(listener_fd(cfg.listener), true, false);
-        let control_slot = poll.register(listener_fd(cfg.http), true, false);
+        let control_slot = cfg.http.map(|l| poll.register(listener_fd(l), true, false));
         let worker_slots: Vec<usize> = workers
             .iter()
             .map(|c| poll.register(stream_fd(&c.stream), true, c.out.pending()))
@@ -596,13 +862,13 @@ pub fn serve_service(cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorE
             .map(|c| poll.register(stream_fd(&c.stream), !c.responded, c.out.pending()))
             .collect();
         if let Err(e) = poll.poll(READ_TICK) {
-            fatal.get_or_insert(ExecutorError::io("readiness poll failed", e));
+            fatal = Some(ExecutorError::io("readiness poll failed", e));
             break;
         }
 
         // Accept workers: hand them the serving campaign's hello, or a
-        // retry frame when nothing is serving (the satellite fix — a
-        // worker must never block in a handshake that cannot progress).
+        // retry frame when nothing is serving (a worker must never block
+        // in a handshake that cannot progress).
         if poll.readable(listener_slot) {
             let serving = campaigns
                 .iter()
@@ -643,19 +909,25 @@ pub fn serve_service(cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorE
                 }
             }
         }
+        if fatal.is_some() {
+            break;
+        }
 
         // Accept control-plane clients.
-        if poll.readable(control_slot) {
-            loop {
-                match cfg.http.accept() {
-                    Ok((stream, _)) => {
-                        if let Ok(conn) = HttpConn::start(stream) {
-                            https.push(conn);
+        if let (Some(control), Some(slot)) = (cfg.http, control_slot) {
+            if poll.readable(slot) {
+                loop {
+                    match control.accept() {
+                        Ok((stream, _)) => {
+                            if let Ok(conn) = HttpConn::start(stream) {
+                                https.push(conn);
+                            }
                         }
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                        // Control-plane trouble never dooms a campaign.
+                        Err(_) => break,
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => break,
                 }
             }
         }
@@ -698,13 +970,14 @@ pub fn serve_service(cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorE
                     conn.campaign.and_then(|id| campaigns.iter_mut().find(|c| c.id == id));
                 match (conn.phase, frame) {
                     (WorkerPhase::Handshake { .. }, Frame::Hello { fingerprint: echoed, .. }) => {
-                        // Unlike the single-campaign coordinator, a
-                        // fingerprint mismatch is not fatal to the
-                        // service: it rejects the one worker and the
-                        // campaign keeps serving through the rest.
+                        // A worker that planned a different campaign has
+                        // mismatched binaries or options: it is rejected
+                        // alone, and the campaign keeps serving through
+                        // the rest.
                         match campaign {
                             Some(c) if echoed == c.fingerprint => {
                                 conn.phase = WorkerPhase::Ready;
+                                joined += 1;
                                 eprintln!(
                                     "[service: worker {} joined campaign {}]",
                                     conn.peer, c.id
@@ -731,15 +1004,11 @@ pub fn serve_service(cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorE
                         let flat = flatten_plans(&c.plans);
                         match c.state.admit(&flat, *record, true) {
                             Ok(true) => {
-                                if let Some(cache) = cfg.cache {
+                                if let (Some(cache), Some(tally)) = (cfg.cache, &mut c.cache_use) {
                                     let result = c.state.slots[index]
                                         .as_ref()
                                         .expect("admitted slot is filled");
-                                    if let Err(e) = cache.store(flat[index], result) {
-                                        eprintln!(
-                                            "[service: warning: cannot cache result {index}: {e}]"
-                                        );
-                                    }
+                                    tally.store(cache, index, flat[index], result);
                                 }
                             }
                             Ok(false) => {}
@@ -747,6 +1016,9 @@ pub fn serve_service(cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorE
                         }
                     }
                     (WorkerPhase::Streaming, Frame::Done) => {
+                        // Lease acknowledged. Belt and braces: a worker
+                        // may acknowledge without covering every index;
+                        // anything unfilled goes back in the queue.
                         if let (Some(active), Some(c)) = (conn.lease.take(), campaign) {
                             let requeued = c.state.table.release(active.id);
                             if requeued > 0 {
@@ -771,25 +1043,10 @@ pub fn serve_service(cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorE
             }
         }
 
-        // Completion check: the serving campaign may have just filled
-        // its last slot. Its workers get the final `done` and wind
-        // down; the next queued campaign is promoted on the next pass.
-        if let Some(campaign) = campaigns
-            .iter_mut()
-            .find(|c| c.lifecycle == Lifecycle::Serving && c.state.table.complete())
-        {
-            campaign.finish();
-            for conn in workers.iter_mut() {
-                if conn.dead.is_none() && conn.campaign == Some(campaign.id) {
-                    conn.out.queue_frame(&Frame::Done);
-                    conn.phase = WorkerPhase::Closing;
-                }
-            }
-        }
-
         // Sweep: handshake deadlines, workers of failed campaigns,
         // drained between-campaign rejections, and dead connections
-        // (releasing their leases back to their campaign).
+        // (releasing their leases back to their campaign, so a crash
+        // never loses work).
         let now = Instant::now();
         workers.retain_mut(|conn| {
             if conn.dead.is_none() {
@@ -861,9 +1118,28 @@ pub fn serve_service(cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorE
                         }
                         continue;
                     }
-                    http::Parse::Ready(req) => {
-                        route_request(&req, &mut campaigns, &mut next_id, &cfg, &workers, started)
+                    http::Parse::Ready(req)
+                        if session.is_some()
+                            && req.method == "POST"
+                            && req.path() == "/campaigns" =>
+                    {
+                        http::respond(
+                            409,
+                            "Conflict",
+                            "text/plain",
+                            "this coordinator serves a single campaign; submit to `experiments \
+                             serve` without scenario names\n",
+                        )
                     }
+                    http::Parse::Ready(req) => route_request(
+                        &req,
+                        &mut campaigns,
+                        &mut next_id,
+                        cfg.opts,
+                        &workers,
+                        joined,
+                        started,
+                    ),
                     http::Parse::Invalid(detail) => {
                         http::respond(400, "Bad Request", "text/plain", &format!("{detail}\n"))
                     }
@@ -929,22 +1205,28 @@ pub fn serve_service(cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorE
             }
         }
     }
-    cfg.signals.mark_finished();
 
     if let Some(e) = fatal {
         return Err(e);
     }
+    let results = session
+        .and_then(|id| campaigns.iter_mut().find(|c| c.id == id))
+        .and_then(|c| c.results.take());
     Ok(ServiceSummary {
         submitted: campaigns.len(),
         completed: campaigns.iter().filter(|c| c.lifecycle.done()).count(),
         fetched: campaigns.iter().filter(|c| c.lifecycle == Lifecycle::Fetched).count(),
         failed: campaigns.iter().filter(|c| c.lifecycle == Lifecycle::Failed).count(),
+        results,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::ExperimentOpts;
+    use crate::transport::{read_frame, send_line, LineBuffer};
+    use std::net::TcpStream;
 
     #[test]
     fn campaign_paths_parse_ids_and_results_suffixes() {
@@ -965,5 +1247,112 @@ mod tests {
         assert_eq!(Lifecycle::Failed.as_str(), "failed");
         assert!(Lifecycle::Fetched.done() && Lifecycle::Complete.done());
         assert!(!Lifecycle::Serving.done() && !Lifecycle::Failed.done());
+    }
+
+    #[test]
+    fn ids_continue_after_the_journals_already_in_the_directory() {
+        let dir = std::env::temp_dir().join(format!("rfcache_ids_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(first_free_id(&dir), 1, "a missing directory starts at 1");
+        std::fs::create_dir_all(&dir).unwrap();
+        assert_eq!(first_free_id(&dir), 1, "an empty directory starts at 1");
+        for name in ["campaign-1.journal", "campaign-7.journal", "campaign-x.journal", "notes"] {
+            std::fs::write(dir.join(name), "").unwrap();
+        }
+        assert_eq!(first_free_id(&dir), 8);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A one-campaign session answers its control plane from the loop
+    /// while a scripted worker runs the lease protocol by hand.
+    #[test]
+    fn session_answers_http_while_coordinating() {
+        let opts = ExperimentOpts { insts: 1_000, warmup: 200, quick: true, ..Default::default() };
+        let request = CampaignRequest::new(vec!["readstats".into()], opts);
+        let registry = Registry::builtin();
+        let plan = registry.resolve(&request.scenarios).unwrap()[0].plan(&opts);
+        let refs: Vec<&RunSpec> = plan.iter().collect();
+        let fingerprint = campaign_fingerprint(&refs);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let control = TcpListener::bind("127.0.0.1:0").unwrap();
+        let control_addr = control.local_addr().unwrap().to_string();
+        let timeout = Duration::from_secs(5);
+
+        let summary = std::thread::scope(|scope| {
+            let coordinator = scope.spawn(|| {
+                serve_service(ServiceConfig {
+                    listener: &listener,
+                    http: Some(&control),
+                    opts: &ServeOptions::default(),
+                    cache: None,
+                    journal: None,
+                    journal_sync: 1,
+                    max_campaigns: Some(1),
+                    campaign: Some(request.clone()),
+                    supervise: None,
+                })
+            });
+
+            // The control plane answers before any worker has joined.
+            let (code, body) = http::get(&control_addr, "/healthz", timeout).unwrap();
+            assert_eq!(code, 200);
+            assert!(body.contains("\"ok\""), "{body}");
+            let (code, body) = http::get(&control_addr, "/status", timeout).unwrap();
+            assert_eq!(code, 200);
+            assert!(body.contains("\"schema\": \"rfcache-service/v1\""), "{body}");
+            assert!(body.contains(&format!("\"runs\": {}", refs.len())), "{body}");
+            assert!(body.contains("\"completed\": 0"), "{body}");
+            assert!(body.contains(&format!("\"pending\": {}", refs.len())), "{body}");
+            assert!(body.contains("\"workers_joined\": 0"), "{body}");
+            let (code, body) = http::get(&control_addr, "/campaigns/1", timeout).unwrap();
+            assert_eq!(code, 200);
+            assert!(body.contains("\"state\": \"serving\""), "{body}");
+            assert!(body.contains("\"journal\": null"), "{body}");
+            assert!(body.contains(&format!("\"fingerprint\": \"{fingerprint:016x}\"")), "{body}");
+            let (code, _) = http::get(&control_addr, "/nope", timeout).unwrap();
+            assert_eq!(code, 404, "unknown paths 404");
+            let (code, _) = http::post(
+                &control_addr,
+                "/campaigns",
+                "application/json",
+                &request.to_json(),
+                timeout,
+            )
+            .unwrap();
+            assert_eq!(code, 409, "a session takes no submissions");
+
+            // A scripted worker runs the whole lease protocol by hand.
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.set_read_timeout(Some(READ_TICK)).unwrap();
+            let mut buf = LineBuffer::new();
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let first = read_frame(&mut stream, &mut buf, deadline).unwrap().unwrap();
+            let Frame::Hello { campaign: Some(_), fingerprint: announced } = first else {
+                panic!("expected hello with campaign, got {first:?}");
+            };
+            assert_eq!(announced, fingerprint);
+            send_line(&mut stream, &Frame::Hello { campaign: None, fingerprint }).unwrap();
+            loop {
+                match read_frame(&mut stream, &mut buf, deadline).unwrap().unwrap() {
+                    Frame::Lease { indices, .. } => {
+                        for &i in &indices {
+                            let result = refs[i].run();
+                            let record =
+                                ShardRecord::from_result(i, refs[i].fingerprint(), &result);
+                            send_line(&mut stream, &Frame::Record(Box::new(record))).unwrap();
+                        }
+                        send_line(&mut stream, &Frame::Done).unwrap();
+                    }
+                    Frame::Done => break,
+                    other => panic!("unexpected frame {other:?}"),
+                }
+            }
+            coordinator.join().expect("the loop does not panic")
+        })
+        .unwrap();
+        assert_eq!((summary.submitted, summary.fetched, summary.failed), (1, 1, 0));
+        let results = summary.results.expect("the session hands back its results");
+        assert!(results.contains("\"name\": \"readstats\""), "{results}");
     }
 }

@@ -1,15 +1,15 @@
-//! TCP transport for distributed campaigns: a lease-based
+//! TCP transport for distributed campaigns: the pieces of a lease-based
 //! coordinator/worker protocol over newline-delimited JSON frames.
 //!
-//! The coordinator ([`serve`]) owns the deterministic campaign plan. It
-//! never ships a [`RunSpec`] over the wire — a connecting worker
-//! ([`work`]) receives the [`CampaignHeader`] in the `hello` frame,
-//! re-derives the *same* plan from the scenario registry, and proves it
-//! did by echoing the plan's [`campaign_fingerprint`]. After that
-//! handshake the coordinator hands out **leases** (small index ranges of
-//! the flat plan) and folds the streamed `record` frames into a
-//! plan-ordered result vector, so reports assembled from a distributed
-//! run are byte-identical to a single-process run.
+//! The coordinator owns the deterministic campaign plan. It never ships
+//! a [`RunSpec`] over the wire — a connecting worker ([`work`]) receives
+//! the [`CampaignHeader`] in the `hello` frame, re-derives the *same*
+//! plan from the scenario registry, and proves it did by echoing the
+//! plan's [`campaign_fingerprint`]. After that handshake the coordinator
+//! hands out **leases** (small index ranges of the flat plan) and folds
+//! the streamed `record` frames into a plan-ordered result vector, so
+//! reports assembled from a distributed run are byte-identical to a
+//! single-process run.
 //!
 //! **Fault tolerance.** Completed indices are tracked per lease in a
 //! [`LeaseTable`]:
@@ -21,65 +21,43 @@
 //!   indices (straggler mitigation);
 //! * duplicate records — inevitable when a straggler finishes after its
 //!   lease was re-issued — are deduplicated by plan index, and every
-//!   record's spec fingerprint is verified before it fills a slot, so a
-//!   drifting worker is a loud [`ExecutorError::PlanDrift`] instead of a
-//!   silently scrambled report.
+//!   record's spec fingerprint is verified before it fills a slot
+//!   ([`ServeState::admit`]), so a drifting worker is a loud
+//!   [`ExecutorError::PlanDrift`] instead of a silently scrambled report.
 //!
-//! **Durability.** With a [`Journal`], the coordinator write-ahead
-//! journals the campaign header and every accepted record to disk
-//! ([`JournalWriter`]; one `write` per line, `sync_data` on a
-//! configurable interval), so the file is always a valid shard-file
-//! prefix. After a coordinator crash, [`JournalReader`] recovers every
-//! complete record — a torn final line is dropped, never mis-parsed —
-//! and [`serve`] replays them into the slot table before leasing out
-//! only the remaining indices, producing results byte-identical to an
-//! uninterrupted run.
+//! **Durability.** A journaling coordinator write-ahead journals the
+//! campaign header and every accepted record to disk ([`JournalWriter`];
+//! one `write` per line, `sync_data` on a configurable interval), so the
+//! file is always a valid shard-file prefix. After a coordinator crash,
+//! [`JournalReader`] recovers every complete record — a torn final line
+//! is dropped, never mis-parsed — and the resumed campaign replays them
+//! through the same admission path before leasing out only the remaining
+//! indices, producing results byte-identical to an uninterrupted run.
 //!
 //! The protocol framing is [`Frame`]; partial TCP reads are reassembled
 //! by [`LineBuffer`], which is property-tested against arbitrary byte
-//! splits in `tests/metrics_codec.rs`.
-//!
-//! **Architecture.** The coordinator is a **single-threaded readiness
-//! loop** ([`serve_with`]): the listener, every worker connection, and
-//! every HTTP control-plane client are nonblocking sockets multiplexed
-//! through `poll(2)` ([`crate::readiness`]), with per-connection state
-//! machines ([`crate::conn`]) instead of per-connection threads. One
-//! thread owning everything means the lease table, slot vector and
-//! journal need no locks, and the design scales to thousands of worker
-//! connections. The optional second listener serves `GET /status`
-//! (progress counters, worker roster, journal position) and `GET
-//! /healthz` over a hand-rolled HTTP/1.1 ([`crate::http`]).
+//! splits in `tests/metrics_codec.rs`. The coordinator's readiness loop
+//! that drives all of this is [`crate::service::serve_service`].
 
-use crate::conn::{ActiveLease, HttpConn, WorkerConn, WorkerPhase};
 use crate::executor::ExecutorError;
-use crate::http;
-use crate::json;
 use crate::metrics_codec::{
     CampaignHeader, CodecError, Frame, RecordFile, ShardRecord, TailPolicy,
 };
-use crate::readiness::{listener_fd, stream_fd, PollSet};
 use crate::run::{campaign_fingerprint, run_batch, RunResult, RunSpec};
 use crate::scenario;
 use std::collections::VecDeque;
 use std::fs::OpenOptions;
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Socket read timeout on the worker side, and the coordinator loop's
 /// poll timeout: the granularity at which quiet periods re-check
-/// signals, supervision and lease deadlines.
+/// supervision and lease deadlines.
 pub(crate) const READ_TICK: Duration = Duration::from_millis(100);
 /// How long the coordinator waits for a connecting worker's hello.
 pub(crate) const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(30);
-/// How long the completed coordinator keeps flushing final `done`
-/// frames to workers whose sockets are backpressured.
-pub(crate) const DRAIN_WINDOW: Duration = Duration::from_secs(5);
-/// How long an HTTP client may dribble its request before being reaped.
-pub(crate) const HTTP_CLIENT_WINDOW: Duration = Duration::from_secs(10);
 /// First retry delay after a failed worker connect.
 const CONNECT_BACKOFF_FLOOR: Duration = Duration::from_millis(25);
 /// Retry delay cap: a thousand workers re-finding a restarted
@@ -267,19 +245,6 @@ impl JournalReader {
     }
 }
 
-/// Durability state handed to [`serve`]: the open journal sink plus the
-/// records replayed from it (empty on a fresh journaled run). Replayed
-/// records are verified and deduplicated exactly like live `record`
-/// frames, but not re-appended to the journal.
-#[derive(Debug)]
-pub struct Journal {
-    /// The open write-ahead sink.
-    pub writer: JournalWriter,
-    /// Records recovered from the interrupted run, to pre-fill the slot
-    /// table before any lease is issued.
-    pub replay: Vec<ShardRecord>,
-}
-
 /// One issued lease: the id the coordinator assigned and the plan
 /// indices the worker must simulate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -412,16 +377,10 @@ impl LeaseTable {
     }
 }
 
-/// Tuning knobs for [`serve`] (and the `Distributed` executor).
+/// Lease policy knobs of the coordinator loop
+/// ([`crate::service::serve_service`]), applied to every campaign.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Hold every lease until this many workers have completed the
-    /// handshake (0 = lease to the first worker immediately). Spreads
-    /// the initial leases when the worker count is known up front. The
-    /// gate expires after [`lease_timeout`](Self::lease_timeout): a
-    /// worker that dies before its handshake delays the campaign, but
-    /// cannot hang it.
-    pub expect: usize,
     /// A lease older than this may be re-issued to an idle worker
     /// (straggler mitigation). Disconnects re-queue immediately
     /// regardless.
@@ -432,106 +391,27 @@ pub struct ServeOptions {
 
 impl Default for ServeOptions {
     fn default() -> Self {
-        ServeOptions { expect: 0, lease_timeout: Duration::from_secs(60), chunk: 0 }
+        ServeOptions { lease_timeout: Duration::from_secs(60), chunk: 0 }
     }
 }
 
-/// Out-of-band control shared between [`serve`] and its supervisor
-/// (e.g. the `Distributed` executor's self-spawned-worker watcher):
-/// the supervisor can abort a doomed campaign, and can observe when
-/// serving has finished.
-#[derive(Debug, Default)]
-pub struct ServeSignals {
-    abort: AtomicBool,
-    finished: AtomicBool,
-    reason: Mutex<Option<String>>,
-}
-
-impl ServeSignals {
-    /// Creates a fresh signal pair.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Asks [`serve`] to give up (first reason wins).
-    pub fn abort(&self, reason: &str) {
-        let mut slot = self.reason.lock().unwrap();
-        if slot.is_none() {
-            *slot = Some(reason.to_string());
-        }
-        self.abort.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether [`serve`] has returned (successfully or not).
-    pub fn finished(&self) -> bool {
-        self.finished.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn aborted(&self) -> bool {
-        self.abort.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn abort_reason(&self) -> String {
-        self.reason.lock().unwrap().clone().unwrap_or_else(|| "aborted".into())
-    }
-
-    pub(crate) fn mark_finished(&self) {
-        self.finished.store(true, Ordering::SeqCst);
-    }
-}
-
-/// Everything [`serve_with`] needs, bundled (the readiness-loop
-/// coordinator grew past the point where positional arguments stay
-/// readable).
-pub struct ServeConfig<'a> {
-    /// The already-bound, campaign listener workers connect to.
-    pub listener: &'a TcpListener,
-    /// Optional second listener for the HTTP control plane (`/status`,
-    /// `/healthz`), served by the same readiness loop.
-    pub http: Option<&'a TcpListener>,
-    /// The campaign header sent to workers in the hello frame.
-    pub header: &'a CampaignHeader,
-    /// The flat campaign plan.
-    pub specs: &'a [&'a RunSpec],
-    /// Lease policy knobs.
-    pub opts: &'a ServeOptions,
-    /// Out-of-band abort/finished signalling shared with the caller.
-    pub signals: &'a ServeSignals,
-    /// Optional write-ahead journal: the open sink plus any records
-    /// replayed from an interrupted run.
-    pub journal: Option<Journal>,
-    /// Optional result cache: unfilled plan indices it can satisfy are
-    /// admitted (and journaled) *before* any lease is issued — so they
-    /// are never leased — and every live record admitted afterwards is
-    /// stored back.
-    pub cache: Option<&'a crate::cache::Cache>,
-    /// Called from the loop roughly every poll tick; returning a reason
-    /// aborts the campaign. This is how the `Distributed` executor
-    /// supervises self-spawned workers without a watcher thread.
-    pub supervise: Option<&'a mut dyn FnMut() -> Option<String>>,
-}
-
+/// One campaign's coordinator bookkeeping: lease table, result slots and
+/// the optional write-ahead journal.
 pub(crate) struct ServeState {
     pub(crate) table: LeaseTable,
     pub(crate) slots: Vec<Option<RunResult>>,
-    pub(crate) fatal: Option<ExecutorError>,
     pub(crate) journal: Option<JournalWriter>,
 }
 
 impl ServeState {
-    /// Fresh bookkeeping for a `runs`-spec plan (the multi-campaign
-    /// service builds one per submitted campaign).
+    /// Fresh bookkeeping for a `runs`-spec plan (the coordinator builds
+    /// one per campaign).
     pub(crate) fn new(runs: usize, chunk: usize, lease_timeout: Duration) -> Self {
         ServeState {
             table: LeaseTable::new(runs, chunk, lease_timeout),
             slots: (0..runs).map(|_| None).collect(),
-            fatal: None,
             journal: None,
         }
-    }
-
-    fn stop(&self) -> bool {
-        self.fatal.is_some() || self.table.complete()
     }
 
     /// Verifies and stores one record — the single admission path shared
@@ -585,620 +465,19 @@ impl ServeState {
     }
 }
 
-/// Runs the coordinator half of a distributed campaign on an
-/// already-bound listener: accepts workers, verifies their handshakes,
-/// leases out the plan, and returns one result per spec in plan order —
-/// byte-identical input to `assemble()` as any other backend.
-///
-/// With a [`Journal`], every accepted record is appended to the
-/// write-ahead sink before it counts as completed, and the journal's
-/// replayed records pre-fill the slot table (verified and deduplicated
-/// exactly like live records) so only the remaining indices are leased
-/// out — a resumed campaign produces the same result vector an
-/// uninterrupted one would.
-///
-/// Returns when every plan index has a verified result, or on a fatal
-/// error (plan drift, protocol corruption, abort via `signals`).
-/// Individual worker failures are *not* fatal: their leases are
-/// re-queued and the campaign continues with the remaining workers.
-///
-/// # Errors
-///
-/// Returns [`ExecutorError::PlanDrift`] when a worker's campaign or
-/// record fingerprints disagree with the plan (replayed journal records
-/// included), [`ExecutorError::Io`] on listener or journal failures,
-/// and [`ExecutorError::Transport`] when aborted.
-pub fn serve(
-    listener: &TcpListener,
-    header: &CampaignHeader,
-    specs: &[&RunSpec],
-    opts: &ServeOptions,
-    signals: &ServeSignals,
-    journal: Option<Journal>,
-) -> Result<Vec<RunResult>, ExecutorError> {
-    serve_with(ServeConfig {
-        listener,
-        http: None,
-        header,
-        specs,
-        opts,
-        signals,
-        journal,
-        cache: None,
-        supervise: None,
-    })
-}
-
-/// [`serve`] with the full configuration surface: an optional HTTP
-/// control plane and an optional supervision hook, all driven by **one
-/// readiness loop on the calling thread** — the listener, every worker
-/// connection, and every HTTP client are nonblocking sockets multiplexed
-/// through `poll(2)` ([`crate::readiness`]), so no per-connection thread
-/// exists and no state needs a lock. Scales to thousands of worker
-/// connections.
-///
-/// # Errors
-///
-/// As [`serve`].
-pub fn serve_with(cfg: ServeConfig<'_>) -> Result<Vec<RunResult>, ExecutorError> {
-    let ServeConfig { listener, http, header, specs, opts, signals, journal, cache, mut supervise } =
-        cfg;
-    let mut state = ServeState::new(specs.len(), opts.chunk, opts.lease_timeout);
-    let mut replayed = 0usize;
-    if let Some(journal) = journal {
-        state.journal = Some(journal.writer);
-        for record in journal.replay {
-            if state.admit(specs, record, false)? {
-                replayed += 1;
-            }
-        }
-        state.table.prune_pending();
-        if replayed > 0 {
-            eprintln!(
-                "[serve: replayed {replayed} of {} plan index(es) from the journal]",
-                specs.len()
-            );
-        }
-    }
-    // Cache pre-fill: every unfilled index the cache can satisfy goes
-    // through the same admission path as a live record frame — verified,
-    // journaled, counted — and then leaves the pending queue, so it is
-    // never leased to a worker.
-    let mut cached = 0usize;
-    let mut cache_lookups = 0u64;
-    let mut cache_stores = 0u64;
-    if let Some(cache) = cache {
-        for index in 0..specs.len() {
-            if state.table.is_filled(index) {
-                continue;
-            }
-            cache_lookups += 1;
-            let Some(result) = cache.lookup(specs[index]) else { continue };
-            let record = ShardRecord::from_result(index, specs[index].fingerprint(), &result);
-            if state.admit(specs, record, true)? {
-                cached += 1;
-            }
-        }
-        state.table.prune_pending();
-        if cached > 0 {
-            eprintln!(
-                "[serve: {cached} of {} plan index(es) satisfied from the cache]",
-                specs.len()
-            );
-        }
-    }
-    let fingerprint = campaign_fingerprint(specs);
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| ExecutorError::io("cannot poll the campaign listener", e))?;
-    if let Some(control) = http {
-        control
-            .set_nonblocking(true)
-            .map_err(|e| ExecutorError::io("cannot poll the control-plane listener", e))?;
-    }
-
-    let started = Instant::now();
-    let mut last_supervise = Instant::now();
-    let mut workers: Vec<WorkerConn> = Vec::new();
-    let mut https: Vec<HttpConn> = Vec::new();
-    // Handshakes ever completed (monotonic): the `expect` quorum counts
-    // workers that joined, not workers still alive — a crashed worker
-    // must not re-raise the gate on everyone else.
-    let mut joined_total = 0usize;
-    let mut poll = PollSet::new();
-
-    loop {
-        if state.stop() || signals.aborted() {
-            break;
-        }
-
-        // Supervision hook (self-spawned worker watcher, folded into
-        // the loop instead of owning a thread).
-        if let Some(watch) = supervise.as_mut() {
-            if last_supervise.elapsed() >= READ_TICK {
-                last_supervise = Instant::now();
-                if let Some(reason) = watch() {
-                    signals.abort(&reason);
-                    break;
-                }
-            }
-        }
-
-        // Lease issue: idle handshaked workers get fresh pending work,
-        // or the overdue remainder of a stalled lease (straggler
-        // re-issue).
-        let now = Instant::now();
-        let quorum_open = joined_total >= opts.expect || started.elapsed() >= opts.lease_timeout;
-        if quorum_open {
-            for conn in workers.iter_mut() {
-                if conn.dead.is_some() || conn.phase != WorkerPhase::Ready {
-                    continue;
-                }
-                let Some(lease) = state.table.grab(now) else { break };
-                conn.lease = Some(ActiveLease { id: lease.id, issued: now });
-                conn.out.queue_frame(&Frame::Lease { id: lease.id, indices: lease.indices });
-                conn.phase = WorkerPhase::Streaming;
-            }
-        }
-
-        // Declare interest, then block until something is ready (or a
-        // tick passes — deadlines and supervision still need to run).
-        poll.clear();
-        let listener_slot = poll.register(listener_fd(listener), true, false);
-        let control_slot = http.map(|l| poll.register(listener_fd(l), true, false));
-        let worker_slots: Vec<usize> = workers
-            .iter()
-            .map(|c| poll.register(stream_fd(&c.stream), true, c.out.pending()))
-            .collect();
-        let http_slots: Vec<usize> = https
-            .iter()
-            .map(|c| poll.register(stream_fd(&c.stream), !c.responded, c.out.pending()))
-            .collect();
-        if let Err(e) = poll.poll(READ_TICK) {
-            state.fatal.get_or_insert(ExecutorError::io("readiness poll failed", e));
-            break;
-        }
-
-        // Accept workers.
-        if poll.readable(listener_slot) {
-            loop {
-                match listener.accept() {
-                    Ok((stream, peer)) => {
-                        let peer = peer.to_string();
-                        let hello = Frame::Hello { campaign: Some(header.clone()), fingerprint };
-                        let deadline = Instant::now() + HANDSHAKE_DEADLINE;
-                        match WorkerConn::start(stream, peer.clone(), &hello, deadline) {
-                            Ok(conn) => workers.push(conn),
-                            Err(e) => eprintln!("[serve: worker {peer} dropped: {e}]"),
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => {
-                        state.fatal.get_or_insert(ExecutorError::io("campaign listener failed", e));
-                        break;
-                    }
-                }
-            }
-        }
-
-        // Accept control-plane clients.
-        if let (Some(control), Some(slot)) = (http, control_slot) {
-            if poll.readable(slot) {
-                loop {
-                    match control.accept() {
-                        Ok((stream, _)) => {
-                            if let Ok(conn) = HttpConn::start(stream) {
-                                https.push(conn);
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        // Control-plane trouble never dooms the campaign.
-                        Err(_) => break,
-                    }
-                }
-            }
-        }
-
-        // Worker I/O: flush queued frames, then process arrived ones.
-        // Only the registered prefix — connections accepted *this*
-        // iteration have no poll slot until the next tick.
-        for (at, conn) in workers.iter_mut().take(worker_slots.len()).enumerate() {
-            if state.fatal.is_some() {
-                break;
-            }
-            if conn.dead.is_some() {
-                continue;
-            }
-            if conn.out.pending() && poll.writable(worker_slots[at]) {
-                if let Err(e) = conn.out.flush(&mut conn.stream) {
-                    conn.kill(e.to_string());
-                    continue;
-                }
-            }
-            if !poll.readable(worker_slots[at]) {
-                continue;
-            }
-            let eof = match conn.fill() {
-                Ok(more) => !more,
-                Err(e) => {
-                    conn.kill(e.to_string());
-                    continue;
-                }
-            };
-            while let Some(line) = conn.inbuf.next_line() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let frame = match Frame::parse(&line) {
-                    Ok(frame) => frame,
-                    Err(e) => {
-                        conn.kill(e.to_string());
-                        break;
-                    }
-                };
-                match (conn.phase, frame) {
-                    (WorkerPhase::Handshake { .. }, Frame::Hello { fingerprint: echoed, .. }) => {
-                        if echoed == fingerprint {
-                            conn.phase = WorkerPhase::Ready;
-                            joined_total += 1;
-                            eprintln!(
-                                "[serve: worker {} joined ({joined_total} connected)]",
-                                conn.peer
-                            );
-                        } else {
-                            // A worker that planned a different campaign
-                            // is fatal: it means mismatched binaries or
-                            // options somewhere in the fleet, and every
-                            // result it would send is suspect.
-                            state.fatal.get_or_insert(ExecutorError::PlanDrift {
-                                index: 0,
-                                detail: format!(
-                                    "worker {} planned campaign fingerprint {echoed:016x}, \
-                                     coordinator planned {fingerprint:016x} (mismatched binaries \
-                                     or options)",
-                                    conn.peer
-                                ),
-                            });
-                        }
-                    }
-                    (WorkerPhase::Streaming, Frame::Record(record)) => {
-                        conn.records += 1;
-                        let index = record.index;
-                        match state.admit(specs, *record, true) {
-                            Ok(true) => {
-                                if let Some(cache) = cache {
-                                    let result = state.slots[index]
-                                        .as_ref()
-                                        .expect("admitted slot is filled");
-                                    match cache.store(specs[index], result) {
-                                        Ok(()) => cache_stores += 1,
-                                        Err(e) => eprintln!(
-                                            "[serve: warning: cannot cache result {index}: {e}]"
-                                        ),
-                                    }
-                                }
-                            }
-                            Ok(false) => {}
-                            Err(e) => {
-                                state.fatal.get_or_insert(e);
-                            }
-                        }
-                    }
-                    (WorkerPhase::Streaming, Frame::Done) => {
-                        // Lease acknowledged. Belt and braces: a worker
-                        // may acknowledge without covering every index;
-                        // anything unfilled goes back in the queue.
-                        if let Some(active) = conn.lease.take() {
-                            let requeued = state.table.release(active.id);
-                            if requeued > 0 {
-                                eprintln!(
-                                    "[serve: re-queued {requeued} index(es) from worker {}]",
-                                    conn.peer
-                                );
-                            }
-                        }
-                        conn.leases_done += 1;
-                        conn.phase = WorkerPhase::Ready;
-                    }
-                    (WorkerPhase::Closing, _) => {} // late straggler frames; campaign is over
-                    (_, frame) => conn.kill(format!("unexpected frame {frame:?}")),
-                }
-                if state.fatal.is_some() || conn.dead.is_some() {
-                    break;
-                }
-            }
-            if eof {
-                conn.kill("connection closed");
-            }
-        }
-
-        // Sweep dead and deadline-blown workers, re-queueing their
-        // in-flight leases so the campaign never loses work to a crash.
-        let now = Instant::now();
-        let table = &mut state.table;
-        workers.retain_mut(|conn| {
-            if conn.dead.is_none() {
-                if let WorkerPhase::Handshake { deadline } = conn.phase {
-                    if now >= deadline {
-                        conn.kill("no hello before deadline");
-                    }
-                }
-            }
-            let Some(reason) = conn.dead.take() else { return true };
-            if let Some(active) = conn.lease.take() {
-                let requeued = table.release(active.id);
-                if requeued > 0 {
-                    eprintln!("[serve: re-queued {requeued} index(es) from worker {}]", conn.peer);
-                }
-            }
-            eprintln!("[serve: worker {} dropped: {reason}]", conn.peer);
-            false
-        });
-
-        // HTTP control plane: one request, one response, close. As
-        // above, only the prefix registered before this poll.
-        for (at, conn) in https.iter_mut().take(http_slots.len()).enumerate() {
-            if conn.dead {
-                continue;
-            }
-            if conn.out.pending()
-                && poll.writable(http_slots[at])
-                && conn.out.flush(&mut conn.stream).is_err()
-            {
-                conn.dead = true;
-                continue;
-            }
-            if !conn.responded && poll.readable(http_slots[at]) {
-                let eof = match conn.fill() {
-                    Ok(more) => !more,
-                    Err(_) => {
-                        conn.dead = true;
-                        continue;
-                    }
-                };
-                match http::parse_request(&conn.inbuf) {
-                    http::Parse::Incomplete => {
-                        if eof {
-                            conn.dead = true; // hung up mid-request
-                        }
-                    }
-                    http::Parse::Ready(req) => {
-                        let response = if req.method != "GET" {
-                            http::respond(
-                                405,
-                                "Method Not Allowed",
-                                "text/plain",
-                                "only GET is supported\n",
-                            )
-                        } else {
-                            match req.path() {
-                                "/healthz" => http::json_ok("{\"status\": \"ok\"}\n"),
-                                "/status" => http::json_ok(&status_json(
-                                    header,
-                                    fingerprint,
-                                    &state,
-                                    &workers,
-                                    joined_total,
-                                    started,
-                                    replayed,
-                                    cached,
-                                )),
-                                _ => http::respond(
-                                    404,
-                                    "Not Found",
-                                    "text/plain",
-                                    "unknown path; try /status or /healthz\n",
-                                ),
-                            }
-                        };
-                        conn.out.queue_bytes(&response);
-                        conn.responded = true;
-                        if conn.out.flush(&mut conn.stream).is_err() {
-                            conn.dead = true;
-                        }
-                    }
-                    http::Parse::Invalid(detail) => {
-                        let body = format!("{detail}\n");
-                        conn.out.queue_bytes(&http::respond(
-                            400,
-                            "Bad Request",
-                            "text/plain",
-                            &body,
-                        ));
-                        conn.responded = true;
-                        if conn.out.flush(&mut conn.stream).is_err() {
-                            conn.dead = true;
-                        }
-                    }
-                    http::Parse::TooLarge(detail) => {
-                        let body = format!("{detail}\n");
-                        conn.out.queue_bytes(&http::respond(
-                            413,
-                            "Payload Too Large",
-                            "text/plain",
-                            &body,
-                        ));
-                        conn.responded = true;
-                        if conn.out.flush(&mut conn.stream).is_err() {
-                            conn.dead = true;
-                        }
-                    }
-                }
-            }
-            if conn.responded && !conn.out.pending() {
-                conn.dead = true; // response fully sent: close
-            }
-        }
-        https.retain(|c| !c.dead && c.opened.elapsed() < HTTP_CLIENT_WINDOW);
-    }
-
-    // Wind-down: tell every handshaked worker the campaign is over, and
-    // give backpressured sockets a bounded window to drain.
-    if state.fatal.is_none() && !signals.aborted() && state.table.complete() {
-        for conn in workers.iter_mut() {
-            if conn.dead.is_none() && !matches!(conn.phase, WorkerPhase::Handshake { .. }) {
-                conn.out.queue_frame(&Frame::Done);
-                conn.phase = WorkerPhase::Closing;
-            }
-        }
-        let deadline = Instant::now() + DRAIN_WINDOW;
-        while Instant::now() < deadline {
-            let unsent = workers.iter().any(|c| c.dead.is_none() && c.out.pending())
-                || https.iter().any(|c| !c.dead && c.out.pending());
-            if !unsent {
-                break;
-            }
-            poll.clear();
-            let worker_slots: Vec<usize> = workers
-                .iter()
-                .map(|c| {
-                    poll.register(stream_fd(&c.stream), false, c.dead.is_none() && c.out.pending())
-                })
-                .collect();
-            let http_slots: Vec<usize> = https
-                .iter()
-                .map(|c| poll.register(stream_fd(&c.stream), false, !c.dead && c.out.pending()))
-                .collect();
-            if poll.poll(READ_TICK).is_err() {
-                break;
-            }
-            for (at, conn) in workers.iter_mut().enumerate() {
-                if conn.dead.is_none()
-                    && conn.out.pending()
-                    && poll.writable(worker_slots[at])
-                    && conn.out.flush(&mut conn.stream).is_err()
-                {
-                    conn.kill("closed during wind-down");
-                }
-            }
-            for (at, conn) in https.iter_mut().enumerate() {
-                if !conn.dead
-                    && conn.out.pending()
-                    && poll.writable(http_slots[at])
-                    && conn.out.flush(&mut conn.stream).is_err()
-                {
-                    conn.dead = true;
-                }
-            }
-        }
-    }
-    signals.mark_finished();
-
-    if let Some(e) = state.fatal {
-        return Err(e);
-    }
-    if !state.table.complete() {
-        return Err(ExecutorError::Transport { detail: signals.abort_reason() });
-    }
-    if let Some(writer) = &mut state.journal {
-        // The campaign is complete and its results are in memory; a
-        // failed final sync only weakens the (now redundant) journal,
-        // so it warns instead of discarding a finished campaign.
-        if let Err(e) = writer.sync() {
-            eprintln!("[serve: warning: cannot sync the campaign journal: {e}]");
-        }
-    }
-    if let Some(cache) = cache {
-        let session = crate::cache::CacheSession::now(
-            "distributed",
-            cache_lookups,
-            cached as u64,
-            cache_stores,
-        );
-        if let Err(e) = cache.record_session(&session) {
-            eprintln!("[serve: warning: cannot record the cache session: {e}]");
-        }
-    }
-    Ok(state
-        .slots
-        .into_iter()
-        .map(|slot| slot.expect("complete table implies full slots"))
-        .collect())
-}
-
-/// Renders the `/status` document: campaign identity, progress
-/// counters (cache pre-fills included), the per-worker roster, and the
-/// journal position.
-#[allow(clippy::too_many_arguments)] // one render site; a struct would only move the list
-fn status_json(
-    header: &CampaignHeader,
-    fingerprint: u64,
-    state: &ServeState,
-    workers: &[WorkerConn],
-    joined_total: usize,
-    started: Instant,
-    replayed: usize,
-    cached: usize,
-) -> String {
-    let (completed, leased, pending) = state.table.counts();
-    let scenarios: Vec<String> =
-        header.scenarios.iter().map(|s| format!("\"{}\"", json::escape(s))).collect();
-    let roster = worker_roster_json(workers);
-    let journal = state.journal.as_ref().map_or("null".to_string(), |writer| {
-        let (records, bytes) = writer.position();
-        format!("{{\"records\": {records}, \"replayed\": {replayed}, \"bytes\": {bytes}}}")
-    });
-    format!(
-        "{{\"schema\": \"rfcache-coordinator/v1\", \"fingerprint\": \"{fingerprint:016x}\", \
-         \"scenarios\": [{}], \"runs\": {}, \"completed\": {completed}, \"leased\": {leased}, \
-         \"pending\": {pending}, \"cached\": {cached}, \"complete\": {}, \"elapsed_secs\": {:.3}, \
-         \"workers_joined\": {joined_total}, \"workers_connected\": {}, \"workers\": [{}], \
-         \"journal\": {journal}}}\n",
-        scenarios.join(", "),
-        state.slots.len(),
-        state.table.complete(),
-        started.elapsed().as_secs_f64(),
-        workers.iter().filter(|c| c.dead.is_none()).count(),
-        roster.join(", ")
-    )
-}
-
-/// Renders the per-worker roster entries shared by the single-campaign
-/// `/status` document and the multi-campaign service's status pages.
-pub(crate) fn worker_roster_json(workers: &[WorkerConn]) -> Vec<String> {
-    workers
-        .iter()
-        .map(|conn| {
-            let phase = match conn.phase {
-                WorkerPhase::Handshake { .. } => "handshake",
-                WorkerPhase::Ready => "ready",
-                WorkerPhase::Streaming => "streaming",
-                WorkerPhase::Closing => "closing",
-            };
-            let lease_age = conn.lease.map_or("null".to_string(), |lease| {
-                format!("{:.3}", lease.issued.elapsed().as_secs_f64())
-            });
-            format!(
-                "{{\"peer\": \"{}\", \"phase\": \"{phase}\", \"leases\": {}, \
-                 \"records\": {}, \"lease_age_secs\": {lease_age}}}",
-                json::escape(&conn.peer),
-                conn.leases_done,
-                conn.records
-            )
-        })
-        .collect()
-}
-
-fn send_line(stream: &mut TcpStream, frame: &Frame) -> io::Result<()> {
+pub(crate) fn send_line(stream: &mut TcpStream, frame: &Frame) -> io::Result<()> {
     let mut line = frame.to_line();
     line.push('\n');
     stream.write_all(line.as_bytes())
 }
 
-/// Reads frames until `want` matches, honoring the read-timeout tick so
-/// shutdown signals are never missed. `stop` is re-checked on every
-/// frame boundary and read tick — a handler blocked on a slow peer must
-/// notice a fatal error elsewhere promptly, not after its full deadline
-/// (the coordinator's handshake deadline is 30s; wedging the serve
-/// scope that long on an already-doomed campaign is the bug this
-/// guards against). `None` = the deadline passed or `stop` fired.
-fn read_frame(
+/// Reads the next frame from a blocking stream with a read timeout,
+/// re-checking `deadline` on every read tick. `None` = the deadline
+/// passed before a complete frame arrived.
+pub(crate) fn read_frame(
     stream: &mut TcpStream,
     buf: &mut LineBuffer,
     deadline: Instant,
-    stop: &dyn Fn() -> bool,
 ) -> io::Result<Option<Frame>> {
     let mut scratch = [0u8; 16 * 1024];
     loop {
@@ -1210,7 +489,7 @@ fn read_frame(
                 .map(Some)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
         }
-        if Instant::now() >= deadline || stop() {
+        if Instant::now() >= deadline {
             return Ok(None);
         }
         match stream.read(&mut scratch) {
@@ -1265,7 +544,7 @@ pub struct WorkSummary {
 }
 
 /// Runs the worker half of a distributed campaign: connects to a
-/// [`serve`] coordinator, re-derives the campaign plan from the `hello`
+/// coordinator ([`crate::service::serve_service`]), re-derives the campaign plan from the `hello`
 /// frame, then simulates leases until the coordinator says `done`.
 ///
 /// # Errors
@@ -1277,7 +556,7 @@ pub fn work(addr: &str, opts: &WorkOptions) -> Result<WorkSummary, String> {
     let read_err = |e: io::Error| format!("coordinator {addr}: {e}");
 
     // Handshake: campaign in, our fingerprint of the re-derived plan
-    // out. A multi-campaign service that has nothing to lease answers
+    // out. A coordinator that has nothing to lease answers
     // with `retry` instead of a hello — back off and reconnect until a
     // campaign is being served or the connect window runs out (the
     // window that used to cover only the initial connect now covers
@@ -1289,10 +568,9 @@ pub fn work(addr: &str, opts: &WorkOptions) -> Result<WorkSummary, String> {
         let mut stream = connect_retry(addr, window)?;
         stream.set_nodelay(true).ok();
         let mut buf = LineBuffer::new();
-        let first =
-            read_frame(&mut stream, &mut buf, Instant::now() + HANDSHAKE_DEADLINE, &|| false)
-                .map_err(read_err)?
-                .ok_or_else(|| format!("coordinator {addr}: no hello before deadline"))?;
+        let first = read_frame(&mut stream, &mut buf, Instant::now() + HANDSHAKE_DEADLINE)
+            .map_err(read_err)?
+            .ok_or_else(|| format!("coordinator {addr}: no hello before deadline"))?;
         match first {
             Frame::Hello { campaign: Some(header), fingerprint } => {
                 break (stream, buf, header, fingerprint)
@@ -1350,8 +628,7 @@ pub fn work(addr: &str, opts: &WorkOptions) -> Result<WorkSummary, String> {
 
     let mut summary = WorkSummary { leases: 0, simulated: 0, quit_injected: false };
     loop {
-        let frame = read_frame(&mut stream, &mut buf, Instant::now() + READ_TICK, &|| false)
-            .map_err(read_err);
+        let frame = read_frame(&mut stream, &mut buf, Instant::now() + READ_TICK).map_err(read_err);
         let frame = match frame {
             Ok(Some(frame)) => frame,
             Ok(None) => continue, // idle: coordinator is waiting on other workers
@@ -1423,7 +700,6 @@ fn connect_retry(addr: &str, window: Duration) -> Result<TcpStream, String> {
 mod tests {
     use super::*;
     use crate::experiments::ExperimentOpts;
-    use rfcache_core::{RegFileConfig, SingleBankConfig};
     use rfcache_pipeline::SimMetrics;
 
     #[test]
@@ -1576,52 +852,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_drift_from_one_worker_unblocks_the_serve_scope_promptly() {
-        let specs: Vec<RunSpec> = ["li", "go"]
-            .iter()
-            .map(|b| {
-                RunSpec::known(b, RegFileConfig::Single(SingleBankConfig::one_cycle()))
-                    .insts(1_000)
-                    .warmup(200)
-            })
-            .collect();
-        let refs: Vec<&RunSpec> = specs.iter().collect();
-        let header =
-            CampaignHeader::new(vec!["x".into()], &ExperimentOpts::smoke(), 0, 1, refs.len());
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let signals = ServeSignals::new();
-        let start = Instant::now();
-        let result = std::thread::scope(|scope| {
-            let coordinator = scope.spawn(|| {
-                serve(&listener, &header, &refs, &ServeOptions::default(), &signals, None)
-            });
-            // An idle client that never sends its hello: without the
-            // frame-boundary stop check, its handler would pin the
-            // serve scope for the full 30s handshake deadline after
-            // the drift below.
-            let idle = TcpStream::connect(addr).unwrap();
-            std::thread::sleep(Duration::from_millis(200));
-            let mut drifter = TcpStream::connect(addr).unwrap();
-            let mut line = Frame::Hello { campaign: None, fingerprint: 0xbad }.to_line();
-            line.push('\n');
-            drifter.write_all(line.as_bytes()).unwrap();
-            let result = coordinator.join().expect("serve does not panic");
-            drop(idle);
-            result
-        });
-        let elapsed = start.elapsed();
-        match result {
-            Err(ExecutorError::PlanDrift { .. }) => {}
-            other => panic!("expected plan drift, got {other:?}"),
-        }
-        assert!(
-            elapsed < Duration::from_secs(10),
-            "a fatal error must unblock pending handshakes promptly, took {elapsed:?}"
-        );
-    }
-
-    #[test]
     fn lease_table_counts_always_sum_to_the_plan() {
         let t0 = Instant::now();
         let mut table = LeaseTable::new(5, 2, Duration::from_secs(60));
@@ -1640,92 +870,6 @@ mod tests {
         }
         assert_eq!(table.counts(), (5, 0, 0));
         assert!(table.complete());
-    }
-
-    #[test]
-    fn serve_with_answers_http_while_coordinating() {
-        let specs: Vec<RunSpec> = ["li", "go"]
-            .iter()
-            .map(|b| {
-                RunSpec::known(b, RegFileConfig::Single(SingleBankConfig::one_cycle()))
-                    .insts(1_000)
-                    .warmup(200)
-            })
-            .collect();
-        let refs: Vec<&RunSpec> = specs.iter().collect();
-        let header =
-            CampaignHeader::new(vec!["x".into()], &ExperimentOpts::smoke(), 0, 1, refs.len());
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let control = TcpListener::bind("127.0.0.1:0").unwrap();
-        let control_addr = control.local_addr().unwrap().to_string();
-        let signals = ServeSignals::new();
-        let fingerprint = campaign_fingerprint(&refs);
-        let timeout = Duration::from_secs(5);
-
-        let results = std::thread::scope(|scope| {
-            let coordinator = scope.spawn(|| {
-                serve_with(ServeConfig {
-                    listener: &listener,
-                    http: Some(&control),
-                    header: &header,
-                    specs: &refs,
-                    opts: &ServeOptions::default(),
-                    signals: &signals,
-                    journal: None,
-                    cache: None,
-                    supervise: None,
-                })
-            });
-
-            // The control plane answers before any worker has joined.
-            let (code, body) = http::get(&control_addr, "/healthz", timeout).unwrap();
-            assert_eq!(code, 200);
-            assert!(body.contains("\"ok\""), "{body}");
-            let (code, body) = http::get(&control_addr, "/status", timeout).unwrap();
-            assert_eq!(code, 200);
-            assert!(body.contains("\"runs\": 2"), "{body}");
-            assert!(body.contains("\"completed\": 0"), "{body}");
-            assert!(body.contains("\"pending\": 2"), "{body}");
-            assert!(body.contains("\"journal\": null"), "{body}");
-            assert!(body.contains(&format!("\"fingerprint\": \"{fingerprint:016x}\"")), "{body}");
-            let (code, _) = http::get(&control_addr, "/nope", timeout).unwrap();
-            assert_eq!(code, 404, "unknown paths 404");
-
-            // A scripted worker runs the whole lease protocol by hand.
-            let mut stream = TcpStream::connect(addr).unwrap();
-            stream.set_read_timeout(Some(READ_TICK)).unwrap();
-            let mut buf = LineBuffer::new();
-            let deadline = Instant::now() + Duration::from_secs(30);
-            let first = read_frame(&mut stream, &mut buf, deadline, &|| false).unwrap().unwrap();
-            let Frame::Hello { campaign: Some(_), fingerprint: announced } = first else {
-                panic!("expected hello with campaign, got {first:?}");
-            };
-            assert_eq!(announced, fingerprint);
-            send_line(&mut stream, &Frame::Hello { campaign: None, fingerprint }).unwrap();
-            loop {
-                let frame =
-                    read_frame(&mut stream, &mut buf, deadline, &|| false).unwrap().unwrap();
-                match frame {
-                    Frame::Lease { indices, .. } => {
-                        for &i in &indices {
-                            let result = refs[i].run();
-                            let record =
-                                ShardRecord::from_result(i, refs[i].fingerprint(), &result);
-                            send_line(&mut stream, &Frame::Record(Box::new(record))).unwrap();
-                        }
-                        send_line(&mut stream, &Frame::Done).unwrap();
-                    }
-                    Frame::Done => break,
-                    other => panic!("unexpected frame {other:?}"),
-                }
-            }
-            coordinator.join().expect("serve does not panic")
-        })
-        .unwrap();
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].bench, "li");
-        assert_eq!(results[1].bench, "go");
     }
 
     #[test]

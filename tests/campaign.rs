@@ -4,7 +4,7 @@
 //! yield one well-formed file per scenario.
 
 use rfcache_repro::prelude::*;
-use rfcache_sim::{run_campaign, scenario, write_csv, write_json};
+use rfcache_sim::{run_campaign, scenario, write_csv, write_json, Registry};
 use std::path::Path;
 
 /// ≥3 scenarios of different shapes: a multi-batch sweep (fig1), a
@@ -14,7 +14,8 @@ const MIXED: [&str; 4] = ["fig1", "fig6", "readstats", "table2"];
 
 #[test]
 fn campaign_reports_are_byte_identical_to_sequential_runs() {
-    let scenarios: Vec<&Scenario> = MIXED.iter().map(|n| scenario::find(n).unwrap()).collect();
+    let registry = Registry::builtin();
+    let scenarios: Vec<&Scenario> = MIXED.iter().map(|n| registry.find(n).unwrap()).collect();
     for jobs in [1usize, 4] {
         let opts = ExperimentOpts::smoke().with_jobs(jobs);
         let campaign = run_campaign(&scenarios, &opts);
@@ -45,7 +46,8 @@ fn campaign_reports_are_byte_identical_to_sequential_runs() {
 
 #[test]
 fn campaign_plans_flatten_and_route_back_by_index() {
-    let scenarios: Vec<&Scenario> = MIXED.iter().map(|n| scenario::find(n).unwrap()).collect();
+    let registry = Registry::builtin();
+    let scenarios: Vec<&Scenario> = MIXED.iter().map(|n| registry.find(n).unwrap()).collect();
     let opts = ExperimentOpts::smoke();
     let per_scenario: Vec<usize> = scenarios.iter().map(|s| s.plan(&opts).len()).collect();
     // table2 plans nothing; the sweeps plan plenty — the campaign size is
@@ -72,7 +74,8 @@ fn assert_wellformed_json(path: &Path, name: &str) {
 
 #[test]
 fn exports_write_one_wellformed_file_per_registered_scenario() {
-    let all: Vec<&Scenario> = scenario::registry().iter().collect();
+    let registry = Registry::builtin();
+    let all: Vec<&Scenario> = registry.iter().collect();
     let opts = ExperimentOpts::smoke();
     let reports = run_campaign(&all, &opts);
 

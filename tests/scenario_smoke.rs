@@ -3,7 +3,7 @@
 //! non-empty rendering.
 
 use rfcache_sim::experiments::ExperimentOpts;
-use rfcache_sim::scenario;
+use rfcache_sim::Registry;
 
 #[test]
 fn every_registered_scenario_runs_to_completion() {
@@ -22,11 +22,12 @@ fn every_registered_scenario_runs_to_completion() {
         "onelevel",
         "sources",
     ];
-    let names: Vec<&str> = scenario::registry().iter().map(|s| s.name.as_str()).collect();
+    let registry = Registry::builtin();
+    let names: Vec<&str> = registry.iter().map(|s| s.name.as_str()).collect();
     assert_eq!(names, expected, "registry must cover the paper's 13 experiments in run order");
 
     let opts = ExperimentOpts::smoke();
-    for s in scenario::registry() {
+    for s in registry.iter() {
         let report = s.run(&opts);
 
         let series = report.series();
@@ -53,7 +54,9 @@ fn every_registered_scenario_runs_to_completion() {
 #[test]
 fn explicit_jobs_do_not_change_results() {
     // The engine must be deterministic whatever the worker count.
-    let serial = scenario::find("fig6").unwrap().run(&ExperimentOpts::smoke().with_jobs(1));
-    let parallel = scenario::find("fig6").unwrap().run(&ExperimentOpts::smoke().with_jobs(4));
+    let registry = Registry::builtin();
+    let fig6 = registry.find("fig6").unwrap();
+    let serial = fig6.run(&ExperimentOpts::smoke().with_jobs(1));
+    let parallel = fig6.run(&ExperimentOpts::smoke().with_jobs(4));
     assert_eq!(serial.series(), parallel.series());
 }
