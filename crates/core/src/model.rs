@@ -300,8 +300,8 @@ pub trait RegFileModel: Send {
     /// fetch policy is prefetch-first-pair).
     fn request_prefetch(&mut self, preg: PhysReg, now: Cycle);
 
-    /// The physical register was freed (its instruction squashed or its
-    /// renaming superseded at commit); the model clears all state for it.
+    /// The physical register was freed (its renaming superseded at
+    /// commit); the model clears all state for it.
     fn on_free(&mut self, preg: PhysReg);
 
     /// The caching policy (for reporting).

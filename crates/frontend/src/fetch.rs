@@ -33,8 +33,8 @@ impl Default for FetchConfig {
     }
 }
 
-/// One fetched instruction, annotated with prediction information the back
-/// end needs for recovery.
+/// One fetched instruction, annotated with the prediction outcome the back
+/// end needs to restart fetch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchedInst {
     /// The trace instruction.
@@ -221,11 +221,6 @@ impl<I: Iterator<Item = TraceInst>> FetchUnit<I> {
     /// Fetch statistics.
     pub fn stats(&self) -> &FetchStats {
         &self.stats
-    }
-
-    /// The direction predictor (for misprediction-rate reporting).
-    pub fn predictor(&self) -> &Gshare {
-        &self.predictor
     }
 }
 

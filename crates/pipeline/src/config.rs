@@ -33,7 +33,8 @@ pub struct PipelineConfig {
     pub dcache: CacheConfig,
     /// Outstanding data-cache misses.
     pub mshrs: usize,
-    /// Maximum unresolved branches in flight (RAT checkpoints).
+    /// Maximum branches dispatched and not yet committed; dispatch stalls
+    /// at the limit.
     pub max_branches: usize,
     /// Record the Figure 3 register-occupancy distributions (adds a
     /// per-cycle window scan; enable only for that experiment).

@@ -4,9 +4,9 @@
 //! decode/rename, register read, execute, write-back, commit — 8-wide at
 //! every stage, with a 128-entry instruction window, register renaming
 //! over 128 physical registers per class, a 64-entry load/store queue with
-//! store→load forwarding, the functional-unit pools of Table 1, and
-//! branch-resolution-time misprediction recovery via register alias table
-//! checkpoints.
+//! store→load forwarding, and the functional-unit pools of Table 1. The
+//! simulation is trace-driven: fetch stops at a mispredicted branch and
+//! restarts once it resolves, so no wrong-path instruction enters the core.
 //!
 //! The register read stage is delegated to a [`rfcache_core::RegFileModel`]
 //! (one per register class), which is where the three compared register

@@ -2,7 +2,6 @@
 //! store→load forwarding and conservative load scheduling ("loads may
 //! execute when prior store addresses are known", Table 1).
 
-use crate::rob::SlotId;
 use rfcache_isa::InstSeq;
 
 /// Word granularity used for forwarding/alias checks (8-byte words).
@@ -10,7 +9,6 @@ const WORD_SHIFT: u32 = 3;
 
 #[derive(Debug, Clone, Copy)]
 struct LsqEntry {
-    slot: SlotId,
     seq: InstSeq,
     is_store: bool,
     addr: u64,
@@ -37,15 +35,11 @@ pub enum StoreSearch {
 /// # Examples
 ///
 /// ```
-/// use rfcache_pipeline::{Lsq, StoreSearch, SlotId, Rob};
-/// use rfcache_isa::{ArchReg, OpClass, TraceInst};
+/// use rfcache_pipeline::{Lsq, StoreSearch};
 ///
-/// let mut rob = Rob::new(4);
 /// let mut lsq = Lsq::new(8);
-/// let st = rob.push(0, TraceInst::store(ArchReg::int(1), ArchReg::int(2), 0x100, 0));
-/// let ld = rob.push(1, TraceInst::load(ArchReg::int(3), ArchReg::int(2), 0x100, 4));
-/// lsq.insert(st, 0, true, 0x100);
-/// lsq.insert(ld, 1, false, 0x100);
+/// lsq.insert(0, true, 0x100); // store
+/// lsq.insert(1, false, 0x100); // load
 /// assert!(!lsq.prior_store_addresses_known(1)); // store not issued yet
 /// lsq.store_address_ready(0);
 /// assert_eq!(lsq.search_older_stores(1, 0x100), StoreSearch::MustWait);
@@ -93,19 +87,12 @@ impl Lsq {
     ///
     /// Panics if the queue is full or `seq` is not monotonically
     /// increasing.
-    pub fn insert(&mut self, slot: SlotId, seq: InstSeq, is_store: bool, addr: u64) {
+    pub fn insert(&mut self, seq: InstSeq, is_store: bool, addr: u64) {
         assert!(!self.is_full(), "LSQ overflow: check is_full() before insert");
         if let Some(last) = self.entries.last() {
             assert!(last.seq < seq, "LSQ inserts must follow program order");
         }
-        self.entries.push(LsqEntry {
-            slot,
-            seq,
-            is_store,
-            addr,
-            addr_known: false,
-            data_ready: false,
-        });
+        self.entries.push(LsqEntry { seq, is_store, addr, addr_known: false, data_ready: false });
     }
 
     fn position(&self, seq: InstSeq) -> Option<usize> {
@@ -156,38 +143,18 @@ impl Lsq {
             self.entries.remove(i);
         }
     }
-
-    /// Removes every entry younger than `seq` (misprediction squash).
-    pub fn squash_younger(&mut self, seq: InstSeq) {
-        self.entries.retain(|e| e.seq <= seq);
-    }
-
-    /// Handle of the entry with sequence `seq`, if present.
-    pub fn slot_of(&self, seq: InstSeq) -> Option<SlotId> {
-        self.position(seq).map(|i| self.entries[i].slot)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rob::Rob;
-    use rfcache_isa::{ArchReg, TraceInst};
-
-    fn ids(n: usize) -> Vec<SlotId> {
-        let mut rob = Rob::new(n);
-        (0..n)
-            .map(|i| rob.push(i as u64, TraceInst::load(ArchReg::int(1), ArchReg::int(2), 0, 0)))
-            .collect()
-    }
 
     #[test]
     fn load_waits_for_unknown_store_addresses() {
-        let s = ids(3);
         let mut lsq = Lsq::new(8);
-        lsq.insert(s[0], 0, true, 0x40);
-        lsq.insert(s[1], 1, true, 0x80);
-        lsq.insert(s[2], 2, false, 0x40);
+        lsq.insert(0, true, 0x40);
+        lsq.insert(1, true, 0x80);
+        lsq.insert(2, false, 0x40);
         assert!(!lsq.prior_store_addresses_known(2));
         lsq.store_address_ready(0);
         assert!(!lsq.prior_store_addresses_known(2));
@@ -197,11 +164,10 @@ mod tests {
 
     #[test]
     fn forwarding_from_nearest_older_store() {
-        let s = ids(4);
         let mut lsq = Lsq::new(8);
-        lsq.insert(s[0], 0, true, 0x100); // far store, same word
-        lsq.insert(s[1], 1, true, 0x100); // near store, same word
-        lsq.insert(s[2], 2, false, 0x104); // same 8-byte word as 0x100
+        lsq.insert(0, true, 0x100); // far store, same word
+        lsq.insert(1, true, 0x100); // near store, same word
+        lsq.insert(2, false, 0x104); // same 8-byte word as 0x100
         lsq.store_data_ready(0);
         lsq.store_address_ready(1); // near store: address only
         assert_eq!(lsq.search_older_stores(2, 0x104), StoreSearch::MustWait);
@@ -211,55 +177,50 @@ mod tests {
 
     #[test]
     fn no_conflict_when_addresses_differ() {
-        let s = ids(2);
         let mut lsq = Lsq::new(8);
-        lsq.insert(s[0], 0, true, 0x100);
-        lsq.insert(s[1], 1, false, 0x200);
+        lsq.insert(0, true, 0x100);
+        lsq.insert(1, false, 0x200);
         lsq.store_data_ready(0);
         assert_eq!(lsq.search_older_stores(1, 0x200), StoreSearch::NoConflict);
     }
 
     #[test]
     fn younger_stores_are_ignored() {
-        let s = ids(2);
         let mut lsq = Lsq::new(8);
-        lsq.insert(s[0], 0, false, 0x100);
-        lsq.insert(s[1], 1, true, 0x100);
+        lsq.insert(0, false, 0x100);
+        lsq.insert(1, true, 0x100);
         lsq.store_data_ready(1);
         assert_eq!(lsq.search_older_stores(0, 0x100), StoreSearch::NoConflict);
     }
 
     #[test]
-    fn squash_and_remove() {
-        let s = ids(3);
+    fn remove_retires_only_the_named_entry() {
         let mut lsq = Lsq::new(8);
-        lsq.insert(s[0], 0, true, 0x40);
-        lsq.insert(s[1], 1, false, 0x40);
-        lsq.insert(s[2], 2, false, 0x80);
-        lsq.squash_younger(1);
-        assert_eq!(lsq.len(), 2);
+        lsq.insert(0, true, 0x40);
+        lsq.insert(1, false, 0x40);
+        lsq.insert(2, false, 0x80);
+        assert!(!lsq.prior_store_addresses_known(1));
         lsq.remove(0);
-        assert_eq!(lsq.len(), 1);
-        assert!(lsq.slot_of(1).is_some());
-        assert!(lsq.slot_of(2).is_none());
+        assert_eq!(lsq.len(), 2);
+        assert!(lsq.prior_store_addresses_known(1), "the committed store no longer blocks");
+        lsq.remove(0);
+        assert_eq!(lsq.len(), 2, "removing an absent entry is a no-op");
     }
 
     #[test]
     #[should_panic(expected = "program order")]
     fn out_of_order_insert_rejected() {
-        let s = ids(2);
         let mut lsq = Lsq::new(8);
-        lsq.insert(s[0], 5, false, 0);
-        lsq.insert(s[1], 3, false, 0);
+        lsq.insert(5, false, 0);
+        lsq.insert(3, false, 0);
     }
 
     #[test]
     fn capacity() {
-        let s = ids(2);
         let mut lsq = Lsq::new(2);
-        lsq.insert(s[0], 0, false, 0);
+        lsq.insert(0, false, 0);
         assert!(!lsq.is_full());
-        lsq.insert(s[1], 1, false, 0);
+        lsq.insert(1, false, 0);
         assert!(lsq.is_full());
     }
 }

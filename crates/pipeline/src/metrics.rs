@@ -93,8 +93,6 @@ pub struct SimMetrics {
     pub branches: u64,
     /// Committed mispredicted branches.
     pub mispredicted: u64,
-    /// Squashed (wrong-path allocation) instructions.
-    pub squashed: u64,
     /// Cycles in which no instruction committed.
     pub commit_idle_cycles: u64,
     /// Dispatch stalls due to a full reorder buffer.

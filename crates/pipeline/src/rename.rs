@@ -1,5 +1,4 @@
-//! Register renaming: per-class register alias tables, free lists, and
-//! checkpoint/restore for branch misprediction recovery.
+//! Register renaming: per-class register alias tables and free lists.
 
 use rfcache_isa::{ArchReg, PhysReg, RegClass, ARCH_REGS_PER_CLASS};
 
@@ -24,7 +23,6 @@ use rfcache_isa::{ArchReg, PhysReg, RegClass, ARCH_REGS_PER_CLASS};
 pub struct RenameUnit {
     rat: [[PhysReg; 32]; 2],
     free: [Vec<PhysReg>; 2],
-    phys_regs: usize,
 }
 
 /// Result of allocating a destination register.
@@ -50,12 +48,7 @@ impl RenameUnit {
         assert!(phys_regs > arch, "need more physical than architectural registers");
         let identity = std::array::from_fn(|i| PhysReg::new(i as u16));
         let free_range = || (arch as u16..phys_regs as u16).rev().map(PhysReg::new).collect();
-        RenameUnit { rat: [identity; 2], free: [free_range(), free_range()], phys_regs }
-    }
-
-    /// Physical registers per class.
-    pub fn phys_regs(&self) -> usize {
-        self.phys_regs
+        RenameUnit { rat: [identity; 2], free: [free_range(), free_range()] }
     }
 
     /// Free physical registers currently available in `class`.
@@ -79,40 +72,13 @@ impl RenameUnit {
     }
 
     /// Returns a physical register to the free list (at commit of the
-    /// superseding instruction, or on squash of the allocating one).
+    /// superseding instruction).
     pub fn release(&mut self, class: RegClass, preg: PhysReg) {
         debug_assert!(
             !self.free[class.index()].contains(&preg),
             "double release of {preg} ({class})"
         );
         self.free[class.index()].push(preg);
-    }
-
-    /// Snapshots the RAT (taken at branch rename).
-    pub fn checkpoint(&self) -> Box<[[PhysReg; 32]; 2]> {
-        Box::new(self.rat)
-    }
-
-    /// Snapshots the RAT, reusing a retired snapshot buffer when one is
-    /// available instead of allocating.
-    pub fn checkpoint_into(
-        &self,
-        reuse: Option<Box<[[PhysReg; 32]; 2]>>,
-    ) -> Box<[[PhysReg; 32]; 2]> {
-        match reuse {
-            Some(mut buf) => {
-                *buf = self.rat;
-                buf
-            }
-            None => Box::new(self.rat),
-        }
-    }
-
-    /// Restores the RAT from a snapshot (misprediction recovery). The
-    /// physical registers allocated by squashed instructions must be
-    /// released separately via [`release`](Self::release).
-    pub fn restore(&mut self, snapshot: &[[PhysReg; 32]; 2]) {
-        self.rat = *snapshot;
     }
 
     /// All physical registers currently mapped by the RAT of `class`.
@@ -159,22 +125,6 @@ mod tests {
         assert!(r.allocate(ArchReg::int(1)).is_none());
         r.release(RegClass::Int, a.old_preg);
         assert!(r.allocate(ArchReg::int(1)).is_some());
-    }
-
-    #[test]
-    fn checkpoint_restore_roundtrip() {
-        let mut r = RenameUnit::new(64);
-        let cp = r.checkpoint();
-        let a = r.allocate(ArchReg::int(5)).unwrap();
-        let _ = r.allocate(ArchReg::fp(9)).unwrap();
-        assert_ne!(r.lookup(ArchReg::int(5)), PhysReg::new(5));
-        r.restore(&cp);
-        assert_eq!(r.lookup(ArchReg::int(5)), PhysReg::new(5));
-        assert_eq!(r.lookup(ArchReg::fp(9)), PhysReg::new(9));
-        // Squashed allocations are returned manually; the fp allocation is
-        // in a separate class, so the int free list is whole again.
-        r.release(RegClass::Int, a.new_preg);
-        assert_eq!(r.free_count(RegClass::Int), 64 - 32);
     }
 
     #[test]

@@ -18,9 +18,9 @@ pub enum Stage {
 
 /// A stable, generation-checked handle to a reorder-buffer entry.
 ///
-/// Events scheduled for future cycles hold `SlotId`s; if the instruction
-/// is squashed and the slot reused, the generation mismatch invalidates
-/// the stale event.
+/// Events and wakeup lists hold `SlotId`s; once the entry commits and its
+/// slot is reused, the generation mismatch marks any handle still held
+/// as stale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SlotId {
     pub(crate) index: u32,
@@ -45,16 +45,12 @@ pub struct InFlight {
     pub srcs: [Option<(RegClass, PhysReg)>; 2],
     /// Whether the front end mispredicted this branch.
     pub mispredicted: bool,
-    /// RAT snapshot taken at rename (branches only): `[class][arch index]`.
-    pub checkpoint: Option<Box<[[PhysReg; 32]; 2]>>,
     /// Cycle the instruction issued.
     pub issue_cycle: Option<Cycle>,
     /// Cycle the result was (or will be) produced.
     pub complete_cycle: Option<Cycle>,
     /// Cycle the result was written back.
     pub writeback_cycle: Option<Cycle>,
-    /// Whether a load has been granted its memory access (execute reached).
-    pub mem_started: bool,
 }
 
 impl InFlight {
@@ -67,11 +63,9 @@ impl InFlight {
             old_dst: None,
             srcs: [None, None],
             mispredicted: false,
-            checkpoint: None,
             issue_cycle: None,
             complete_cycle: None,
             writeback_cycle: None,
-            mem_started: false,
         }
     }
 
@@ -86,9 +80,8 @@ struct Slot {
     entry: Option<InFlight>,
 }
 
-/// The reorder buffer. Entries are appended in program order at dispatch,
-/// removed from the head at commit, and removed from the tail on
-/// misprediction squash.
+/// The reorder buffer. Entries are appended in program order at dispatch
+/// and removed from the head at commit.
 pub struct Rob {
     slots: Vec<Slot>,
     /// Indices into `slots`, in program order.
@@ -172,26 +165,6 @@ impl Rob {
         slot.entry.take()
     }
 
-    /// Removes every entry younger than `seq` (strictly greater sequence
-    /// number), returning them youngest-first with the handle each entry
-    /// had while alive — the misprediction squash.
-    pub fn squash_younger(&mut self, seq: InstSeq) -> Vec<(SlotId, InFlight)> {
-        let mut squashed = Vec::new();
-        while let Some(&index) = self.order.back() {
-            let slot = &mut self.slots[index as usize];
-            let entry_seq = slot.entry.as_ref().expect("ordered slot must be occupied").seq;
-            if entry_seq <= seq {
-                break;
-            }
-            self.order.pop_back();
-            let id = SlotId { index, gen: slot.gen };
-            slot.gen = slot.gen.wrapping_add(1);
-            self.free.push(index);
-            squashed.push((id, slot.entry.take().expect("checked above")));
-        }
-        squashed
-    }
-
     /// Iterates over live entries in program order.
     pub fn iter(&self) -> impl Iterator<Item = (SlotId, &InFlight)> + '_ {
         self.order.iter().map(|&index| {
@@ -238,20 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn squash_removes_younger_only() {
-        let mut rob = Rob::new(8);
-        let ids: Vec<_> = (0..5).map(|s| rob.push(s, inst())).collect();
-        let squashed = rob.squash_younger(2);
-        assert_eq!(squashed.len(), 2);
-        assert_eq!(squashed[0].1.seq, 4); // youngest first
-        assert_eq!(squashed[0].0, ids[4]); // carries the old handle
-        assert_eq!(squashed[1].1.seq, 3);
-        assert_eq!(rob.len(), 3);
-        assert!(rob.get(ids[2]).is_some());
-        assert!(rob.get(ids[3]).is_none());
-    }
-
-    #[test]
     fn capacity_enforced() {
         let mut rob = Rob::new(2);
         rob.push(0, inst());
@@ -277,19 +236,5 @@ mod tests {
         rob.push(3, inst());
         let seqs: Vec<_> = rob.iter().map(|(_, e)| e.seq).collect();
         assert_eq!(seqs, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn squash_then_refill_reuses_slots() {
-        let mut rob = Rob::new(3);
-        rob.push(0, inst());
-        rob.push(1, inst());
-        rob.push(2, inst());
-        rob.squash_younger(0);
-        assert_eq!(rob.len(), 1);
-        rob.push(3, inst());
-        rob.push(4, inst());
-        let seqs: Vec<_> = rob.iter().map(|(_, e)| e.seq).collect();
-        assert_eq!(seqs, vec![0, 3, 4]);
     }
 }

@@ -89,7 +89,7 @@ fn branch_checkpoint_limit_stalls_dispatch() {
     let mut cpu = Cpu::new(config, one_cycle(), trace.into_iter());
     let m = cpu.run(total);
     assert_eq!(m.committed, total);
-    assert!(m.stall_branch_limit > 0, "2 checkpoints must throttle a branchy stream");
+    assert!(m.stall_branch_limit > 0, "a 2-branch limit must throttle a branchy stream");
 }
 
 #[test]

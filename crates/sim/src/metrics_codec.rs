@@ -95,9 +95,8 @@ counter_codec!(encode_fetch_stats, decode_fetch_stats, FetchStats, {
 });
 
 counter_codec!(encode_metric_scalars, decode_metric_scalars, SimMetrics, {
-    cycles, committed, branches, mispredicted, squashed, commit_idle_cycles,
-    stall_rob_full, stall_window_full, stall_no_phys_reg, stall_lsq_full,
-    stall_branch_limit,
+    cycles, committed, branches, mispredicted, commit_idle_cycles, stall_rob_full,
+    stall_window_full, stall_no_phys_reg, stall_lsq_full, stall_branch_limit,
 });
 
 fn encode_histogram(out: &mut String, h: &OccupancyHistogram) {

@@ -36,7 +36,7 @@ fn sole_object_file(dir: &Path) -> PathBuf {
     files.pop().unwrap()
 }
 
-// Counter-pool builders in the metrics_codec test idiom: 50 counters
+// Counter-pool builders in the metrics_codec test idiom: 49 counters
 // fill every scalar field, so no field can be silently dropped.
 
 fn rf_stats(next: &mut impl FnMut() -> u64) -> RegFileStats {
@@ -74,13 +74,12 @@ fn fetch_stats(next: &mut impl FnMut() -> u64) -> FetchStats {
 
 fn metrics_from(counters: &[u64], hit_rate: Option<f64>, value_counts: Vec<u64>) -> SimMetrics {
     let mut it = counters.iter().copied();
-    let mut next = move || it.next().expect("50 counters");
+    let mut next = move || it.next().expect("49 counters");
     SimMetrics {
         cycles: next(),
         committed: next(),
         branches: next(),
         mispredicted: next(),
-        squashed: next(),
         commit_idle_cycles: next(),
         stall_rob_full: next(),
         stall_window_full: next(),
@@ -112,7 +111,7 @@ proptest! {
     /// transparent substitute for running the simulation again.
     #[test]
     fn arbitrary_metrics_round_trip_bit_exact(
-        counters in proptest::collection::vec(0u64..=u64::MAX, 50..51),
+        counters in proptest::collection::vec(0u64..=u64::MAX, 49..50),
         hit_kind in 0u32..3,
         hit in 0.0f64..=1.0,
         value_counts in proptest::collection::vec(0u64..=u64::MAX, 0..6),
@@ -148,7 +147,7 @@ proptest! {
     /// consumed — returns the stored original exactly.
     #[test]
     fn corruption_is_a_miss_never_torn_data(
-        counters in proptest::collection::vec(0u64..=u64::MAX, 50..51),
+        counters in proptest::collection::vec(0u64..=u64::MAX, 49..50),
         position_frac in 0.0f64..1.0,
         delta in 1u8..=255,
         truncate_bit in 0u8..2,
@@ -275,12 +274,12 @@ fn colliding_specs_round_trip_via_full_spec_match() {
     let result_a = RunResult {
         bench: "li".to_string(),
         fp: false,
-        metrics: metrics_from(&[1; 50], None, vec![]),
+        metrics: metrics_from(&[1; 49], None, vec![]),
     };
     let result_b = RunResult {
         bench: "compress".to_string(),
         fp: false,
-        metrics: metrics_from(&[2; 50], Some(0.25), vec![5]),
+        metrics: metrics_from(&[2; 49], Some(0.25), vec![5]),
     };
     cache.store(&a, &result_a).expect("store a");
     cache.store(&b, &result_b).expect("store b");

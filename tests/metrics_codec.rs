@@ -47,7 +47,7 @@ fn fetch_stats(next: &mut impl FnMut() -> u64) -> FetchStats {
     }
 }
 
-/// Builds a `SimMetrics` consuming exactly 50 counters (11 scalars +
+/// Builds a `SimMetrics` consuming exactly 49 counters (10 scalars +
 /// 2 × 16 register-file stats + 7 fetch stats) plus the histogram and
 /// hit-rate inputs.
 fn metrics_from(
@@ -58,13 +58,12 @@ fn metrics_from(
     samples: (u64, u64),
 ) -> SimMetrics {
     let mut it = counters.iter().copied();
-    let mut next = move || it.next().expect("50 counters");
+    let mut next = move || it.next().expect("49 counters");
     SimMetrics {
         cycles: next(),
         committed: next(),
         branches: next(),
         mispredicted: next(),
-        squashed: next(),
         commit_idle_cycles: next(),
         stall_rob_full: next(),
         stall_window_full: next(),
@@ -85,7 +84,7 @@ proptest! {
     /// not lose a single bit (an f64 intermediate would).
     #[test]
     fn every_field_survives_encode_decode(
-        counters in proptest::collection::vec(0u64..=u64::MAX, 50..51),
+        counters in proptest::collection::vec(0u64..=u64::MAX, 49..50),
         hit_kind in 0u32..3,
         hit in 0.0f64..=1.0,
         value_counts in proptest::collection::vec(0u64..=u64::MAX, 0..6),
@@ -116,7 +115,7 @@ proptest! {
     /// sequences alike; `LineBuffer` must not care.
     #[test]
     fn record_frame_stream_survives_arbitrary_chunking(
-        counters in proptest::collection::vec(0u64..=u64::MAX, 50..51),
+        counters in proptest::collection::vec(0u64..=u64::MAX, 49..50),
         indices in proptest::collection::vec(0u64..1_000_000, 1..5),
         cuts in proptest::collection::vec(0usize..4096, 0..24),
     ) {
@@ -177,7 +176,7 @@ proptest! {
     /// disk side of the same codec.
     #[test]
     fn journal_reader_recovers_every_complete_record_at_any_truncation(
-        counters in proptest::collection::vec(0u64..=u64::MAX, 50..51),
+        counters in proptest::collection::vec(0u64..=u64::MAX, 49..50),
         nrecords in 1usize..5,
         cut_frac in 0.0f64..=1.0,
     ) {
@@ -238,9 +237,42 @@ proptest! {
 #[test]
 fn all_zero_and_all_max_counters_round_trip() {
     for fill in [0u64, u64::MAX] {
-        let m = metrics_from(&[fill; 50], Some(0.0), vec![fill, fill], vec![fill], (fill, fill));
+        let m = metrics_from(&[fill; 49], Some(0.0), vec![fill, fill], vec![fill], (fill, fill));
         assert_eq!(m, decode_metrics_str(&encode_metrics(&m)).unwrap());
     }
     let default = SimMetrics::default();
     assert_eq!(default, decode_metrics_str(&encode_metrics(&default)).unwrap());
+}
+
+/// Shard files, journals and cache entries written by older binaries
+/// carry a `squashed` counter that was always 0 and is no longer part of
+/// `SimMetrics`. The decoder reads fields by name and ignores unknown
+/// keys, so such a line still decodes, and it re-encodes to the same
+/// line without that key: no schema bump is needed.
+#[test]
+fn record_line_with_the_retired_squashed_key_still_decodes() {
+    const OLD: &str = concat!(
+        r#"{"index": 5, "fingerprint": "0123456789abcdef", "bench": "li", "fp": false, "#,
+        r#""metrics": {"cycles": 10142, "committed": 20003, "branches": 2950, "#,
+        r#""mispredicted": 725, "squashed": 0, "commit_idle_cycles": 1204, "#,
+        r#""stall_rob_full": 0, "stall_window_full": 0, "stall_no_phys_reg": 0, "#,
+        r#""stall_lsq_full": 0, "stall_branch_limit": 0, "#,
+        r#""rf_int": {"bypass_reads": 0, "regfile_reads": 0, "writebacks": 0, "#,
+        r#""cached_results": 0, "policy_skipped": 0, "port_skipped": 0, "evictions": 0, "#,
+        r#""demand_transfers": 0, "prefetch_transfers": 0, "prefetch_dropped": 0, "#,
+        r#""read_port_stalls": 0, "upper_miss_stalls": 0, "write_port_stalls": 0, "#,
+        r#""values_never_read": 0, "values_read_once": 0, "values_read_many": 0}, "#,
+        r#""rf_fp": {"bypass_reads": 0, "regfile_reads": 0, "writebacks": 0, "#,
+        r#""cached_results": 0, "policy_skipped": 0, "port_skipped": 0, "evictions": 0, "#,
+        r#""demand_transfers": 0, "prefetch_transfers": 0, "prefetch_dropped": 0, "#,
+        r#""read_port_stalls": 0, "upper_miss_stalls": 0, "write_port_stalls": 0, "#,
+        r#""values_never_read": 0, "values_read_once": 0, "values_read_many": 0}, "#,
+        r#""fetch": {"fetched": 0, "blocks": 0, "taken_breaks": 0, "icache_stalls": 0, "#,
+        r#""btb_bubbles": 0, "branches": 0, "mispredicted_branches": 0}, "#,
+        r#""dcache_hit_rate": 0.75, "occupancy_value": {"counts": [1, 2], "samples": 3}, "#,
+        r#""occupancy_ready": {"counts": [], "samples": 0}}}"#,
+    );
+    let record = ShardRecord::parse(OLD).expect("an older record line decodes");
+    assert_eq!((record.metrics.cycles, record.metrics.mispredicted), (10_142, 725));
+    assert_eq!(record.to_line(), OLD.replace(r#""squashed": 0, "#, ""));
 }

@@ -8,7 +8,7 @@ use rfcache_core::{
 };
 use rfcache_isa::PhysReg;
 use rfcache_mem::{CacheConfig, SetAssocCache};
-use rfcache_pipeline::{Lsq, Rob};
+use rfcache_pipeline::Lsq;
 use rfcache_workload::{BenchProfile, TraceGenerator};
 
 proptest! {
@@ -117,53 +117,18 @@ proptest! {
         prop_assert!(granted <= ports);
     }
 
-    /// ROB squash keeps exactly the entries at or below the squash point,
-    /// in order, for arbitrary push/pop/squash interleavings.
-    #[test]
-    fn rob_squash_preserves_program_order(ops in proptest::collection::vec(0u8..3, 1..60)) {
-        use rfcache_isa::{ArchReg, OpClass, TraceInst};
-        let inst = TraceInst::alu(OpClass::IntAlu, ArchReg::int(1), ArchReg::int(2), ArchReg::int(3));
-        let mut rob = Rob::new(16);
-        let mut seq = 0u64;
-        for op in ops {
-            match op {
-                0 if !rob.is_full() => {
-                    rob.push(seq, inst);
-                    seq += 1;
-                }
-                1 => {
-                    rob.pop_head();
-                }
-                _ if !rob.is_empty() => {
-                    // Squash everything younger than the current median.
-                    let seqs: Vec<u64> = rob.iter().map(|(_, e)| e.seq).collect();
-                    let mid = seqs[seqs.len() / 2];
-                    rob.squash_younger(mid);
-                }
-                _ => {}
-            }
-            let seqs: Vec<u64> = rob.iter().map(|(_, e)| e.seq).collect();
-            let mut sorted = seqs.clone();
-            sorted.sort_unstable();
-            prop_assert_eq!(seqs, sorted, "ROB must stay in program order");
-        }
-    }
-
     /// LSQ forwarding always reports the *nearest* older matching store.
     #[test]
     fn lsq_forwards_from_nearest_store(
         n_stores in 1usize..6,
         load_word in 0u64..4,
     ) {
-        use rfcache_isa::{ArchReg, TraceInst};
-        let mut rob = Rob::new(16);
         let mut lsq = Lsq::new(16);
         // Stores at word addresses 0..4, data ready for even sequence
         // numbers only.
         for s in 0..n_stores {
             let addr = (s as u64 % 4) * 8;
-            let slot = rob.push(s as u64, TraceInst::store(ArchReg::int(1), ArchReg::int(2), addr, 0));
-            lsq.insert(slot, s as u64, true, addr);
+            lsq.insert(s as u64, true, addr);
             if s % 2 == 0 {
                 lsq.store_data_ready(s as u64);
             } else {
