@@ -140,17 +140,16 @@
 
 use rfcache_sim::cache::Cache;
 use rfcache_sim::executor::{
-    assemble_shard_results, read_shard_file, run_shard_cached, ExecutorError, InProcess,
+    assemble_shard_results, read_record_file, run_shard, Executor as _, ExecutorError, InProcess,
 };
 use rfcache_sim::experiments::ExperimentOpts;
-use rfcache_sim::metrics_codec::CampaignHeader;
+use rfcache_sim::metrics_codec::{CampaignHeader, TailPolicy};
 use rfcache_sim::service::{serve_service, JournalMode, ServiceConfig, ServiceSummary};
 use rfcache_sim::sweep::SweepDef;
 use rfcache_sim::transport::{self, ServeOptions, WorkOptions};
 use rfcache_sim::{
-    http, parse_json, run_campaign_from_parts, run_campaign_planned, run_campaign_planned_with,
-    scenario, write_csv, write_json, CampaignRequest, JsonValue, Registry, RunSpec, ScenarioReport,
-    TextTable,
+    http, parse_json, scenario, write_csv, write_json, CampaignPlan, CampaignRequest, JsonValue,
+    Registry, ScenarioReport, TextTable,
 };
 use std::io::{BufRead as _, Write as _};
 use std::net::{SocketAddr, TcpListener};
@@ -306,27 +305,12 @@ fn run_main(args: &[String]) {
         usage_error("--http requires --dist-workers (or the serve/resume subcommands)");
     }
 
-    let registry = load_registry(&sweep_files);
-    let names = with_sweep_names(names, &registry);
-    let selected = select_scenarios(&registry, &names);
-
-    // One flat work queue across every selected scenario: the tail of
-    // one scenario's runs overlaps the head of the next.
-    let plans: Vec<_> = selected.iter().map(|s| s.plan(&opts)).collect();
-    let runs: usize = plans.iter().map(Vec::len).sum();
+    let plan = plan_campaign(&sweep_files, names, opts);
+    let (scenarios, runs) = (plan.request().scenarios.len(), plan.runs());
     let start = Instant::now();
 
     if let Some((index, count)) = shard {
-        run_worker(
-            &selected,
-            &registry,
-            &opts,
-            &plans,
-            index,
-            count,
-            out_file,
-            cache_dir.as_deref(),
-        );
+        run_worker(&plan, index, count, opts.jobs, out_file, cache_dir.as_deref());
         eprintln!(
             "[shard {index}/{count}: {} of {runs} simulation(s), {:.1}s]",
             (0..runs).filter(|i| i % count == index).count(),
@@ -361,7 +345,7 @@ fn run_main(args: &[String]) {
                 journal: journal.as_deref().map(JournalMode::Create),
                 journal_sync: journal_sync.unwrap_or(1),
                 max_campaigns: Some(1),
-                campaign: Some(campaign_request(&selected, &registry, opts)),
+                campaign: Some(plan),
                 supervise: Some(&mut pool_check),
             })
         };
@@ -372,21 +356,19 @@ fn run_main(args: &[String]) {
         emit_results(&session_results(outcome), csv_dir.as_deref(), json_dir.as_deref());
         format!("{count} distributed worker(s)")
     } else {
-        let reports = match &cache_dir {
-            Some(dir) => {
-                let executor = InProcess::new(opts.jobs).with_cache(open_cache(dir));
-                run_campaign_planned_with(&executor, &selected, &opts, plans)
-                    .unwrap_or_else(|e| die(&e.to_string()))
-            }
-            None => run_campaign_planned(&selected, &opts, plans),
-        };
-        emit_reports(&selected, &reports, csv_dir.as_deref(), json_dir.as_deref());
+        // One flat work queue across every selected scenario: the tail
+        // of one scenario's runs overlaps the head of the next.
+        let mut executor = InProcess::new(opts.jobs);
+        if let Some(dir) = &cache_dir {
+            executor = executor.with_cache(open_cache(dir));
+        }
+        let results = executor.execute(&plan.flat()).unwrap_or_else(|e| die(&e.to_string()));
+        let reports = plan.assemble(results);
+        emit_reports(&plan.request().scenarios, &reports, csv_dir.as_deref(), json_dir.as_deref());
         "in-process".to_string()
     };
     eprintln!(
-        "[campaign: {} scenario(s), {} simulation(s), {backend}, {:.1}s]",
-        selected.len(),
-        runs,
+        "[campaign: {scenarios} scenario(s), {runs} simulation(s), {backend}, {:.1}s]",
         start.elapsed().as_secs_f64()
     );
 }
@@ -558,10 +540,8 @@ fn serve_main(args: &[String]) {
     if max_campaigns.is_some() {
         usage_error("--max-campaigns is a campaign-service flag: drop the scenario names");
     }
-    let registry = load_registry(&sweep_files);
-    let names = with_sweep_names(names, &registry);
-    let selected = select_scenarios(&registry, &names);
-    let runs: usize = selected.iter().map(|s| s.plan(&opts).len()).sum();
+    let plan = plan_campaign(&sweep_files, names, opts);
+    let (scenarios, runs) = (plan.request().scenarios.len(), plan.runs());
     let start = Instant::now();
     let (listener, control) = bind_session(&bind, http.as_deref(), runs);
     let cache = cache_dir.as_deref().map(open_cache);
@@ -573,14 +553,12 @@ fn serve_main(args: &[String]) {
         journal: journal.as_deref().map(JournalMode::Create),
         journal_sync: journal_sync.unwrap_or(1),
         max_campaigns: Some(1),
-        campaign: Some(campaign_request(&selected, &registry, opts)),
+        campaign: Some(plan),
         supervise: None,
     });
     emit_results(&session_results(outcome), csv_dir.as_deref(), json_dir.as_deref());
     eprintln!(
-        "[campaign: {} scenario(s), {} simulation(s), distributed coordinator, {:.1}s]",
-        selected.len(),
-        runs,
+        "[campaign: {scenarios} scenario(s), {runs} simulation(s), distributed coordinator, {:.1}s]",
         start.elapsed().as_secs_f64()
     );
 }
@@ -650,15 +628,24 @@ fn reap(pool: Vec<Child>) {
     }
 }
 
-/// The description of a campaign over `selected`, carrying any sweep
-/// definitions inline so other processes can rebuild the namespace.
+/// The description of the campaign the command line names (scenario
+/// names or `all`, plus `--sweep` files), carrying any sweep definitions
+/// inline so other processes can rebuild the namespace.
 fn campaign_request(
-    selected: &[&scenario::Scenario],
-    registry: &Registry,
+    sweep_files: &[PathBuf],
+    names: Vec<&str>,
     opts: ExperimentOpts,
 ) -> CampaignRequest {
+    let registry = load_registry(sweep_files);
+    let names = with_sweep_names(names, &registry);
+    let selected = select_scenarios(&registry, &names);
     CampaignRequest::new(selected.iter().map(|s| s.name.to_string()).collect(), opts)
         .with_sweeps(registry.sweep_texts().to_vec())
+}
+
+/// Plans the campaign the command line names.
+fn plan_campaign(sweep_files: &[PathBuf], names: Vec<&str>, opts: ExperimentOpts) -> CampaignPlan {
+    campaign_request(sweep_files, names, opts).plan().unwrap_or_else(|e| usage_error(&e))
 }
 
 /// Submits a campaign description to a running campaign service and
@@ -693,10 +680,7 @@ fn submit_main(args: &[String]) {
     let Some(addr) = connect else {
         usage_error("submit needs --connect ADDR (the service's --http address)");
     };
-    let registry = load_registry(&sweep_files);
-    let names = with_sweep_names(names, &registry);
-    let selected = select_scenarios(&registry, &names);
-    let request = campaign_request(&selected, &registry, opts);
+    let request = campaign_request(&sweep_files, names, opts);
     let (code, body) = http::post(
         &addr,
         "/campaigns",
@@ -897,19 +881,11 @@ fn resume_main(args: &[String]) {
     }
     let header = CampaignHeader::parse(header_line.trim_end())
         .unwrap_or_else(|e| die(&format!("corrupt journal {}: line 1: {e}", journal.display())));
-    let opts = header.opts();
-    let registry = Registry::from_texts(&header.sweeps)
-        .unwrap_or_else(|e| die(&format!("journal carries an invalid sweep definition: {e}")));
-    let selected = registry
-        .resolve(&header.scenarios)
+    let plan = header
+        .campaign
+        .plan()
         .unwrap_or_else(|e| die(&format!("journal {e} (written by a different binary version?)")));
-    let runs: usize = selected.iter().map(|s| s.plan(&opts).len()).sum();
-    if runs != header.runs {
-        die(&format!(
-            "journal describes a {}-run campaign but this binary plans {runs} runs (plan drift)",
-            header.runs
-        ));
-    }
+    let (scenarios, runs) = (plan.request().scenarios.len(), plan.runs());
     eprintln!("[resume: resuming a {runs}-run campaign from {}]", journal.display());
     let start = Instant::now();
     let (listener, control) = bind_session(&bind, http.as_deref(), runs);
@@ -922,16 +898,12 @@ fn resume_main(args: &[String]) {
         journal: Some(JournalMode::Resume(&journal)),
         journal_sync: journal_sync.unwrap_or(1),
         max_campaigns: Some(1),
-        campaign: Some(
-            CampaignRequest::new(header.scenarios.clone(), opts).with_sweeps(header.sweeps),
-        ),
+        campaign: Some(plan),
         supervise: None,
     });
     emit_results(&session_results(outcome), csv_dir.as_deref(), json_dir.as_deref());
     eprintln!(
-        "[campaign: {} scenario(s), {} simulation(s), resumed coordinator, {:.1}s]",
-        selected.len(),
-        runs,
+        "[campaign: {scenarios} scenario(s), {runs} simulation(s), resumed coordinator, {:.1}s]",
         start.elapsed().as_secs_f64()
     );
 }
@@ -1195,37 +1167,25 @@ fn cache_main(args: &[String]) {
 }
 
 /// Executes one shard of the campaign and writes the shard file.
-#[allow(clippy::too_many_arguments)]
 fn run_worker(
-    selected: &[&scenario::Scenario],
-    registry: &Registry,
-    opts: &ExperimentOpts,
-    plans: &[Vec<RunSpec>],
+    plan: &CampaignPlan,
     index: usize,
     count: usize,
+    jobs: usize,
     out_file: Option<PathBuf>,
     cache_dir: Option<&Path>,
 ) {
-    let flat = rfcache_sim::flatten_plans(plans);
-    let names = selected.iter().map(|s| s.name.to_string()).collect();
-    let header = CampaignHeader::new(names, opts, index, count, flat.len())
-        .with_sweeps(registry.sweep_texts().to_vec());
+    let header = plan.header(index, count);
+    let flat = plan.flat();
     let cache = cache_dir.map(open_cache);
     let result = match &out_file {
         Some(path) => {
             let file = std::fs::File::create(path)
                 .unwrap_or_else(|e| die(&format!("cannot create {}: {e}", path.display())));
             let mut out = std::io::BufWriter::new(file);
-            run_shard_cached(&header, &flat, opts.jobs, cache.as_ref(), &mut out)
-                .and_then(|()| out.flush())
+            run_shard(&header, &flat, jobs, cache.as_ref(), &mut out).and_then(|()| out.flush())
         }
-        None => run_shard_cached(
-            &header,
-            &flat,
-            opts.jobs,
-            cache.as_ref(),
-            &mut std::io::stdout().lock(),
-        ),
+        None => run_shard(&header, &flat, jobs, cache.as_ref(), &mut std::io::stdout().lock()),
     };
     result.unwrap_or_else(|e| die(&format!("cannot write shard records: {e}")));
 }
@@ -1259,7 +1219,9 @@ fn merge_main(args: &[String]) {
     let mut headers: Vec<CampaignHeader> = Vec::new();
     let mut records = Vec::new();
     for path in &files {
-        let (header, shard_records) = read_shard_file(path).unwrap_or_else(|e| die(&e.to_string()));
+        let file =
+            read_record_file(path, TailPolicy::Reject).unwrap_or_else(|e| die(&e.to_string()));
+        let header = file.header;
         if let Some(first) = headers.first() {
             if !header.same_campaign(first) {
                 die(&format!(
@@ -1280,7 +1242,7 @@ fn merge_main(args: &[String]) {
             ));
         }
         headers.push(header);
-        records.extend(shard_records);
+        records.extend(file.records);
     }
     let campaign = &headers[0];
     if headers.len() != campaign.of {
@@ -1293,30 +1255,25 @@ fn merge_main(args: &[String]) {
 
     // Re-derive the plan the workers executed and verify it matches.
     // Any declarative sweeps travelled inline in the shard headers.
-    let opts = campaign.opts();
-    let registry = Registry::from_texts(&campaign.sweeps)
-        .unwrap_or_else(|e| die(&format!("shard files carry an invalid sweep definition: {e}")));
-    let selected: Vec<&scenario::Scenario> =
-        registry.resolve(&campaign.scenarios).unwrap_or_else(|e| {
-            die(&format!("shard files {e} (written by a different binary version?)"))
-        });
-    let plans: Vec<_> = selected.iter().map(|s| s.plan(&opts)).collect();
-    let flat = rfcache_sim::flatten_plans(&plans);
-    if flat.len() != campaign.runs {
+    let plan = campaign.campaign.plan().unwrap_or_else(|e| {
+        die(&format!("shard files {e} (written by a different binary version?)"))
+    });
+    if plan.runs() != campaign.runs {
         die(&format!(
             "shard headers describe a {}-run campaign but this binary plans {} runs \
              (plan drift)",
             campaign.runs,
-            flat.len()
+            plan.runs()
         ));
     }
-    let results = assemble_shard_results(&flat, records).unwrap_or_else(|e| die(&e.to_string()));
-    let reports = run_campaign_from_parts(&selected, &opts, &plans, results);
-    emit_reports(&selected, &reports, csv_dir.as_deref(), json_dir.as_deref());
+    let results =
+        assemble_shard_results(&plan.flat(), records).unwrap_or_else(|e| die(&e.to_string()));
+    let names = &plan.request().scenarios;
+    emit_reports(names, &plan.assemble(results), csv_dir.as_deref(), json_dir.as_deref());
     eprintln!(
         "[merge: {} scenario(s), {} simulation(s) from {} shard(s), {:.1}s]",
-        selected.len(),
-        flat.len(),
+        names.len(),
+        plan.runs(),
         headers.len(),
         start.elapsed().as_secs_f64()
     );
@@ -1370,24 +1327,25 @@ fn select_scenarios<'r>(registry: &'r Registry, names: &[&str]) -> Vec<&'r scena
     selected
 }
 
-/// Prints each report to stdout and writes the requested exports.
+/// Prints each scenario's report to stdout and writes the requested
+/// exports.
 fn emit_reports(
-    selected: &[&scenario::Scenario],
+    names: &[String],
     reports: &[Box<dyn ScenarioReport>],
-    csv_dir: Option<&std::path::Path>,
-    json_dir: Option<&std::path::Path>,
+    csv_dir: Option<&Path>,
+    json_dir: Option<&Path>,
 ) {
-    for (s, report) in selected.iter().zip(reports) {
+    for (name, report) in names.iter().zip(reports) {
         println!("{report}");
         let table = report.to_table();
         if let Some(dir) = csv_dir {
-            write_csv(dir, &s.name, &table).unwrap_or_else(|e| {
-                die(&format!("cannot write {}/{}.csv: {e}", dir.display(), s.name))
+            write_csv(dir, name, &table).unwrap_or_else(|e| {
+                die(&format!("cannot write {}/{name}.csv: {e}", dir.display()))
             });
         }
         if let Some(dir) = json_dir {
-            write_json(dir, &s.name, &table).unwrap_or_else(|e| {
-                die(&format!("cannot write {}/{}.json: {e}", dir.display(), s.name))
+            write_json(dir, name, &table).unwrap_or_else(|e| {
+                die(&format!("cannot write {}/{name}.json: {e}", dir.display()))
             });
         }
     }

@@ -12,14 +12,18 @@
 //!
 //! `--trace-out FILE` saves the generated instruction stream in the RFCT
 //! format; `--trace-in FILE` replays a saved stream instead of generating
-//! one (the `--bench` profile is then ignored).
+//! one, cyclically as sweeps replay traces, and reports it under the file
+//! stem (the `--bench` profile is then ignored).
+//!
+//! A malformed flag value, an invalid pipeline configuration and an
+//! unreadable or empty trace exit 2 with the reason.
 
 use rfcache_core::{
     CachingPolicy, FetchPolicy, OneLevelBankedConfig, PortLimits, RegFileCacheConfig,
     RegFileConfig, ReplicatedBankConfig, SingleBankConfig,
 };
 use rfcache_pipeline::PipelineConfig;
-use rfcache_sim::{RunSpec, DEFAULT_INSTS, DEFAULT_WARMUP};
+use rfcache_sim::{RunSpec, TraceWorkload, WorkloadSource, DEFAULT_INSTS, DEFAULT_WARMUP};
 
 fn bail(msg: &str) -> ! {
     eprintln!("{msg}");
@@ -80,8 +84,12 @@ fn parse_args() -> Args {
             "--insts" => args.insts = value().parse().unwrap_or_else(|_| bail("bad --insts")),
             "--warmup" => args.warmup = value().parse().unwrap_or_else(|_| bail("bad --warmup")),
             "--seed" => args.seed = value().parse().unwrap_or_else(|_| bail("bad --seed")),
-            "--window" => args.window = value().parse().ok(),
-            "--phys-regs" => args.phys_regs = value().parse().ok(),
+            "--window" => {
+                args.window = Some(value().parse().unwrap_or_else(|_| bail("bad --window")))
+            }
+            "--phys-regs" => {
+                args.phys_regs = Some(value().parse().unwrap_or_else(|_| bail("bad --phys-regs")))
+            }
             "--upper-entries" => {
                 args.upper_entries = value().parse().unwrap_or_else(|_| bail("bad --upper-entries"))
             }
@@ -160,6 +168,9 @@ fn main() {
     if let Some(p) = args.phys_regs {
         pipeline = pipeline.with_phys_regs(p);
     }
+    if let Err(reason) = pipeline.validate() {
+        bail(&format!("invalid pipeline configuration: {reason}"));
+    }
 
     // Optional trace capture/replay via the RFCT format.
     if let Some(path) = &args.trace_out {
@@ -173,29 +184,18 @@ fn main() {
             .unwrap_or_else(|e| bail(&e.to_string()));
         eprintln!("wrote {} instructions to {path}", insts.len());
     }
-    let metrics = if let Some(path) = &args.trace_in {
-        let file = std::fs::File::open(path).unwrap_or_else(|e| bail(&e.to_string()));
-        let trace = rfcache_workload::read_trace(std::io::BufReader::new(file))
-            .unwrap_or_else(|e| bail(&e.to_string()));
-        let mut cpu = rfcache_pipeline::Cpu::new(pipeline, rf, trace.into_iter());
-        if args.warmup > 0 {
-            cpu.run(args.warmup);
-            cpu.reset_metrics();
+    let spec = match &args.trace_in {
+        Some(path) => {
+            let trace = TraceWorkload::load(path, None, false).unwrap_or_else(|e| bail(&e));
+            RunSpec::from_workload(WorkloadSource::Trace(trace), rf)
         }
-        cpu.run(args.insts)
-    } else {
-        RunSpec::new(&args.bench, rf)
-            .unwrap_or_else(|e| bail(&e))
-            .pipeline(pipeline)
-            .insts(args.insts)
-            .warmup(args.warmup)
-            .seed(args.seed)
-            .run()
-            .metrics
+        None => RunSpec::new(&args.bench, rf).unwrap_or_else(|e| bail(&e)),
     };
+    let result =
+        spec.pipeline(pipeline).insts(args.insts).warmup(args.warmup).seed(args.seed).run();
 
-    let m = &metrics;
-    println!("benchmark: {} | architecture: {rf}", args.bench);
+    let m = &result.metrics;
+    println!("benchmark: {} | architecture: {rf}", result.bench);
     println!("{m}");
     println!(
         "stalls: rob {} window {} phys-reg {} lsq {} branch-limit {}",

@@ -1,11 +1,16 @@
-//! End-to-end tests of the `experiments` binary: campaign scheduling,
-//! scenario-name dedup, structured export, and flag-error reporting.
+//! End-to-end tests of the `experiments` and `simulate` binaries:
+//! campaign scheduling, scenario-name dedup, structured export, trace
+//! replay, and flag-error reporting.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Output};
 
 fn experiments() -> Command {
     Command::new(env!("CARGO_BIN_EXE_experiments"))
+}
+
+fn simulate(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_simulate")).args(args).output().expect("binary runs")
 }
 
 /// A throwaway output directory unique to this test binary run.
@@ -226,4 +231,72 @@ fn rejects_unknown_scenarios_and_empty_selection() {
     let out = experiments().args(["--quick"]).output().expect("binary runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("no experiment selected"));
+}
+
+/// Committed instructions of a `simulate` report (`IPC x (N insts / ...`).
+fn committed(stdout: &str) -> u64 {
+    let (_, rest) = stdout.split_once("IPC ").expect("report has an IPC line");
+    let (_, rest) = rest.split_once('(').expect("IPC line names the insts");
+    rest.split_once(" insts").and_then(|(n, _)| n.parse().ok()).expect("a committed count")
+}
+
+#[test]
+fn simulate_replays_a_recorded_trace_under_its_file_stem() {
+    let dir = temp_out("trace");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("rt.rfct");
+    let trace = trace.to_str().unwrap();
+    let record =
+        simulate(&["--bench", "li", "--insts", "4000", "--warmup", "0", "--trace-out", trace]);
+    assert!(record.status.success(), "{}", String::from_utf8_lossy(&record.stderr));
+
+    let run = ["--arch", "1cyc", "--insts", "3000", "--warmup", "500"];
+    let generated = simulate(&[&["--bench", "li"][..], &run].concat());
+    let replayed = simulate(&[&run[..], &["--trace-in", trace]].concat());
+    assert_eq!(replayed.status.code(), Some(0), "{}", String::from_utf8_lossy(&replayed.stderr));
+    let (generated, replayed) = (
+        String::from_utf8_lossy(&generated.stdout).into_owned(),
+        String::from_utf8_lossy(&replayed.stdout).into_owned(),
+    );
+    assert!(replayed.starts_with("benchmark: rt | "), "labelled by the file stem: {replayed}");
+    // A run shorter than its trace simulates the recorded stream exactly.
+    let body = |report: &str| report.split_once('\n').map(|(_, rest)| rest.to_string());
+    assert_eq!(body(&replayed), body(&generated));
+
+    // A run longer than its trace replays it cyclically, as sweeps do.
+    let long =
+        simulate(&["--arch", "1cyc", "--insts", "9000", "--warmup", "0", "--trace-in", trace]);
+    assert_eq!(long.status.code(), Some(0));
+    assert!(committed(&String::from_utf8_lossy(&long.stdout)) >= 9_000);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn simulate_rejects_an_empty_trace() {
+    let dir = temp_out("empty_trace");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("empty.rfct");
+    let trace = trace.to_str().unwrap();
+    let record =
+        simulate(&["--bench", "li", "--insts", "0", "--warmup", "0", "--trace-out", trace]);
+    assert!(record.status.success(), "{}", String::from_utf8_lossy(&record.stderr));
+    let out = simulate(&["--trace-in", trace]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("contains no instructions"), "stderr: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn simulate_rejects_bad_pipeline_flags_by_name() {
+    for (args, reason) in [
+        (["--window", "abc"], "bad --window"),
+        (["--window", "0"], "window_size must be at least 1"),
+        (["--phys-regs", "39"], "phys_regs 39 must be at least 40"),
+    ] {
+        let out = simulate(&[&args[..], &["--insts", "1000", "--warmup", "0"]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error: {stderr}");
+        assert!(stderr.contains(reason), "{args:?}: stderr: {stderr}");
+    }
 }

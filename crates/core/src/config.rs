@@ -255,16 +255,6 @@ pub enum RegFileConfig {
 }
 
 impl RegFileConfig {
-    /// Instantiates the timing model for a file of `phys_regs` registers.
-    pub fn build(&self, phys_regs: usize) -> Box<dyn crate::RegFileModel> {
-        match *self {
-            RegFileConfig::Single(c) => Box::new(crate::SingleBankModel::new(c, phys_regs)),
-            RegFileConfig::Cache(c) => Box::new(crate::RegFileCacheModel::new(c, phys_regs)),
-            RegFileConfig::Replicated(c) => Box::new(crate::ReplicatedBankModel::new(c, phys_regs)),
-            RegFileConfig::OneLevel(c) => Box::new(crate::OneLevelBankedModel::new(c, phys_regs)),
-        }
-    }
-
     /// Register read latency (issue → execute distance) of the
     /// architecture.
     pub fn read_latency(&self) -> u64 {

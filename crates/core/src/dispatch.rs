@@ -1,12 +1,11 @@
 //! Static dispatch over the concrete register file models.
 //!
 //! The core calls into its register file model several times per
-//! simulated instruction; through `Box<dyn RegFileModel>` every one of
-//! those calls is an indirect branch the optimizer cannot see through.
-//! [`RegFile`] is a plain enum over the concrete models: one predictable
-//! match per call, and the model bodies inline into the cycle loop.
-//! The trait (and its `Box<dyn RegFileModel>` forwarding impl) remains
-//! the seam for tests and external models.
+//! simulated instruction. [`RegFile`] is a plain enum over the concrete
+//! models: one predictable match per call instead of an indirect branch
+//! the optimizer cannot see through, and the model bodies inline into the
+//! cycle loop. It is the only model type the CPU holds; the
+//! [`RegFileModel`] trait is the protocol every variant implements.
 
 use crate::config::{CachingPolicy, FetchPolicy, RegFileConfig};
 use crate::model::{PlanError, ReadPlan, RegFileModel, RegFileStats, SourceRead, WindowQuery};
@@ -19,8 +18,7 @@ use rfcache_isa::{Cycle, PhysReg};
 /// Any concrete register file model, statically dispatched.
 ///
 /// Built by [`RegFileConfig::build_model`]; implements [`RegFileModel`]
-/// by delegating to the variant, so it drops in anywhere the trait is
-/// accepted — in particular as the default model type of the CPU.
+/// by delegating to the variant. The CPU holds one per register class.
 // The size skew is deliberate: the CPU stores two of these by value
 // precisely so the active model's state is inline, not behind a Box.
 #[allow(clippy::large_enum_variant)]
@@ -123,10 +121,8 @@ impl RegFileModel for RegFile {
 }
 
 impl RegFileConfig {
-    /// Builds the configured model as a statically dispatched [`RegFile`]
-    /// with `phys_regs` physical registers per class. The boxed
-    /// [`build`](RegFileConfig::build) remains for callers that want a
-    /// trait object.
+    /// Instantiates the configured timing model as a statically
+    /// dispatched [`RegFile`] with `phys_regs` physical registers.
     pub fn build_model(&self, phys_regs: usize) -> RegFile {
         match *self {
             RegFileConfig::Single(c) => RegFile::Single(SingleBankModel::new(c, phys_regs)),

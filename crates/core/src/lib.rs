@@ -33,7 +33,7 @@
 //!
 //! // A one-cycle, single-banked file with unlimited ports.
 //! let config = RegFileConfig::Single(SingleBankConfig::one_cycle());
-//! let model = config.build(128);
+//! let model = config.build_model(128);
 //! assert_eq!(model.read_latency(), 1);
 //! ```
 

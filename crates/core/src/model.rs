@@ -231,9 +231,8 @@ impl fmt::Display for RegFileStats {
 
 /// The cycle-accurate register file protocol. See the module documentation
 /// for the timing contract.
-/// `Send` is a supertrait so whole CPUs (which box models as
-/// `dyn RegFileModel`) can move across threads — the scenario engine runs
-/// independent simulations on a worker pool.
+/// `Send` is a supertrait so whole CPUs can move across threads — the
+/// scenario engine runs independent simulations on a worker pool.
 pub trait RegFileModel: Send {
     /// Issue → execute distance in cycles.
     fn read_latency(&self) -> u64;
@@ -322,67 +321,6 @@ pub trait RegFileModel: Send {
     fn debug_operand(&self, preg: PhysReg) -> String {
         let _ = preg;
         String::new()
-    }
-}
-
-/// Forwarding impl so a boxed model is itself a model: keeps trait-object
-/// CPUs (`Cpu<I, Box<dyn RegFileModel>>`) expressible now that the core
-/// is generic over the model type, e.g. to test enum dispatch against
-/// virtual dispatch.
-impl RegFileModel for Box<dyn RegFileModel> {
-    fn read_latency(&self) -> u64 {
-        (**self).read_latency()
-    }
-    fn begin_cycle(&mut self, now: Cycle) {
-        (**self).begin_cycle(now)
-    }
-    fn on_alloc(&mut self, preg: PhysReg) {
-        (**self).on_alloc(preg)
-    }
-    fn seed_initial(&mut self, preg: PhysReg) {
-        (**self).seed_initial(preg)
-    }
-    fn schedule_result(&mut self, preg: PhysReg, produced_at: Cycle) {
-        (**self).schedule_result(preg, produced_at)
-    }
-    fn try_writeback(&mut self, preg: PhysReg, now: Cycle, window: &dyn WindowQuery) -> bool {
-        (**self).try_writeback(preg, now, window)
-    }
-    fn is_written(&self, preg: PhysReg) -> bool {
-        (**self).is_written(preg)
-    }
-    fn is_produced(&self, preg: PhysReg, now: Cycle) -> bool {
-        (**self).is_produced(preg, now)
-    }
-    fn operand_obtainable(&self, preg: PhysReg, now: Cycle) -> bool {
-        (**self).operand_obtainable(preg, now)
-    }
-    fn plan_read(&mut self, srcs: &[PhysReg], now: Cycle) -> Result<ReadPlan, PlanError> {
-        (**self).plan_read(srcs, now)
-    }
-    fn commit_read(&mut self, plan: &[SourceRead], now: Cycle) {
-        (**self).commit_read(plan, now)
-    }
-    fn request_demand(&mut self, preg: PhysReg, now: Cycle) {
-        (**self).request_demand(preg, now)
-    }
-    fn request_prefetch(&mut self, preg: PhysReg, now: Cycle) {
-        (**self).request_prefetch(preg, now)
-    }
-    fn on_free(&mut self, preg: PhysReg) {
-        (**self).on_free(preg)
-    }
-    fn caching_policy(&self) -> Option<CachingPolicy> {
-        (**self).caching_policy()
-    }
-    fn fetch_policy(&self) -> Option<FetchPolicy> {
-        (**self).fetch_policy()
-    }
-    fn stats(&self) -> &RegFileStats {
-        (**self).stats()
-    }
-    fn debug_operand(&self, preg: PhysReg) -> String {
-        (**self).debug_operand(preg)
     }
 }
 

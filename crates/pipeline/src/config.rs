@@ -93,20 +93,43 @@ impl PipelineConfig {
 
     /// Validates internal consistency.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on the first inconsistency (zero widths, window larger than
-    /// the ROB, fewer physical registers than architectural ones).
-    pub fn validate(&self) {
-        assert!(self.decode_width > 0 && self.issue_width > 0 && self.commit_width > 0);
-        assert!(self.window_size > 0 && self.rob_size >= self.window_size);
-        assert!(
-            self.phys_regs >= usize::from(rfcache_isa::ARCH_REGS_PER_CLASS) + 8,
-            "need headroom beyond the {} architectural registers",
-            rfcache_isa::ARCH_REGS_PER_CLASS
-        );
-        assert!(self.lsq_size > 0 && self.max_branches > 0);
-        assert!(self.fu_counts.iter().all(|&c| c > 0), "every FU kind needs at least one unit");
+    /// Names the first violated bound: a zero width, window, LSQ or
+    /// branch limit, a window larger than the ROB, too few physical
+    /// registers beyond the architectural ones, or a functional-unit
+    /// kind with no unit.
+    pub fn validate(&self) -> Result<(), String> {
+        let positive = [
+            ("decode_width", self.decode_width),
+            ("issue_width", self.issue_width),
+            ("commit_width", self.commit_width),
+            ("window_size", self.window_size),
+            ("lsq_size", self.lsq_size),
+            ("max_branches", self.max_branches),
+        ];
+        if let Some((name, _)) = positive.iter().find(|(_, value)| *value == 0) {
+            return Err(format!("{name} must be at least 1"));
+        }
+        if self.rob_size < self.window_size {
+            return Err(format!(
+                "rob_size {} must be at least window_size {}",
+                self.rob_size, self.window_size
+            ));
+        }
+        let arch = usize::from(rfcache_isa::ARCH_REGS_PER_CLASS);
+        if self.phys_regs < arch + 8 {
+            return Err(format!(
+                "phys_regs {} must be at least {}: need headroom beyond the {arch} \
+                 architectural registers",
+                self.phys_regs,
+                arch + 8
+            ));
+        }
+        if self.fu_counts.contains(&0) {
+            return Err("every FU kind needs at least one unit".to_string());
+        }
+        Ok(())
     }
 }
 
@@ -117,7 +140,7 @@ mod tests {
     #[test]
     fn default_matches_table1() {
         let c = PipelineConfig::default();
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.decode_width, 8);
         assert_eq!(c.window_size, 128);
         assert_eq!(c.lsq_size, 64);
@@ -129,15 +152,17 @@ mod tests {
     #[test]
     fn builders() {
         let c = PipelineConfig::default().with_window(256).with_phys_regs(192);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.rob_size, 256);
         assert_eq!(c.phys_regs, 192);
         assert!(c.with_occupancy_sampling().occupancy_sampling);
     }
 
     #[test]
-    #[should_panic(expected = "headroom")]
     fn too_few_phys_regs_rejected() {
-        PipelineConfig::default().with_phys_regs(32).validate();
+        let err = PipelineConfig::default().with_phys_regs(32).validate().unwrap_err();
+        assert!(err.contains("phys_regs 32") && err.contains("headroom"), "{err}");
+        let err = PipelineConfig::default().with_window(0).validate().unwrap_err();
+        assert!(err.contains("window_size"), "{err}");
     }
 }

@@ -72,13 +72,9 @@ const UNSCHEDULED: Cycle = Cycle::MAX;
 ///
 /// Construct with a [`PipelineConfig`], a [`RegFileConfig`] (the
 /// architecture under study), and a dynamic instruction trace; drive it
-/// with [`Cpu::run`].
-///
-/// The register file model type `R` defaults to the statically
-/// dispatched [`RegFile`] enum (what [`Cpu::new`] builds); alternative
-/// model carriers — e.g. `Box<dyn RegFileModel>` — plug in through
-/// [`Cpu::with_models`].
-pub struct Cpu<I: Iterator<Item = TraceInst>, R: RegFileModel = RegFile> {
+/// with [`Cpu::run`]. Each register class gets its own model of the
+/// architecture, held as the statically dispatched [`RegFile`] enum.
+pub struct Cpu<I: Iterator<Item = TraceInst>> {
     config: PipelineConfig,
     now: Cycle,
     fetch: FetchUnit<I>,
@@ -132,7 +128,7 @@ pub struct Cpu<I: Iterator<Item = TraceInst>, R: RegFileModel = RegFile> {
     lsq: Lsq,
     fus: FuPool,
     dcache: DataCache,
-    rf: [R; 2],
+    rf: [RegFile; 2],
     wb_queue: VecDeque<SlotId>,
     events: EventWheel<(EventKind, SlotId)>,
     outstanding_branches: usize,
@@ -158,30 +154,19 @@ pub struct Cpu<I: Iterator<Item = TraceInst>, R: RegFileModel = RegFile> {
 
 impl<I: Iterator<Item = TraceInst>> Cpu<I> {
     /// Creates a processor running `trace` with the given register file
-    /// architecture, statically dispatched.
+    /// architecture; the models are seeded with the initial architectural
+    /// state here.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails validation.
+    /// Panics with the violated bound if the configuration fails
+    /// [`PipelineConfig::validate`].
     pub fn new(config: PipelineConfig, rf_config: RegFileConfig, trace: I) -> Self {
-        let rf = [rf_config.build_model(config.phys_regs), rf_config.build_model(config.phys_regs)];
-        Cpu::with_models(config, rf, trace)
-    }
-}
-
-impl<I: Iterator<Item = TraceInst>, R: RegFileModel> Cpu<I, R> {
-    /// Creates a processor from two freshly constructed register file
-    /// models (one per register class); the models are seeded with the
-    /// initial architectural state here. This is the seam for running
-    /// the core against any [`RegFileModel`] carrier — notably
-    /// `Box<dyn RegFileModel>` to compare virtual dispatch against the
-    /// default enum dispatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails validation.
-    pub fn with_models(config: PipelineConfig, mut rf: [R; 2], trace: I) -> Self {
-        config.validate();
+        if let Err(reason) = config.validate() {
+            panic!("invalid pipeline configuration: {reason}");
+        }
+        let mut rf =
+            [rf_config.build_model(config.phys_regs), rf_config.build_model(config.phys_regs)];
         let prefetch_active =
             rf.iter().any(|m| m.fetch_policy() == Some(FetchPolicy::PrefetchFirstPair));
         let rename = RenameUnit::new(config.phys_regs);
@@ -1241,35 +1226,6 @@ mod tests {
         assert!(snap.contains("cycle 50"), "{snap}");
         assert!(snap.contains("ROB"), "{snap}");
         assert!(snap.contains("srcs ["), "{snap}");
-    }
-
-    /// The statically dispatched [`RegFile`] enum must be observationally
-    /// identical to the boxed trait-object path it replaced — same
-    /// cycles, same commits, same register file statistics — for every
-    /// model family.
-    #[test]
-    fn enum_dispatch_matches_boxed_dispatch_for_every_model() {
-        let configs = [
-            one_cycle(),
-            rfc(),
-            RegFileConfig::Replicated(ReplicatedBankConfig::default()),
-            RegFileConfig::OneLevel(rfcache_core::OneLevelBankedConfig::default()),
-        ];
-        let profile = BenchProfile::by_name("gcc").unwrap();
-        let pipeline = PipelineConfig::default();
-        for rf_config in configs {
-            let enum_metrics = {
-                let mut cpu = Cpu::new(pipeline, rf_config, TraceGenerator::new(profile, 42));
-                cpu.run(4_000)
-            };
-            let boxed_metrics = {
-                let models: [Box<dyn RegFileModel>; 2] =
-                    [rf_config.build(pipeline.phys_regs), rf_config.build(pipeline.phys_regs)];
-                let mut cpu = Cpu::with_models(pipeline, models, TraceGenerator::new(profile, 42));
-                cpu.run(4_000)
-            };
-            assert_eq!(enum_metrics, boxed_metrics, "{rf_config:?}");
-        }
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! every spec verbatim. The cache turns each repeat into an O(1) lookup:
 //! executors consult [`Cache::lookup`] before simulating and
 //! [`Cache::store`] afterwards, and because a hit returns the exact
-//! [`SimMetrics`] the original simulation produced (the codec
-//! round-trips every `u64` counter exactly), campaign reports stay
-//! **byte-identical** whether a run was simulated or served from cache.
+//! [`SimMetrics`](rfcache_pipeline::SimMetrics) the original simulation
+//! produced (the codec round-trips every `u64` counter exactly),
+//! campaign reports stay **byte-identical** whether a run was simulated
+//! or served from cache.
 //!
 //! # Addressing and collision safety
 //!
@@ -53,7 +54,6 @@
 use crate::json::{escape, parse_json, JsonValue};
 use crate::metrics_codec::{decode_metrics, encode_metrics};
 use crate::run::{fnv1a_64, RunResult, RunSpec};
-use rfcache_pipeline::SimMetrics;
 use std::fmt;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -95,8 +95,8 @@ impl fmt::Display for CacheProblem {
 /// One campaign's cache usage, as appended to `sessions.jsonl`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheSession {
-    /// Which execution layer ran the campaign (`in-process`,
-    /// `shard I/N`, `distributed`, …).
+    /// Which execution layer ran the campaign: `in-process`,
+    /// `shard I/N`, or `service` for every coordinator session.
     pub mode: String,
     /// Specs the campaign asked the cache about.
     pub lookups: u64,
@@ -174,33 +174,7 @@ pub struct CacheStats {
 struct Entry {
     fingerprint: u64,
     spec: String,
-    bench: String,
-    fp: bool,
-    metrics: SimMetrics,
-}
-
-impl Entry {
-    /// Resolves the entry back into the [`RunResult`] the original
-    /// simulation of `spec` produced, verifying the stored workload
-    /// identity against the spec being served.
-    fn into_run_result(self, spec: &RunSpec) -> Result<RunResult, String> {
-        if self.bench != spec.workload.label() {
-            return Err(format!(
-                "entry is for workload `{}` but the spec is `{}`",
-                self.bench,
-                spec.workload.label()
-            ));
-        }
-        if self.fp != spec.workload.fp() {
-            return Err(format!(
-                "workload `{}` has fp={} but the entry says fp={}",
-                self.bench,
-                spec.workload.fp(),
-                self.fp
-            ));
-        }
-        Ok(RunResult { bench: self.bench, fp: self.fp, metrics: self.metrics })
-    }
+    result: RunResult,
 }
 
 /// Renders one entry line: checksum-wrapped body, no trailing newline.
@@ -257,7 +231,8 @@ fn parse_entry(line: &str) -> Result<Entry, String> {
     let metrics =
         decode_metrics(v.get("metrics").ok_or_else(|| "missing field `metrics`".to_string())?)
             .map_err(|e| e.to_string())?;
-    Ok(Entry { fingerprint, spec, bench: text("bench")?.to_string(), fp, metrics })
+    let result = RunResult { bench: text("bench")?.to_string(), fp, metrics };
+    Ok(Entry { fingerprint, spec, result })
 }
 
 /// Complete (newline-terminated) lines of a file, in order. A torn or
@@ -370,7 +345,7 @@ impl Cache {
         for line in complete_lines(&data) {
             let Ok(entry) = parse_entry(line) else { continue };
             if entry.fingerprint == fingerprint && entry.spec == spec_text {
-                return entry.into_run_result(spec).ok();
+                return entry.result.check_workload(spec).is_ok().then_some(entry.result);
             }
         }
         None

@@ -8,12 +8,13 @@
 //!
 //! Two more ways to run a campaign live outside this trait:
 //!
-//! * **Shards.** `experiments --shard I/N` runs [`run_shard_cached`] on
-//!   the plan indices `i % N == I` and writes a JSON-lines shard file
-//!   (one [`ShardRecord`] per run, stamped with its spec fingerprint);
-//!   `merge` folds the files of all `N` shards back through
-//!   [`assemble_shard_results`], which verifies every fingerprint so
-//!   *plan drift* between processes is an error instead of a silently
+//! * **Shards.** `experiments --shard I/N` runs [`run_shard`] on the
+//!   plan indices `i % N == I` and writes a JSON-lines shard file (one
+//!   [`ShardRecord`] per run, stamped with its spec fingerprint); `merge`
+//!   reads the files of all `N` shards ([`read_record_file`]) and folds
+//!   them back through [`assemble_shard_results`]. Every record passes
+//!   one check (its index, spec fingerprint and workload), so *plan
+//!   drift* between processes is an error instead of a silently
 //!   scrambled report.
 //! * **The coordinator.** [`crate::service::serve_service`] leases plan
 //!   indices over TCP to `experiments work` processes on any host.
@@ -215,6 +216,11 @@ fn run_batch_cached(
 /// available core) and writes the header plus one record per completed
 /// spec, in ascending index order, to `out`.
 ///
+/// With a result cache, each distinct spec among this shard's indices is
+/// looked up first, only the misses are simulated, and each fresh result
+/// is stored back once — the emitted shard file is byte-identical either
+/// way. Records one cache session (`shard I/N`) per invocation.
+///
 /// # Errors
 ///
 /// Propagates write failures.
@@ -224,29 +230,6 @@ fn run_batch_cached(
 /// Panics if `header.runs` does not match `specs.len()` (the caller
 /// built the header from the same plan).
 pub fn run_shard<W: Write>(
-    header: &CampaignHeader,
-    specs: &[&RunSpec],
-    jobs: usize,
-    out: &mut W,
-) -> io::Result<()> {
-    run_shard_cached(header, specs, jobs, None, out)
-}
-
-/// [`run_shard`] with an optional result cache: each distinct spec among
-/// this shard's indices is looked up first, only the misses are
-/// simulated, and each fresh result is stored back once — the emitted
-/// shard file is byte-identical either way. Records one cache session
-/// (`shard I/N`) per invocation.
-///
-/// # Errors
-///
-/// Propagates write failures.
-///
-/// # Panics
-///
-/// Panics if `header.runs` does not match `specs.len()` (the caller
-/// built the header from the same plan).
-pub fn run_shard_cached<W: Write>(
     header: &CampaignHeader,
     specs: &[&RunSpec],
     jobs: usize,
@@ -271,35 +254,68 @@ pub fn run_shard_cached<W: Write>(
     Ok(())
 }
 
-/// Reads one shard file: the campaign header line plus the records.
-///
-/// Shard files are written complete or not at all, so an unterminated
-/// final line is corruption here — the coordinator journal, which *can*
-/// legitimately end mid-line after a crash, goes through
-/// [`crate::transport::JournalReader`] instead.
+/// Reads a header+records file: a shard file ([`TailPolicy::Reject`]:
+/// workers write them complete or not at all) or a coordinator journal
+/// ([`TailPolicy::DropTorn`]: a crash mid-write may tear its last line).
 ///
 /// # Errors
 ///
 /// Returns [`ExecutorError::Io`] on filesystem errors and
 /// [`ExecutorError::Corrupt`] on malformed content.
-pub fn read_shard_file(path: &Path) -> Result<(CampaignHeader, Vec<ShardRecord>), ExecutorError> {
+pub fn read_record_file(path: &Path, tail: TailPolicy) -> Result<RecordFile, ExecutorError> {
     let bytes = std::fs::read(path)
         .map_err(|e| ExecutorError::io(format!("cannot open {}", path.display()), e))?;
-    let parsed = RecordFile::parse(&bytes, TailPolicy::Reject)
-        .map_err(|e| ExecutorError::Corrupt { file: path.to_path_buf(), detail: e.to_string() })?;
-    Ok((parsed.header, parsed.records))
+    RecordFile::parse(&bytes, tail)
+        .map_err(|e| ExecutorError::Corrupt { file: path.to_path_buf(), detail: e.to_string() })
 }
 
-/// Folds shard records into a complete result vector in plan order,
-/// verifying that every record's fingerprint matches the plan and that
-/// every plan index is covered exactly once.
+/// Checks one record against the campaign plan — the index is in range,
+/// the spec fingerprint matches, and the recorded workload is the spec's
+/// — and returns its plan index and result. Every record a campaign
+/// accepts passes here: merged shard files, live worker frames, journal
+/// replay and cache pre-fill.
 ///
 /// # Errors
 ///
-/// Returns [`ExecutorError::PlanDrift`] on a fingerprint mismatch or
-/// unknown benchmark, [`ExecutorError::Coverage`] on missing, duplicate
-/// or out-of-range indices. A coverage failure names *every* missing
-/// and duplicated index (range-compressed), not just the first — which
+/// Returns [`ExecutorError::Coverage`] for an out-of-range index and
+/// [`ExecutorError::PlanDrift`] for a fingerprint or workload mismatch.
+pub(crate) fn check_record(
+    specs: &[&RunSpec],
+    record: ShardRecord,
+) -> Result<(usize, RunResult), ExecutorError> {
+    let index = record.index;
+    let Some(spec) = specs.get(index) else {
+        return Err(ExecutorError::Coverage {
+            detail: format!("record index {index} exceeds the {}-spec plan", specs.len()),
+        });
+    };
+    let expected = spec.fingerprint();
+    if record.fingerprint != expected {
+        return Err(ExecutorError::PlanDrift {
+            index,
+            detail: format!(
+                "expected spec fingerprint {expected:016x}, record carries {:016x} \
+                 (coordinator and worker planned different campaigns)",
+                record.fingerprint
+            ),
+        });
+    }
+    let result = record
+        .into_run_result(spec)
+        .map_err(|e| ExecutorError::PlanDrift { index, detail: e.to_string() })?;
+    Ok((index, result))
+}
+
+/// Folds shard records into a complete result vector in plan order,
+/// checking every record and that every plan index is covered exactly
+/// once.
+///
+/// # Errors
+///
+/// Returns [`ExecutorError::PlanDrift`] on a fingerprint or workload
+/// mismatch, and [`ExecutorError::Coverage`] on out-of-range, missing
+/// or duplicate indices. A coverage failure names *every* missing and
+/// duplicated index (range-compressed), not just the first — which
 /// shard to re-run is then obvious from the index arithmetic.
 pub fn assemble_shard_results(
     specs: &[&RunSpec],
@@ -308,30 +324,11 @@ pub fn assemble_shard_results(
     let mut slots: Vec<Option<RunResult>> = (0..specs.len()).map(|_| None).collect();
     let mut duplicated: Vec<usize> = Vec::new();
     for record in records {
-        let index = record.index;
-        if index >= specs.len() {
-            return Err(ExecutorError::Coverage {
-                detail: format!("record index {index} exceeds the {}-spec plan", specs.len()),
-            });
-        }
-        let expected = specs[index].fingerprint();
-        if record.fingerprint != expected {
-            return Err(ExecutorError::PlanDrift {
-                index,
-                detail: format!(
-                    "expected spec fingerprint {expected:016x}, record carries {:016x} \
-                     (coordinator and worker planned different campaigns)",
-                    record.fingerprint
-                ),
-            });
-        }
+        let (index, result) = check_record(specs, record)?;
         if slots[index].is_some() {
             duplicated.push(index);
             continue;
         }
-        let result = record
-            .into_run_result(specs[index])
-            .map_err(|e| ExecutorError::PlanDrift { index, detail: e.to_string() })?;
         slots[index] = Some(result);
     }
     let missing: Vec<usize> =
@@ -386,6 +383,7 @@ mod tests {
     use super::*;
     use crate::experiments::ExperimentOpts;
     use crate::run::run_suite_jobs;
+    use crate::scenario::CampaignRequest;
     use rfcache_core::{RegFileConfig, SingleBankConfig};
 
     fn specs() -> Vec<RunSpec> {
@@ -419,9 +417,10 @@ mod tests {
         let opts = ExperimentOpts::smoke();
         let mut records = Vec::new();
         for shard in 0..2 {
-            let header = CampaignHeader::new(vec!["x".into()], &opts, shard, 2, refs.len());
+            let campaign = CampaignRequest::new(vec!["x".into()], opts);
+            let header = CampaignHeader { campaign, shard, of: 2, runs: refs.len() };
             let mut buf = Vec::new();
-            run_shard(&header, &refs, 1, &mut buf).unwrap();
+            run_shard(&header, &refs, 1, None, &mut buf).unwrap();
             let text = String::from_utf8(buf).unwrap();
             let parsed_header = CampaignHeader::parse(text.lines().next().unwrap()).unwrap();
             assert_eq!(parsed_header.shard, shard);
@@ -491,14 +490,16 @@ mod tests {
     }
 
     #[test]
-    fn read_shard_file_reports_corruption_with_the_path() {
+    fn read_record_file_reports_corruption_with_the_path() {
         let dir = std::env::temp_dir().join(format!("rfcache_shardfile_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.jsonl");
         std::fs::write(&path, "not a header\n").unwrap();
-        let err = read_shard_file(&path).unwrap_err();
-        assert!(matches!(err, ExecutorError::Corrupt { .. }));
-        assert!(err.to_string().contains("bad.jsonl"), "{err}");
+        for tail in [TailPolicy::Reject, TailPolicy::DropTorn] {
+            let err = read_record_file(&path, tail).unwrap_err();
+            assert!(matches!(err, ExecutorError::Corrupt { .. }));
+            assert!(err.to_string().contains("bad.jsonl"), "{err}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -52,8 +52,8 @@ pub use run::{
     DEFAULT_WARMUP,
 };
 pub use scenario::{
-    run_campaign, run_campaign_from_parts, run_campaign_planned, run_campaign_planned_with,
-    CampaignRequest, Registry, Scenario, ScenarioReport,
+    run_campaign, run_campaign_planned, run_campaign_planned_with, CampaignPlan, CampaignRequest,
+    Registry, Scenario, ScenarioReport,
 };
 pub use service::{ServiceConfig, ServiceSummary};
 pub use sweep::{SweepDef, SweepReport};

@@ -11,9 +11,9 @@
 //! verifies each record's spec fingerprint against its own campaign plan
 //! before assembling reports.
 
-use crate::experiments::ExperimentOpts;
 use crate::json::{escape, parse_json, JsonValue};
 use crate::run::{RunResult, RunSpec};
+use crate::scenario::{CampaignRequest, Source};
 use rfcache_core::RegFileStats;
 use rfcache_frontend::FetchStats;
 use rfcache_pipeline::{OccupancyHistogram, SimMetrics};
@@ -258,49 +258,22 @@ impl ShardRecord {
     /// flag contradicts the spec (both indicate a record from an
     /// incompatible binary or a drifted plan).
     pub fn into_run_result(self, spec: &RunSpec) -> Result<RunResult, CodecError> {
-        if self.bench != spec.workload.label() {
-            return Err(CodecError::new(format!(
-                "record is for workload `{}` but the spec is `{}`",
-                self.bench,
-                spec.workload.label()
-            )));
-        }
-        if self.fp != spec.workload.fp() {
-            return Err(CodecError::new(format!(
-                "workload `{}` has fp={} but the record says fp={}",
-                self.bench,
-                spec.workload.fp(),
-                self.fp
-            )));
-        }
-        Ok(RunResult { bench: self.bench, fp: self.fp, metrics: self.metrics })
+        let result = RunResult { bench: self.bench, fp: self.fp, metrics: self.metrics };
+        result.check_workload(spec).map_err(CodecError::new)?;
+        Ok(result)
     }
 }
 
-/// The first line of a shard file: which campaign the shard belongs to
-/// (enough to re-derive the plan deterministically) and which slice of
-/// it the worker executed.
+/// The first line of a shard file or journal, and the campaign of a
+/// `hello` frame: the campaign description plus the slice of its plan
+/// the file covers.
+///
+/// The line is the description's JSON ([`CampaignRequest::to_json`],
+/// the `POST /campaigns` body) with `shard`, `of` and `runs` appended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignHeader {
-    /// Scenario names, in campaign order (`all` already expanded).
-    pub scenarios: Vec<String>,
-    /// Canonical JSON texts of runtime-loaded sweep definitions
-    /// (empty for campaigns built purely from built-in scenarios).
-    ///
-    /// Runtime sweeps have no registry entry another process could
-    /// resolve their names against, so the definitions themselves travel
-    /// in the header: workers, `merge` and `resume` rebuild a
-    /// [`Registry`](crate::scenario::Registry) from these texts before
-    /// resolving `scenarios`.
-    pub sweeps: Vec<String>,
-    /// Measured instructions per benchmark.
-    pub insts: u64,
-    /// Warmup instructions per benchmark.
-    pub warmup: u64,
-    /// Workload seed.
-    pub seed: u64,
-    /// Whether the reduced `--quick` sweeps were planned.
-    pub quick: bool,
+    /// The campaign: scenario names, embedded sweeps and options.
+    pub campaign: CampaignRequest,
     /// This worker's shard index (`I` of `I/N`).
     pub shard: usize,
     /// Total shard count (`N` of `I/N`).
@@ -311,59 +284,10 @@ pub struct CampaignHeader {
 }
 
 impl CampaignHeader {
-    /// Builds the header for one shard of a campaign planned under
-    /// `opts` (`jobs` is intra-process and deliberately not recorded).
-    pub fn new(
-        scenarios: Vec<String>,
-        opts: &ExperimentOpts,
-        shard: usize,
-        of: usize,
-        runs: usize,
-    ) -> Self {
-        CampaignHeader {
-            scenarios,
-            sweeps: Vec::new(),
-            insts: opts.insts,
-            warmup: opts.warmup,
-            seed: opts.seed,
-            quick: opts.quick,
-            shard,
-            of,
-            runs,
-        }
-    }
-
-    /// Attaches runtime sweep definitions (canonical JSON texts) to the
-    /// header (builder-style).
-    #[must_use]
-    pub fn with_sweeps(mut self, sweeps: Vec<String>) -> Self {
-        self.sweeps = sweeps;
-        self
-    }
-
-    /// The options the campaign was planned under (worker threads reset
-    /// to the default).
-    pub fn opts(&self) -> ExperimentOpts {
-        ExperimentOpts {
-            insts: self.insts,
-            warmup: self.warmup,
-            seed: self.seed,
-            quick: self.quick,
-            ..ExperimentOpts::default()
-        }
-    }
-
     /// Whether two headers describe the same campaign (everything but
     /// the shard index must agree for their files to be mergeable).
     pub fn same_campaign(&self, other: &CampaignHeader) -> bool {
-        self.scenarios == other.scenarios
-            && self.sweeps == other.sweeps
-            && self.insts == other.insts
-            && self.warmup == other.warmup
-            && self.seed == other.seed
-            && self.quick == other.quick
-            && self.of == other.of
-            && self.runs == other.runs
+        self.campaign == other.campaign && self.of == other.of && self.runs == other.runs
     }
 
     /// [`to_line`](Self::to_line) with the campaign fingerprint stamped
@@ -379,30 +303,17 @@ impl CampaignHeader {
 
     /// Encodes the header as one JSON line (no trailing newline).
     ///
-    /// The `sweeps` field is only emitted when non-empty, so headers of
-    /// campaigns without runtime sweeps render exactly as they did
-    /// before the field existed (and old binaries, which ignore unknown
-    /// fields, still parse headers that do carry sweeps).
+    /// Sweeps embed as objects and only when there are any, so headers
+    /// of campaigns without runtime sweeps render exactly as they did
+    /// before sweeps existed.
     pub fn to_line(&self) -> String {
-        let names: Vec<String> =
-            self.scenarios.iter().map(|s| format!("\"{}\"", escape(s))).collect();
-        let sweeps = if self.sweeps.is_empty() {
-            String::new()
-        } else {
-            let texts: Vec<String> =
-                self.sweeps.iter().map(|s| format!("\"{}\"", escape(s))).collect();
-            format!("\"sweeps\": [{}], ", texts.join(", "))
-        };
+        let campaign = self.campaign.to_json();
         format!(
-            "{{\"scenarios\": [{}], {sweeps}\"insts\": {}, \"warmup\": {}, \"seed\": {}, \"quick\": {}, \"shard\": {}, \"of\": {}, \"runs\": {}}}",
-            names.join(", "),
-            self.insts,
-            self.warmup,
-            self.seed,
-            self.quick,
+            "{}, \"shard\": {}, \"of\": {}, \"runs\": {}}}",
+            &campaign[..campaign.len() - 1],
             self.shard,
             self.of,
-            self.runs,
+            self.runs
         )
     }
 
@@ -417,43 +328,17 @@ impl CampaignHeader {
     }
 
     /// Decodes an already parsed header object (also used for the
-    /// campaign description inside a `hello` frame).
+    /// campaign description inside a `hello` frame). Every option must
+    /// be present, and a sweep may be an object or, as in headers older
+    /// binaries wrote, an escaped string.
     ///
     /// # Errors
     ///
     /// Returns [`CodecError`] on a malformed header or an inconsistent
     /// shard slice.
     pub fn from_value(v: &JsonValue) -> Result<Self, CodecError> {
-        let scenarios = field(v, "scenarios")?
-            .as_array()
-            .ok_or_else(|| CodecError::new("field `scenarios` is not an array"))?
-            .iter()
-            .map(|s| {
-                s.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| CodecError::new("non-string entry in `scenarios`"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let sweeps = match v.get("sweeps") {
-            None => Vec::new(),
-            Some(s) => s
-                .as_array()
-                .ok_or_else(|| CodecError::new("field `sweeps` is not an array"))?
-                .iter()
-                .map(|t| {
-                    t.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| CodecError::new("non-string entry in `sweeps`"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        };
         let header = CampaignHeader {
-            scenarios,
-            sweeps,
-            insts: u64_field(v, "insts")?,
-            warmup: u64_field(v, "warmup")?,
-            seed: u64_field(v, "seed")?,
-            quick: bool_field(v, "quick")?,
+            campaign: CampaignRequest::decode(v, Source::Header).map_err(CodecError::new)?,
             shard: usize_field(v, "shard")?,
             of: usize_field(v, "of")?,
             runs: usize_field(v, "runs")?,
@@ -683,7 +568,7 @@ impl Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::RunSpec;
+    use crate::experiments::ExperimentOpts;
     use rfcache_core::{RegFileConfig, SingleBankConfig};
 
     fn simulated_metrics() -> SimMetrics {
@@ -767,20 +652,24 @@ mod tests {
         assert!(record.into_run_result(&spec).is_ok());
     }
 
+    fn header(scenarios: &[&str], shard: usize, of: usize, runs: usize) -> CampaignHeader {
+        let names = scenarios.iter().map(|s| s.to_string()).collect();
+        let campaign = CampaignRequest::new(names, ExperimentOpts::smoke());
+        CampaignHeader { campaign, shard, of, runs }
+    }
+
     #[test]
     fn campaign_header_round_trips_and_validates_the_slice() {
-        let opts = ExperimentOpts::smoke();
-        let header = CampaignHeader::new(vec!["fig6".into(), "table2".into()], &opts, 1, 4, 36);
+        let header = header(&["fig6", "table2"], 1, 4, 36);
         let parsed = CampaignHeader::parse(&header.to_line()).unwrap();
         assert_eq!(header, parsed);
         assert!(header.same_campaign(&parsed));
-        assert_eq!(parsed.opts().insts, opts.insts);
-        assert_eq!(parsed.opts().quick, opts.quick);
+        assert_eq!(parsed.campaign.opts, ExperimentOpts::smoke());
 
         let mut other = header.clone();
         other.shard = 2;
         assert!(header.same_campaign(&other), "shard index is not campaign identity");
-        other.insts += 1;
+        other.campaign.opts.insts += 1;
         assert!(!header.same_campaign(&other));
 
         let bad = header.to_line().replace("\"shard\": 1, \"of\": 4", "\"shard\": 4, \"of\": 4");
@@ -791,8 +680,7 @@ mod tests {
 
     #[test]
     fn record_file_parses_shard_and_journal_shapes() {
-        let opts = ExperimentOpts::smoke();
-        let header = CampaignHeader::new(vec!["fig6".into()], &opts, 0, 1, 2);
+        let header = header(&["fig6"], 0, 1, 2);
         let spec = RunSpec::known("li", RegFileConfig::Single(SingleBankConfig::one_cycle()))
             .insts(1_500)
             .warmup(300);
@@ -847,8 +735,7 @@ mod tests {
 
     #[test]
     fn every_frame_kind_round_trips() {
-        let opts = ExperimentOpts::smoke();
-        let header = CampaignHeader::new(vec!["fig6".into()], &opts, 0, 1, 12);
+        let header = header(&["fig6"], 0, 1, 12);
         let spec = RunSpec::known("li", RegFileConfig::Single(SingleBankConfig::one_cycle()))
             .insts(1_500)
             .warmup(300);

@@ -347,6 +347,29 @@ impl RunResult {
     pub fn ipc(&self) -> f64 {
         self.metrics.ipc()
     }
+
+    /// Checks that a result read back from a shard record, a journal or
+    /// the result cache reports the workload of `spec`. A label or `fp`
+    /// flag that contradicts the spec means an incompatible binary or a
+    /// drifted plan.
+    pub(crate) fn check_workload(&self, spec: &RunSpec) -> Result<(), String> {
+        let label = spec.workload.label();
+        if self.bench != label {
+            return Err(format!(
+                "result is for workload `{}` but the spec is `{label}`",
+                self.bench
+            ));
+        }
+        if self.fp != spec.workload.fp() {
+            return Err(format!(
+                "workload `{}` has fp={} but the result says fp={}",
+                self.bench,
+                spec.workload.fp(),
+                self.fp
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Default worker count: the machine's available parallelism (the

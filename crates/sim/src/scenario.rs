@@ -34,7 +34,9 @@ use crate::experiments::{
     ablation, fig1, fig2, fig3, fig5, fig6, fig7, fig8, fig9, onelevel, readstats, sources, table2,
     ExperimentOpts,
 };
-use crate::run::{run_suite_jobs, RunResult, RunSpec};
+use crate::json::{render_json, JsonValue};
+use crate::metrics_codec::CampaignHeader;
+use crate::run::{campaign_fingerprint, flatten_plans, run_suite_jobs, RunResult, RunSpec};
 use crate::table::TextTable;
 use std::fmt;
 
@@ -211,24 +213,19 @@ pub fn run_campaign_planned_with(
     opts: &ExperimentOpts,
     plans: Vec<Vec<RunSpec>>,
 ) -> Result<Vec<Box<dyn ScenarioReport>>, ExecutorError> {
-    assert_eq!(plans.len(), scenarios.len(), "one plan per scenario");
-    let flat = crate::run::flatten_plans(&plans);
-    let results = executor.execute(&flat)?;
-    Ok(run_campaign_from_parts(scenarios, opts, &plans, results))
+    let results = executor.execute(&flatten_plans(&plans))?;
+    Ok(assemble_plans(scenarios, opts, &plans, results))
 }
 
-/// The assemble half of a campaign: folds an already complete,
-/// plan-ordered result vector back through each scenario's
-/// [`assemble`](Scenario::assemble). This is what the `merge` CLI path
-/// uses after decoding shard files — the simulation happened elsewhere,
-/// possibly in several processes.
+/// The assemble half of a campaign: folds a complete, plan-ordered
+/// result vector back through each scenario's
+/// [`assemble`](Scenario::assemble).
 ///
 /// # Panics
 ///
 /// Panics if `plans` and `scenarios` differ in length, or if `results`
-/// does not contain exactly one result per planned spec (shard readers
-/// verify coverage before calling this).
-pub fn run_campaign_from_parts(
+/// does not hold exactly one result per planned spec.
+fn assemble_plans(
     scenarios: &[&Scenario],
     opts: &ExperimentOpts,
     plans: &[Vec<RunSpec>],
@@ -286,8 +283,8 @@ fn builtins() -> &'static [Scenario] {
 pub struct Registry {
     sweeps: Vec<Scenario>,
     /// Canonical JSON text of each sweep, aligned with `sweeps` — what
-    /// a [`crate::CampaignHeader`] carries so other processes can
-    /// rebuild this registry.
+    /// a [`CampaignRequest`] carries so other processes can rebuild
+    /// this registry.
     texts: Vec<String>,
 }
 
@@ -320,7 +317,7 @@ impl Registry {
     }
 
     /// Rebuilds a registry from the canonical sweep texts a
-    /// [`crate::CampaignHeader`] carries.
+    /// [`CampaignRequest`] carries.
     ///
     /// # Errors
     ///
@@ -362,13 +359,19 @@ impl Registry {
     ///
     /// Names the first unknown scenario.
     pub fn resolve(&self, names: &[String]) -> Result<Vec<&Scenario>, String> {
-        names
-            .iter()
-            .map(|name| {
-                self.find(name)
-                    .ok_or_else(|| format!("unknown scenario `{name}` (see experiments --list)"))
-            })
-            .collect()
+        names.iter().map(|name| self.position(name).map(|at| self.at(at))).collect()
+    }
+
+    /// The position of a scenario in [`iter`](Self::iter) order.
+    fn position(&self, name: &str) -> Result<usize, String> {
+        self.iter()
+            .position(|s| s.name == name)
+            .ok_or_else(|| format!("unknown scenario `{name}` (see experiments --list)"))
+    }
+
+    /// The scenario at a [`position`](Self::position).
+    fn at(&self, at: usize) -> &Scenario {
+        builtins().get(at).unwrap_or_else(|| &self.sweeps[at - builtins().len()])
     }
 }
 
@@ -381,19 +384,18 @@ impl fmt::Debug for Registry {
     }
 }
 
-/// A campaign description the coordinator serves (`POST /campaigns`, or
-/// the one campaign of a session): which scenarios to run and the
-/// [`ExperimentOpts`] to plan them under.
+/// A campaign description: which scenarios to run, the declarative
+/// sweeps they may name, and the [`ExperimentOpts`] to plan them under.
 ///
-/// The wire format is one JSON object — `{"scenarios": ["fig1", ...],
-/// "sweeps": [{...}, ...], "insts": N, "warmup": N, "seed": N,
-/// "quick": bool}` with everything but `scenarios` optional — parsed by
-/// the same literal-preserving [`crate::parse_json`] reader the metrics
-/// codec uses, and validated against the registry (built-ins plus any
-/// embedded sweep definitions) so an unknown scenario or a malformed
-/// sweep is rejected at admission instead of surfacing as plan drift
-/// mid-campaign.
-#[derive(Debug, Clone, PartialEq)]
+/// This is the one description of a campaign. Its JSON form —
+/// `{"scenarios": ["fig1", ...], "sweeps": [{...}, ...], "insts": N,
+/// "warmup": N, "seed": N, "quick": bool}` — is the `POST /campaigns`
+/// body, and with the shard slice appended it is the first line of every
+/// shard file and journal and the campaign of every `hello` frame
+/// ([`CampaignHeader`]). Every process derives the campaign's runs
+/// through [`plan`](Self::plan), so a name always means the same plan
+/// everywhere.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignRequest {
     /// Scenario names, in run order (`all` already expanded by the
     /// submitting client; may name embedded sweeps).
@@ -402,10 +404,23 @@ pub struct CampaignRequest {
     /// A runtime sweep has no name another process could resolve, so
     /// the definition itself travels with the request.
     pub sweeps: Vec<String>,
-    /// The options every scenario is planned and assembled with
-    /// (`jobs` stays at its default: worker-side parallelism is the
-    /// workers' business, not the description's).
+    /// The options every scenario is planned and assembled with (`jobs`
+    /// is never encoded: worker-side parallelism is the workers'
+    /// business).
     pub opts: ExperimentOpts,
+}
+
+/// Which document a campaign description is decoded from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Source {
+    /// A `POST /campaigns` body: unknown keys are rejected (a typo'd
+    /// option must not silently plan a default campaign), omitted
+    /// options default, and every sweep is an object.
+    Post,
+    /// A shard-file, journal or `hello` header: the caller reads the
+    /// other keys, every option is required, and a sweep may also be the
+    /// escaped string that older headers carry.
+    Header,
 }
 
 impl CampaignRequest {
@@ -422,20 +437,9 @@ impl CampaignRequest {
         self
     }
 
-    /// Builds the registry this request's names resolve against:
-    /// built-ins plus the embedded sweeps.
-    ///
-    /// # Errors
-    ///
-    /// Returns a reason when an embedded sweep fails to parse or its
-    /// name collides.
-    pub fn registry(&self) -> Result<Registry, String> {
-        Registry::from_texts(&self.sweeps)
-    }
-
-    /// Renders the JSON document the `submit` subcommand POSTs. Sweep
-    /// definitions embed as raw JSON objects (they are canonical JSON
-    /// texts already).
+    /// Renders the description as one JSON object. Sweep definitions
+    /// embed as raw JSON objects (they are canonical JSON texts already)
+    /// and are omitted when there are none.
     pub fn to_json(&self) -> String {
         let names: Vec<String> =
             self.scenarios.iter().map(|s| format!("\"{}\"", crate::json::escape(s))).collect();
@@ -454,27 +458,29 @@ impl CampaignRequest {
         )
     }
 
-    /// Parses and validates one submitted campaign description.
+    /// Parses one submitted campaign description (a `POST /campaigns`
+    /// body).
     ///
-    /// Strict on shape: unknown top-level keys are rejected (a typo'd
-    /// option must not silently plan a default campaign), `scenarios`
-    /// must name at least one scenario, every embedded sweep must parse
-    /// and validate, and every name must resolve against the registry
-    /// (built-ins plus the embedded sweeps).
+    /// Strict on shape: unknown top-level keys are rejected, `scenarios`
+    /// must name at least one scenario, and every sweep must be an
+    /// object. Whether the names resolve and the sweeps validate is
+    /// [`plan`](Self::plan)'s call.
     ///
     /// # Errors
     ///
     /// Returns a human-readable reason fit for a `400` response body.
     pub fn from_json(body: &str) -> Result<Self, String> {
-        let v = crate::parse_json(body).map_err(|e| e.to_string())?;
-        let crate::JsonValue::Object(fields) = &v else {
+        Self::decode(&crate::parse_json(body).map_err(|e| e.to_string())?, Source::Post)
+    }
+
+    /// Decodes a parsed description read from `source`.
+    pub(crate) fn decode(v: &JsonValue, source: Source) -> Result<Self, String> {
+        let JsonValue::Object(fields) = v else {
             return Err("campaign description must be a JSON object".to_string());
         };
-        for (key, _) in fields {
-            if !matches!(
-                key.as_str(),
-                "scenarios" | "sweeps" | "insts" | "warmup" | "seed" | "quick"
-            ) {
+        let known = ["scenarios", "sweeps", "insts", "warmup", "seed", "quick"];
+        if source == Source::Post {
+            if let Some((key, _)) = fields.iter().find(|(key, _)| !known.contains(&key.as_str())) {
                 return Err(format!("unknown campaign field `{key}`"));
             }
         }
@@ -499,39 +505,111 @@ impl CampaignRequest {
                 .as_array()
                 .ok_or("`sweeps` must be an array of sweep definition objects")?
                 .iter()
-                .map(|def| {
-                    // Re-render canonically, then round the text through
-                    // the full sweep validator: a request is rejected
-                    // whole if any embedded definition is malformed.
-                    let text = crate::json::render_json(def);
-                    crate::sweep::SweepDef::parse(&text).map(|d| d.text)
+                .map(|def| match def {
+                    JsonValue::Object(_) => Ok(render_json(def)),
+                    JsonValue::String(text) if source == Source::Header => Ok(text.clone()),
+                    _ => Err("`sweeps` must be an array of sweep definition objects".to_string()),
                 })
                 .collect::<Result<Vec<String>, String>>()?,
         };
-        let registry = Registry::from_texts(&sweeps)?;
-        registry.resolve(&scenarios)?;
-        let mut opts = ExperimentOpts::default();
-        let number = |key: &str| -> Result<Option<u64>, String> {
-            match v.get(key) {
-                None => Ok(None),
-                Some(n) => {
-                    n.as_u64().map(Some).ok_or_else(|| format!("`{key}` must be a whole number"))
-                }
-            }
+        let defaults = ExperimentOpts::default();
+        let option = |key: &str| match v.get(key) {
+            None if source == Source::Header => Err(format!("missing field `{key}`")),
+            value => Ok(value),
         };
-        if let Some(n) = number("insts")? {
-            opts.insts = n;
-        }
-        if let Some(n) = number("warmup")? {
-            opts.warmup = n;
-        }
-        if let Some(n) = number("seed")? {
-            opts.seed = n;
-        }
-        if let Some(q) = v.get("quick") {
-            opts.quick = q.as_bool().ok_or("`quick` must be a boolean")?;
-        }
+        let number = |key: &str, default: u64| match option(key)? {
+            None => Ok(default),
+            Some(n) => n.as_u64().ok_or_else(|| format!("`{key}` must be a whole number")),
+        };
+        let opts = ExperimentOpts {
+            insts: number("insts", defaults.insts)?,
+            warmup: number("warmup", defaults.warmup)?,
+            seed: number("seed", defaults.seed)?,
+            quick: match option("quick")? {
+                None => defaults.quick,
+                Some(q) => q.as_bool().ok_or("`quick` must be a boolean")?,
+            },
+            ..defaults
+        };
         Ok(CampaignRequest { scenarios, sweeps, opts })
+    }
+
+    /// Plans the campaign: builds the registry from the embedded sweeps,
+    /// resolves the names, plans every scenario and fingerprints the
+    /// flattened plan. Every process that runs, serves, merges or resumes
+    /// a campaign plans it here.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason when an embedded sweep fails to parse or
+    /// validate, sweep names collide, or a name resolves to no scenario.
+    pub fn plan(&self) -> Result<CampaignPlan, String> {
+        let registry = Registry::from_texts(&self.sweeps)?;
+        let positions = self
+            .scenarios
+            .iter()
+            .map(|name| registry.position(name))
+            .collect::<Result<Vec<usize>, String>>()?;
+        let plans: Vec<Vec<RunSpec>> =
+            positions.iter().map(|&at| registry.at(at).plan(&self.opts)).collect();
+        let fingerprint = campaign_fingerprint(&flatten_plans(&plans));
+        Ok(CampaignPlan { request: self.clone(), registry, positions, plans, fingerprint })
+    }
+}
+
+/// A planned campaign ([`CampaignRequest::plan`]): the description, the
+/// registry its names resolve in, each scenario's specs, and the
+/// campaign fingerprint the worker handshake and journals compare.
+#[derive(Debug)]
+pub struct CampaignPlan {
+    request: CampaignRequest,
+    registry: Registry,
+    /// Each requested scenario's position in the registry, resolved
+    /// once, so assembling never depends on a name resolving again.
+    positions: Vec<usize>,
+    plans: Vec<Vec<RunSpec>>,
+    fingerprint: u64,
+}
+
+impl CampaignPlan {
+    /// The description this plan was derived from.
+    pub fn request(&self) -> &CampaignRequest {
+        &self.request
+    }
+
+    /// Every scenario's specs in one list, in plan order: what executors,
+    /// shard workers and lease tables index.
+    pub fn flat(&self) -> Vec<&RunSpec> {
+        flatten_plans(&self.plans)
+    }
+
+    /// How many specs the campaign plans.
+    pub fn runs(&self) -> usize {
+        self.plans.iter().map(Vec::len).sum()
+    }
+
+    /// [`campaign_fingerprint`] of the flattened plan.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// The header of slice `shard` of `of` of this campaign.
+    pub fn header(&self, shard: usize, of: usize) -> CampaignHeader {
+        CampaignHeader { campaign: self.request.clone(), shard, of, runs: self.runs() }
+    }
+
+    /// Folds a complete, plan-ordered result vector back through each
+    /// scenario's [`assemble`](Scenario::assemble), one report per
+    /// requested scenario.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `results` does not hold exactly one result per planned
+    /// spec (callers verify coverage first).
+    pub fn assemble(&self, results: Vec<RunResult>) -> Vec<Box<dyn ScenarioReport>> {
+        let scenarios: Vec<&Scenario> =
+            self.positions.iter().map(|&at| self.registry.at(at)).collect();
+        assemble_plans(&scenarios, &self.request.opts, &self.plans, results)
     }
 }
 
@@ -617,8 +695,9 @@ mod tests {
         assert_eq!(parsed.scenarios, req.scenarios);
         assert_eq!(parsed.opts.insts, 9_000);
         assert!(parsed.opts.quick);
-        let registry = parsed.registry().unwrap();
-        assert_eq!(registry.resolve(&parsed.scenarios).unwrap()[1].name, "table2");
+        let plan = parsed.plan().unwrap();
+        let fig6 = Registry::builtin().find("fig6").unwrap().plan(&parsed.opts);
+        assert_eq!(plan.runs(), fig6.len(), "table2 plans no simulations");
 
         let minimal = CampaignRequest::from_json("{\"scenarios\": [\"fig6\"]}").unwrap();
         assert_eq!(minimal.opts.insts, ExperimentOpts::default().insts);
@@ -628,7 +707,9 @@ mod tests {
 
     #[test]
     fn campaign_request_rejects_bad_descriptions_with_useful_reasons() {
-        let unknown = CampaignRequest::from_json("{\"scenarios\": [\"fig4\"]}").unwrap_err();
+        let unknown = CampaignRequest::from_json("{\"scenarios\": [\"fig4\"]}")
+            .and_then(|request| request.plan())
+            .unwrap_err();
         assert!(unknown.contains("fig4"), "{unknown}");
         let typo =
             CampaignRequest::from_json("{\"scenarios\": [\"fig6\"], \"inst\": 5}").unwrap_err();

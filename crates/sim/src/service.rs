@@ -20,20 +20,21 @@
 //!
 //! **One-campaign sessions.** `experiments serve <names>`,
 //! `--dist-workers N` and `experiments resume` run the same loop with one
-//! campaign already queued ([`ServiceConfig::campaign`]). The loop treats
-//! that campaign's completion as its fetch, so `max_campaigns: Some(1)`
-//! ends the session, and it hands the results document back in
-//! [`ServiceSummary::results`]. If the campaign fails, the session ends
-//! too. A session takes no submissions, and its campaign journals to one
-//! file ([`JournalMode::Create`]) or resumes an interrupted one
-//! ([`JournalMode::Resume`]).
+//! campaign already planned and queued ([`ServiceConfig::campaign`]). The
+//! loop treats that campaign's completion as its fetch, so
+//! `max_campaigns: Some(1)` ends the session, and it hands the results
+//! document back in [`ServiceSummary::results`]. If the campaign fails,
+//! the session ends too. A session takes no submissions, and its campaign
+//! journals to one file ([`JournalMode::Create`]) or resumes an
+//! interrupted one ([`JournalMode::Resume`]).
 //!
-//! **Same admission path.** Every record enters a campaign through
-//! [`ServeState::admit`], whether it arrives as a live worker frame, a
-//! journal replay, or a `--cache` pre-fill at promotion time. Results are
-//! therefore byte-identical to an in-process run of the same description
-//! (asserted end to end in `crates/bench/tests/{service,dist}.rs` and
-//! the CI `service` and `distributed` jobs).
+//! **Same admission path.** Every record enters a campaign through one
+//! admission path, and passes the same check as a merged shard record,
+//! whether it arrives as a live worker frame, a journal replay, or a
+//! `--cache` pre-fill at promotion time. Results are therefore byte-identical to an in-process
+//! run of the same description (asserted end to end in
+//! `crates/bench/tests/{service,dist}.rs` and the CI `service` and
+//! `distributed` jobs).
 //!
 //! **Endpoints.**
 //!
@@ -60,23 +61,21 @@
 //!
 //! **Architecture.** The listener, every worker connection and every
 //! HTTP client are nonblocking sockets multiplexed through `poll(2)`
-//! ([`crate::readiness`]), with per-connection state machines
-//! ([`crate::conn`]) instead of per-connection threads. One thread owns
+//! (the `readiness` module), with per-connection state machines (the
+//! `conn` module) instead of per-connection threads. One thread owns
 //! everything, so lease tables, slot vectors and journals need no locks,
 //! and the design scales to thousands of worker connections.
 
 use crate::cache::{Cache, CacheSession};
 use crate::conn::{ActiveLease, HttpConn, WorkerConn, WorkerPhase};
-use crate::executor::ExecutorError;
+use crate::executor::{read_record_file, ExecutorError};
 use crate::http;
 use crate::json;
-use crate::metrics_codec::{CampaignHeader, Frame, ShardRecord};
+use crate::metrics_codec::{Frame, ShardRecord, TailPolicy};
 use crate::readiness::{listener_fd, stream_fd, PollSet};
-use crate::run::{campaign_fingerprint, distinct, flatten_plans, RunResult, RunSpec};
-use crate::scenario::{self, CampaignRequest, Registry, ScenarioReport};
-use crate::transport::{
-    JournalReader, JournalWriter, ServeOptions, ServeState, HANDSHAKE_DEADLINE, READ_TICK,
-};
+use crate::run::{distinct, RunResult, RunSpec};
+use crate::scenario::{CampaignPlan, CampaignRequest, ScenarioReport};
+use crate::transport::{JournalWriter, ServeOptions, ServeState, HANDSHAKE_DEADLINE, READ_TICK};
 use std::io;
 use std::net::TcpListener;
 use std::path::Path;
@@ -132,7 +131,7 @@ pub struct ServiceConfig<'a> {
     pub max_campaigns: Option<usize>,
     /// A campaign queued before the loop starts, which makes the run a
     /// one-campaign session (see the module docs).
-    pub campaign: Option<CampaignRequest>,
+    pub campaign: Option<CampaignPlan>,
     /// Polled about once per tick; returning a reason ends the loop with
     /// [`ExecutorError::Transport`]. `--dist-workers` uses it to give up
     /// once every worker it spawned has died.
@@ -219,13 +218,7 @@ impl CacheUse {
 /// One submitted campaign, from POST body to fetched results.
 struct Campaign {
     id: u64,
-    request: CampaignRequest,
-    /// The namespace the request's names resolve in: built-ins plus
-    /// any sweep definitions embedded in the submission.
-    registry: Registry,
-    header: CampaignHeader,
-    plans: Vec<Vec<RunSpec>>,
-    fingerprint: u64,
+    plan: CampaignPlan,
     state: ServeState,
     lifecycle: Lifecycle,
     failure: Option<String>,
@@ -239,41 +232,24 @@ struct Campaign {
 }
 
 impl Campaign {
-    /// Builds a queued campaign from a validated description.
-    ///
-    /// # Errors
-    ///
-    /// Returns the reason when an embedded sweep definition is invalid
-    /// or a requested scenario is unknown — a `400` for the submitter,
-    /// never a service panic.
-    fn new(id: u64, request: CampaignRequest, opts: &ServeOptions) -> Result<Campaign, String> {
-        let registry = request.registry()?;
-        let scenarios = registry.resolve(&request.scenarios)?;
-        let plans: Vec<Vec<RunSpec>> = scenarios.iter().map(|s| s.plan(&request.opts)).collect();
-        let flat = flatten_plans(&plans);
-        let runs = flat.len();
-        let fingerprint = campaign_fingerprint(&flat);
-        let header = CampaignHeader::new(request.scenarios.clone(), &request.opts, 0, 1, runs)
-            .with_sweeps(request.sweeps.clone());
-        Ok(Campaign {
+    /// Builds a queued campaign from its plan.
+    fn new(id: u64, plan: CampaignPlan, opts: &ServeOptions) -> Campaign {
+        let state = ServeState::new(plan.runs(), opts.chunk, opts.lease_timeout);
+        Campaign {
             id,
-            request,
-            registry,
-            header,
-            plans,
-            fingerprint,
-            state: ServeState::new(runs, opts.chunk, opts.lease_timeout),
+            plan,
+            state,
             lifecycle: Lifecycle::Queued,
             failure: None,
             cached: 0,
             cache_use: None,
             submitted: Instant::now(),
             results: None,
-        })
+        }
     }
 
     fn runs(&self) -> usize {
-        self.header.runs
+        self.plan.runs()
     }
 
     /// Marks the campaign failed (first reason wins). The failure stays
@@ -309,7 +285,7 @@ impl Campaign {
             self.id,
             self.runs(),
             self.cached,
-            self.fingerprint
+            self.plan.fingerprint()
         );
     }
 
@@ -325,7 +301,8 @@ impl Campaign {
             JournalMode::Create(path) => path.to_path_buf(),
             JournalMode::Resume(path) => return self.resume_journal(path, sync_every),
         };
-        let writer = JournalWriter::create(&path, &self.header, self.fingerprint, sync_every)
+        let header = self.plan.header(0, 1);
+        let writer = JournalWriter::create(&path, &header, self.plan.fingerprint(), sync_every)
             .map_err(|e| {
                 if e.kind() == io::ErrorKind::AlreadyExists {
                     format!(
@@ -342,24 +319,24 @@ impl Campaign {
     }
 
     /// Reopens an interrupted campaign's journal and replays its records.
-    /// The journaled header must describe this campaign and the stamped
-    /// campaign fingerprint must match the re-derived plan — the same
-    /// drift check a live worker handshake gets.
+    /// The journaled header must be this campaign's and the stamped
+    /// campaign fingerprint must match its plan — the same drift check a
+    /// live worker handshake gets.
     fn resume_journal(&mut self, path: &Path, sync_every: usize) -> Result<(), String> {
-        let replay = JournalReader::read(path).map_err(|e| e.to_string())?;
-        if !replay.header.same_campaign(&self.header) {
+        let replay = read_record_file(path, TailPolicy::DropTorn).map_err(|e| e.to_string())?;
+        if replay.header != self.plan.header(0, 1) {
             return Err(format!(
                 "journal {} describes a different campaign (scenarios/options/plan size disagree)",
                 path.display()
             ));
         }
         if let Some(journaled) = replay.campaign_fingerprint {
-            if journaled != self.fingerprint {
+            if journaled != self.plan.fingerprint() {
                 return Err(format!(
                     "plan drift: journal {} stamps campaign fingerprint {journaled:016x}, this \
                      binary plans {:016x} (mismatched binaries or options)",
                     path.display(),
-                    self.fingerprint
+                    self.plan.fingerprint()
                 ));
             }
         }
@@ -372,7 +349,7 @@ impl Campaign {
         let writer = JournalWriter::resume(path, replay.valid_len as u64, sync_every)
             .map_err(|e| format!("cannot reopen journal {}: {e}", path.display()))?;
         self.state.journal = Some(writer);
-        let flat = flatten_plans(&self.plans);
+        let flat = self.plan.flat();
         let mut replayed = 0usize;
         for record in replay.records {
             if self.state.admit(&flat, record, false).map_err(|e| e.to_string())? {
@@ -394,7 +371,7 @@ impl Campaign {
     /// distinct spec up once. Pre-filled indices are journaled like live
     /// records and never leased.
     fn prefill(&mut self, cache: &Cache) -> Result<(), ExecutorError> {
-        let flat = flatten_plans(&self.plans);
+        let flat = self.plan.flat();
         let (firsts, group) = distinct(&flat);
         let mut found: Vec<Option<Option<RunResult>>> = firsts.iter().map(|_| None).collect();
         let mut lookups = 0u64;
@@ -447,18 +424,7 @@ impl Campaign {
             .into_iter()
             .map(|slot| slot.expect("complete table implies full slots"))
             .collect();
-        // The names resolved at admission; a registry that no longer
-        // resolves them here would be a logic bug, but the loop fails
-        // the one campaign instead of panicking.
-        let scenarios = match self.registry.resolve(&self.request.scenarios) {
-            Ok(scenarios) => scenarios,
-            Err(e) => {
-                self.fail(format!("cannot re-resolve scenarios at completion: {e}"));
-                return;
-            }
-        };
-        let reports =
-            scenario::run_campaign_from_parts(&scenarios, &self.request.opts, &self.plans, results);
+        let reports = self.plan.assemble(results);
         self.results = Some(render_results(self, &reports));
         self.lifecycle = Lifecycle::Complete;
         eprintln!("[service: campaign {} complete ({} run(s))]", self.id, self.runs());
@@ -467,6 +433,7 @@ impl Campaign {
     /// The per-campaign status document (`GET /campaigns/<id>`).
     fn status_json(&self) -> String {
         let (completed, leased, pending) = self.state.table.counts();
+        let opts = &self.plan.request().opts;
         let failure = self
             .failure
             .as_ref()
@@ -484,13 +451,13 @@ impl Campaign {
             self.id,
             self.lifecycle.as_str(),
             self.names_json(),
-            self.request.opts.insts,
-            self.request.opts.warmup,
-            self.request.opts.seed,
-            self.request.opts.quick,
+            opts.insts,
+            opts.warmup,
+            opts.seed,
+            opts.quick,
             self.runs(),
             self.cached,
-            self.fingerprint,
+            self.plan.fingerprint(),
             self.submitted.elapsed().as_secs_f64()
         )
     }
@@ -512,8 +479,13 @@ impl Campaign {
     }
 
     fn names_json(&self) -> String {
-        let names: Vec<String> =
-            self.request.scenarios.iter().map(|s| format!("\"{}\"", json::escape(s))).collect();
+        let names: Vec<String> = self
+            .plan
+            .request()
+            .scenarios
+            .iter()
+            .map(|s| format!("\"{}\"", json::escape(s)))
+            .collect();
         names.join(", ")
     }
 }
@@ -538,7 +510,8 @@ fn first_free_id(dir: &Path) -> u64 {
 /// the exact bytes an in-process run of the same description emits.
 fn render_results(c: &Campaign, reports: &[Box<dyn ScenarioReport>]) -> String {
     let entries: Vec<String> = c
-        .request
+        .plan
+        .request()
         .scenarios
         .iter()
         .zip(reports)
@@ -557,7 +530,7 @@ fn render_results(c: &Campaign, reports: &[Box<dyn ScenarioReport>]) -> String {
         "{{\"schema\": \"rfcache-campaign-results/v1\", \"id\": {}, \
          \"fingerprint\": \"{:016x}\", \"scenarios\": [{}]}}\n",
         c.id,
-        c.fingerprint,
+        c.plan.fingerprint(),
         entries.join(", ")
     )
 }
@@ -638,30 +611,25 @@ fn route_request(
                     )
                 }
             };
-            let request = match CampaignRequest::from_json(body) {
-                Ok(request) => request,
+            let plan = match CampaignRequest::from_json(body).and_then(|r| r.plan()) {
+                Ok(plan) => plan,
                 Err(reason) => {
                     return http::respond(400, "Bad Request", "text/plain", &format!("{reason}\n"))
                 }
             };
             let id = *next_id;
             *next_id += 1;
-            let campaign = match Campaign::new(id, request, opts) {
-                Ok(campaign) => campaign,
-                Err(reason) => {
-                    return http::respond(400, "Bad Request", "text/plain", &format!("{reason}\n"))
-                }
-            };
+            let campaign = Campaign::new(id, plan, opts);
             eprintln!(
                 "[service: campaign {id} queued: {} ({} run(s))]",
-                campaign.request.scenarios.join(" "),
+                campaign.plan.request().scenarios.join(" "),
                 campaign.runs()
             );
             let body = format!(
                 "{{\"id\": {id}, \"state\": \"queued\", \"runs\": {}, \
                  \"fingerprint\": \"{:016x}\"}}\n",
                 campaign.runs(),
-                campaign.fingerprint
+                campaign.plan.fingerprint()
             );
             campaigns.push(campaign);
             http::respond(201, "Created", "application/json", &body)
@@ -738,10 +706,10 @@ fn parse_campaign_path(path: &str) -> Option<(u64, bool)> {
 ///
 /// Returns [`ExecutorError::Io`] when a listener or the readiness poll
 /// fails — infrastructure trouble that dooms the whole loop — and
-/// [`ExecutorError::Transport`] when the session campaign cannot be
-/// planned or `cfg.supervise` gives up. Campaign-level failures (bad
-/// submissions, drifting records, journal trouble) are isolated to the
-/// affected campaign and reported through its lifecycle instead.
+/// [`ExecutorError::Transport`] when `cfg.supervise` gives up.
+/// Campaign-level failures (bad submissions, drifting records, journal
+/// trouble) are isolated to the affected campaign and reported through
+/// its lifecycle instead.
 pub fn serve_service(mut cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorError> {
     cfg.listener
         .set_nonblocking(true)
@@ -760,12 +728,10 @@ pub fn serve_service(mut cfg: ServiceConfig<'_>) -> Result<ServiceSummary, Execu
         _ => 1,
     };
     let session = match cfg.campaign.take() {
-        Some(request) => {
+        Some(plan) => {
             let id = next_id;
             next_id += 1;
-            let campaign = Campaign::new(id, request, cfg.opts)
-                .map_err(|detail| ExecutorError::Transport { detail })?;
-            campaigns.push(campaign);
+            campaigns.push(Campaign::new(id, plan, cfg.opts));
             Some(id)
         }
         None => None,
@@ -873,7 +839,7 @@ pub fn serve_service(mut cfg: ServiceConfig<'_>) -> Result<ServiceSummary, Execu
             let serving = campaigns
                 .iter()
                 .find(|c| c.lifecycle == Lifecycle::Serving)
-                .map(|c| (c.id, c.header.clone(), c.fingerprint));
+                .map(|c| (c.id, c.plan.header(0, 1), c.plan.fingerprint()));
             loop {
                 match cfg.listener.accept() {
                     Ok((stream, peer)) => {
@@ -975,7 +941,7 @@ pub fn serve_service(mut cfg: ServiceConfig<'_>) -> Result<ServiceSummary, Execu
                         // alone, and the campaign keeps serving through
                         // the rest.
                         match campaign {
-                            Some(c) if echoed == c.fingerprint => {
+                            Some(c) if echoed == c.plan.fingerprint() => {
                                 conn.phase = WorkerPhase::Ready;
                                 joined += 1;
                                 eprintln!(
@@ -986,7 +952,8 @@ pub fn serve_service(mut cfg: ServiceConfig<'_>) -> Result<ServiceSummary, Execu
                             Some(c) => conn.kill(format!(
                                 "planned campaign fingerprint {echoed:016x}, campaign {} is \
                                  {:016x} (mismatched binaries or options)",
-                                c.id, c.fingerprint
+                                c.id,
+                                c.plan.fingerprint()
                             )),
                             None => conn.kill("handshake for a vanished campaign"),
                         }
@@ -1001,7 +968,7 @@ pub fn serve_service(mut cfg: ServiceConfig<'_>) -> Result<ServiceSummary, Execu
                             continue; // straggler record after failure
                         }
                         let index = record.index;
-                        let flat = flatten_plans(&c.plans);
+                        let flat = c.plan.flat();
                         match c.state.admit(&flat, *record, true) {
                             Ok(true) => {
                                 if let (Some(cache), Some(tally)) = (cfg.cache, &mut c.cache_use) {
@@ -1269,10 +1236,9 @@ mod tests {
     fn session_answers_http_while_coordinating() {
         let opts = ExperimentOpts { insts: 1_000, warmup: 200, quick: true, ..Default::default() };
         let request = CampaignRequest::new(vec!["readstats".into()], opts);
-        let registry = Registry::builtin();
-        let plan = registry.resolve(&request.scenarios).unwrap()[0].plan(&opts);
-        let refs: Vec<&RunSpec> = plan.iter().collect();
-        let fingerprint = campaign_fingerprint(&refs);
+        let plan = request.plan().unwrap();
+        let refs = plan.flat();
+        let fingerprint = plan.fingerprint();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let control = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1289,7 +1255,7 @@ mod tests {
                     journal: None,
                     journal_sync: 1,
                     max_campaigns: Some(1),
-                    campaign: Some(request.clone()),
+                    campaign: Some(request.plan().unwrap()),
                     supervise: None,
                 })
             });

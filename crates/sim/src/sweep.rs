@@ -53,9 +53,10 @@
 //!
 //! Plan order is workload-major: for each workload, for each register
 //! file, for each `insts` x `warmup` x `seed` point. Every process
-//! re-derives the identical plan from the canonical definition text
-//! (carried in the [`crate::CampaignHeader`]), so sweeps shard, merge,
-//! distribute, cache and resume exactly like built-in scenarios.
+//! re-derives the identical plan from the canonical definition text,
+//! which travels in the campaign description ([`crate::CampaignRequest`]),
+//! so sweeps shard, merge, distribute, cache and resume exactly like
+//! built-in scenarios.
 
 use crate::experiments::ExperimentOpts;
 use crate::json::{parse_json, render_json, JsonValue};
@@ -83,7 +84,7 @@ const MAX_FAMILY_MEMBERS: u64 = 64;
 /// A parsed, validated sweep definition.
 ///
 /// `text` is the canonical rendering of the source document
-/// ([`render_json`]), so two processes parsing the same definition —
+/// (`render_json`), so two processes parsing the same definition —
 /// whatever its original whitespace — agree on the byte-exact text the
 /// campaign header carries.
 #[derive(Debug, Clone)]

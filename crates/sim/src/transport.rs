@@ -3,16 +3,15 @@
 //!
 //! The coordinator owns the deterministic campaign plan. It never ships
 //! a [`RunSpec`] over the wire — a connecting worker ([`work`]) receives
-//! the [`CampaignHeader`] in the `hello` frame, re-derives the *same*
-//! plan from the scenario registry, and proves it did by echoing the
-//! plan's [`campaign_fingerprint`]. After that handshake the coordinator
-//! hands out **leases** (small index ranges of the flat plan) and folds
-//! the streamed `record` frames into a plan-ordered result vector, so
-//! reports assembled from a distributed run are byte-identical to a
-//! single-process run.
+//! the campaign description in the `hello` frame's [`CampaignHeader`],
+//! re-derives the *same* plan ([`crate::CampaignRequest::plan`]), and
+//! proves it did by echoing the plan's [`crate::campaign_fingerprint`].
+//! After that handshake the coordinator hands out **leases** (small index
+//! ranges of the flat plan) and folds the streamed `record` frames into a
+//! plan-ordered result vector, so reports assembled from a distributed
+//! run are byte-identical to a single-process run.
 //!
-//! **Fault tolerance.** Completed indices are tracked per lease in a
-//! [`LeaseTable`]:
+//! **Fault tolerance.** Completed indices are tracked per lease:
 //!
 //! * a worker that *disconnects* (crash, kill, network drop) has its
 //!   unfinished lease indices re-queued immediately;
@@ -21,30 +20,29 @@
 //!   indices (straggler mitigation);
 //! * duplicate records — inevitable when a straggler finishes after its
 //!   lease was re-issued — are deduplicated by plan index, and every
-//!   record's spec fingerprint is verified before it fills a slot
-//!   ([`ServeState::admit`]), so a drifting worker is a loud
+//!   record's index, spec fingerprint and workload are checked before it
+//!   fills a slot, so a drifting worker is a loud
 //!   [`ExecutorError::PlanDrift`] instead of a silently scrambled report.
 //!
 //! **Durability.** A journaling coordinator write-ahead journals the
 //! campaign header and every accepted record to disk ([`JournalWriter`];
 //! one `write` per line, `sync_data` on a configurable interval), so the
 //! file is always a valid shard-file prefix. After a coordinator crash,
-//! [`JournalReader`] recovers every complete record — a torn final line
-//! is dropped, never mis-parsed — and the resumed campaign replays them
-//! through the same admission path before leasing out only the remaining
-//! indices, producing results byte-identical to an uninterrupted run.
+//! [`read_record_file`](crate::executor::read_record_file) with
+//! [`TailPolicy::DropTorn`](crate::metrics_codec::TailPolicy::DropTorn)
+//! recovers every complete record — a torn final line is dropped, never
+//! mis-parsed — and the resumed campaign replays them through the same
+//! admission path before leasing out only the remaining indices,
+//! producing results byte-identical to an uninterrupted run.
 //!
 //! The protocol framing is [`Frame`]; partial TCP reads are reassembled
 //! by [`LineBuffer`], which is property-tested against arbitrary byte
 //! splits in `tests/metrics_codec.rs`. The coordinator's readiness loop
 //! that drives all of this is [`crate::service::serve_service`].
 
-use crate::executor::ExecutorError;
-use crate::metrics_codec::{
-    CampaignHeader, CodecError, Frame, RecordFile, ShardRecord, TailPolicy,
-};
-use crate::run::{campaign_fingerprint, run_batch, RunResult, RunSpec};
-use crate::scenario;
+use crate::executor::{check_record, ExecutorError};
+use crate::metrics_codec::{CampaignHeader, Frame, ShardRecord};
+use crate::run::{run_batch, RunResult, RunSpec};
 use std::collections::VecDeque;
 use std::fs::OpenOptions;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -150,7 +148,8 @@ impl JournalWriter {
 
     /// Reopens an interrupted campaign's journal for append: truncates
     /// the torn tail (everything past `valid_len`, as reported by
-    /// [`JournalReader`]) so the file is a clean prefix again.
+    /// [`RecordFile`](crate::metrics_codec::RecordFile)) so the file is a
+    /// clean prefix again.
     ///
     /// # Errors
     ///
@@ -211,38 +210,6 @@ pub(crate) fn sync_parent_dir(path: &Path) -> io::Result<()> {
 #[cfg(not(unix))]
 pub(crate) fn sync_parent_dir(_path: &Path) -> io::Result<()> {
     Ok(())
-}
-
-/// Reads a coordinator journal back, tolerating the torn final line a
-/// mid-write crash leaves behind: complete lines parse exactly as shard
-/// records, an unterminated tail is dropped (never mis-parsed), and a
-/// malformed *complete* line is still corruption.
-pub struct JournalReader;
-
-impl JournalReader {
-    /// Parses journal bytes ([`TailPolicy::DropTorn`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError`] when the header or any complete record
-    /// line is malformed, or when no complete header line exists (a
-    /// crash before the first sync).
-    pub fn parse(bytes: &[u8]) -> Result<RecordFile, CodecError> {
-        RecordFile::parse(bytes, TailPolicy::DropTorn)
-    }
-
-    /// Reads and parses a journal file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecutorError::Io`] on filesystem errors and
-    /// [`ExecutorError::Corrupt`] on malformed content.
-    pub fn read(path: &Path) -> Result<RecordFile, ExecutorError> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| ExecutorError::io(format!("cannot open journal {}", path.display()), e))?;
-        Self::parse(&bytes)
-            .map_err(|e| ExecutorError::Corrupt { file: path.to_path_buf(), detail: e.to_string() })
-    }
 }
 
 /// One issued lease: the id the coordinator assigned and the plan
@@ -414,44 +381,26 @@ impl ServeState {
         }
     }
 
-    /// Verifies and stores one record — the single admission path shared
-    /// by live `record` frames and journal replay (`journal = false`,
-    /// which skips re-appending what was just read back). Out-of-plan
-    /// indices, fingerprint mismatches and journal-append failures are
-    /// fatal; duplicates are silently dropped (`Ok(false)`).
+    /// Verifies ([`check_record`]) and stores one record — the single
+    /// admission path shared by live `record` frames, journal replay and
+    /// cache pre-fill (`journal = false` skips re-appending what was just
+    /// read back). A record that fails the check, and a journal-append
+    /// failure, are fatal; duplicates are silently dropped (`Ok(false)`).
     pub(crate) fn admit(
         &mut self,
         specs: &[&RunSpec],
         record: ShardRecord,
         journal: bool,
     ) -> Result<bool, ExecutorError> {
-        let index = record.index;
-        if index >= specs.len() {
-            return Err(ExecutorError::Coverage {
-                detail: format!("record index {index} exceeds the {}-spec plan", specs.len()),
-            });
-        }
-        let expected = specs[index].fingerprint();
-        if record.fingerprint != expected {
-            return Err(ExecutorError::PlanDrift {
-                index,
-                detail: format!(
-                    "expected spec fingerprint {expected:016x}, record carries {:016x}",
-                    record.fingerprint
-                ),
-            });
-        }
+        // Serialize only when the line will be appended: this runs for
+        // every record, and non-journaled campaigns (and replay, which
+        // re-reads what is already on disk) must not pay for encoding
+        // the full metrics set.
+        let line = (journal && self.journal.is_some()).then(|| record.to_line());
+        let (index, result) = check_record(specs, record)?;
         if self.table.is_filled(index) {
             return Ok(false); // duplicate from a superseded straggler
         }
-        // Serialize only what will actually be appended: this runs under
-        // the global state mutex, and non-journaled campaigns (and
-        // replay, which re-reads what is already on disk) must not pay
-        // for encoding the full metrics set there.
-        let line = (journal && self.journal.is_some()).then(|| record.to_line());
-        let result = record
-            .into_run_result(specs[index])
-            .map_err(|e| ExecutorError::PlanDrift { index, detail: e.to_string() })?;
         // Write-ahead: the record reaches the journal before it counts
         // as completed, so a crash never *loses* an accepted record.
         if let (Some(line), Some(writer)) = (line, &mut self.journal) {
@@ -602,17 +551,13 @@ pub fn work(addr: &str, opts: &WorkOptions) -> Result<WorkSummary, String> {
         }
     };
     // The header carries any declarative sweep definitions inline, so
-    // the worker rebuilds the exact namespace the coordinator planned
+    // the worker plans in the exact namespace the coordinator planned
     // in — sweeps shard and distribute like built-ins.
-    let registry = scenario::Registry::from_texts(&header.sweeps)
-        .map_err(|e| format!("coordinator campaign carries an invalid sweep: {e}"))?;
-    let scenarios = registry.resolve(&header.scenarios).map_err(|e| {
-        format!("coordinator campaign references an unknown scenario (different binary?): {e}")
+    let plan = header.campaign.plan().map_err(|e| {
+        format!("coordinator campaign cannot be planned here (different binary?): {e}")
     })?;
-    let exp_opts = header.opts();
-    let plans: Vec<Vec<RunSpec>> = scenarios.iter().map(|s| s.plan(&exp_opts)).collect();
-    let flat = crate::run::flatten_plans(&plans);
-    let fingerprint = campaign_fingerprint(&flat);
+    let flat = plan.flat();
+    let fingerprint = plan.fingerprint();
     send_line(&mut stream, &Frame::Hello { campaign: None, fingerprint }).map_err(read_err)?;
     if flat.len() != header.runs || fingerprint != coordinator_fp {
         return Err(format!(
@@ -699,7 +644,10 @@ fn connect_retry(addr: &str, window: Duration) -> Result<TcpStream, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::read_record_file;
     use crate::experiments::ExperimentOpts;
+    use crate::metrics_codec::TailPolicy;
+    use crate::scenario::CampaignRequest;
     use rfcache_pipeline::SimMetrics;
 
     #[test]
@@ -816,7 +764,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("campaign.journal");
         let _ = std::fs::remove_file(&path);
-        let header = CampaignHeader::new(vec!["x".into()], &ExperimentOpts::smoke(), 0, 1, 3);
+        let campaign = CampaignRequest::new(vec!["x".into()], ExperimentOpts::smoke());
+        let header = CampaignHeader { campaign, shard: 0, of: 1, runs: 3 };
         let record = sample_record(1, 7);
 
         let mut writer = JournalWriter::create(&path, &header, 0xabc, 1).unwrap();
@@ -832,7 +781,7 @@ mod tests {
         let mut torn = OpenOptions::new().append(true).open(&path).unwrap();
         torn.write_all(b"{\"index\": 2, \"finge").unwrap();
         drop(torn);
-        let replay = JournalReader::read(&path).unwrap();
+        let replay = read_record_file(&path, TailPolicy::DropTorn).unwrap();
         assert_eq!(replay.header, header);
         assert_eq!(replay.campaign_fingerprint, Some(0xabc));
         assert_eq!(replay.records, vec![record.clone()]);
@@ -844,7 +793,7 @@ mod tests {
         writer.append(&sample_record(2, 9).to_line()).unwrap();
         writer.sync().unwrap();
         drop(writer);
-        let replay = JournalReader::read(&path).unwrap();
+        let replay = read_record_file(&path, TailPolicy::DropTorn).unwrap();
         assert_eq!(replay.torn, 0);
         assert_eq!(replay.records.len(), 2);
         assert_eq!(replay.records[1].index, 2);

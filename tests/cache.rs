@@ -10,10 +10,10 @@ use proptest::prelude::*;
 use rfcache_core::{RegFileCacheConfig, RegFileConfig, RegFileStats, SingleBankConfig};
 use rfcache_frontend::FetchStats;
 use rfcache_pipeline::{OccupancyHistogram, SimMetrics};
-use rfcache_sim::executor::{run_shard_cached, Executor as _};
+use rfcache_sim::executor::{run_shard, Executor as _};
 use rfcache_sim::experiments::ExperimentOpts;
 use rfcache_sim::metrics_codec::CampaignHeader;
-use rfcache_sim::{Cache, InProcess, RunResult, RunSpec};
+use rfcache_sim::{Cache, CampaignRequest, InProcess, RunResult, RunSpec};
 use std::path::{Path, PathBuf};
 
 /// A throwaway cache directory unique to this test run.
@@ -248,10 +248,10 @@ fn a_cold_cache_simulates_and_stores_each_repeated_spec_once() {
 
     let dir = temp_cache("dedupe_shard");
     let cache = Cache::open(&dir).expect("cache opens");
-    let opts = ExperimentOpts::smoke();
-    let header = CampaignHeader::new(vec!["x".into()], &opts, 0, 1, plan.len());
+    let campaign = CampaignRequest::new(vec!["x".into()], ExperimentOpts::smoke());
+    let header = CampaignHeader { campaign, shard: 0, of: 1, runs: plan.len() };
     let mut out = Vec::new();
-    run_shard_cached(&header, &plan, 2, Some(&cache), &mut out).expect("shard writes");
+    run_shard(&header, &plan, 2, Some(&cache), &mut out).expect("shard writes");
     assert_eq!(session(&cache), (5, 0, 2), "cold shard: five lookups, two stores");
     assert_eq!(cache.stats().unwrap().entries, 2);
     let _ = std::fs::remove_dir_all(&dir);

@@ -9,9 +9,10 @@ use rfcache_frontend::FetchStats;
 use rfcache_pipeline::{OccupancyHistogram, SimMetrics};
 use rfcache_sim::experiments::ExperimentOpts;
 use rfcache_sim::metrics_codec::{
-    decode_metrics_str, encode_metrics, CampaignHeader, Frame, ShardRecord,
+    decode_metrics_str, encode_metrics, CampaignHeader, Frame, RecordFile, ShardRecord, TailPolicy,
 };
-use rfcache_sim::transport::{JournalReader, LineBuffer};
+use rfcache_sim::transport::LineBuffer;
+use rfcache_sim::CampaignRequest;
 
 /// Draws the next counter from the generated pool.
 fn rf_stats(next: &mut impl FnMut() -> u64) -> RegFileStats {
@@ -180,8 +181,8 @@ proptest! {
         nrecords in 1usize..5,
         cut_frac in 0.0f64..=1.0,
     ) {
-        let opts = ExperimentOpts::smoke();
-        let header = CampaignHeader::new(vec!["fig6".into()], &opts, 0, 1, nrecords);
+        let campaign = CampaignRequest::new(vec!["fig6".into()], ExperimentOpts::smoke());
+        let header = CampaignHeader { campaign, shard: 0, of: 1, runs: nrecords };
         let records: Vec<ShardRecord> = (0..nrecords)
             .map(|k| {
                 let mut rotated = counters.clone();
@@ -207,7 +208,7 @@ proptest! {
         let truncated = &bytes[..cut];
 
         let header_len = journal.find('\n').expect("header line") + 1;
-        match JournalReader::parse(truncated) {
+        match RecordFile::parse(truncated, TailPolicy::DropTorn) {
             Ok(recovered) => {
                 prop_assert!(cut >= header_len, "parse cannot succeed without a full header");
                 // Every byte up to the last newline is complete lines;
@@ -275,4 +276,55 @@ fn record_line_with_the_retired_squashed_key_still_decodes() {
     let record = ShardRecord::parse(OLD).expect("an older record line decodes");
     assert_eq!((record.metrics.cycles, record.metrics.mispredicted), (10_142, 725));
     assert_eq!(record.to_line(), OLD.replace(r#""squashed": 0, "#, ""));
+}
+
+/// A shard-file header exactly as a binary from before headers carried a
+/// `CampaignRequest` wrote it for a campaign without sweeps
+/// (`fig6 --quick --shard 0/2`): the line is the campaign's JSON with the
+/// slice appended, byte for byte.
+#[test]
+fn header_without_sweeps_renders_byte_identically_to_older_binaries() {
+    const OLD: &str = r#"{"scenarios": ["fig6"], "insts": 200000, "warmup": 60000, "seed": 42, "quick": true, "shard": 0, "of": 2, "runs": 12}"#;
+    let opts = ExperimentOpts { quick: true, ..Default::default() };
+    let campaign = CampaignRequest::new(vec!["fig6".into()], opts);
+    let header = CampaignHeader { campaign, shard: 0, of: 2, runs: 12 };
+    assert_eq!(header.to_line(), OLD);
+    assert_eq!(CampaignHeader::parse(OLD).unwrap(), header);
+}
+
+/// Older binaries embedded sweeps in headers as escaped strings. Such a
+/// header decodes to the same header as the object form POST bodies
+/// use, and re-encodes to the object form, so shard files and journals
+/// written before still merge and resume.
+#[test]
+fn header_with_a_string_sweep_decodes_like_the_object_form() {
+    const OLD: &str = r#"{"scenarios": ["tiny"], "sweeps": ["{\"name\": \"tiny\", \"workloads\": [\"li\"], \"rf\": [\"one-cycle\"], \"warmup\": 100}"], "insts": 1000, "warmup": 60000, "seed": 42, "quick": false, "shard": 1, "of": 2, "runs": 1}"#;
+    const NEW: &str = r#"{"scenarios": ["tiny"], "sweeps": [{"name": "tiny", "workloads": ["li"], "rf": ["one-cycle"], "warmup": 100}], "insts": 1000, "warmup": 60000, "seed": 42, "quick": false, "shard": 1, "of": 2, "runs": 1}"#;
+    let old = CampaignHeader::parse(OLD).unwrap();
+    assert_eq!(old, CampaignHeader::parse(NEW).unwrap());
+    assert_eq!(old.to_line(), NEW);
+    let plan = old.campaign.plan().unwrap();
+    assert_eq!(plan.runs(), old.runs);
+}
+
+/// A header must state every option: a missing one is corruption, not a
+/// default (a POST body, by contrast, may omit options).
+#[test]
+fn header_missing_an_option_is_rejected() {
+    const LINE: &str = r#"{"scenarios": ["fig6"], "warmup": 60000, "seed": 42, "quick": true, "shard": 0, "of": 2, "runs": 12}"#;
+    let err = CampaignHeader::parse(LINE).unwrap_err();
+    assert!(err.to_string().contains("insts"), "{err}");
+    let post = CampaignRequest::from_json(r#"{"scenarios": ["fig6"], "warmup": 60000}"#).unwrap();
+    assert_eq!(post.opts.insts, ExperimentOpts::default().insts);
+}
+
+/// Only file headers accept the escaped-string sweep form; a POST body
+/// must embed each sweep as an object.
+#[test]
+fn post_body_with_a_string_sweep_is_rejected() {
+    const BODY: &str = r#"{"scenarios": ["tiny"], "sweeps": ["{\"name\": \"tiny\", \"workloads\": [\"li\"], \"rf\": [\"one-cycle\"]}"]}"#;
+    let err = CampaignRequest::from_json(BODY).unwrap_err();
+    assert!(err.contains("sweep definition objects"), "{err}");
+    let object = r#"{"scenarios": ["tiny"], "sweeps": [{"name": "tiny", "workloads": ["li"], "rf": ["one-cycle"]}]}"#;
+    assert!(CampaignRequest::from_json(object).unwrap().plan().is_ok());
 }
