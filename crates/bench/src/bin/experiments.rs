@@ -24,8 +24,6 @@
 //!                    [--csv DIR] [--json DIR] [--cache DIR]
 //! experiments status --connect ADDR [--json]
 //! experiments cache <stats|verify|clear> DIR [--json]
-//! experiments bench [--repeat N] [--warmup N] [--quick] [--label STR]
-//!                   [--out FILE] [--no-campaign] [--cache DIR]
 //! ```
 //!
 //! `--list` enumerates the registered scenarios; `all` runs every one in
@@ -118,18 +116,8 @@
 //! concurrent workers (advisory lock + atomic writes). `cache stats DIR`
 //! reports entries and session hit rates (`--json` for scripts), `cache
 //! verify DIR` checks every entry end to end (exit 1 on problems), and
-//! `cache clear DIR` empties the store.
-//!
-//! **Benchmarking.** `bench` measures *simulator* throughput (cycles/sec
-//! and instructions/sec of the cycle loop itself, not of the modelled
-//! machine) on a fixed suite — every register file model at smoke and
-//! quick scale plus the `all --quick` campaign wall time — and appends a
-//! schema-versioned snapshot to the perf trajectory (`--out`, default
-//! `BENCH_cycle_loop.json`). With `--cache DIR` the campaign measurement
-//! runs cache-backed (as `campaign/all-quick-cached`), asserting its
-//! reports are byte-identical to an uncached reference run — benching a
-//! cold directory then a warm one records the cache speedup in the
-//! trajectory. See `rfcache_bench::perf` and `scripts/bench_diff.py`.
+//! `cache clear DIR` empties the store. The three only inspect an
+//! existing cache: a directory without `objects/` is refused (exit 1).
 //!
 //! All diagnostics (warnings, progress, errors) go to stderr; stdout
 //! carries only reports or, in shard-worker mode, shard records.
@@ -181,8 +169,6 @@ const USAGE: &str = "usage: experiments --list [--sweep FILE]
                           [--csv DIR] [--json DIR] [--cache DIR]
        experiments status --connect ADDR [--json]
        experiments cache <stats|verify|clear> DIR [--json]
-       experiments bench [--repeat N] [--warmup N] [--quick] [--label STR]
-                         [--out FILE] [--no-campaign] [--cache DIR]
 run `experiments --list` for the registered scenario names";
 
 fn main() {
@@ -204,7 +190,6 @@ fn main() {
         "resume" => resume_main(&args[1..]),
         "status" => status_main(&args[1..]),
         "cache" => cache_main(&args[1..]),
-        "bench" => bench_main(&args[1..]),
         "sweep" => sweep_main(&args[1..]),
         _ => run_main(&args),
     }
@@ -371,52 +356,6 @@ fn run_main(args: &[String]) {
         "[campaign: {scenarios} scenario(s), {runs} simulation(s), {backend}, {:.1}s]",
         start.elapsed().as_secs_f64()
     );
-}
-
-/// Measures simulator throughput on the fixed bench suite and records a
-/// snapshot in the perf trajectory (`BENCH_cycle_loop.json` by default;
-/// created if missing, appended to otherwise).
-fn bench_main(args: &[String]) {
-    use rfcache_bench::perf;
-
-    let mut opts = perf::BenchOptions::default();
-    let mut out: PathBuf = PathBuf::from("BENCH_cycle_loop.json");
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--repeat" => opts.repeat = parse_positive("--repeat", it.next()),
-            "--warmup" => opts.warmup_reps = parse_num("--warmup", it.next()) as usize,
-            "--quick" => opts.quick = true,
-            "--label" => opts.label = parse_value("--label", it.next()),
-            "--out" => out = parse_path("--out", it.next()),
-            "--no-campaign" => opts.skip_campaign = true,
-            "--cache" => opts.cache = Some(parse_path("--cache", it.next())),
-            flag => usage_error(&format!("unknown bench option {flag}")),
-        }
-    }
-    eprintln!(
-        "[bench: {} repetition(s) after {} warmup, {} scale]",
-        opts.repeat,
-        opts.warmup_reps,
-        if opts.quick { "quick" } else { "full" }
-    );
-    let mut progress = |stat: &perf::ScenarioStat| {
-        let rate = match stat.cycles_per_sec() {
-            Some(cps) => format!("{:>10.0} cycles/s", cps),
-            None => format!("{:>10.0} insts/s ", stat.insts_per_sec()),
-        };
-        eprintln!("  {:<24} {rate}  ({:.3}s min)", stat.name, stat.secs_min);
-    };
-    let snapshot = perf::run_bench(&opts, &mut progress);
-    let rendered = match std::fs::read_to_string(&out) {
-        Ok(existing) => perf::append_snapshot(&existing, &snapshot)
-            .unwrap_or_else(|e| die(&format!("cannot append to {}: {e}", out.display()))),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => perf::render_trajectory(&snapshot),
-        Err(e) => die(&format!("cannot read {}: {e}", out.display())),
-    };
-    std::fs::write(&out, rendered)
-        .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", out.display())));
-    eprintln!("[bench: snapshot \"{}\" written to {}]", snapshot.label, out.display());
 }
 
 /// Splits the thread budget across `count` worker processes: each
@@ -1061,8 +1000,6 @@ fn status_main(args: &[String]) {
 /// re-checks every entry end to end and exits 1 if anything is wrong,
 /// and `clear` empties the store.
 fn cache_main(args: &[String]) {
-    use rfcache_bench::perf::json_escape;
-
     let mut json = false;
     let mut positional: Vec<&str> = Vec::new();
     for arg in args {
@@ -1079,6 +1016,11 @@ fn cache_main(args: &[String]) {
         usage_error(&format!("unknown cache action {action} (stats, verify or clear)"));
     }
     let dir = PathBuf::from(dir);
+    // Opening creates a cache on demand, which is right for `--cache DIR`
+    // but must not turn a mistyped or unrelated directory into one here.
+    if !dir.join("objects").is_dir() {
+        die(&format!("{}: not a result cache (no objects/ directory)", dir.display()));
+    }
     let cache = open_cache(&dir);
     match action {
         "stats" => {
@@ -1086,33 +1028,7 @@ fn cache_main(args: &[String]) {
                 .stats()
                 .unwrap_or_else(|e| die(&format!("cannot read cache {}: {e}", dir.display())));
             if json {
-                let session = match &stats.last_session {
-                    Some(s) => format!(
-                        "{{\"mode\": \"{}\", \"lookups\": {}, \"hits\": {}, \"stores\": {}, \
-                         \"unix_time\": {}}}",
-                        json_escape(&s.mode),
-                        s.lookups,
-                        s.hits,
-                        s.stores,
-                        s.unix_time
-                    ),
-                    None => "null".to_string(),
-                };
-                println!(
-                    "{{\"schema\": \"rfcache-cache-stats/v1\", \"dir\": \"{}\", \
-                     \"entries\": {}, \"files\": {}, \"collision_files\": {}, \"bytes\": {}, \
-                     \"sessions\": {}, \"lookups\": {}, \"hits\": {}, \"stores\": {}, \
-                     \"last_session\": {session}}}",
-                    json_escape(&dir.display().to_string()),
-                    stats.entries,
-                    stats.files,
-                    stats.collision_files,
-                    stats.bytes,
-                    stats.sessions,
-                    stats.lookups,
-                    stats.hits,
-                    stats.stores,
-                );
+                println!("{}", stats.to_json(&dir));
                 return;
             }
             println!(

@@ -1,8 +1,9 @@
 //! End-to-end tests of `--cache` and the `cache` subcommand: a warm
 //! cache must reproduce the cold run's reports byte for byte in every
 //! execution mode (in-process, `--shard` + `merge`, `--dist-workers`), `cache
-//! stats` must show a 100%-hit warm session, and `verify`/`clear` must
-//! catch corruption and empty the store.
+//! stats` must show a 100%-hit warm session, `verify`/`clear` must
+//! catch corruption and empty the store, and none of the three may turn
+//! a directory that is not a cache into one.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -227,4 +228,33 @@ fn cache_subcommand_names_its_usage_errors() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown option --badflag"), "stderr: {stderr}");
+}
+
+#[test]
+fn cache_actions_refuse_a_directory_that_is_not_a_cache() {
+    let work = temp_dir("not_a_cache");
+    let missing = work.join("typo_dir");
+    let plain = work.join("plain");
+    std::fs::create_dir_all(&plain).unwrap();
+    std::fs::write(plain.join("notes.txt"), "not a cache").unwrap();
+    let names = |dir: &Path| -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    for action in ["stats", "verify", "clear"] {
+        for dir in [&missing, &plain] {
+            let dir_str = dir.to_str().unwrap();
+            let out = experiments(&["cache", action, dir_str]);
+            assert_eq!(out.status.code(), Some(1), "cache {action} {dir_str} must fail");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(dir_str), "cache {action} must name the path: {stderr}");
+        }
+        assert!(!missing.exists(), "cache {action} created {}", missing.display());
+        assert_eq!(names(&plain), ["notes.txt"], "cache {action} changed {}", plain.display());
+    }
+    let _ = std::fs::remove_dir_all(&work);
 }

@@ -170,6 +170,40 @@ pub struct CacheStats {
     pub last_session: Option<CacheSession>,
 }
 
+impl CacheStats {
+    /// Renders the stats of the cache at `dir` as one
+    /// `rfcache-cache-stats/v1` JSON object, without a trailing newline
+    /// (the line `experiments cache stats --json` prints).
+    pub fn to_json(&self, dir: &Path) -> String {
+        let session = match &self.last_session {
+            Some(s) => format!(
+                "{{\"mode\": \"{}\", \"lookups\": {}, \"hits\": {}, \"stores\": {}, \
+                 \"unix_time\": {}}}",
+                escape(&s.mode),
+                s.lookups,
+                s.hits,
+                s.stores,
+                s.unix_time
+            ),
+            None => "null".to_string(),
+        };
+        format!(
+            "{{\"schema\": \"rfcache-cache-stats/v1\", \"dir\": \"{}\", \"entries\": {}, \
+             \"files\": {}, \"collision_files\": {}, \"bytes\": {}, \"sessions\": {}, \
+             \"lookups\": {}, \"hits\": {}, \"stores\": {}, \"last_session\": {session}}}",
+            escape(&dir.display().to_string()),
+            self.entries,
+            self.files,
+            self.collision_files,
+            self.bytes,
+            self.sessions,
+            self.lookups,
+            self.hits,
+            self.stores,
+        )
+    }
+}
+
 /// One decoded cache entry: the stored spec identity plus the result.
 struct Entry {
     fingerprint: u64,
@@ -642,6 +676,37 @@ mod tests {
         assert_eq!((stats.entries, stats.sessions), (0, 0));
         assert!(cache.lookup(&s).is_none());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stats_json_is_pinned_byte_for_byte() {
+        // Scripts and CI parse `experiments cache stats --json`, so its
+        // key order and spacing are part of the format.
+        let warm = CacheStats {
+            entries: 12,
+            files: 12,
+            collision_files: 0,
+            bytes: 31525,
+            sessions: 2,
+            lookups: 24,
+            hits: 12,
+            stores: 12,
+            last_session: Some(CacheSession {
+                mode: "in-process".into(),
+                lookups: 12,
+                hits: 12,
+                stores: 0,
+                unix_time: 1792227596,
+            }),
+        };
+        assert_eq!(
+            warm.to_json(Path::new("c\"a\\che")),
+            r#"{"schema": "rfcache-cache-stats/v1", "dir": "c\"a\\che", "entries": 12, "files": 12, "collision_files": 0, "bytes": 31525, "sessions": 2, "lookups": 24, "hits": 12, "stores": 12, "last_session": {"mode": "in-process", "lookups": 12, "hits": 12, "stores": 0, "unix_time": 1792227596}}"#
+        );
+        assert_eq!(
+            CacheStats::default().to_json(Path::new("e\"mp\\ty")),
+            r#"{"schema": "rfcache-cache-stats/v1", "dir": "e\"mp\\ty", "entries": 0, "files": 0, "collision_files": 0, "bytes": 0, "sessions": 0, "lookups": 0, "hits": 0, "stores": 0, "last_session": null}"#
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use super::ExperimentOpts;
 use crate::scenario::{Scenario, ScenarioReport};
-use crate::{harmonic_mean, run_suite_jobs, RunResult, RunSpec, TextTable};
+use crate::{harmonic_mean, RunResult, RunSpec, TextTable};
 use rfcache_core::{RegFileCacheConfig, RegFileConfig, Replacement};
 use std::fmt;
 
@@ -94,12 +94,6 @@ pub fn assemble(opts: &ExperimentOpts, results: Vec<RunResult>) -> AblationData 
     AblationData { rows }
 }
 
-/// Runs the ablation sweep.
-pub fn run(opts: &ExperimentOpts) -> AblationData {
-    let results = run_suite_jobs(&plan(opts), opts.jobs);
-    assemble(opts, results)
-}
-
 impl AblationData {
     /// The baseline row.
     pub fn baseline(&self) -> &AblationRow {
@@ -166,10 +160,11 @@ impl ScenarioReport for AblationData {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke_run;
 
     #[test]
     fn capacity_matters_most() {
-        let data = run(&ExperimentOpts::smoke());
+        let data = smoke_run(plan, assemble);
         let base = data.baseline().clone();
         let small = data.find("= 8").unwrap();
         let big = data.find("= 32").unwrap();

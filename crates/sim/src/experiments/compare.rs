@@ -5,7 +5,7 @@
 
 use super::ExperimentOpts;
 use crate::scenario::ScenarioReport;
-use crate::{harmonic_mean, run_suite_jobs, RunResult, RunSpec, TextTable};
+use crate::{harmonic_mean, RunResult, RunSpec, TextTable};
 use rfcache_core::RegFileConfig;
 use std::fmt;
 
@@ -82,18 +82,6 @@ pub fn assemble_archs(
     }
 }
 
-/// Runs every benchmark of both suites on every architecture
-/// ([`plan_archs`] + [`assemble_archs`] in one call).
-pub fn compare_archs(
-    opts: &ExperimentOpts,
-    title: &str,
-    archs: &[(&str, RegFileConfig)],
-) -> CompareData {
-    let specs = plan_archs(opts, archs);
-    let results = run_suite_jobs(&specs, opts.jobs);
-    assemble_archs(opts, title, archs, results)
-}
-
 impl CompareData {
     /// IPC column for the architecture labelled `label`.
     pub fn column(&self, label: &str) -> Option<Vec<f64>> {
@@ -164,15 +152,14 @@ impl ScenarioReport for CompareData {
 mod tests {
     use super::*;
     use crate::experiments::{one_cycle, two_cycle_single_bypass};
+    use crate::run_suite_jobs;
 
     #[test]
     fn matrix_shape_and_accessors() {
         let opts = ExperimentOpts::smoke();
-        let data = compare_archs(
-            &opts,
-            "test",
-            &[("1-cycle", one_cycle()), ("2-cycle", two_cycle_single_bypass())],
-        );
+        let archs = [("1-cycle", one_cycle()), ("2-cycle", two_cycle_single_bypass())];
+        let results = run_suite_jobs(&plan_archs(&opts, &archs), opts.jobs);
+        let data = assemble_archs(&opts, "test", &archs, results);
         assert_eq!(data.labels.len(), 2);
         assert_eq!(data.rows.len(), 4); // 2 int + 2 fp in quick mode
         let col = data.column("1-cycle").unwrap();

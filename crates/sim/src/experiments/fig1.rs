@@ -7,7 +7,7 @@
 
 use super::{one_cycle, ExperimentOpts};
 use crate::scenario::{Scenario, ScenarioReport};
-use crate::{harmonic_mean, run_suite_jobs, RunResult, RunSpec, TextTable};
+use crate::{harmonic_mean, RunResult, RunSpec, TextTable};
 use rfcache_pipeline::PipelineConfig;
 use std::fmt;
 
@@ -73,12 +73,6 @@ pub fn assemble(opts: &ExperimentOpts, results: Vec<RunResult>) -> Fig1Data {
     Fig1Data { sizes, int_hmean, fp_hmean }
 }
 
-/// Runs the Figure 1 experiment.
-pub fn run(opts: &ExperimentOpts) -> Fig1Data {
-    let results = run_suite_jobs(&plan(opts), opts.jobs);
-    assemble(opts, results)
-}
-
 impl Fig1Data {
     /// IPC gain of the largest configuration over the smallest, per suite.
     pub fn saturation_gain(&self) -> (f64, f64) {
@@ -130,10 +124,11 @@ impl ScenarioReport for Fig1Data {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke_run;
 
     #[test]
     fn more_registers_do_not_hurt_and_curve_flattens() {
-        let data = run(&ExperimentOpts::smoke());
+        let data = smoke_run(plan, assemble);
         assert_eq!(data.sizes, vec![48, 128, 256]);
         // 48 → 128 must help noticeably; 128 → 256 must help much less.
         let low = data.int_hmean[0].min(data.fp_hmean[0]);

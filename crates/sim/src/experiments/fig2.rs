@@ -6,7 +6,7 @@
 //! little when full bypass is present, but a lot with a single bypass
 //! level (≈20% IPC for SpecInt95), and integer codes suffer more than FP.
 
-use super::compare::{assemble_archs, compare_archs, plan_archs, CompareData};
+use super::compare::{assemble_archs, plan_archs, CompareData};
 use super::{one_cycle, two_cycle_full_bypass, two_cycle_single_bypass, ExperimentOpts};
 use crate::scenario::Scenario;
 use crate::{RunResult, RunSpec};
@@ -35,11 +35,6 @@ pub fn assemble(opts: &ExperimentOpts, results: Vec<RunResult>) -> CompareData {
     assemble_archs(opts, TITLE, &archs(), results)
 }
 
-/// Runs the Figure 2 experiment.
-pub fn run(opts: &ExperimentOpts) -> CompareData {
-    compare_archs(opts, TITLE, &archs())
-}
-
 /// Registry entry for the scenario engine.
 pub fn scenario() -> Scenario {
     Scenario::new(
@@ -53,10 +48,11 @@ pub fn scenario() -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke_run;
 
     #[test]
     fn ordering_matches_paper() {
-        let data = run(&ExperimentOpts::smoke());
+        let data = smoke_run(plan, assemble);
         // 1-cycle >= 2-cycle full bypass >= 2-cycle single bypass, and the
         // single-bypass penalty is the largest gap (the paper's point).
         let (i_full, f_full) = data.hmean_ratio(LABELS[0], LABELS[1]).unwrap();

@@ -9,7 +9,7 @@
 
 use super::{one_cycle, ExperimentOpts};
 use crate::scenario::{Scenario, ScenarioReport};
-use crate::{run_suite_jobs, RunResult, RunSpec, TextTable};
+use crate::{RunResult, RunSpec, TextTable};
 use rfcache_pipeline::{OccupancyHistogram, PipelineConfig};
 use std::fmt;
 
@@ -64,12 +64,6 @@ pub fn assemble(_opts: &ExperimentOpts, results: Vec<RunResult>) -> Fig3Data {
         }
     }
     data
-}
-
-/// Runs the Figure 3 experiment.
-pub fn run(opts: &ExperimentOpts) -> Fig3Data {
-    let results = run_suite_jobs(&plan(opts), opts.jobs);
-    assemble(opts, results)
 }
 
 impl fmt::Display for Fig3Data {
@@ -154,10 +148,11 @@ impl ScenarioReport for Fig3Data {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke_run;
 
     #[test]
     fn ready_values_are_fewer_and_distribution_is_tight() {
-        let data = run(&ExperimentOpts::smoke());
+        let data = smoke_run(plan, assemble);
         assert!(data.int_value.samples() > 0);
         // Ready values are a subset of live values.
         assert!(data.int_ready.percentile(0.9) <= data.int_value.percentile(0.9));

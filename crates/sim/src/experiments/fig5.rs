@@ -6,7 +6,7 @@
 //! ~2% (fp); prefetching helps a few programs at unlimited bandwidth and
 //! more under port limits.
 
-use super::compare::{assemble_archs, compare_archs, plan_archs, CompareData};
+use super::compare::{assemble_archs, plan_archs, CompareData};
 use super::{rfc, ExperimentOpts};
 use crate::scenario::Scenario;
 use crate::{RunResult, RunSpec};
@@ -37,11 +37,6 @@ pub fn assemble(opts: &ExperimentOpts, results: Vec<RunResult>) -> CompareData {
     assemble_archs(opts, TITLE, &archs(), results)
 }
 
-/// Runs the Figure 5 experiment.
-pub fn run(opts: &ExperimentOpts) -> CompareData {
-    compare_archs(opts, TITLE, &archs())
-}
-
 /// Registry entry for the scenario engine.
 pub fn scenario() -> Scenario {
     Scenario::new("fig5", "register-file-cache caching x fetch policies", plan, |opts, results| {
@@ -52,10 +47,11 @@ pub fn scenario() -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke_run;
 
     #[test]
     fn non_bypass_caching_wins() {
-        let data = run(&ExperimentOpts::smoke());
+        let data = smoke_run(plan, assemble);
         let (int_ratio, fp_ratio) = data.hmean_ratio(LABELS[3], LABELS[2]).unwrap();
         assert!(int_ratio > 0.99, "non-bypass vs ready (int): {int_ratio}");
         assert!(fp_ratio > 0.99, "non-bypass vs ready (fp): {fp_ratio}");

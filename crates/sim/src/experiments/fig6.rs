@@ -5,7 +5,7 @@
 //! over the 2-cycle file and stays within ~10% (int) / ~2% (fp) of the
 //! 1-cycle file.
 
-use super::compare::{assemble_archs, compare_archs, plan_archs, CompareData};
+use super::compare::{assemble_archs, plan_archs, CompareData};
 use super::{one_cycle, rfc_best, two_cycle_single_bypass, ExperimentOpts};
 use crate::scenario::Scenario;
 use crate::{RunResult, RunSpec};
@@ -30,11 +30,6 @@ pub fn assemble(opts: &ExperimentOpts, results: Vec<RunResult>) -> CompareData {
     assemble_archs(opts, TITLE, &archs(), results)
 }
 
-/// Runs the Figure 6 experiment.
-pub fn run(opts: &ExperimentOpts) -> CompareData {
-    compare_archs(opts, TITLE, &archs())
-}
-
 /// Registry entry for the scenario engine.
 pub fn scenario() -> Scenario {
     Scenario::new(
@@ -48,10 +43,11 @@ pub fn scenario() -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke_run;
 
     #[test]
     fn rfc_sits_between_the_single_banked_files() {
-        let data = run(&ExperimentOpts::smoke());
+        let data = smoke_run(plan, assemble);
         let (int_vs_two, fp_vs_two) = data.hmean_ratio(LABELS[1], LABELS[2]).unwrap();
         assert!(int_vs_two > 1.03, "rfc must clearly beat the 2-cycle file (int): {int_vs_two}");
         assert!(fp_vs_two > 1.0, "rfc must beat the 2-cycle file (fp): {fp_vs_two}");

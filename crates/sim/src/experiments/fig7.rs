@@ -4,7 +4,7 @@
 //! Paper finding: the conventional file wins by ~8% (int) / ~2% (fp), but
 //! needs a much more complex (two-level) bypass network.
 
-use super::compare::{assemble_archs, compare_archs, plan_archs, CompareData};
+use super::compare::{assemble_archs, plan_archs, CompareData};
 use super::{rfc_best, two_cycle_full_bypass, ExperimentOpts};
 use crate::scenario::Scenario;
 use crate::{RunResult, RunSpec};
@@ -29,11 +29,6 @@ pub fn assemble(opts: &ExperimentOpts, results: Vec<RunResult>) -> CompareData {
     assemble_archs(opts, TITLE, &archs(), results)
 }
 
-/// Runs the Figure 7 experiment.
-pub fn run(opts: &ExperimentOpts) -> CompareData {
-    compare_archs(opts, TITLE, &archs())
-}
-
 /// Registry entry for the scenario engine.
 pub fn scenario() -> Scenario {
     Scenario::new("fig7", "register file cache vs two-cycle full bypass", plan, |opts, results| {
@@ -44,10 +39,11 @@ pub fn scenario() -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke_run;
 
     #[test]
     fn full_bypass_file_wins_modestly() {
-        let data = run(&ExperimentOpts::smoke());
+        let data = smoke_run(plan, assemble);
         let (int_ratio, fp_ratio) = data.hmean_ratio(LABELS[0], LABELS[1]).unwrap();
         // The rfc is at most slightly ahead and at worst moderately
         // behind — its selling point is the single-level bypass at equal

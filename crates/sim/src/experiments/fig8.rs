@@ -12,9 +12,7 @@
 
 use super::{one_cycle, ExperimentOpts};
 use crate::scenario::{Scenario, ScenarioReport};
-use crate::{
-    harmonic_mean, pareto_frontier, run_suite_jobs, ParetoPoint, RunResult, RunSpec, TextTable,
-};
+use crate::{harmonic_mean, pareto_frontier, ParetoPoint, RunResult, RunSpec, TextTable};
 use rfcache_area::{SingleBankDesign, TwoLevelDesign};
 use rfcache_core::{PortLimits, RegFileCacheConfig, RegFileConfig, SingleBankConfig};
 use std::fmt;
@@ -177,12 +175,6 @@ pub fn assemble(opts: &ExperimentOpts, results: Vec<RunResult>) -> Fig8Data {
     Fig8Data { archs, frontiers }
 }
 
-/// Runs the Figure 8 experiment.
-pub fn run(opts: &ExperimentOpts) -> Fig8Data {
-    let results = run_suite_jobs(&plan(opts), opts.jobs);
-    assemble(opts, results)
-}
-
 impl Fig8Data {
     /// The frontier of `arch` for the given suite (0 = int, 1 = fp).
     pub fn frontier(&self, arch: &str, suite: usize) -> Option<&[Fig8Point]> {
@@ -282,10 +274,11 @@ impl ScenarioReport for Fig8Data {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke_run;
 
     #[test]
     fn frontiers_are_monotone_and_rfc_beats_two_cycle() {
-        let data = run(&ExperimentOpts::smoke());
+        let data = smoke_run(plan, assemble);
         assert_eq!(data.archs, vec!["1-cycle", "2-cycle", "rfc"]);
         for ai in 0..data.archs.len() {
             for si in 0..2 {

@@ -12,7 +12,7 @@
 
 use super::ExperimentOpts;
 use crate::scenario::{Scenario, ScenarioReport};
-use crate::{harmonic_mean, run_suite_jobs, RunResult, RunSpec, TextTable};
+use crate::{harmonic_mean, RunResult, RunSpec, TextTable};
 use rfcache_area::table2_configs;
 use rfcache_core::{PortLimits, RegFileCacheConfig, RegFileConfig, SingleBankConfig};
 use std::fmt;
@@ -130,12 +130,6 @@ pub fn assemble(opts: &ExperimentOpts, results: Vec<RunResult>) -> Fig9Data {
     Fig9Data { configs: table.iter().map(|c| c.name.to_string()).collect(), cells }
 }
 
-/// Runs the Figure 9 experiment.
-pub fn run(opts: &ExperimentOpts) -> Fig9Data {
-    let results = run_suite_jobs(&plan(opts), opts.jobs);
-    assemble(opts, results)
-}
-
 impl Fig9Data {
     /// Best relative throughput per architecture on a suite
     /// (0 = int, 1 = fp), in [`ARCHS`] order.
@@ -242,10 +236,11 @@ impl ScenarioReport for Fig9Data {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke_run;
 
     #[test]
     fn rfc_dominates_when_cycle_time_counts() {
-        let data = run(&ExperimentOpts::smoke());
+        let data = smoke_run(plan, assemble);
         assert_eq!(data.configs, vec!["C1", "C2", "C3", "C4"]);
         for suite in 0..2 {
             let best = data.best_per_arch(suite);

@@ -1,9 +1,12 @@
 //! One module per figure and table of the paper's evaluation (§2 and §4).
 //!
-//! Every experiment exposes `run(&ExperimentOpts) -> <FigureData>`; the
-//! returned structs carry the raw series (for the integration tests) and
-//! render the paper's rows via `Display`. The `experiments` binary in
-//! `rfcache-bench` wraps these with a command-line interface.
+//! Every experiment exposes `plan(&ExperimentOpts) -> Vec<RunSpec>` and a
+//! `scenario()` registry entry pairing that planner with the assembler
+//! that folds the results into the experiment's `<FigureData>` report;
+//! [`Scenario::run`](crate::scenario::Scenario::run) runs one end to end.
+//! The reports carry the raw series (for the tests) and render the
+//! paper's rows via `Display`. The `experiments` binary in
+//! `rfcache-bench` dispatches through the scenario registry.
 //!
 //! | Module | Paper content |
 //! |---|---|
@@ -53,8 +56,8 @@ pub struct ExperimentOpts {
     /// per-suite benchmark subsets of the heavyweight experiments).
     pub quick: bool,
     /// Worker threads for the benchmark sweeps (0 = one per available
-    /// core); every experiment routes its specs through
-    /// [`crate::run_suite_jobs`] with this count.
+    /// core); [`Scenario::run`](crate::scenario::Scenario::run) routes a
+    /// scenario's specs through [`crate::run_suite_jobs`] with this count.
     pub jobs: usize,
 }
 
@@ -109,6 +112,17 @@ pub fn rfc(caching: CachingPolicy, fetch: FetchPolicy) -> RegFileConfig {
 /// with prefetch-first-pair.
 pub fn rfc_best() -> RegFileConfig {
     rfc(CachingPolicy::NonBypass, FetchPolicy::PrefetchFirstPair)
+}
+
+/// Runs one experiment at [`ExperimentOpts::smoke`] scale through its
+/// planner and assembler, returning the typed report its tests inspect.
+#[cfg(test)]
+pub(crate) fn smoke_run<T>(
+    plan: fn(&ExperimentOpts) -> Vec<crate::RunSpec>,
+    assemble: fn(&ExperimentOpts, Vec<crate::RunResult>) -> T,
+) -> T {
+    let opts = ExperimentOpts::smoke();
+    assemble(&opts, crate::run_suite_jobs(&plan(&opts), opts.jobs))
 }
 
 /// Benchmarks used by the heavyweight sweeps: the full suites normally, a

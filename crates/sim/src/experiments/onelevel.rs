@@ -12,7 +12,7 @@
 
 use super::{one_cycle, rfc_best, two_cycle_single_bypass, ExperimentOpts};
 use crate::scenario::{Scenario, ScenarioReport};
-use crate::{harmonic_mean, run_suite_jobs, RunResult, RunSpec, TextTable};
+use crate::{harmonic_mean, RunResult, RunSpec, TextTable};
 use rfcache_area::{BankGeometry, TwoLevelDesign};
 use rfcache_core::{OneLevelBankedConfig, RegFileConfig};
 use std::fmt;
@@ -129,12 +129,6 @@ pub fn assemble(opts: &ExperimentOpts, results: Vec<RunResult>) -> OneLevelData 
     OneLevelData { rows }
 }
 
-/// Runs the one-level comparison.
-pub fn run(opts: &ExperimentOpts) -> OneLevelData {
-    let results = run_suite_jobs(&plan(opts), opts.jobs);
-    assemble(opts, results)
-}
-
 impl OneLevelData {
     /// The row whose label contains `needle`.
     pub fn find(&self, needle: &str) -> Option<&OneLevelRow> {
@@ -210,10 +204,11 @@ impl ScenarioReport for OneLevelData {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke_run;
 
     #[test]
     fn one_level_banks_trade_conflicts_for_area() {
-        let data = run(&ExperimentOpts::smoke());
+        let data = smoke_run(plan, assemble);
         let rfc = data.find("rfc").unwrap();
         let one_level = data.find("one-level 8x").unwrap();
         // The banked file is much smaller...

@@ -6,7 +6,7 @@
 
 use super::{one_cycle, ExperimentOpts};
 use crate::scenario::{Scenario, ScenarioReport};
-use crate::{run_suite_jobs, RunResult, RunSpec, TextTable};
+use crate::{RunResult, RunSpec, TextTable};
 use std::fmt;
 
 /// Per-benchmark and per-suite read-at-most-once fractions.
@@ -52,12 +52,6 @@ pub fn assemble(_opts: &ExperimentOpts, results: Vec<RunResult>) -> ReadStatsDat
         vals.iter().sum::<f64>() / vals.len().max(1) as f64
     };
     ReadStatsData { int_avg: avg(false), fp_avg: avg(true), rows }
-}
-
-/// Runs the read-statistics experiment.
-pub fn run(opts: &ExperimentOpts) -> ReadStatsData {
-    let results = run_suite_jobs(&plan(opts), opts.jobs);
-    assemble(opts, results)
 }
 
 impl fmt::Display for ReadStatsData {
@@ -123,10 +117,11 @@ impl ScenarioReport for ReadStatsData {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke_run;
 
     #[test]
     fn most_values_read_at_most_once() {
-        let data = run(&ExperimentOpts::smoke());
+        let data = smoke_run(plan, assemble);
         assert!(
             (0.75..=0.99).contains(&data.int_avg),
             "int read-at-most-once {} out of band",

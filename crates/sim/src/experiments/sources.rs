@@ -5,7 +5,7 @@
 
 use super::{rfc_best, ExperimentOpts};
 use crate::scenario::{Scenario, ScenarioReport};
-use crate::{run_suite_jobs, RunResult, RunSpec, TextTable};
+use crate::{RunResult, RunSpec, TextTable};
 use std::fmt;
 
 /// Per-benchmark operand-source statistics.
@@ -69,12 +69,6 @@ pub fn assemble(_opts: &ExperimentOpts, results: Vec<RunResult>) -> SourcesData 
         })
         .collect();
     SourcesData { rows }
-}
-
-/// Runs the operand-source breakdown on the best register file cache.
-pub fn run(opts: &ExperimentOpts) -> SourcesData {
-    let results = run_suite_jobs(&plan(opts), opts.jobs);
-    assemble(opts, results)
 }
 
 impl SourcesData {
@@ -171,10 +165,11 @@ impl ScenarioReport for SourcesData {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke_run;
 
     #[test]
     fn breakdown_is_consistent() {
-        let data = run(&ExperimentOpts::smoke());
+        let data = smoke_run(plan, assemble);
         assert_eq!(data.rows.len(), 4);
         for r in &data.rows {
             assert!((0.0..=1.0).contains(&r.bypass_frac), "{}: {}", r.bench, r.bypass_frac);
