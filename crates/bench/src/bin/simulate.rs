@@ -15,8 +15,8 @@
 //! one, cyclically as sweeps replay traces, and reports it under the file
 //! stem (the `--bench` profile is then ignored).
 //!
-//! A malformed flag value, an invalid pipeline configuration and an
-//! unreadable or empty trace exit 2 with the reason.
+//! A malformed flag value, an invalid pipeline or register file
+//! configuration and an unreadable or empty trace exit 2 with the reason.
 
 use rfcache_core::{
     CachingPolicy, FetchPolicy, OneLevelBankedConfig, PortLimits, RegFileCacheConfig,
@@ -170,6 +170,9 @@ fn main() {
     }
     if let Err(reason) = pipeline.validate() {
         bail(&format!("invalid pipeline configuration: {reason}"));
+    }
+    if let Err(reason) = rf.validate(pipeline.phys_regs) {
+        bail(&format!("invalid register file configuration: {reason}"));
     }
 
     // Optional trace capture/replay via the RFCT format.

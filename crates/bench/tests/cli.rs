@@ -289,12 +289,20 @@ fn simulate_rejects_an_empty_trace() {
 
 #[test]
 fn simulate_rejects_bad_pipeline_flags_by_name() {
-    for (args, reason) in [
-        (["--window", "abc"], "bad --window"),
-        (["--window", "0"], "window_size must be at least 1"),
-        (["--phys-regs", "39"], "phys_regs 39 must be at least 40"),
-    ] {
-        let out = simulate(&[&args[..], &["--insts", "1000", "--warmup", "0"]].concat());
+    let cases: [(&[&str], &str); 9] = [
+        (&["--window", "abc"], "bad --window"),
+        (&["--window", "0"], "window_size must be at least 1"),
+        (&["--phys-regs", "39"], "phys_regs 39 must be at least 40"),
+        // Register files no model can be built from.
+        (&["--arch", "rfc", "--upper-entries", "0"], "upper_entries 0 must be at least 2"),
+        (&["--arch", "rfc", "--upper-entries", "1"], "upper_entries 1 must be at least 2"),
+        (&["--arch", "rfc", "--upper-entries", "3"], "upper_entries 3 must be a power of two"),
+        (&["--arch", "rfc", "--upper-entries", "128"], "must be fewer than phys_regs 128"),
+        (&["--arch", "replicated", "--banks", "0"], "banks must be at least 1"),
+        (&["--arch", "onelevel", "--banks", "0"], "banks must be at least 1"),
+    ];
+    for (args, reason) in cases {
+        let out = simulate(&[args, &["--insts", "1000", "--warmup", "0"]].concat());
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error: {stderr}");
         assert!(stderr.contains(reason), "{args:?}: stderr: {stderr}");

@@ -283,6 +283,14 @@ fn error_paths_answer_4xx_without_disturbing_the_inflight_campaign() {
     assert_eq!(code, 400, "empty scenario list: {body}");
     let (code, body) = post("{\"scenarios\": [\"readstats\"], \"surprise\": 1}");
     assert_eq!(code, 400, "unknown field: {body}");
+    // A sweep no register-file model can be built from is refused at
+    // submission, instead of queueing runs that kill every worker.
+    let (code, body) = post(
+        "{\"scenarios\": [\"tiny\"], \"sweeps\": [{\"name\": \"tiny\", \
+         \"workloads\": [\"li\"], \"rf\": [{\"cache\": {\"upper_entries\": 1}}]}]}",
+    );
+    assert_eq!(code, 400, "unbuildable register file: {body}");
+    assert!(body.contains("rf `rfc`"), "the reason names the rf label: {body}");
 
     let oversized = format!("{{\"scenarios\": [\"{}\"]}}", "x".repeat(http::MAX_BODY));
     let (code, body) = post(&oversized);

@@ -265,6 +265,51 @@ impl RegFileConfig {
             }
         }
     }
+
+    /// Checks that a model of this architecture can be built for
+    /// `phys_regs` physical registers.
+    ///
+    /// # Errors
+    ///
+    /// Names the violated bound: no physical registers, a zero read
+    /// latency, an upper bank of fewer than two entries, not a power of
+    /// two under pseudo-LRU, or not smaller than the register file, a zero
+    /// lower-bank latency, or no banks.
+    pub fn validate(&self, phys_regs: usize) -> Result<(), String> {
+        if phys_regs == 0 {
+            return Err("phys_regs must be at least 1".to_string());
+        }
+        match *self {
+            RegFileConfig::Single(c) if c.latency == 0 => Err("latency must be at least 1".into()),
+            RegFileConfig::Cache(c) => {
+                let n = c.upper_entries;
+                if n < 2 {
+                    Err(format!("upper_entries {n} must be at least 2"))
+                } else if c.replacement == Replacement::PseudoLru && !n.is_power_of_two() {
+                    Err(format!("upper_entries {n} must be a power of two under pseudo-LRU"))
+                } else if n >= phys_regs {
+                    Err(format!("upper_entries {n} must be fewer than phys_regs {phys_regs}"))
+                } else if c.lower_latency == 0 {
+                    Err("lower_latency must be at least 1".into())
+                } else {
+                    Ok(())
+                }
+            }
+            RegFileConfig::Replicated(ReplicatedConfig { banks: 0, .. })
+            | RegFileConfig::OneLevel(crate::OneLevelBankedConfig { banks: 0, .. }) => {
+                Err("banks must be at least 1".into())
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Panics with the violated bound if [`validate`](Self::validate)
+    /// fails; every model constructor starts here.
+    pub(crate) fn expect_valid(&self, phys_regs: usize) {
+        if let Err(reason) = self.validate(phys_regs) {
+            panic!("invalid register file configuration: {reason}");
+        }
+    }
 }
 
 impl fmt::Display for RegFileConfig {

@@ -7,8 +7,9 @@
 //! cycle loop. It is the only model type the CPU holds; the
 //! [`RegFileModel`] trait is the protocol every variant implements.
 
-use crate::config::{CachingPolicy, FetchPolicy, RegFileConfig};
-use crate::model::{PlanError, ReadPlan, RegFileModel, RegFileStats, SourceRead, WindowQuery};
+use crate::bitset::RegBitSet;
+use crate::config::RegFileConfig;
+use crate::model::{PlanError, PregTable, ReadPlan, RegFileModel, RegFileStats, SourceRead};
 use crate::onelevel::OneLevelBankedModel;
 use crate::replicated::ReplicatedBankModel;
 use crate::rfc::RegFileCacheModel;
@@ -18,7 +19,9 @@ use rfcache_isa::{Cycle, PhysReg};
 /// Any concrete register file model, statically dispatched.
 ///
 /// Built by [`RegFileConfig::build_model`]; implements [`RegFileModel`]
-/// by delegating to the variant. The CPU holds one per register class.
+/// by delegating every method, defaulted ones included, to the variant
+/// (a default here would skip a variant's override). The CPU holds one
+/// per register class.
 // The size skew is deliberate: the CPU stores two of these by value
 // precisely so the active model's state is inline, not behind a Box.
 #[allow(clippy::large_enum_variant)]
@@ -48,8 +51,12 @@ macro_rules! delegate {
 
 impl RegFileModel for RegFile {
     #[inline]
-    fn read_latency(&self) -> u64 {
-        delegate!(self, read_latency())
+    fn table(&self) -> &PregTable {
+        delegate!(self, table())
+    }
+    #[inline]
+    fn table_mut(&mut self) -> &mut PregTable {
+        delegate!(self, table_mut())
     }
     #[inline]
     fn begin_cycle(&mut self, now: Cycle) {
@@ -68,8 +75,8 @@ impl RegFileModel for RegFile {
         delegate!(self, schedule_result(preg, produced_at))
     }
     #[inline]
-    fn try_writeback(&mut self, preg: PhysReg, now: Cycle, window: &dyn WindowQuery) -> bool {
-        delegate!(self, try_writeback(preg, now, window))
+    fn try_writeback(&mut self, preg: PhysReg, now: Cycle, ready: &RegBitSet) -> bool {
+        delegate!(self, try_writeback(preg, now, ready))
     }
     #[inline]
     fn is_written(&self, preg: PhysReg) -> bool {
@@ -78,10 +85,6 @@ impl RegFileModel for RegFile {
     #[inline]
     fn is_produced(&self, preg: PhysReg, now: Cycle) -> bool {
         delegate!(self, is_produced(preg, now))
-    }
-    #[inline]
-    fn operand_obtainable(&self, preg: PhysReg, now: Cycle) -> bool {
-        delegate!(self, operand_obtainable(preg, now))
     }
     #[inline]
     fn plan_read(&mut self, srcs: &[PhysReg], now: Cycle) -> Result<ReadPlan, PlanError> {
@@ -104,14 +107,6 @@ impl RegFileModel for RegFile {
         delegate!(self, on_free(preg))
     }
     #[inline]
-    fn caching_policy(&self) -> Option<CachingPolicy> {
-        delegate!(self, caching_policy())
-    }
-    #[inline]
-    fn fetch_policy(&self) -> Option<FetchPolicy> {
-        delegate!(self, fetch_policy())
-    }
-    #[inline]
     fn stats(&self) -> &RegFileStats {
         delegate!(self, stats())
     }
@@ -123,6 +118,11 @@ impl RegFileModel for RegFile {
 impl RegFileConfig {
     /// Instantiates the configured timing model as a statically
     /// dispatched [`RegFile`] with `phys_regs` physical registers.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the violated bound if the configuration fails
+    /// [`validate`](Self::validate).
     pub fn build_model(&self, phys_regs: usize) -> RegFile {
         match *self {
             RegFileConfig::Single(c) => RegFile::Single(SingleBankModel::new(c, phys_regs)),
@@ -156,14 +156,14 @@ mod tests {
 
     #[test]
     fn enum_delegates_to_the_inner_model() {
-        use crate::model::NullWindow;
-        let mut rf = RegFileConfig::Single(SingleBankConfig::one_cycle()).build_model(8);
-        assert_eq!(rf.read_latency(), 1);
+        let config = RegFileConfig::Single(SingleBankConfig::one_cycle());
+        assert_eq!(config.read_latency(), 1);
+        let mut rf = config.build_model(8);
         rf.begin_cycle(0);
         let p = PhysReg::new(3);
         rf.on_alloc(p);
         rf.schedule_result(p, 0);
-        assert!(rf.try_writeback(p, 0, &NullWindow));
+        assert!(rf.try_writeback(p, 0, &RegBitSet::new(0)));
         assert!(rf.is_written(p));
         rf.begin_cycle(5);
         let plan = rf.plan_read(&[p], 5).unwrap();

@@ -24,7 +24,11 @@
 //! which the out-of-order core (`rfcache-pipeline`) drives once per cycle:
 //! `begin_cycle` → write-backs (`try_writeback`) → issue (`plan_read` /
 //! `commit_read`) plus transfer requests. The protocol's timing contract is
-//! documented on the trait.
+//! documented on the trait. Register lifetimes (allocation, production,
+//! write-back, reads, freeing) live in each model's [`PregTable`], and the
+//! trait implements the lifetime calls once over it; a model adds only its
+//! port budgets, operand paths and write-back. The read latency and the
+//! caching and fetch policies are properties of the [`RegFileConfig`].
 //!
 //! # Examples
 //!
@@ -33,8 +37,9 @@
 //!
 //! // A one-cycle, single-banked file with unlimited ports.
 //! let config = RegFileConfig::Single(SingleBankConfig::one_cycle());
+//! assert_eq!(config.read_latency(), 1);
 //! let model = config.build_model(128);
-//! assert_eq!(model.read_latency(), 1);
+//! assert_eq!(model.stats().writebacks, 0);
 //! ```
 
 #![warn(missing_docs)]
@@ -56,8 +61,8 @@ pub use config::{
 };
 pub use dispatch::RegFile;
 pub use model::{
-    MissList, NullWindow, PlanError, ReadPath, ReadPlan, RegFileModel, RegFileStats, SmallList,
-    SourceRead, WindowQuery,
+    MissList, PlanError, PregTable, ReadPath, ReadPlan, RegFileModel, RegFileStats, SmallList,
+    SourceRead,
 };
 pub use onelevel::{OneLevelBankedConfig, OneLevelBankedModel};
 pub use plru::{PlruTree, ReplacementState};

@@ -4,9 +4,11 @@
 //! # Timing contract
 //!
 //! * An instruction **issues** at cycle `c` and starts executing at
-//!   `c + read_latency()`; its result is **produced** at the end of its
-//!   execute stage (cycle `p`), which the core announces via
-//!   [`RegFileModel::schedule_result`] as soon as `p` is known.
+//!   `c + L`, where `L` is the architecture's
+//!   [`RegFileConfig::read_latency`](crate::RegFileConfig::read_latency);
+//!   its result is **produced** at the end of its execute stage (cycle
+//!   `p`), which the core announces via [`RegFileModel::schedule_result`]
+//!   as soon as `p` is known.
 //! * The core retires produced results through a write-back queue: each
 //!   cycle it offers them oldest-first via [`RegFileModel::try_writeback`];
 //!   the model accepts as many as it has write ports, records the value as
@@ -22,8 +24,11 @@
 //! * The core must call [`RegFileModel::begin_cycle`] exactly once per
 //!   cycle, before any other call of that cycle, with a strictly
 //!   increasing cycle number.
+//!
+//! Every model keeps its registers' lifetimes in a [`PregTable`]; the
+//! trait implements the lifetime calls once, over that table.
 
-use crate::config::{CachingPolicy, FetchPolicy};
+use crate::bitset::RegBitSet;
 use rfcache_isa::{Cycle, PhysReg};
 use std::fmt;
 
@@ -141,25 +146,6 @@ pub enum PlanError {
     NoReadPort,
 }
 
-/// Window information the caching policies need at write-back time. The
-/// out-of-order core implements this over its issue queue.
-pub trait WindowQuery {
-    /// Whether some not-yet-issued instruction in the window uses `preg`
-    /// as a source and has **all** of its source values produced.
-    fn has_ready_unissued_consumer(&self, preg: PhysReg) -> bool;
-}
-
-/// A [`WindowQuery`] that reports no consumers; useful in unit tests and
-/// for policies that do not need window information.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullWindow;
-
-impl WindowQuery for NullWindow {
-    fn has_ready_unissued_consumer(&self, _preg: PhysReg) -> bool {
-        false
-    }
-}
-
 /// Statistics accumulated by a register file model.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RegFileStats {
@@ -231,11 +217,17 @@ impl fmt::Display for RegFileStats {
 
 /// The cycle-accurate register file protocol. See the module documentation
 /// for the timing contract.
-/// `Send` is a supertrait so whole CPUs can move across threads — the
-/// scenario engine runs independent simulations on a worker pool.
+///
+/// A model implements its port budgets, operand paths and write-back;
+/// the lifetime calls default to its [`PregTable`]. `Send` is a
+/// supertrait so whole CPUs can move across threads — the scenario
+/// engine runs independent simulations on a worker pool.
 pub trait RegFileModel: Send {
-    /// Issue → execute distance in cycles.
-    fn read_latency(&self) -> u64;
+    /// The model's register lifetimes and statistics.
+    fn table(&self) -> &PregTable;
+
+    /// Mutable access to the model's [`table`](Self::table).
+    fn table_mut(&mut self) -> &mut PregTable;
 
     /// Starts cycle `now`: resets per-cycle port budgets and advances
     /// internal machinery (e.g. bus transfers).
@@ -243,38 +235,43 @@ pub trait RegFileModel: Send {
 
     /// A physical register was allocated at rename; its previous life (if
     /// any) is over.
-    fn on_alloc(&mut self, preg: PhysReg);
+    fn on_alloc(&mut self, preg: PhysReg) {
+        self.table_mut().alloc(preg);
+    }
 
     /// Seeds `preg` with an architectural value that exists before the
     /// simulation starts (the initial mapping of the logical registers):
     /// live, produced and written at cycle 0, resident only in the main
     /// (lower) bank.
-    fn seed_initial(&mut self, preg: PhysReg);
+    fn seed_initial(&mut self, preg: PhysReg) {
+        self.table_mut().seed(preg);
+    }
 
     /// The producer of `preg` will finish executing at the end of cycle
     /// `produced_at`.
-    fn schedule_result(&mut self, preg: PhysReg, produced_at: Cycle);
+    fn schedule_result(&mut self, preg: PhysReg, produced_at: Cycle) {
+        self.table_mut().schedule(preg, produced_at);
+    }
 
     /// Offers the produced value of `preg` for write-back at cycle `now`.
     /// Returns `false` when no write port is free this cycle (the core
     /// retries next cycle). On success the model applies its caching
-    /// policy using `window`.
-    fn try_writeback(&mut self, preg: PhysReg, now: Cycle, window: &dyn WindowQuery) -> bool;
+    /// policy; `ready` holds the registers some not-yet-issued
+    /// instruction reads with all of its source values produced (the
+    /// *ready* caching policy's input).
+    fn try_writeback(&mut self, preg: PhysReg, now: Cycle, ready: &RegBitSet) -> bool;
 
     /// Whether the value of `preg` has been written to the main (lower)
     /// bank — the condition for the producing instruction to commit.
-    fn is_written(&self, preg: PhysReg) -> bool;
+    fn is_written(&self, preg: PhysReg) -> bool {
+        self.table().state(preg).written_at.is_some()
+    }
 
     /// Whether the value of `preg` has been produced (is architecturally
     /// available somewhere, not necessarily readable this cycle).
-    fn is_produced(&self, preg: PhysReg, now: Cycle) -> bool;
-
-    /// Cheap allocation-free pre-check: could [`plan_read`](Self::plan_read)
-    /// make progress for `preg` at cycle `now` — either deliver the value
-    /// on some path (ignoring port limits) or report it for a demand
-    /// transfer? Used by the issue stage to skip full planning for
-    /// operands that would only yield [`PlanError::NotReady`].
-    fn operand_obtainable(&self, preg: PhysReg, now: Cycle) -> bool;
+    fn is_produced(&self, preg: PhysReg, now: Cycle) -> bool {
+        matches!(self.table().state(preg).produced_at, Some(p) if p <= now)
+    }
 
     /// Plans the operand reads of an instruction issuing at cycle `now`
     /// with the given source registers. On failure the error says why the
@@ -292,29 +289,27 @@ pub trait RegFileModel: Send {
     fn commit_read(&mut self, plan: &[SourceRead], now: Cycle);
 
     /// Requests a demand transfer of `preg` into the upper bank (no-op for
-    /// single-banked files).
-    fn request_demand(&mut self, preg: PhysReg, now: Cycle);
+    /// one-level files).
+    fn request_demand(&mut self, preg: PhysReg, now: Cycle) {
+        let _ = (preg, now);
+    }
 
     /// Requests a prefetch of `preg` into the upper bank (no-op unless the
     /// fetch policy is prefetch-first-pair).
-    fn request_prefetch(&mut self, preg: PhysReg, now: Cycle);
+    fn request_prefetch(&mut self, preg: PhysReg, now: Cycle) {
+        let _ = (preg, now);
+    }
 
     /// The physical register was freed (its renaming superseded at
     /// commit); the model clears all state for it.
-    fn on_free(&mut self, preg: PhysReg);
-
-    /// The caching policy (for reporting).
-    fn caching_policy(&self) -> Option<CachingPolicy> {
-        None
-    }
-
-    /// The fetch policy (for reporting).
-    fn fetch_policy(&self) -> Option<FetchPolicy> {
-        None
+    fn on_free(&mut self, preg: PhysReg) {
+        self.table_mut().free(preg);
     }
 
     /// Accumulated statistics.
-    fn stats(&self) -> &RegFileStats;
+    fn stats(&self) -> &RegFileStats {
+        &self.table().stats
+    }
 
     /// Human-readable internal state of one operand (for deadlock
     /// diagnostics). The default implementation returns an empty string.
@@ -324,7 +319,7 @@ pub trait RegFileModel: Send {
     }
 }
 
-/// Lifetime state of one physical register, shared by all models.
+/// Lifetime state of one physical register.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PregState {
     /// Cycle at the end of which the value is produced.
@@ -339,21 +334,83 @@ pub(crate) struct PregState {
     pub live: bool,
 }
 
-impl PregState {
-    /// Resets the state for a fresh allocation.
-    pub fn reset_for_alloc(&mut self) {
-        *self = PregState { live: true, ..PregState::default() };
+/// Every physical register's lifetime state, plus the statistics all
+/// models keep the same way: write-backs, operand reads by path, and how
+/// often each freed value was read.
+///
+/// Each model owns one; the [`RegFileModel`] default methods drive it
+/// through allocation, scheduling and freeing, and the model's own
+/// write-back and read paths record into it. Its methods are private to
+/// this crate, so the protocol's implementations are too.
+#[derive(Debug)]
+pub struct PregTable {
+    states: Vec<PregState>,
+    /// Accumulated statistics; models add their own stall, caching and
+    /// transfer counts.
+    pub(crate) stats: RegFileStats,
+}
+
+impl PregTable {
+    /// A table of `phys_regs` registers, none of them live.
+    pub(crate) fn new(phys_regs: usize) -> Self {
+        PregTable { states: vec![PregState::default(); phys_regs], stats: RegFileStats::default() }
     }
 
-    /// Folds the finished lifetime into the read-count statistics.
-    pub fn account_reads(&self, stats: &mut RegFileStats) {
-        // Only count lifetimes that actually produced a value; squashed
-        // allocations never had a readable value.
-        if self.produced_at.is_some() {
-            match self.reads {
-                0 => stats.values_never_read += 1,
-                1 => stats.values_read_once += 1,
-                _ => stats.values_read_many += 1,
+    /// The lifetime state of `preg`.
+    pub(crate) fn state(&self, preg: PhysReg) -> &PregState {
+        &self.states[preg.index()]
+    }
+
+    /// Starts a fresh lifetime of `preg`: live, nothing produced yet.
+    pub(crate) fn alloc(&mut self, preg: PhysReg) {
+        self.states[preg.index()] = PregState { live: true, ..PregState::default() };
+    }
+
+    /// Starts a lifetime whose value exists before the simulation:
+    /// produced and written at cycle 0.
+    pub(crate) fn seed(&mut self, preg: PhysReg) {
+        self.states[preg.index()] = PregState {
+            produced_at: Some(0),
+            written_at: Some(0),
+            live: true,
+            ..PregState::default()
+        };
+    }
+
+    /// The value of `preg` is produced at the end of `produced_at`.
+    pub(crate) fn schedule(&mut self, preg: PhysReg, produced_at: Cycle) {
+        self.states[preg.index()].produced_at = Some(produced_at);
+    }
+
+    /// Records an accepted write-back: `preg` is readable from the main
+    /// bank from `now` on.
+    pub(crate) fn write(&mut self, preg: PhysReg, now: Cycle) {
+        self.states[preg.index()].written_at = Some(now);
+        self.stats.writebacks += 1;
+    }
+
+    /// Counts one committed operand read on its path.
+    pub(crate) fn count_read(&mut self, read: SourceRead) {
+        let st = &mut self.states[read.preg.index()];
+        st.reads += 1;
+        match read.path {
+            ReadPath::Bypass => {
+                st.bypass_consumed = true;
+                self.stats.bypass_reads += 1;
+            }
+            ReadPath::RegFile => self.stats.regfile_reads += 1,
+        }
+    }
+
+    /// Ends the lifetime of `preg`. A live value that was produced is
+    /// counted by how often it was read (the §3 read-count statistic).
+    pub(crate) fn free(&mut self, preg: PhysReg) {
+        let st = std::mem::take(&mut self.states[preg.index()]);
+        if st.live && st.produced_at.is_some() {
+            match st.reads {
+                0 => self.stats.values_never_read += 1,
+                1 => self.stats.values_read_once += 1,
+                _ => self.stats.values_read_many += 1,
             }
         }
     }
@@ -383,14 +440,14 @@ mod tests {
 
     #[test]
     fn preg_state_alloc_reset() {
-        let mut s = PregState {
-            produced_at: Some(5),
-            written_at: Some(6),
-            bypass_consumed: true,
-            reads: 3,
-            live: true,
-        };
-        s.reset_for_alloc();
+        let mut table = PregTable::new(4);
+        let p = PhysReg::new(2);
+        table.alloc(p);
+        table.schedule(p, 5);
+        table.write(p, 6);
+        table.count_read(SourceRead { preg: p, path: ReadPath::Bypass });
+        table.alloc(p);
+        let s = table.state(p);
         assert!(s.live);
         assert_eq!(s.produced_at, None);
         assert_eq!(s.reads, 0);
@@ -399,14 +456,12 @@ mod tests {
 
     #[test]
     fn squashed_lifetimes_not_counted() {
-        let mut stats = RegFileStats::default();
-        let s = PregState { live: true, ..PregState::default() };
-        s.account_reads(&mut stats);
-        assert_eq!(stats.values_never_read, 0);
-    }
-
-    #[test]
-    fn null_window_reports_nothing() {
-        assert!(!NullWindow.has_ready_unissued_consumer(PhysReg::new(3)));
+        // A lifetime that ends before its value is produced has no read
+        // count to report.
+        let mut table = PregTable::new(4);
+        let p = PhysReg::new(0);
+        table.alloc(p);
+        table.free(p);
+        assert_eq!(table.stats.values_never_read, 0);
     }
 }

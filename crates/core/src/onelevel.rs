@@ -10,9 +10,9 @@
 //! bank's ports. Port conflicts are the price of the cheaper banks; the
 //! bypass network stays single-level like the register file cache's.
 
-use crate::model::{
-    PlanError, PregState, ReadPath, ReadPlan, RegFileModel, RegFileStats, SourceRead, WindowQuery,
-};
+use crate::bitset::RegBitSet;
+use crate::config::RegFileConfig;
+use crate::model::{PlanError, PregTable, ReadPath, ReadPlan, RegFileModel, SourceRead};
 use rfcache_isa::{Cycle, PhysReg};
 
 /// Configuration of the one-level banked organization.
@@ -45,19 +45,19 @@ impl Default for OneLevelBankedConfig {
 /// # Examples
 ///
 /// ```
-/// use rfcache_core::{OneLevelBankedConfig, OneLevelBankedModel, RegFileModel};
+/// use rfcache_core::{OneLevelBankedConfig, OneLevelBankedModel, RegFileConfig};
 ///
-/// let rf = OneLevelBankedModel::new(OneLevelBankedConfig::wallace(8), 128);
-/// assert_eq!(rf.read_latency(), 1);
+/// let config = OneLevelBankedConfig::wallace(8);
+/// assert_eq!(RegFileConfig::OneLevel(config).read_latency(), 1);
+/// let rf = OneLevelBankedModel::new(config, 128);
 /// assert_eq!(rf.bank_of(rfcache_isa::PhysReg::new(9)), 1);
 /// ```
 #[derive(Debug)]
 pub struct OneLevelBankedModel {
     config: OneLevelBankedConfig,
-    states: Vec<PregState>,
+    table: PregTable,
     reads_used: Vec<u32>,
     writes_used: Vec<u32>,
-    stats: RegFileStats,
 }
 
 impl OneLevelBankedModel {
@@ -65,15 +65,14 @@ impl OneLevelBankedModel {
     ///
     /// # Panics
     ///
-    /// Panics if `phys_regs == 0` or `config.banks == 0`.
+    /// Panics with the violated bound if the configuration fails
+    /// [`RegFileConfig::validate`].
     pub fn new(config: OneLevelBankedConfig, phys_regs: usize) -> Self {
-        assert!(phys_regs > 0, "need at least one physical register");
-        assert!(config.banks >= 1, "need at least one bank");
+        RegFileConfig::OneLevel(config).expect_valid(phys_regs);
         OneLevelBankedModel {
-            states: vec![PregState::default(); phys_regs],
+            table: PregTable::new(phys_regs),
             reads_used: vec![0; config.banks as usize],
             writes_used: vec![0; config.banks as usize],
-            stats: RegFileStats::default(),
             config,
         }
     }
@@ -90,8 +89,12 @@ impl OneLevelBankedModel {
 }
 
 impl RegFileModel for OneLevelBankedModel {
-    fn read_latency(&self) -> u64 {
-        1
+    fn table(&self) -> &PregTable {
+        &self.table
+    }
+
+    fn table_mut(&mut self) -> &mut PregTable {
+        &mut self.table
     }
 
     fn begin_cycle(&mut self, _now: Cycle) {
@@ -99,55 +102,23 @@ impl RegFileModel for OneLevelBankedModel {
         self.writes_used.fill(0);
     }
 
-    fn on_alloc(&mut self, preg: PhysReg) {
-        self.states[preg.index()].reset_for_alloc();
-    }
-
-    fn seed_initial(&mut self, preg: PhysReg) {
-        let st = &mut self.states[preg.index()];
-        st.reset_for_alloc();
-        st.produced_at = Some(0);
-        st.written_at = Some(0);
-    }
-
-    fn schedule_result(&mut self, preg: PhysReg, produced_at: Cycle) {
-        self.states[preg.index()].produced_at = Some(produced_at);
-    }
-
-    fn try_writeback(&mut self, preg: PhysReg, now: Cycle, _window: &dyn WindowQuery) -> bool {
+    fn try_writeback(&mut self, preg: PhysReg, now: Cycle, _ready: &RegBitSet) -> bool {
         let bank = self.bank_of(preg);
         if let Some(limit) = self.config.write_ports_per_bank {
             if self.writes_used[bank] >= limit {
-                self.stats.write_port_stalls += 1;
+                self.table.stats.write_port_stalls += 1;
                 return false;
             }
         }
         self.writes_used[bank] += 1;
-        self.states[preg.index()].written_at = Some(now);
-        self.stats.writebacks += 1;
+        self.table.write(preg, now);
         true
-    }
-
-    fn is_written(&self, preg: PhysReg) -> bool {
-        self.states[preg.index()].written_at.is_some()
-    }
-
-    fn is_produced(&self, preg: PhysReg, now: Cycle) -> bool {
-        matches!(self.states[preg.index()].produced_at, Some(p) if p <= now)
-    }
-
-    fn operand_obtainable(&self, preg: PhysReg, now: Cycle) -> bool {
-        match self.states[preg.index()].produced_at {
-            Some(p) if now == p => true,
-            Some(p) if now > p => self.states[preg.index()].written_at.is_some(),
-            _ => false,
-        }
     }
 
     fn plan_read(&mut self, srcs: &[PhysReg], now: Cycle) -> Result<ReadPlan, PlanError> {
         let mut plan = ReadPlan::new();
         for &preg in srcs {
-            let st = &self.states[preg.index()];
+            let st = self.table.state(preg);
             let Some(produced) = st.produced_at else { return Err(PlanError::NotReady) };
             if now == produced {
                 plan.push(SourceRead { preg, path: ReadPath::Bypass });
@@ -178,7 +149,7 @@ impl RegFileModel for OneLevelBankedModel {
                     .filter(|r| r.path == ReadPath::RegFile && self.bank_of(r.preg) == bank)
                     .count() as u32;
                 if self.reads_used[bank] + demand > limit {
-                    self.stats.read_port_stalls += 1;
+                    self.table.stats.read_port_stalls += 1;
                     return Err(PlanError::NoReadPort);
                 }
             }
@@ -187,45 +158,19 @@ impl RegFileModel for OneLevelBankedModel {
     }
 
     fn commit_read(&mut self, plan: &[SourceRead], _now: Cycle) {
-        for read in plan {
-            let st = &mut self.states[read.preg.index()];
-            st.reads += 1;
-            match read.path {
-                ReadPath::Bypass => {
-                    st.bypass_consumed = true;
-                    self.stats.bypass_reads += 1;
-                }
-                ReadPath::RegFile => {
-                    let bank = self.bank_of(read.preg);
-                    self.reads_used[bank] += 1;
-                    self.stats.regfile_reads += 1;
-                }
+        for &read in plan {
+            self.table.count_read(read);
+            if read.path == ReadPath::RegFile {
+                let bank = self.bank_of(read.preg);
+                self.reads_used[bank] += 1;
             }
         }
-    }
-
-    fn request_demand(&mut self, _preg: PhysReg, _now: Cycle) {}
-
-    fn request_prefetch(&mut self, _preg: PhysReg, _now: Cycle) {}
-
-    fn on_free(&mut self, preg: PhysReg) {
-        let st = &mut self.states[preg.index()];
-        if st.live {
-            let snapshot = *st;
-            snapshot.account_reads(&mut self.stats);
-        }
-        *st = PregState::default();
-    }
-
-    fn stats(&self) -> &RegFileStats {
-        &self.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::NullWindow;
 
     fn model(banks: u32, r: u32, w: u32) -> OneLevelBankedModel {
         let config = OneLevelBankedConfig {
@@ -242,7 +187,7 @@ mod tests {
             let p = PhysReg::new(i);
             rf.on_alloc(p);
             rf.schedule_result(p, 0);
-            assert!(rf.try_writeback(p, 0, &NullWindow));
+            assert!(rf.try_writeback(p, 0, &RegBitSet::new(0)));
         }
     }
 
@@ -283,13 +228,13 @@ mod tests {
             rf.schedule_result(p, 0);
         }
         rf.begin_cycle(1);
-        assert!(rf.try_writeback(PhysReg::new(0), 1, &NullWindow));
+        assert!(rf.try_writeback(PhysReg::new(0), 1, &RegBitSet::new(0)));
         // Second write to bank 0 this cycle: stalls.
-        assert!(!rf.try_writeback(PhysReg::new(2), 1, &NullWindow));
+        assert!(!rf.try_writeback(PhysReg::new(2), 1, &RegBitSet::new(0)));
         // Bank 1 is unaffected.
-        assert!(rf.try_writeback(PhysReg::new(1), 1, &NullWindow));
+        assert!(rf.try_writeback(PhysReg::new(1), 1, &RegBitSet::new(0)));
         rf.begin_cycle(2);
-        assert!(rf.try_writeback(PhysReg::new(2), 2, &NullWindow));
+        assert!(rf.try_writeback(PhysReg::new(2), 2, &RegBitSet::new(0)));
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! every bank, reaching remote banks one cycle later; each functional-unit
 //! cluster reads its local bank.
 
-use crate::config::ReplicatedBankConfig;
-use crate::model::{
-    PlanError, PregState, ReadPath, ReadPlan, RegFileModel, RegFileStats, SourceRead, WindowQuery,
-};
+use crate::bitset::RegBitSet;
+use crate::config::{RegFileConfig, ReplicatedBankConfig};
+use crate::model::{PlanError, PregTable, ReadPath, ReadPlan, RegFileModel, SourceRead};
 use rfcache_isa::{Cycle, PhysReg};
 
 /// Timing model of a replicated-bank register file.
@@ -21,22 +20,23 @@ use rfcache_isa::{Cycle, PhysReg};
 /// # Examples
 ///
 /// ```
-/// use rfcache_core::{RegFileModel, ReplicatedBankConfig, ReplicatedBankModel};
+/// use rfcache_core::{RegFileConfig, ReplicatedBankConfig, ReplicatedBankModel};
 ///
-/// let rf = ReplicatedBankModel::new(ReplicatedBankConfig::default(), 128);
-/// assert_eq!(rf.read_latency(), 1);
+/// let config = ReplicatedBankConfig::default();
+/// assert_eq!(RegFileConfig::Replicated(config).read_latency(), 1);
+/// let rf = ReplicatedBankModel::new(config, 128);
+/// assert_eq!(rf.current_cluster(), 0);
 /// ```
 #[derive(Debug)]
 pub struct ReplicatedBankModel {
     config: ReplicatedBankConfig,
-    states: Vec<PregState>,
+    table: PregTable,
     /// Cluster that produced each register's value.
     producer_cluster: Vec<u32>,
     /// Cluster the next issuing instruction is assigned to.
     next_cluster: u32,
     /// Read ports consumed this cycle, per cluster.
     reads_used: Vec<u32>,
-    stats: RegFileStats,
 }
 
 impl ReplicatedBankModel {
@@ -44,16 +44,15 @@ impl ReplicatedBankModel {
     ///
     /// # Panics
     ///
-    /// Panics if `phys_regs == 0` or `config.banks == 0`.
+    /// Panics with the violated bound if the configuration fails
+    /// [`RegFileConfig::validate`].
     pub fn new(config: ReplicatedBankConfig, phys_regs: usize) -> Self {
-        assert!(phys_regs > 0, "need at least one physical register");
-        assert!(config.banks >= 1, "need at least one bank");
+        RegFileConfig::Replicated(config).expect_valid(phys_regs);
         ReplicatedBankModel {
-            states: vec![PregState::default(); phys_regs],
+            table: PregTable::new(phys_regs),
             producer_cluster: vec![0; phys_regs],
             next_cluster: 0,
             reads_used: vec![0; config.banks as usize],
-            stats: RegFileStats::default(),
             config,
         }
     }
@@ -64,8 +63,7 @@ impl ReplicatedBankModel {
     }
 
     fn readable_in(&self, preg: PhysReg, cluster: u32, now: Cycle) -> bool {
-        let st = &self.states[preg.index()];
-        match st.written_at {
+        match self.table.state(preg).written_at {
             Some(w) => {
                 let effective = if self.producer_cluster[preg.index()] == cluster {
                     w
@@ -80,57 +78,30 @@ impl ReplicatedBankModel {
 }
 
 impl RegFileModel for ReplicatedBankModel {
-    fn read_latency(&self) -> u64 {
-        1
+    fn table(&self) -> &PregTable {
+        &self.table
+    }
+
+    fn table_mut(&mut self) -> &mut PregTable {
+        &mut self.table
     }
 
     fn begin_cycle(&mut self, _now: Cycle) {
         self.reads_used.fill(0);
     }
 
-    fn on_alloc(&mut self, preg: PhysReg) {
-        self.states[preg.index()].reset_for_alloc();
-    }
-
-    fn seed_initial(&mut self, preg: PhysReg) {
-        let st = &mut self.states[preg.index()];
-        st.reset_for_alloc();
-        st.produced_at = Some(0);
-        st.written_at = Some(0);
-    }
-
     fn schedule_result(&mut self, preg: PhysReg, produced_at: Cycle) {
-        self.states[preg.index()].produced_at = Some(produced_at);
+        self.table.schedule(preg, produced_at);
         // The producing instruction itself ran in some cluster; attribute
         // round-robin like every other issue.
         self.producer_cluster[preg.index()] = self.next_cluster;
     }
 
-    fn try_writeback(&mut self, preg: PhysReg, now: Cycle, _window: &dyn WindowQuery) -> bool {
+    fn try_writeback(&mut self, preg: PhysReg, now: Cycle, _ready: &RegBitSet) -> bool {
         // Every bank has a dedicated write port per result bus (full
         // replication); write-back never stalls on ports in this model.
-        self.states[preg.index()].written_at = Some(now);
-        self.stats.writebacks += 1;
+        self.table.write(preg, now);
         true
-    }
-
-    fn is_written(&self, preg: PhysReg) -> bool {
-        self.states[preg.index()].written_at.is_some()
-    }
-
-    fn is_produced(&self, preg: PhysReg, now: Cycle) -> bool {
-        matches!(self.states[preg.index()].produced_at, Some(p) if p <= now)
-    }
-
-    fn operand_obtainable(&self, preg: PhysReg, now: Cycle) -> bool {
-        // Conservative pre-check: readability depends on the consuming
-        // cluster, which is not known here; report the most permissive
-        // answer (plan_read settles it).
-        match self.states[preg.index()].produced_at {
-            Some(p) if now == p => true,
-            Some(p) if now > p => self.states[preg.index()].written_at.is_some(),
-            _ => false,
-        }
     }
 
     fn plan_read(&mut self, srcs: &[PhysReg], now: Cycle) -> Result<ReadPlan, PlanError> {
@@ -138,8 +109,9 @@ impl RegFileModel for ReplicatedBankModel {
         let mut plan = ReadPlan::new();
         let mut ports_needed = 0;
         for &preg in srcs {
-            let st = &self.states[preg.index()];
-            let Some(produced) = st.produced_at else { return Err(PlanError::NotReady) };
+            let Some(produced) = self.table.state(preg).produced_at else {
+                return Err(PlanError::NotReady);
+            };
             let local = self.producer_cluster[preg.index()] == cluster;
             if now == produced && local {
                 plan.push(SourceRead { preg, path: ReadPath::Bypass });
@@ -152,7 +124,7 @@ impl RegFileModel for ReplicatedBankModel {
         }
         if let Some(limit) = self.config.read_ports_per_bank {
             if self.reads_used[cluster as usize] + ports_needed > limit {
-                self.stats.read_port_stalls += 1;
+                self.table.stats.read_port_stalls += 1;
                 return Err(PlanError::NoReadPort);
             }
         }
@@ -161,45 +133,19 @@ impl RegFileModel for ReplicatedBankModel {
 
     fn commit_read(&mut self, plan: &[SourceRead], _now: Cycle) {
         let cluster = self.next_cluster;
-        for read in plan {
-            let st = &mut self.states[read.preg.index()];
-            st.reads += 1;
-            match read.path {
-                ReadPath::Bypass => {
-                    st.bypass_consumed = true;
-                    self.stats.bypass_reads += 1;
-                }
-                ReadPath::RegFile => {
-                    self.reads_used[cluster as usize] += 1;
-                    self.stats.regfile_reads += 1;
-                }
+        for &read in plan {
+            self.table.count_read(read);
+            if read.path == ReadPath::RegFile {
+                self.reads_used[cluster as usize] += 1;
             }
         }
         self.next_cluster = (self.next_cluster + 1) % self.config.banks;
-    }
-
-    fn request_demand(&mut self, _preg: PhysReg, _now: Cycle) {}
-
-    fn request_prefetch(&mut self, _preg: PhysReg, _now: Cycle) {}
-
-    fn on_free(&mut self, preg: PhysReg) {
-        let st = &mut self.states[preg.index()];
-        if st.live {
-            let snapshot = *st;
-            snapshot.account_reads(&mut self.stats);
-        }
-        *st = PregState::default();
-    }
-
-    fn stats(&self) -> &RegFileStats {
-        &self.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::NullWindow;
 
     fn two_banks() -> ReplicatedBankModel {
         ReplicatedBankModel::new(ReplicatedBankConfig::default(), 16)
@@ -213,7 +159,7 @@ mod tests {
         rf.on_alloc(r);
         rf.schedule_result(r, 2); // produced by cluster 0
         rf.begin_cycle(3);
-        assert!(rf.try_writeback(r, 3, &NullWindow));
+        assert!(rf.try_writeback(r, 3, &RegBitSet::new(0)));
         // Cluster 0 (local): readable at 3.
         assert_eq!(rf.current_cluster(), 0);
         let plan = rf.plan_read(&[r], 3).unwrap();
@@ -238,8 +184,8 @@ mod tests {
             rf.schedule_result(r, 0);
         }
         rf.begin_cycle(1);
-        assert!(rf.try_writeback(a, 1, &NullWindow));
-        assert!(rf.try_writeback(b, 1, &NullWindow));
+        assert!(rf.try_writeback(a, 1, &RegBitSet::new(0)));
+        assert!(rf.try_writeback(b, 1, &RegBitSet::new(0)));
         rf.begin_cycle(2);
         // Two operands need two ports in cluster 0: rejected.
         assert_eq!(rf.plan_read(&[a, b], 2), Err(PlanError::NoReadPort));

@@ -10,11 +10,9 @@
 //! from the upper bank travel upward over a limited number of buses, on
 //! demand or by prefetch.
 
-use crate::config::{CachingPolicy, FetchPolicy, RegFileCacheConfig};
-use crate::model::{
-    MissList, PlanError, PregState, ReadPath, ReadPlan, RegFileModel, RegFileStats, SourceRead,
-    WindowQuery,
-};
+use crate::bitset::RegBitSet;
+use crate::config::{CachingPolicy, FetchPolicy, RegFileCacheConfig, RegFileConfig};
+use crate::model::{MissList, PlanError, PregTable, ReadPath, ReadPlan, RegFileModel, SourceRead};
 use crate::plru::ReplacementState;
 use rfcache_isa::{Cycle, PhysReg};
 use std::collections::VecDeque;
@@ -44,7 +42,7 @@ enum Transfer {
 /// # Examples
 ///
 /// ```
-/// use rfcache_core::{NullWindow, ReadPath, RegFileCacheConfig, RegFileCacheModel, RegFileModel};
+/// use rfcache_core::{ReadPath, RegBitSet, RegFileCacheConfig, RegFileCacheModel, RegFileModel};
 /// use rfcache_isa::PhysReg;
 ///
 /// let mut rf = RegFileCacheModel::new(RegFileCacheConfig::paper_default(), 32);
@@ -54,14 +52,14 @@ enum Transfer {
 /// rf.schedule_result(p, 2);
 /// // Not consumed from the bypass ⇒ non-bypass caching writes it upward.
 /// rf.begin_cycle(3);
-/// assert!(rf.try_writeback(p, 3, &NullWindow));
+/// assert!(rf.try_writeback(p, 3, &RegBitSet::new(32)));
 /// let plan = rf.plan_read(&[p], 3).unwrap();
 /// assert_eq!(plan[0].path, ReadPath::RegFile); // upper-bank hit
 /// ```
 #[derive(Debug)]
 pub struct RegFileCacheModel {
     config: RegFileCacheConfig,
-    states: Vec<PregState>,
+    table: PregTable,
     transfers: Vec<Transfer>,
     /// Whether each preg currently resides in the upper bank.
     in_upper: Vec<bool>,
@@ -87,7 +85,6 @@ pub struct RegFileCacheModel {
     reads_used: u32,
     result_writes_used: u32,
     lower_writes_used: u32,
-    stats: RegFileStats,
 }
 
 impl RegFileCacheModel {
@@ -95,19 +92,13 @@ impl RegFileCacheModel {
     ///
     /// # Panics
     ///
-    /// Panics if `phys_regs == 0`, `upper_entries < 2` or not a power of
-    /// two (pseudo-LRU requirement), `upper_entries >= phys_regs`, or
-    /// `lower_latency == 0`.
+    /// Panics with the violated bound if the configuration fails
+    /// [`RegFileConfig::validate`].
     pub fn new(config: RegFileCacheConfig, phys_regs: usize) -> Self {
-        assert!(phys_regs > 0, "need at least one physical register");
-        assert!(
-            config.upper_entries < phys_regs,
-            "upper bank must be smaller than the register file"
-        );
-        assert!(config.lower_latency >= 1, "lower-bank latency must be at least one cycle");
+        RegFileConfig::Cache(config).expect_valid(phys_regs);
         let replacement = ReplacementState::new(config.replacement, config.upper_entries);
         RegFileCacheModel {
-            states: vec![PregState::default(); phys_regs],
+            table: PregTable::new(phys_regs),
             transfers: vec![Transfer::None; phys_regs],
             in_upper: vec![false; phys_regs],
             slots: vec![None; config.upper_entries],
@@ -123,7 +114,6 @@ impl RegFileCacheModel {
             reads_used: 0,
             result_writes_used: 0,
             lower_writes_used: 0,
-            stats: RegFileStats::default(),
             config,
         }
     }
@@ -179,7 +169,7 @@ impl RegFileCacheModel {
                 if let Some(victim) = self.slots[victim_slot as usize] {
                     self.in_upper[victim.index()] = false;
                     self.slot_of[victim.index()] = None;
-                    self.stats.evictions += 1;
+                    self.table.stats.evictions += 1;
                 }
                 victim_slot
             }
@@ -227,12 +217,13 @@ impl RegFileCacheModel {
                         queue.remove(scanned); // stale (freed or restarted)
                         continue;
                     }
-                    if !self.states[idx].live || self.in_upper[idx] {
+                    let st = self.table.state(preg);
+                    if !st.live || self.in_upper[idx] {
                         queue.remove(scanned);
                         self.transfers[idx] = Transfer::None;
                         continue;
                     }
-                    let written = matches!(self.states[idx].written_at, Some(w) if w <= now);
+                    let written = matches!(st.written_at, Some(w) if w <= now);
                     if !written {
                         // Not yet in the lower bank: leave it queued and
                         // look past it (bounded scan keeps this cheap).
@@ -256,9 +247,9 @@ impl RegFileCacheModel {
             self.transfers[preg.index()] = Transfer::InFlight { ready_at };
             self.arrivals.push_back((ready_at, preg, is_demand));
             if is_demand {
-                self.stats.demand_transfers += 1;
+                self.table.stats.demand_transfers += 1;
             } else {
-                self.stats.prefetch_transfers += 1;
+                self.table.stats.prefetch_transfers += 1;
             }
             if let (Some(i), Some(buses)) = (bus_idx, self.bus_free_at.as_mut()) {
                 buses[i] = ready_at;
@@ -274,7 +265,7 @@ impl RegFileCacheModel {
             }
             self.arrivals.pop_front();
             if self.transfers[preg.index()] == (Transfer::InFlight { ready_at })
-                && self.states[preg.index()].live
+                && self.table.state(preg).live
             {
                 self.transfers[preg.index()] = Transfer::None;
                 if is_demand {
@@ -287,8 +278,12 @@ impl RegFileCacheModel {
 }
 
 impl RegFileModel for RegFileCacheModel {
-    fn read_latency(&self) -> u64 {
-        1 // functional units always read the one-cycle upper bank
+    fn table(&self) -> &PregTable {
+        &self.table
+    }
+
+    fn table_mut(&mut self) -> &mut PregTable {
+        &mut self.table
     }
 
     fn begin_cycle(&mut self, now: Cycle) {
@@ -301,66 +296,39 @@ impl RegFileModel for RegFileCacheModel {
     }
 
     fn on_alloc(&mut self, preg: PhysReg) {
-        self.states[preg.index()].reset_for_alloc();
+        self.table.alloc(preg);
         self.transfers[preg.index()] = Transfer::None;
         self.remove_upper(preg);
     }
 
-    fn seed_initial(&mut self, preg: PhysReg) {
-        let st = &mut self.states[preg.index()];
-        st.reset_for_alloc();
-        st.produced_at = Some(0);
-        st.written_at = Some(0);
-    }
-
-    fn schedule_result(&mut self, preg: PhysReg, produced_at: Cycle) {
-        self.states[preg.index()].produced_at = Some(produced_at);
-    }
-
-    fn try_writeback(&mut self, preg: PhysReg, now: Cycle, window: &dyn WindowQuery) -> bool {
+    fn try_writeback(&mut self, preg: PhysReg, now: Cycle, ready: &RegBitSet) -> bool {
         if let Some(limit) = self.config.lower_write_ports {
             if self.lower_writes_used >= limit {
-                self.stats.write_port_stalls += 1;
+                self.table.stats.write_port_stalls += 1;
                 return false;
             }
         }
         self.lower_writes_used += 1;
-        self.states[preg.index()].written_at = Some(now);
-        self.stats.writebacks += 1;
+        self.table.write(preg, now);
 
         let cache_it = match self.config.caching {
-            CachingPolicy::NonBypass => !self.states[preg.index()].bypass_consumed,
-            CachingPolicy::Ready => window.has_ready_unissued_consumer(preg),
+            CachingPolicy::NonBypass => !self.table.state(preg).bypass_consumed,
+            CachingPolicy::Ready => ready.contains(preg.raw()),
         };
         if !cache_it {
-            self.stats.policy_skipped += 1;
+            self.table.stats.policy_skipped += 1;
             return true;
         }
         if let Some(limit) = self.config.upper_write_ports {
             if self.result_writes_used >= limit {
-                self.stats.port_skipped += 1;
+                self.table.stats.port_skipped += 1;
                 return true;
             }
         }
         self.result_writes_used += 1;
         self.insert_upper(preg);
-        self.stats.cached_results += 1;
+        self.table.stats.cached_results += 1;
         true
-    }
-
-    fn is_written(&self, preg: PhysReg) -> bool {
-        self.states[preg.index()].written_at.is_some()
-    }
-
-    fn is_produced(&self, preg: PhysReg, now: Cycle) -> bool {
-        matches!(self.states[preg.index()].produced_at, Some(p) if p <= now)
-    }
-
-    fn operand_obtainable(&self, preg: PhysReg, now: Cycle) -> bool {
-        // A produced value is always actionable: bypass at `now == p`,
-        // upper-bank read, or an upper miss that plan_read must surface so
-        // the core files a demand transfer.
-        matches!(self.states[preg.index()].produced_at, Some(p) if now >= p)
     }
 
     fn plan_read(&mut self, srcs: &[PhysReg], now: Cycle) -> Result<ReadPlan, PlanError> {
@@ -369,8 +337,7 @@ impl RegFileModel for RegFileCacheModel {
         let mut missing = MissList::new();
         let mut any_unproduced = false;
         for &preg in srcs {
-            let st = &self.states[preg.index()];
-            let Some(produced) = st.produced_at else {
+            let Some(produced) = self.table.state(preg).produced_at else {
                 any_unproduced = true;
                 continue;
             };
@@ -390,12 +357,12 @@ impl RegFileModel for RegFileCacheModel {
             return Err(PlanError::NotReady);
         }
         if !missing.is_empty() {
-            self.stats.upper_miss_stalls += 1;
+            self.table.stats.upper_miss_stalls += 1;
             return Err(PlanError::UpperMiss(missing));
         }
         if let Some(limit) = self.config.upper_read_ports {
             if self.reads_used + ports_needed > limit {
-                self.stats.read_port_stalls += 1;
+                self.table.stats.read_port_stalls += 1;
                 return Err(PlanError::NoReadPort);
             }
         }
@@ -403,23 +370,15 @@ impl RegFileModel for RegFileCacheModel {
     }
 
     fn commit_read(&mut self, plan: &[SourceRead], _now: Cycle) {
-        for read in plan {
-            let st = &mut self.states[read.preg.index()];
-            st.reads += 1;
-            match read.path {
-                ReadPath::Bypass => {
-                    st.bypass_consumed = true;
-                    self.stats.bypass_reads += 1;
-                }
-                ReadPath::RegFile => {
-                    self.reads_used += 1;
-                    self.stats.regfile_reads += 1;
-                    // The pinned value served its consumer; normal
-                    // replacement applies from here on.
-                    self.pinned_until[read.preg.index()] = 0;
-                    if let Some(slot) = self.slot_of[read.preg.index()] {
-                        self.replacement.touch(slot as usize);
-                    }
+        for &read in plan {
+            self.table.count_read(read);
+            if read.path == ReadPath::RegFile {
+                self.reads_used += 1;
+                // The pinned value served its consumer; normal
+                // replacement applies from here on.
+                self.pinned_until[read.preg.index()] = 0;
+                if let Some(slot) = self.slot_of[read.preg.index()] {
+                    self.replacement.touch(slot as usize);
                 }
             }
         }
@@ -427,7 +386,10 @@ impl RegFileModel for RegFileCacheModel {
 
     fn request_demand(&mut self, preg: PhysReg, _now: Cycle) {
         let idx = preg.index();
-        if !self.states[idx].live || self.in_upper[idx] || self.transfers[idx] != Transfer::None {
+        if !self.table.state(preg).live
+            || self.in_upper[idx]
+            || self.transfers[idx] != Transfer::None
+        {
             return;
         }
         self.transfers[idx] = Transfer::Queued;
@@ -440,7 +402,7 @@ impl RegFileModel for RegFileCacheModel {
         }
         let _ = now;
         let idx = preg.index();
-        let st = &self.states[idx];
+        let st = self.table.state(preg);
         // Values already resident or on their way need no prefetch; values
         // whose production is not even scheduled cannot be located. A
         // produced-but-not-yet-written value may queue: the bus scheduler
@@ -450,7 +412,7 @@ impl RegFileModel for RegFileCacheModel {
             || self.transfers[idx] != Transfer::None
             || st.produced_at.is_none()
         {
-            self.stats.prefetch_dropped += 1;
+            self.table.stats.prefetch_dropped += 1;
             return;
         }
         self.transfers[idx] = Transfer::Queued;
@@ -459,26 +421,10 @@ impl RegFileModel for RegFileCacheModel {
 
     fn on_free(&mut self, preg: PhysReg) {
         let idx = preg.index();
-        let st = self.states[idx];
-        if st.live {
-            st.account_reads(&mut self.stats);
-        }
-        self.states[idx] = PregState::default();
+        self.table.free(preg);
         self.transfers[idx] = Transfer::None; // queues drop stale entries lazily
         self.pinned_until[idx] = 0;
         self.remove_upper(preg);
-    }
-
-    fn caching_policy(&self) -> Option<CachingPolicy> {
-        Some(self.config.caching)
-    }
-
-    fn fetch_policy(&self) -> Option<FetchPolicy> {
-        Some(self.config.fetch)
-    }
-
-    fn stats(&self) -> &RegFileStats {
-        &self.stats
     }
 
     fn debug_operand(&self, preg: PhysReg) -> String {
@@ -492,9 +438,9 @@ impl RegFileModel for RegFileCacheModel {
                 format!(
                     "p{i}(q={:?},w={},u={},l={})",
                     self.transfers[i],
-                    self.states[i].written_at.is_some(),
+                    self.is_written(*p),
                     self.in_upper[i],
-                    self.states[i].live
+                    self.table.state(*p).live
                 )
             })
             .collect();
@@ -515,7 +461,6 @@ impl RegFileModel for RegFileCacheModel {
 mod tests {
     use super::*;
     use crate::config::Replacement;
-    use crate::model::NullWindow;
 
     fn preg(i: u16) -> PhysReg {
         PhysReg::new(i)
@@ -526,23 +471,18 @@ mod tests {
     }
 
     /// Alloc + schedule + (cycle p+1) writeback, returning at cycle p+1.
-    fn produce_and_write(
-        rf: &mut RegFileCacheModel,
-        r: PhysReg,
-        p: Cycle,
-        window: &dyn WindowQuery,
-    ) {
+    fn produce_and_write(rf: &mut RegFileCacheModel, r: PhysReg, p: Cycle, ready: &RegBitSet) {
         rf.on_alloc(r);
         rf.schedule_result(r, p);
         rf.begin_cycle(p + 1);
-        assert!(rf.try_writeback(r, p + 1, window));
+        assert!(rf.try_writeback(r, p + 1, ready));
     }
 
     #[test]
     fn non_bypassed_value_is_cached_and_readable() {
         let mut rf = model();
         let r = preg(0);
-        produce_and_write(&mut rf, r, 2, &NullWindow);
+        produce_and_write(&mut rf, r, 2, &RegBitSet::new(0));
         assert!(rf.in_upper(r));
         let plan = rf.plan_read(&[r], 3).unwrap();
         assert_eq!(plan[0].path, ReadPath::RegFile);
@@ -562,30 +502,26 @@ mod tests {
         rf.commit_read(&plan, 2);
         // Write-back next cycle: policy declines to cache it.
         rf.begin_cycle(3);
-        assert!(rf.try_writeback(r, 3, &NullWindow));
+        assert!(rf.try_writeback(r, 3, &RegBitSet::new(0)));
         assert!(!rf.in_upper(r));
         assert_eq!(rf.stats().policy_skipped, 1);
     }
 
     #[test]
     fn ready_caching_uses_window_information() {
-        struct AlwaysReady;
-        impl WindowQuery for AlwaysReady {
-            fn has_ready_unissued_consumer(&self, _p: PhysReg) -> bool {
-                true
-            }
-        }
+        let mut ready = RegBitSet::new(64);
+        ready.insert(0);
         let cfg = RegFileCacheConfig::paper_default()
             .with_policies(CachingPolicy::Ready, FetchPolicy::OnDemand);
         let mut rf = RegFileCacheModel::new(cfg, 64);
         let r = preg(0);
-        produce_and_write(&mut rf, r, 2, &AlwaysReady);
+        produce_and_write(&mut rf, r, 2, &ready);
         assert!(rf.in_upper(r));
 
         // Without a ready consumer the value stays in the lower bank only.
         let mut rf = RegFileCacheModel::new(cfg, 64);
         let r = preg(1);
-        produce_and_write(&mut rf, r, 2, &NullWindow);
+        produce_and_write(&mut rf, r, 2, &RegBitSet::new(0));
         assert!(!rf.in_upper(r));
     }
 
@@ -595,7 +531,7 @@ mod tests {
             .with_policies(CachingPolicy::Ready, FetchPolicy::OnDemand);
         let mut rf = RegFileCacheModel::new(cfg, 64);
         let r = preg(0);
-        produce_and_write(&mut rf, r, 2, &NullWindow); // not cached (Ready policy, no consumer)
+        produce_and_write(&mut rf, r, 2, &RegBitSet::new(0)); // not cached (Ready policy, no consumer)
         rf.begin_cycle(4);
         match rf.plan_read(&[r], 4) {
             Err(PlanError::UpperMiss(missing)) => assert_eq!(missing.as_slice(), &[r]),
@@ -610,7 +546,7 @@ mod tests {
             .with_ports(16, 8, 8, 2);
         let mut rf = RegFileCacheModel::new(cfg, 64);
         let r = preg(0);
-        produce_and_write(&mut rf, r, 2, &NullWindow); // in lower only, written at 3
+        produce_and_write(&mut rf, r, 2, &RegBitSet::new(0)); // in lower only, written at 3
         rf.request_demand(r, 3);
         // Transfer starts at the next begin_cycle (4); lower latency 2 ⇒
         // readable for issues at cycle 6.
@@ -636,8 +572,8 @@ mod tests {
         rf.schedule_result(a, 2);
         rf.schedule_result(b, 2);
         rf.begin_cycle(3);
-        assert!(rf.try_writeback(a, 3, &NullWindow));
-        assert!(rf.try_writeback(b, 3, &NullWindow));
+        assert!(rf.try_writeback(a, 3, &RegBitSet::new(0)));
+        assert!(rf.try_writeback(b, 3, &RegBitSet::new(0)));
         rf.request_demand(a, 3);
         rf.request_demand(b, 3);
         // Bus starts a at cycle 4 (ready 6); b must wait for the bus and
@@ -659,7 +595,7 @@ mod tests {
             .with_policies(CachingPolicy::Ready, FetchPolicy::OnDemand);
         let mut rf = RegFileCacheModel::new(on_demand, 64);
         let r = preg(0);
-        produce_and_write(&mut rf, r, 2, &NullWindow);
+        produce_and_write(&mut rf, r, 2, &RegBitSet::new(0));
         rf.request_prefetch(r, 3);
         rf.begin_cycle(10);
         assert!(rf.plan_read(&[r], 10).is_err(), "on-demand config must ignore prefetches");
@@ -668,7 +604,7 @@ mod tests {
             .with_policies(CachingPolicy::Ready, FetchPolicy::PrefetchFirstPair);
         let mut rf = RegFileCacheModel::new(pf, 64);
         let r = preg(0);
-        produce_and_write(&mut rf, r, 2, &NullWindow);
+        produce_and_write(&mut rf, r, 2, &RegBitSet::new(0));
         rf.request_prefetch(r, 3);
         rf.begin_cycle(4);
         rf.begin_cycle(5);
@@ -691,7 +627,7 @@ mod tests {
         rf.request_prefetch(r, 2); // scheduled: queues, starts after WB
         assert_eq!(rf.stats().prefetch_dropped, 1);
         rf.begin_cycle(6);
-        assert!(rf.try_writeback(r, 6, &NullWindow));
+        assert!(rf.try_writeback(r, 6, &RegBitSet::new(0)));
         rf.remove_upper(r); // undo non-bypass caching to force the transfer
         rf.begin_cycle(7);
         rf.begin_cycle(8);
@@ -710,8 +646,8 @@ mod tests {
             rf.schedule_result(r, 2);
         }
         rf.begin_cycle(3);
-        assert!(rf.try_writeback(d, 3, &NullWindow));
-        assert!(rf.try_writeback(p, 3, &NullWindow));
+        assert!(rf.try_writeback(d, 3, &RegBitSet::new(0)));
+        assert!(rf.try_writeback(p, 3, &RegBitSet::new(0)));
         // Both were bypass-free so non-bypass caching already cached them;
         // remove them to force transfers.
         rf.remove_upper(d);
@@ -733,7 +669,7 @@ mod tests {
             rf.on_alloc(r);
             rf.schedule_result(r, 2 + u64::from(i));
             rf.begin_cycle(3 + u64::from(i));
-            assert!(rf.try_writeback(r, 3 + u64::from(i), &NullWindow));
+            assert!(rf.try_writeback(r, 3 + u64::from(i), &RegBitSet::new(0)));
         }
         assert_eq!(rf.upper_occupancy(), 4);
         assert_eq!(rf.stats().evictions, 1);
@@ -750,8 +686,8 @@ mod tests {
             rf.schedule_result(r, 2);
         }
         rf.begin_cycle(3);
-        assert!(rf.try_writeback(a, 3, &NullWindow));
-        assert!(rf.try_writeback(b, 3, &NullWindow)); // lower write ok
+        assert!(rf.try_writeback(a, 3, &RegBitSet::new(0)));
+        assert!(rf.try_writeback(b, 3, &RegBitSet::new(0))); // lower write ok
         assert!(rf.in_upper(a));
         assert!(!rf.in_upper(b), "second caching write must be dropped");
         assert_eq!(rf.stats().port_skipped, 1);
@@ -768,30 +704,25 @@ mod tests {
             rf.schedule_result(r, 2);
         }
         rf.begin_cycle(3);
-        assert!(rf.try_writeback(a, 3, &NullWindow));
-        assert!(!rf.try_writeback(b, 3, &NullWindow));
+        assert!(rf.try_writeback(a, 3, &RegBitSet::new(0)));
+        assert!(!rf.try_writeback(b, 3, &RegBitSet::new(0)));
         rf.begin_cycle(4);
-        assert!(rf.try_writeback(b, 4, &NullWindow));
+        assert!(rf.try_writeback(b, 4, &RegBitSet::new(0)));
     }
 
     #[test]
     fn freed_register_disappears_from_upper_bank_and_queues() {
         let mut rf = model();
         let r = preg(0);
-        produce_and_write(&mut rf, r, 2, &NullWindow);
+        produce_and_write(&mut rf, r, 2, &RegBitSet::new(0));
         assert!(rf.in_upper(r));
         rf.on_free(r);
         assert!(!rf.in_upper(r));
         assert_eq!(rf.upper_occupancy(), 0);
         // Freed slot is reusable without eviction.
         let s = preg(1);
-        produce_and_write(&mut rf, s, 5, &NullWindow);
+        produce_and_write(&mut rf, s, 5, &RegBitSet::new(0));
         assert_eq!(rf.stats().evictions, 0);
-    }
-
-    #[test]
-    fn read_latency_is_one_cycle() {
-        assert_eq!(model().read_latency(), 1);
     }
 
     #[test]
@@ -808,7 +739,7 @@ mod tests {
         rf.on_alloc(target);
         rf.schedule_result(target, 1);
         rf.begin_cycle(2);
-        assert!(rf.try_writeback(target, 2, &NullWindow));
+        assert!(rf.try_writeback(target, 2, &RegBitSet::new(0)));
         rf.remove_upper(target); // simulate an earlier eviction
         rf.request_demand(target, 2);
         rf.begin_cycle(3); // transfer starts (ready at 5)
@@ -825,7 +756,7 @@ mod tests {
                 next += 1;
                 rf.on_alloc(p);
                 rf.schedule_result(p, cycle - 1);
-                assert!(rf.try_writeback(p, cycle, &NullWindow));
+                assert!(rf.try_writeback(p, cycle, &RegBitSet::new(0)));
             }
             assert!(rf.in_upper(target), "pinned value evicted at cycle {cycle}");
         }
@@ -838,7 +769,7 @@ mod tests {
             next += 1;
             rf.on_alloc(p);
             rf.schedule_result(p, 9);
-            assert!(rf.try_writeback(p, 10, &NullWindow));
+            assert!(rf.try_writeback(p, 10, &RegBitSet::new(0)));
         }
         assert!(!rf.in_upper(target), "unpinned value should be evictable again");
     }
@@ -856,7 +787,7 @@ mod tests {
             rf.on_alloc(r);
             rf.schedule_result(r, 2 + u64::from(i));
             rf.begin_cycle(3 + u64::from(i));
-            assert!(rf.try_writeback(r, 3 + u64::from(i), &NullWindow));
+            assert!(rf.try_writeback(r, 3 + u64::from(i), &RegBitSet::new(0)));
         }
         // FIFO: first two inserted are the first two evicted.
         assert!(!rf.in_upper(preg(0)));

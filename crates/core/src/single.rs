@@ -1,10 +1,9 @@
 //! Conventional single-banked register file model (1- or 2-cycle access,
 //! full or single-level bypass).
 
-use crate::config::SingleBankConfig;
-use crate::model::{
-    PlanError, PregState, ReadPath, ReadPlan, RegFileModel, RegFileStats, SourceRead, WindowQuery,
-};
+use crate::bitset::RegBitSet;
+use crate::config::{RegFileConfig, SingleBankConfig};
+use crate::model::{PlanError, PregTable, ReadPath, ReadPlan, RegFileModel, SourceRead};
 use rfcache_isa::{Cycle, PhysReg};
 
 /// Timing model of a conventional single-banked register file.
@@ -25,7 +24,7 @@ use rfcache_isa::{Cycle, PhysReg};
 /// # Examples
 ///
 /// ```
-/// use rfcache_core::{NullWindow, RegFileModel, SingleBankConfig, SingleBankModel, ReadPath};
+/// use rfcache_core::{RegFileModel, SingleBankConfig, SingleBankModel, ReadPath};
 /// use rfcache_isa::PhysReg;
 ///
 /// let mut rf = SingleBankModel::new(SingleBankConfig::one_cycle(), 8);
@@ -40,10 +39,9 @@ use rfcache_isa::{Cycle, PhysReg};
 #[derive(Debug)]
 pub struct SingleBankModel {
     config: SingleBankConfig,
-    states: Vec<PregState>,
+    table: PregTable,
     reads_used: u32,
     writes_used: u32,
-    stats: RegFileStats,
 }
 
 impl SingleBankModel {
@@ -51,17 +49,11 @@ impl SingleBankModel {
     ///
     /// # Panics
     ///
-    /// Panics if `phys_regs == 0` or the configured latency is 0.
+    /// Panics with the violated bound if the configuration fails
+    /// [`RegFileConfig::validate`].
     pub fn new(config: SingleBankConfig, phys_regs: usize) -> Self {
-        assert!(phys_regs > 0, "need at least one physical register");
-        assert!(config.latency >= 1, "read latency must be at least one cycle");
-        SingleBankModel {
-            config,
-            states: vec![PregState::default(); phys_regs],
-            reads_used: 0,
-            writes_used: 0,
-            stats: RegFileStats::default(),
-        }
+        RegFileConfig::Single(config).expect_valid(phys_regs);
+        SingleBankModel { config, table: PregTable::new(phys_regs), reads_used: 0, writes_used: 0 }
     }
 
     /// The configuration this model was built from.
@@ -69,14 +61,10 @@ impl SingleBankModel {
         &self.config
     }
 
-    fn state(&self, preg: PhysReg) -> &PregState {
-        &self.states[preg.index()]
-    }
-
     /// Classifies how `preg` would be read by an instruction issuing at
     /// `now`, or `None` if it cannot be obtained this cycle.
     fn classify(&self, preg: PhysReg, now: Cycle) -> Option<ReadPath> {
-        let st = self.state(preg);
+        let st = self.table.state(preg);
         let produced = st.produced_at?;
         let lat = self.config.latency;
         let t_ex = now + lat;
@@ -95,8 +83,12 @@ impl SingleBankModel {
 }
 
 impl RegFileModel for SingleBankModel {
-    fn read_latency(&self) -> u64 {
-        self.config.latency
+    fn table(&self) -> &PregTable {
+        &self.table
+    }
+
+    fn table_mut(&mut self) -> &mut PregTable {
+        &mut self.table
     }
 
     fn begin_cycle(&mut self, _now: Cycle) {
@@ -104,44 +96,16 @@ impl RegFileModel for SingleBankModel {
         self.writes_used = 0;
     }
 
-    fn on_alloc(&mut self, preg: PhysReg) {
-        self.states[preg.index()].reset_for_alloc();
-    }
-
-    fn seed_initial(&mut self, preg: PhysReg) {
-        let st = &mut self.states[preg.index()];
-        st.reset_for_alloc();
-        st.produced_at = Some(0);
-        st.written_at = Some(0);
-    }
-
-    fn schedule_result(&mut self, preg: PhysReg, produced_at: Cycle) {
-        self.states[preg.index()].produced_at = Some(produced_at);
-    }
-
-    fn try_writeback(&mut self, preg: PhysReg, now: Cycle, _window: &dyn WindowQuery) -> bool {
+    fn try_writeback(&mut self, preg: PhysReg, now: Cycle, _ready: &RegBitSet) -> bool {
         if let Some(limit) = self.config.ports.write {
             if self.writes_used >= limit {
-                self.stats.write_port_stalls += 1;
+                self.table.stats.write_port_stalls += 1;
                 return false;
             }
         }
         self.writes_used += 1;
-        self.states[preg.index()].written_at = Some(now);
-        self.stats.writebacks += 1;
+        self.table.write(preg, now);
         true
-    }
-
-    fn is_written(&self, preg: PhysReg) -> bool {
-        self.state(preg).written_at.is_some()
-    }
-
-    fn is_produced(&self, preg: PhysReg, now: Cycle) -> bool {
-        matches!(self.state(preg).produced_at, Some(p) if p <= now)
-    }
-
-    fn operand_obtainable(&self, preg: PhysReg, now: Cycle) -> bool {
-        self.classify(preg, now).is_some()
     }
 
     fn plan_read(&mut self, srcs: &[PhysReg], now: Cycle) -> Result<ReadPlan, PlanError> {
@@ -160,7 +124,7 @@ impl RegFileModel for SingleBankModel {
         }
         if let Some(limit) = self.config.ports.read {
             if self.reads_used + ports_needed > limit {
-                self.stats.read_port_stalls += 1;
+                self.table.stats.read_port_stalls += 1;
                 return Err(PlanError::NoReadPort);
             }
         }
@@ -168,37 +132,12 @@ impl RegFileModel for SingleBankModel {
     }
 
     fn commit_read(&mut self, plan: &[SourceRead], _now: Cycle) {
-        for read in plan {
-            let st = &mut self.states[read.preg.index()];
-            st.reads += 1;
-            match read.path {
-                ReadPath::Bypass => {
-                    st.bypass_consumed = true;
-                    self.stats.bypass_reads += 1;
-                }
-                ReadPath::RegFile => {
-                    self.reads_used += 1;
-                    self.stats.regfile_reads += 1;
-                }
+        for &read in plan {
+            self.table.count_read(read);
+            if read.path == ReadPath::RegFile {
+                self.reads_used += 1;
             }
         }
-    }
-
-    fn request_demand(&mut self, _preg: PhysReg, _now: Cycle) {}
-
-    fn request_prefetch(&mut self, _preg: PhysReg, _now: Cycle) {}
-
-    fn on_free(&mut self, preg: PhysReg) {
-        let st = &mut self.states[preg.index()];
-        if st.live {
-            let snapshot = *st;
-            snapshot.account_reads(&mut self.stats);
-        }
-        *st = PregState::default();
-    }
-
-    fn stats(&self) -> &RegFileStats {
-        &self.stats
     }
 }
 
@@ -206,7 +145,6 @@ impl RegFileModel for SingleBankModel {
 mod tests {
     use super::*;
     use crate::config::PortLimits;
-    use crate::model::NullWindow;
 
     fn preg(i: u16) -> PhysReg {
         PhysReg::new(i)
@@ -234,7 +172,7 @@ mod tests {
         assert_eq!(rf.plan_read(&[r], 5).unwrap()[0].path, ReadPath::Bypass);
         // Next cycle: written back, register file path.
         rf.begin_cycle(6);
-        assert!(rf.try_writeback(r, 6, &NullWindow));
+        assert!(rf.try_writeback(r, 6, &RegBitSet::new(0)));
         assert_eq!(rf.plan_read(&[r], 6).unwrap()[0].path, ReadPath::RegFile);
         // Every later cycle: still readable.
         rf.begin_cycle(9);
@@ -257,7 +195,7 @@ mod tests {
         assert_eq!(rf.plan_read(&[r], 5).unwrap()[0].path, ReadPath::Bypass);
         // c = p + 1: written back this cycle; register file path (no hole).
         rf.begin_cycle(6);
-        assert!(rf.try_writeback(r, 6, &NullWindow));
+        assert!(rf.try_writeback(r, 6, &RegBitSet::new(0)));
         assert_eq!(rf.plan_read(&[r], 6).unwrap()[0].path, ReadPath::RegFile);
     }
 
@@ -275,7 +213,7 @@ mod tests {
         assert_eq!(rf.plan_read(&[r], 5).unwrap()[0].path, ReadPath::Bypass);
         // c = p + 1 ⇒ RF (after write-back).
         rf.begin_cycle(6);
-        assert!(rf.try_writeback(r, 6, &NullWindow));
+        assert!(rf.try_writeback(r, 6, &RegBitSet::new(0)));
         assert_eq!(rf.plan_read(&[r], 6).unwrap()[0].path, ReadPath::RegFile);
     }
 
@@ -302,7 +240,7 @@ mod tests {
         }
         rf.begin_cycle(1);
         for r in [a, b, c] {
-            assert!(rf.try_writeback(r, 1, &NullWindow));
+            assert!(rf.try_writeback(r, 1, &RegBitSet::new(0)));
         }
         rf.begin_cycle(2);
         // Two RF reads fit...
@@ -339,11 +277,11 @@ mod tests {
         produce(&mut rf, a, 0);
         produce(&mut rf, b, 0);
         rf.begin_cycle(1);
-        assert!(rf.try_writeback(a, 1, &NullWindow));
-        assert!(!rf.try_writeback(b, 1, &NullWindow));
+        assert!(rf.try_writeback(a, 1, &RegBitSet::new(0)));
+        assert!(!rf.try_writeback(b, 1, &RegBitSet::new(0)));
         assert_eq!(rf.stats().write_port_stalls, 1);
         rf.begin_cycle(2);
-        assert!(rf.try_writeback(b, 2, &NullWindow));
+        assert!(rf.try_writeback(b, 2, &RegBitSet::new(0)));
         assert!(rf.is_written(b));
     }
 
@@ -354,7 +292,7 @@ mod tests {
         rf.begin_cycle(0);
         produce(&mut rf, r, 0);
         rf.begin_cycle(1);
-        assert!(rf.try_writeback(r, 1, &NullWindow));
+        assert!(rf.try_writeback(r, 1, &RegBitSet::new(0)));
         let plan = rf.plan_read(&[r], 1).unwrap();
         rf.commit_read(&plan, 1);
         rf.on_free(r);
@@ -363,7 +301,7 @@ mod tests {
         // A value produced but never read.
         produce(&mut rf, r, 1);
         rf.begin_cycle(2);
-        assert!(rf.try_writeback(r, 2, &NullWindow));
+        assert!(rf.try_writeback(r, 2, &RegBitSet::new(0)));
         rf.on_free(r);
         assert_eq!(rf.stats().values_never_read, 1);
     }
@@ -374,7 +312,7 @@ mod tests {
         let r = preg(0);
         rf.begin_cycle(0);
         rf.on_alloc(r);
-        rf.on_free(r); // squashed before producing
+        rf.on_free(r); // freed before producing
         let s = rf.stats();
         assert_eq!(s.values_never_read + s.values_read_once + s.values_read_many, 0);
     }
@@ -387,7 +325,7 @@ mod tests {
         produce(&mut rf, a, 0);
         produce(&mut rf, b, 1);
         rf.begin_cycle(1);
-        assert!(rf.try_writeback(a, 1, &NullWindow));
+        assert!(rf.try_writeback(a, 1, &RegBitSet::new(0)));
         let plan = rf.plan_read(&[a, b], 1).unwrap();
         assert_eq!(plan[0].path, ReadPath::RegFile);
         assert_eq!(plan[1].path, ReadPath::Bypass);

@@ -33,8 +33,8 @@ use crate::rename::RenameUnit;
 use crate::rob::{InFlight, Rob, SlotId, Stage};
 use crate::wheel::EventWheel;
 use rfcache_core::{
-    FetchPolicy, PlanError, ReadPlan, RegBitSet, RegFile, RegFileConfig, RegFileModel, SourceRead,
-    WindowQuery,
+    CachingPolicy, FetchPolicy, PlanError, ReadPlan, RegBitSet, RegFile, RegFileConfig,
+    RegFileModel, SourceRead,
 };
 use rfcache_frontend::{FetchUnit, FetchedInst};
 use rfcache_isa::{Cycle, OpClass, PhysReg, RegClass, TraceInst};
@@ -51,18 +51,6 @@ enum EventKind {
     ExStart,
     /// An instruction's result is produced (end of execute).
     Complete,
-}
-
-/// One class's ready-consumer bitset, answering the caching policy's
-/// window queries.
-struct ClassWindow<'a> {
-    set: &'a RegBitSet,
-}
-
-impl WindowQuery for ClassWindow<'_> {
-    fn has_ready_unissued_consumer(&self, preg: PhysReg) -> bool {
-        self.set.contains(preg.raw())
-    }
 }
 
 /// Sentinel for "no result scheduled yet" in the produced-cycle mirror.
@@ -123,7 +111,7 @@ pub struct Cpu<I: Iterator<Item = TraceInst>> {
     /// dispatch window-full stall compares against this, preserving the
     /// one-cycle lag the explicit window vector had.
     win_len: usize,
-    /// Cached `rf[0].read_latency()` (a config constant).
+    /// The architecture's read latency ([`RegFileConfig::read_latency`]).
     read_latency: Cycle,
     lsq: Lsq,
     fus: FuPool,
@@ -141,12 +129,16 @@ pub struct Cpu<I: Iterator<Item = TraceInst>> {
     srcs_scratch: [Vec<PhysReg>; 2],
     /// Scratch: write-back survivors, swapped with `wb_queue` per cycle.
     wb_scratch: VecDeque<SlotId>,
-    /// Scratch: per-class ready-consumer sets for the write-back stage.
+    /// Scratch: per-class ready-consumer sets for the write-back stage,
+    /// filled only under the *ready* caching policy.
     ready_sets: [RegBitSet; 2],
     /// Scratch: per-class occupancy sample sets (Figure 3).
     occ_value: [RegBitSet; 2],
     occ_ready: [RegBitSet; 2],
-    /// Whether any model actually prefetches — if not, the
+    /// Whether the architecture caches *ready* results — if not, the
+    /// write-back stage skips the window scan that fills `ready_sets`.
+    ready_caching: bool,
+    /// Whether the architecture prefetches — if not, the
     /// prefetch-first-pair window scan at issue is skipped entirely
     /// (`request_prefetch` would be a no-op anyway).
     prefetch_active: bool,
@@ -167,8 +159,12 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
         }
         let mut rf =
             [rf_config.build_model(config.phys_regs), rf_config.build_model(config.phys_regs)];
-        let prefetch_active =
-            rf.iter().any(|m| m.fetch_policy() == Some(FetchPolicy::PrefetchFirstPair));
+        let (ready_caching, prefetch_active) = match rf_config {
+            RegFileConfig::Cache(c) => {
+                (c.caching == CachingPolicy::Ready, c.fetch == FetchPolicy::PrefetchFirstPair)
+            }
+            _ => (false, false),
+        };
         let rename = RenameUnit::new(config.phys_regs);
         // The initial architectural state: logical register i lives in
         // physical register i, produced before the program starts.
@@ -180,7 +176,6 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
                 produced_by[class.index()][preg.index()] = 0;
             }
         }
-        let read_latency = rf[0].read_latency();
         Cpu {
             fetch: FetchUnit::new(config.fetch, trace),
             fetch_buffer: VecDeque::with_capacity(2 * config.fetch.width),
@@ -196,7 +191,7 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
             in_eligible: vec![false; config.rob_size],
             unissued: 0,
             win_len: 0,
-            read_latency,
+            read_latency: rf_config.read_latency(),
             lsq: Lsq::new(config.lsq_size),
             fus: FuPool::new(config.fu_counts),
             dcache: DataCache::new(config.dcache, config.mshrs),
@@ -213,6 +208,7 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
             ready_sets: [RegBitSet::new(config.phys_regs), RegBitSet::new(config.phys_regs)],
             occ_value: [RegBitSet::new(config.phys_regs), RegBitSet::new(config.phys_regs)],
             occ_ready: [RegBitSet::new(config.phys_regs), RegBitSet::new(config.phys_regs)],
+            ready_caching,
             prefetch_active,
             config,
         }
@@ -507,8 +503,7 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
         // allocates nothing.
         self.ready_sets[0].clear();
         self.ready_sets[1].clear();
-        let needs_window = self.rf[0].caching_policy() == Some(rfcache_core::CachingPolicy::Ready);
-        if needs_window && !self.wb_queue.is_empty() {
+        if self.ready_caching && !self.wb_queue.is_empty() {
             self.ready_consumer_sets(now);
         }
         let mut blocked = [false; 2];
@@ -525,8 +520,7 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
                 remaining.push_back(slot);
                 continue;
             }
-            let window = ClassWindow { set: &self.ready_sets[ci] };
-            if self.rf[ci].try_writeback(preg, now, &window) {
+            if self.rf[ci].try_writeback(preg, now, &self.ready_sets[ci]) {
                 let entry = self.rob.get_mut(slot).expect("alive");
                 entry.stage = Stage::WrittenBack;
                 entry.writeback_cycle = Some(now);
@@ -568,10 +562,10 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
         // baseline admits results up to `read_latency - 1` cycles ahead;
         // every other model requires production at or before `now`). The
         // mirror test below is therefore a necessary condition for
-        // `operand_obtainable`; entries enter `eligible` exactly when it
-        // first passes, so the scan visits every candidate the historical
-        // full-window scan would have acted on, in the same program
-        // order.
+        // `plan_read` to deliver an operand or report an upper-bank miss;
+        // entries enter `eligible` exactly when it first passes, so the
+        // scan visits every candidate the historical full-window scan
+        // would have acted on, in the same program order.
         let ready_horizon = ex_start - 1;
         let mut issued = 0;
         let mut keep = 0;
@@ -902,10 +896,9 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
             let rf = &self.rf[class.index()];
             let _ = writeln!(
                 out,
-                "  src {class}:{preg} produced={} written={} obtainable={} {}",
+                "  src {class}:{preg} produced={} written={} {}",
                 rf.is_produced(preg, self.now),
                 rf.is_written(preg),
-                rf.operand_obtainable(preg, self.now),
                 rf.debug_operand(preg),
             );
         }

@@ -67,6 +67,7 @@ use rfcache_core::{
     BypassNetwork, CachingPolicy, FetchPolicy, OneLevelBankedConfig, RegFileCacheConfig,
     RegFileConfig, Replacement, ReplicatedBankConfig, SingleBankConfig,
 };
+use rfcache_pipeline::PipelineConfig;
 use rfcache_workload::BenchProfile;
 use std::fmt;
 
@@ -597,8 +598,9 @@ impl SweepDef {
     /// # Errors
     ///
     /// Returns a human-readable reason: malformed JSON, unknown fields,
-    /// a bad axis value, an unknown benchmark, an unreadable trace, an
-    /// oversized definition, or a cross-product beyond
+    /// a bad axis value, a register file no model can be built from
+    /// (named by its label), an unknown benchmark, an unreadable trace,
+    /// an oversized definition, or a cross-product beyond
     /// [`MAX_SWEEP_RUNS`].
     pub fn parse(text: &str) -> Result<Self, String> {
         if text.len() > MAX_SWEEP_BYTES {
@@ -669,10 +671,12 @@ impl SweepDef {
         if rfs.is_empty() {
             return Err("`rf` must list at least one register file".to_string());
         }
-        for (i, (label, _)) in rfs.iter().enumerate() {
+        let phys_regs = PipelineConfig::default().phys_regs;
+        for (i, (label, config)) in rfs.iter().enumerate() {
             if rfs[..i].iter().any(|(other, _)| other == label) {
                 return Err(format!("rf label `{label}` is ambiguous; set distinct `name`s"));
             }
+            config.validate(phys_regs).map_err(|reason| format!("rf `{label}`: {reason}"))?;
         }
 
         let insts = parse_param_axis(&v, "insts")?;
@@ -1027,6 +1031,36 @@ mod tests {
             (
                 "{\"name\": \"x\", \"workloads\": [\"li\"], \"rf\": [\"one-cycle\", \"one-cycle\"]}",
                 "ambiguous",
+            ),
+            // Register files no model can be built from, one per bound,
+            // named by their label.
+            (
+                "{\"name\": \"x\", \"workloads\": [\"li\"], \"rf\": [{\"single\": {\"latency\": 0}}]}",
+                "rf `single`: latency must be at least 1",
+            ),
+            (
+                "{\"name\": \"x\", \"workloads\": [\"li\"], \"rf\": [{\"cache\": {\"upper_entries\": 1}}]}",
+                "rf `rfc`: upper_entries 1 must be at least 2",
+            ),
+            (
+                "{\"name\": \"x\", \"workloads\": [\"li\"], \"rf\": [{\"cache\": {\"upper_entries\": [8, 12]}}]}",
+                "rf `rfc upper_entries=12`: upper_entries 12 must be a power of two",
+            ),
+            (
+                "{\"name\": \"x\", \"workloads\": [\"li\"], \"rf\": [{\"cache\": {\"upper_entries\": 128, \"replacement\": \"fifo\"}}]}",
+                "upper_entries 128 must be fewer than phys_regs 128",
+            ),
+            (
+                "{\"name\": \"x\", \"workloads\": [\"li\"], \"rf\": [{\"cache\": {\"lower_latency\": 0}, \"name\": \"slow\"}]}",
+                "rf `slow`: lower_latency must be at least 1",
+            ),
+            (
+                "{\"name\": \"x\", \"workloads\": [\"li\"], \"rf\": [{\"replicated\": {\"banks\": 0}}]}",
+                "rf `replicated`: banks must be at least 1",
+            ),
+            (
+                "{\"name\": \"x\", \"workloads\": [\"li\"], \"rf\": [{\"onelevel\": {\"banks\": 0}}]}",
+                "rf `onelevel`: banks must be at least 1",
             ),
         ];
         for (text, needle) in cases {

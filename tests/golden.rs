@@ -8,7 +8,8 @@
 //! these do not.
 
 use rfcache_core::{
-    OneLevelBankedConfig, RegFileCacheConfig, RegFileConfig, ReplicatedBankConfig, SingleBankConfig,
+    CachingPolicy, FetchPolicy, OneLevelBankedConfig, PortLimits, RegFileCacheConfig,
+    RegFileConfig, ReplicatedBankConfig, SingleBankConfig,
 };
 use rfcache_sim::RunSpec;
 
@@ -75,6 +76,47 @@ fn goldens() -> Vec<Golden> {
             bench: "go",
             rf: RegFileConfig::OneLevel(OneLevelBankedConfig::default()),
             cycles: 14_755,
+            committed: 20_002,
+            mispredicted: 1_268,
+        },
+        // Register-file variants the presets above leave unpinned: the
+        // ready caching policy (the only reader of the write-back stage's
+        // ready-consumer set), on-demand fetch, and port-limited
+        // accounting in the cache and the single bank.
+        Golden {
+            bench: "li",
+            rf: RegFileConfig::Cache(
+                RegFileCacheConfig::paper_default()
+                    .with_policies(CachingPolicy::Ready, FetchPolicy::OnDemand),
+            ),
+            cycles: 13_007,
+            committed: 20_000,
+            mispredicted: 725,
+        },
+        Golden {
+            bench: "gcc",
+            rf: RegFileConfig::Cache(RegFileCacheConfig::paper_default().with_ports(3, 2, 2, 2)),
+            cycles: 18_863,
+            committed: 20_003,
+            mispredicted: 1_303,
+        },
+        Golden {
+            bench: "swim",
+            rf: RegFileConfig::Single(
+                SingleBankConfig::one_cycle().with_ports(PortLimits::limited(3, 2)),
+            ),
+            cycles: 9_023,
+            committed: 20_000,
+            mispredicted: 130,
+        },
+        Golden {
+            bench: "go",
+            rf: RegFileConfig::Cache(
+                RegFileCacheConfig::paper_default()
+                    .with_policies(CachingPolicy::Ready, FetchPolicy::PrefetchFirstPair)
+                    .with_ports(4, 3, 2, 3),
+            ),
+            cycles: 17_871,
             committed: 20_002,
             mispredicted: 1_268,
         },

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rfcache_core::{
-    NullWindow, PlanError, PlruTree, PortLimits, ReadPath, RegFileModel, SingleBankConfig,
+    PlanError, PlruTree, PortLimits, ReadPath, RegBitSet, RegFileModel, SingleBankConfig,
     SingleBankModel,
 };
 use rfcache_isa::PhysReg;
@@ -97,7 +97,7 @@ proptest! {
             let preg = PhysReg::new(i);
             rf.on_alloc(preg);
             rf.schedule_result(preg, 0);
-            rf.try_writeback(preg, 0, &NullWindow);
+            rf.try_writeback(preg, 0, &RegBitSet::new(0));
         }
         // All values written at cycle 0; at cycle 5 everything is a
         // register-file read. Count how many reads the model grants.
@@ -187,7 +187,7 @@ proptest! {
                 }
                 1 if live[reg as usize] => rf.schedule_result(preg, now),
                 2 if live[reg as usize] => {
-                    let _ = rf.try_writeback(preg, now, &NullWindow);
+                    let _ = rf.try_writeback(preg, now, &RegBitSet::new(0));
                 }
                 3 if live[reg as usize] => {
                     if let Ok(plan) = rf.plan_read(&[preg], now) {
@@ -213,6 +213,98 @@ proptest! {
         }
     }
 
+    /// Every register-file model keeps the same books: whatever the
+    /// sequence of protocol calls, under tight port limits, its
+    /// write-back, operand and lifetime counters match a tally kept
+    /// beside it.
+    #[test]
+    fn every_model_keeps_the_same_books(
+        ops in proptest::collection::vec((0u8..7, 0u16..24), 1..300),
+    ) {
+        use rfcache_core::{
+            OneLevelBankedConfig, RegFileCacheConfig, RegFileConfig, ReplicatedBankConfig,
+        };
+        let kinds = [
+            RegFileConfig::Single(SingleBankConfig::one_cycle().with_ports(PortLimits::limited(2, 1))),
+            RegFileConfig::Cache(
+                RegFileCacheConfig { upper_entries: 4, ..RegFileCacheConfig::paper_default() }
+                    .with_ports(2, 1, 1, 1),
+            ),
+            RegFileConfig::Replicated(ReplicatedBankConfig {
+                banks: 2,
+                read_ports_per_bank: Some(1),
+                remote_write_delay: 1,
+            }),
+            RegFileConfig::OneLevel(OneLevelBankedConfig {
+                banks: 2,
+                read_ports_per_bank: Some(1),
+                write_ports_per_bank: Some(1),
+            }),
+        ];
+        for config in kinds {
+            let mut rf = config.build_model(24);
+            let mut now = 0u64;
+            rf.begin_cycle(now);
+            let mut live = [false; 24];
+            let mut scheduled = [false; 24];
+            let (mut writebacks, mut operands, mut lifetimes) = (0u64, 0u64, 0u64);
+            for &(op, reg) in &ops {
+                let (preg, i) = (PhysReg::new(reg), reg as usize);
+                match op {
+                    0 => {
+                        rf.on_alloc(preg);
+                        live[i] = true;
+                        scheduled[i] = false;
+                    }
+                    1 if live[i] => {
+                        rf.schedule_result(preg, now);
+                        scheduled[i] = true;
+                    }
+                    2 if scheduled[i] => {
+                        writebacks += u64::from(rf.try_writeback(preg, now, &RegBitSet::new(0)));
+                    }
+                    3 | 4 => {
+                        let pair = [preg, PhysReg::new((reg + 1) % 24)];
+                        match rf.plan_read(&pair[..usize::from(op) - 2], now) {
+                            Ok(plan) => {
+                                rf.commit_read(&plan, now);
+                                operands += plan.len() as u64;
+                            }
+                            Err(PlanError::UpperMiss(missing)) => {
+                                for &m in missing.iter() {
+                                    rf.request_demand(m, now);
+                                }
+                            }
+                            Err(_) => {}
+                        }
+                    }
+                    5 => {
+                        if scheduled[i] {
+                            lifetimes += 1;
+                        }
+                        rf.on_free(preg);
+                        live[i] = false;
+                        scheduled[i] = false;
+                    }
+                    6 => {
+                        now += 1;
+                        rf.begin_cycle(now);
+                    }
+                    _ => {}
+                }
+            }
+            let s = rf.stats();
+            prop_assert_eq!(s.writebacks, writebacks, "{}", config);
+            prop_assert_eq!(s.bypass_reads + s.regfile_reads, operands, "{}", config);
+            prop_assert_eq!(
+                s.values_never_read + s.values_read_once + s.values_read_many,
+                lifetimes,
+                "{}",
+                config
+            );
+        }
+    }
+
     /// The register bitset is observationally equivalent to a
     /// `HashSet<u16>` under arbitrary insert/remove/contains/iter
     /// sequences (it replaced one on the cycle loop's hot path).
@@ -221,7 +313,6 @@ proptest! {
         capacity in 1usize..200,
         ops in proptest::collection::vec((0u8..4, 0u16..256), 0..300),
     ) {
-        use rfcache_core::RegBitSet;
         use std::collections::HashSet;
         let mut bitset = RegBitSet::new(capacity);
         let mut reference: HashSet<u16> = HashSet::new();
