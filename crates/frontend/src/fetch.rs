@@ -89,6 +89,8 @@ pub struct FetchUnit<I: Iterator<Item = TraceInst>> {
     predictor: Gshare,
     btb: Btb,
     icache: SetAssocCache,
+    /// `log2` of the icache line size: a pc's line is `pc >> line_shift`.
+    line_shift: u32,
     config: FetchConfig,
     stall_until: Cycle,
     waiting_for_redirect: bool,
@@ -109,7 +111,10 @@ impl<I: Iterator<Item = TraceInst>> FetchUnit<I> {
             trace: trace.peekable(),
             predictor: Gshare::new(config.gshare_bits),
             btb: Btb::new(config.btb_entries),
+            // `SetAssocCache::new` rejects a line size that is not a power
+            // of two, so the shift is exact.
             icache: SetAssocCache::new(config.icache),
+            line_shift: config.icache.line_bytes.trailing_zeros(),
             config,
             stall_until: 0,
             waiting_for_redirect: false,
@@ -138,13 +143,12 @@ impl<I: Iterator<Item = TraceInst>> FetchUnit<I> {
         if self.waiting_for_redirect || now < self.stall_until {
             return;
         }
-        let line_bytes = self.config.icache.line_bytes;
         let mut current_line: Option<u64> = None;
         let mut fetched_count = 0;
 
         while fetched_count < self.config.width {
             let Some(next) = self.trace.peek() else { break };
-            let line = next.pc / line_bytes;
+            let line = next.pc >> self.line_shift;
             if current_line != Some(line) {
                 let outcome = self.icache.access(next.pc, false);
                 if !outcome.hit {

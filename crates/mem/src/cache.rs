@@ -119,6 +119,12 @@ const INVALID_LINE: Line = Line { tag: 0, valid: false, dirty: false, last_use: 
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
+    /// `log2(line_bytes)`: an address's line number is `addr >> line_shift`.
+    line_shift: u32,
+    /// `log2(num_sets)`: a line's tag is `line >> set_shift`.
+    set_shift: u32,
+    /// `num_sets - 1`: a line's set is `line & set_mask`.
+    set_mask: u64,
     lines: Vec<Line>, // num_sets * ways, set-major
     tick: u64,
     hits: u64,
@@ -135,8 +141,28 @@ impl SetAssocCache {
     /// clean-miss latency).
     pub fn new(config: CacheConfig) -> Self {
         config.validate();
-        let total = (config.num_sets() * u64::from(config.ways)) as usize;
-        SetAssocCache { config, lines: vec![INVALID_LINE; total], tick: 0, hits: 0, misses: 0 }
+        // `validate` guarantees power-of-two line size and set count, so
+        // shifts and a mask split an address exactly as division would.
+        let sets = config.num_sets();
+        let total = (sets * u64::from(config.ways)) as usize;
+        SetAssocCache {
+            config,
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            set_mask: sets - 1,
+            lines: vec![INVALID_LINE; total],
+            tick: 0,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// Splits `addr` into the index of its set's first line and its tag.
+    #[inline]
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let line_addr = addr >> self.line_shift;
+        let set = (line_addr & self.set_mask) as usize;
+        (set * self.config.ways as usize, line_addr >> self.set_shift)
     }
 
     /// The cache configuration.
@@ -148,12 +174,8 @@ impl SetAssocCache {
     /// line (write-allocate), evicting the LRU way.
     pub fn access(&mut self, addr: u64, write: bool) -> AccessOutcome {
         self.tick += 1;
-        let line_addr = addr / self.config.line_bytes;
-        let set = (line_addr % self.config.num_sets()) as usize;
-        let tag = line_addr / self.config.num_sets();
-        let ways = self.config.ways as usize;
-        let base = set * ways;
-        let set_lines = &mut self.lines[base..base + ways];
+        let (base, tag) = self.locate(addr);
+        let set_lines = &mut self.lines[base..base + self.config.ways as usize];
 
         if let Some(line) = set_lines.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.last_use = self.tick;
@@ -181,11 +203,8 @@ impl SetAssocCache {
 
     /// Probes whether `addr` is resident without updating LRU or statistics.
     pub fn contains(&self, addr: u64) -> bool {
-        let line_addr = addr / self.config.line_bytes;
-        let set = (line_addr % self.config.num_sets()) as usize;
-        let tag = line_addr / self.config.num_sets();
-        let ways = self.config.ways as usize;
-        self.lines[set * ways..(set + 1) * ways].iter().any(|l| l.valid && l.tag == tag)
+        let (base, tag) = self.locate(addr);
+        self.lines[base..base + self.config.ways as usize].iter().any(|l| l.valid && l.tag == tag)
     }
 
     /// Number of hits recorded so far.

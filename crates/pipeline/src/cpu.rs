@@ -14,11 +14,17 @@
 //! 4. **Write-back**: produced results drain through the register file
 //!    write ports, oldest first; the caching policy of the register file
 //!    cache runs here.
-//! 5. **Issue**: the window is scanned oldest-first; instructions whose
-//!    operands are obtainable this cycle (bypass or register file read,
-//!    ports permitting) and that win a functional unit are issued. Upper-
-//!    bank misses file demand transfers; issues trigger
-//!    prefetch-first-pair requests.
+//! 5. **Issue**: only *eligible* entries are scanned, oldest first. An
+//!    entry becomes eligible once every source result is scheduled and
+//!    could be within reach: directly at wakeup, or from the wake wheel,
+//!    a calendar keyed by the first cycle its operands could be
+//!    obtainable. An eligible load that an older store with an unknown
+//!    address holds back is *parked* off the scan, and returns at its
+//!    program-order position once the load/store queue's barrier has
+//!    passed it. Entries whose operands are obtainable this cycle
+//!    (bypass or register file read, ports permitting) and that win a
+//!    functional unit are issued. Upper-bank misses file demand
+//!    transfers; issues trigger prefetch-first-pair requests.
 //! 6. **Dispatch** (decode/rename) and **fetch** refill the window.
 //!
 //! A result produced at the end of cycle `p` is written back at `p + 1`
@@ -27,7 +33,7 @@
 
 use crate::config::PipelineConfig;
 use crate::fu::FuPool;
-use crate::lsq::{Lsq, StoreSearch};
+use crate::lsq::{Lsq, LsqId, StoreSearch};
 use crate::metrics::SimMetrics;
 use crate::rename::RenameUnit;
 use crate::rob::{InFlight, Rob, SlotId, Stage};
@@ -56,6 +62,12 @@ enum EventKind {
 /// Sentinel for "no result scheduled yet" in the produced-cycle mirror.
 const UNSCHEDULED: Cycle = Cycle::MAX;
 
+/// Inserts `(seq, slot)` into a list sorted by sequence number.
+fn insert_sorted(list: &mut Vec<(u64, SlotId)>, seq: u64, slot: SlotId) {
+    let pos = list.partition_point(|&(s, _)| s < seq);
+    list.insert(pos, (seq, slot));
+}
+
 /// The simulated processor.
 ///
 /// Construct with a [`PipelineConfig`], a [`RegFileConfig`] (the
@@ -82,6 +94,9 @@ pub struct Cpu<I: Iterator<Item = TraceInst>> {
     /// Per-ROB-slot copy of the occupant's sequence number (program
     /// order), valid while `in_window` is set.
     slot_seq: Vec<u64>,
+    /// Per-ROB-slot load/store-queue handle, valid while the slot holds a
+    /// memory operation (set at dispatch, retired at commit).
+    slot_lsq: Vec<LsqId>,
     /// Per-class mirror of each physical register's scheduled production
     /// cycle ([`UNSCHEDULED`] when no result is scheduled). Maintained at
     /// the same points the models learn it (`seed_initial`,
@@ -100,9 +115,15 @@ pub struct Cpu<I: Iterator<Item = TraceInst>> {
     /// Entries whose operands are all produced (or within bypass reach),
     /// sorted by sequence number — the only entries the issue scan
     /// visits. An entry stays here until it issues (it may be held up by
-    /// ports, functional units, or the LSQ).
+    /// ports or functional units), except a load held by an older store
+    /// with an unknown address, which moves to `parked`.
     eligible: Vec<(u64, SlotId)>,
-    /// Dense "already in `eligible`" flags, preventing duplicate wakeups.
+    /// Eligible loads held by the LSQ's store-address barrier, sorted by
+    /// sequence number. Each returns to `eligible` once the barrier has
+    /// passed it; the barrier only moves forward, so those are a prefix.
+    parked: Vec<(u64, SlotId)>,
+    /// Dense "already in `eligible` or `parked`" flags, preventing
+    /// duplicate wakeups.
     in_eligible: Vec<bool>,
     /// Number of set `in_window` bits (dispatched, unissued entries).
     unissued: usize,
@@ -184,10 +205,12 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
             in_window: vec![false; config.rob_size],
             slot_srcs: vec![[None, None]; config.rob_size],
             slot_seq: vec![0; config.rob_size],
+            slot_lsq: vec![LsqId::default(); config.rob_size],
             produced_by,
             waiters: [vec![Vec::new(); config.phys_regs], vec![Vec::new(); config.phys_regs]],
             wake_wheel: EventWheel::new(),
             eligible: Vec::with_capacity(config.window_size),
+            parked: Vec::with_capacity(config.lsq_size),
             in_eligible: vec![false; config.rob_size],
             unissued: 0,
             win_len: 0,
@@ -351,24 +374,53 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
     /// position.
     fn insert_eligible(&mut self, slot: SlotId) {
         let idx = slot.index as usize;
-        let seq = self.slot_seq[idx];
-        let pos = self.eligible.partition_point(|&(s, _)| s < seq);
-        self.eligible.insert(pos, (seq, slot));
+        insert_sorted(&mut self.eligible, self.slot_seq[idx], slot);
         self.in_eligible[idx] = true;
+    }
+
+    /// Returns to `eligible` every parked load the store-address barrier
+    /// has passed. The barrier moves only in the execute-event stage,
+    /// which precedes issue, so the scan that follows sees exactly the
+    /// candidates it would have seen had the loads never left.
+    fn release_parked(&mut self) {
+        let released = self.parked.partition_point(|&(_, slot)| self.load_may_execute(slot));
+        for &(seq, slot) in &self.parked[..released] {
+            debug_assert!(self.is_waiting_load(slot), "parked entries are in-window loads");
+            insert_sorted(&mut self.eligible, seq, slot);
+        }
+        self.parked.drain(..released);
+        debug_assert!(
+            self.parked.iter().all(|&(_, slot)| !self.load_may_execute(slot)),
+            "a load the barrier passed stayed parked"
+        );
+    }
+
+    /// Whether every store older than the load in `slot` has a known
+    /// address (Table 1's condition for a load to execute).
+    fn load_may_execute(&self, slot: SlotId) -> bool {
+        self.lsq.prior_store_addresses_known(self.slot_lsq[slot.index as usize])
+    }
+
+    /// Whether `slot` holds a live, unissued load queued for issue.
+    fn is_waiting_load(&self, slot: SlotId) -> bool {
+        let idx = slot.index as usize;
+        self.in_window[idx]
+            && self.in_eligible[idx]
+            && self.rob.get(slot).is_some_and(|e| e.inst.op == OpClass::Load)
     }
 
     fn mem_ex_start(&mut self, slot: SlotId, now: Cycle) {
         let Some(entry) = self.rob.get(slot) else { return };
-        let seq = entry.seq;
+        let id = self.slot_lsq[slot.index as usize];
         let addr = entry.inst.mem_addr.expect("memory op has an address");
         match entry.inst.op {
             OpClass::Store => {
                 // Address and data are ready at the end of this cycle.
-                self.lsq.store_address_ready(seq);
+                self.lsq.store_address_ready(id);
                 self.complete(slot, now);
             }
             OpClass::Load => {
-                let done = match self.lsq.search_older_stores(seq, addr) {
+                let done = match self.lsq.search_older_stores(id, addr) {
                     StoreSearch::Forward => now + 1,
                     StoreSearch::MustWait => {
                         // Retry next cycle; the producing store completes soon.
@@ -410,7 +462,7 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
             self.rob.get_mut(slot).expect("checked above").writeback_cycle = Some(now);
         }
         if is_store {
-            self.lsq.store_data_ready(seq);
+            self.lsq.store_data_ready(self.slot_lsq[slot.index as usize]);
         }
         if is_branch && mispredicted {
             // Fetch stopped right after this branch, so no younger
@@ -443,13 +495,14 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
                 self.rf[class.index()].on_free(old);
                 self.rename.release(class, old);
             }
+            if entry.inst.op.is_mem() {
+                self.lsq.retire(self.slot_lsq[head.index as usize]);
+            }
             match entry.inst.op {
                 OpClass::Store => {
                     let addr = entry.inst.mem_addr.expect("store has an address");
                     let _ = self.dcache.store(addr, now);
-                    self.lsq.remove(entry.seq);
                 }
-                OpClass::Load => self.lsq.remove(entry.seq),
                 OpClass::Branch => {
                     self.outstanding_branches -= 1;
                     self.metrics.branches += 1;
@@ -552,6 +605,9 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
             }
             self.wake_wheel.recycle(now, list);
         }
+        if !self.parked.is_empty() {
+            self.release_parked();
+        }
         if self.eligible.is_empty() {
             return;
         }
@@ -563,9 +619,10 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
         // every other model requires production at or before `now`). The
         // mirror test below is therefore a necessary condition for
         // `plan_read` to deliver an operand or report an upper-bank miss;
-        // entries enter `eligible` exactly when it first passes, so the
-        // scan visits every candidate the historical full-window scan
-        // would have acted on, in the same program order.
+        // entries enter `eligible` exactly when it first passes. The scan
+        // so visits every candidate the historical full-window scan would
+        // have acted on, in the same program order, except parked loads:
+        // an older store address is still unknown, so they could not act.
         let ready_horizon = ex_start - 1;
         let mut issued = 0;
         let mut keep = 0;
@@ -595,11 +652,18 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
             );
 
             let entry = self.rob.get(slot).expect("in-window bit implies a live entry");
-            let seq = entry.seq;
             let op = entry.inst.op;
 
-            // Loads wait until all prior store addresses are known.
-            if op == OpClass::Load && !self.lsq.prior_store_addresses_known(seq) {
+            // Loads wait until all prior store addresses are known. A held
+            // load has no side effect here, so it waits off the scan until
+            // `release_parked` sees the barrier pass it.
+            if op == OpClass::Load && !self.load_may_execute(slot) {
+                debug_assert!(
+                    !self.parked.iter().any(|&(_, s)| s == slot),
+                    "a parked load re-entered the scan"
+                );
+                keep -= 1;
+                insert_sorted(&mut self.parked, seq_key, slot);
                 continue;
             }
 
@@ -791,14 +855,14 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
             if inst.op.is_branch() {
                 self.outstanding_branches += 1;
             }
+            let idx = slot.index as usize;
             if inst.op.is_mem() {
-                self.lsq.insert(
+                self.slot_lsq[idx] = self.lsq.insert(
                     fetched.seq,
                     inst.op == OpClass::Store,
                     inst.mem_addr.expect("memory op has an address"),
                 );
             }
-            let idx = slot.index as usize;
             self.slot_srcs[idx] = srcs;
             self.slot_seq[idx] = fetched.seq;
             self.in_window[idx] = true;

@@ -43,7 +43,7 @@ mod wheel;
 pub use config::PipelineConfig;
 pub use cpu::Cpu;
 pub use fu::FuPool;
-pub use lsq::{Lsq, StoreSearch};
+pub use lsq::{Lsq, LsqId, StoreSearch};
 pub use metrics::{OccupancyHistogram, SimMetrics};
 pub use rename::RenameUnit;
 pub use rob::{Rob, SlotId, Stage};

@@ -11,14 +11,20 @@ use rfcache_core::{
     CachingPolicy, FetchPolicy, OneLevelBankedConfig, PortLimits, RegFileCacheConfig,
     RegFileConfig, ReplicatedBankConfig, SingleBankConfig,
 };
+use rfcache_pipeline::PipelineConfig;
 use rfcache_sim::RunSpec;
 
 struct Golden {
     bench: &'static str,
     rf: RegFileConfig,
+    pipeline: PipelineConfig,
     cycles: u64,
     committed: u64,
     mispredicted: u64,
+}
+
+fn small_lsq() -> PipelineConfig {
+    PipelineConfig { lsq_size: 8, ..PipelineConfig::default() }
 }
 
 fn goldens() -> Vec<Golden> {
@@ -30,6 +36,7 @@ fn goldens() -> Vec<Golden> {
         Golden {
             bench: "li",
             rf: RegFileConfig::Single(SingleBankConfig::one_cycle()),
+            pipeline: PipelineConfig::default(),
             cycles: 10_142,
             committed: 20_003,
             mispredicted: 725,
@@ -37,6 +44,7 @@ fn goldens() -> Vec<Golden> {
         Golden {
             bench: "li",
             rf: RegFileConfig::Cache(RegFileCacheConfig::paper_default()),
+            pipeline: PipelineConfig::default(),
             cycles: 11_133,
             committed: 20_003,
             mispredicted: 725,
@@ -44,6 +52,7 @@ fn goldens() -> Vec<Golden> {
         Golden {
             bench: "swim",
             rf: RegFileConfig::Single(SingleBankConfig::two_cycle_single_bypass()),
+            pipeline: PipelineConfig::default(),
             cycles: 10_920,
             committed: 20_000,
             mispredicted: 130,
@@ -51,6 +60,7 @@ fn goldens() -> Vec<Golden> {
         Golden {
             bench: "go",
             rf: RegFileConfig::Cache(RegFileCacheConfig::paper_default()),
+            pipeline: PipelineConfig::default(),
             cycles: 15_726,
             committed: 20_001,
             mispredicted: 1_268,
@@ -61,6 +71,7 @@ fn goldens() -> Vec<Golden> {
         Golden {
             bench: "gcc",
             rf: RegFileConfig::Single(SingleBankConfig::two_cycle_full_bypass()),
+            pipeline: PipelineConfig::default(),
             cycles: 18_826,
             committed: 20_003,
             mispredicted: 1_303,
@@ -68,6 +79,7 @@ fn goldens() -> Vec<Golden> {
         Golden {
             bench: "gcc",
             rf: RegFileConfig::Replicated(ReplicatedBankConfig::default()),
+            pipeline: PipelineConfig::default(),
             cycles: 18_836,
             committed: 20_006,
             mispredicted: 1_303,
@@ -75,6 +87,7 @@ fn goldens() -> Vec<Golden> {
         Golden {
             bench: "go",
             rf: RegFileConfig::OneLevel(OneLevelBankedConfig::default()),
+            pipeline: PipelineConfig::default(),
             cycles: 14_755,
             committed: 20_002,
             mispredicted: 1_268,
@@ -89,6 +102,7 @@ fn goldens() -> Vec<Golden> {
                 RegFileCacheConfig::paper_default()
                     .with_policies(CachingPolicy::Ready, FetchPolicy::OnDemand),
             ),
+            pipeline: PipelineConfig::default(),
             cycles: 13_007,
             committed: 20_000,
             mispredicted: 725,
@@ -96,6 +110,7 @@ fn goldens() -> Vec<Golden> {
         Golden {
             bench: "gcc",
             rf: RegFileConfig::Cache(RegFileCacheConfig::paper_default().with_ports(3, 2, 2, 2)),
+            pipeline: PipelineConfig::default(),
             cycles: 18_863,
             committed: 20_003,
             mispredicted: 1_303,
@@ -105,6 +120,7 @@ fn goldens() -> Vec<Golden> {
             rf: RegFileConfig::Single(
                 SingleBankConfig::one_cycle().with_ports(PortLimits::limited(3, 2)),
             ),
+            pipeline: PipelineConfig::default(),
             cycles: 9_023,
             committed: 20_000,
             mispredicted: 130,
@@ -116,9 +132,30 @@ fn goldens() -> Vec<Golden> {
                     .with_policies(CachingPolicy::Ready, FetchPolicy::PrefetchFirstPair)
                     .with_ports(4, 3, 2, 3),
             ),
+            pipeline: PipelineConfig::default(),
             cycles: 17_871,
             committed: 20_002,
             mispredicted: 1_268,
+        },
+        // An 8-entry load/store queue: dispatch stalls on a full queue
+        // about every other instruction, so loads keep waiting on older
+        // store addresses and the issue stage's hold-and-release path for
+        // them runs constantly.
+        Golden {
+            bench: "swim",
+            rf: RegFileConfig::Single(SingleBankConfig::one_cycle()),
+            pipeline: small_lsq(),
+            cycles: 11_714,
+            committed: 20_000,
+            mispredicted: 130,
+        },
+        Golden {
+            bench: "mgrid",
+            rf: RegFileConfig::Cache(RegFileCacheConfig::paper_default()),
+            pipeline: small_lsq(),
+            cycles: 11_191,
+            committed: 20_000,
+            mispredicted: 61,
         },
     ]
 }
@@ -126,13 +163,20 @@ fn goldens() -> Vec<Golden> {
 #[test]
 fn timing_model_is_frozen() {
     for g in goldens() {
-        let m = RunSpec::known(g.bench, g.rf).insts(20_000).warmup(5_000).seed(7).run().metrics;
+        let m = RunSpec::known(g.bench, g.rf)
+            .pipeline(g.pipeline)
+            .insts(20_000)
+            .warmup(5_000)
+            .seed(7)
+            .run()
+            .metrics;
         assert_eq!(
             (m.cycles, m.committed, m.mispredicted),
             (g.cycles, g.committed, g.mispredicted),
-            "{} on {}: timing model changed — if intentional, update this golden",
+            "{} on {} (LSQ {}): timing model changed — if intentional, update this golden",
             g.bench,
             g.rf,
+            g.pipeline.lsq_size,
         );
     }
 }

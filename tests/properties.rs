@@ -8,8 +8,42 @@ use rfcache_core::{
 };
 use rfcache_isa::PhysReg;
 use rfcache_mem::{CacheConfig, SetAssocCache};
-use rfcache_pipeline::Lsq;
+use rfcache_pipeline::{Lsq, LsqId, StoreSearch};
 use rfcache_workload::{BenchProfile, TraceGenerator};
+
+/// One operation on the load/store queue in `lsq_matches_a_linear_reference`.
+#[derive(Debug, Clone, Copy)]
+enum LsqStep {
+    /// Insert a load or a store at this byte address.
+    Load(u64),
+    Store(u64),
+    /// Address (or data) ready for the live store at this index, modulo
+    /// the number of live stores.
+    AddressReady(usize),
+    DataReady(usize),
+    Retire,
+}
+
+/// Inserts are two steps in five, so the queue fills up as well as
+/// drains. Addresses fall in four 8-byte words.
+fn lsq_step() -> impl Strategy<Value = LsqStep> {
+    prop_oneof![
+        (0u64..32).prop_map(LsqStep::Load),
+        (0u64..32).prop_map(LsqStep::Store),
+        (0usize..16).prop_map(LsqStep::AddressReady),
+        (0usize..16).prop_map(LsqStep::DataReady),
+        Just(LsqStep::Retire),
+    ]
+}
+
+/// The linear reference's copy of one LSQ entry.
+struct RefEntry {
+    id: LsqId,
+    store: bool,
+    addr: u64,
+    addr_known: bool,
+    data_ready: bool,
+}
 
 proptest! {
     /// The PLRU victim is never the most recently touched slot, for any
@@ -128,21 +162,84 @@ proptest! {
         // numbers only.
         for s in 0..n_stores {
             let addr = (s as u64 % 4) * 8;
-            lsq.insert(s as u64, true, addr);
+            let store = lsq.insert(s as u64, true, addr);
             if s % 2 == 0 {
-                lsq.store_data_ready(s as u64);
+                lsq.store_data_ready(store);
             } else {
-                lsq.store_address_ready(s as u64);
+                lsq.store_address_ready(store);
             }
         }
-        let load_seq = n_stores as u64;
         let load_addr = load_word * 8;
+        let load = lsq.insert(n_stores as u64, false, load_addr);
         let nearest = (0..n_stores).rev().find(|s| (*s as u64 % 4) * 8 == load_addr);
-        let result = lsq.search_older_stores(load_seq, load_addr);
+        let result = lsq.search_older_stores(load, load_addr);
         match nearest {
-            Some(s) if s % 2 == 0 => prop_assert_eq!(result, rfcache_pipeline::StoreSearch::Forward),
-            Some(_) => prop_assert_eq!(result, rfcache_pipeline::StoreSearch::MustWait),
-            None => prop_assert_eq!(result, rfcache_pipeline::StoreSearch::NoConflict),
+            Some(s) if s % 2 == 0 => prop_assert_eq!(result, StoreSearch::Forward),
+            Some(_) => prop_assert_eq!(result, StoreSearch::MustWait),
+            None => prop_assert_eq!(result, StoreSearch::NoConflict),
+        }
+    }
+
+    /// The handle-indexed LSQ, with its store-address barrier, answers
+    /// every load's questions exactly as a linear walk of the queue does,
+    /// under any mix of inserts, store progress and in-order retires.
+    #[test]
+    fn lsq_matches_a_linear_reference(
+        steps in proptest::collection::vec(lsq_step(), 1..120),
+    ) {
+        let mut lsq = Lsq::new(16);
+        let mut reference: Vec<RefEntry> = Vec::new();
+        let mut next_seq = 0;
+        for step in steps {
+            match step {
+                LsqStep::Load(addr) | LsqStep::Store(addr) => {
+                    if lsq.is_full() {
+                        continue;
+                    }
+                    let store = matches!(step, LsqStep::Store(_));
+                    let id = lsq.insert(next_seq, store, addr);
+                    reference.push(RefEntry { id, store, addr, addr_known: false, data_ready: false });
+                    next_seq += 1;
+                }
+                LsqStep::AddressReady(pick) | LsqStep::DataReady(pick) => {
+                    let stores: Vec<usize> =
+                        (0..reference.len()).filter(|&i| reference[i].store).collect();
+                    if stores.is_empty() {
+                        continue;
+                    }
+                    let e = &mut reference[stores[pick % stores.len()]];
+                    e.addr_known = true;
+                    if matches!(step, LsqStep::DataReady(_)) {
+                        e.data_ready = true;
+                        lsq.store_data_ready(e.id);
+                    } else {
+                        lsq.store_address_ready(e.id);
+                    }
+                }
+                LsqStep::Retire => {
+                    if reference.is_empty() {
+                        continue;
+                    }
+                    lsq.retire(reference.remove(0).id);
+                }
+            }
+            prop_assert_eq!(lsq.len(), reference.len());
+            for (i, load) in reference.iter().enumerate().filter(|(_, e)| !e.store) {
+                let older = &reference[..i];
+                let known = older.iter().all(|e| !e.store || e.addr_known);
+                prop_assert_eq!(lsq.prior_store_addresses_known(load.id), known, "load {}", i);
+                let word = load.addr >> 3;
+                let expected = match older
+                    .iter()
+                    .rev()
+                    .find(|e| e.store && e.addr_known && e.addr >> 3 == word)
+                {
+                    Some(e) if e.data_ready => StoreSearch::Forward,
+                    Some(_) => StoreSearch::MustWait,
+                    None => StoreSearch::NoConflict,
+                };
+                prop_assert_eq!(lsq.search_older_stores(load.id, load.addr), expected, "load {}", i);
+            }
         }
     }
 
