@@ -50,8 +50,9 @@
 //!
 //! **The coordinator.** One readiness loop (`rfcache_sim::service`)
 //! coordinates every distributed run. It listens on `--bind ADDR` and
-//! leases plan-index ranges to every `work --connect ADDR` process that
-//! joins — on this host or others. Workers re-derive the plan from the
+//! leases plan indices, whole groups of the runs that read one
+//! instruction stream, about `--chunk N` at a time, to every `work
+//! --connect ADDR` process that joins — on this host or others. Workers re-derive the plan from the
 //! `hello` frame and prove it with a campaign fingerprint; a worker that
 //! planned a different campaign (mismatched binaries or options) is
 //! rejected alone while the campaign continues through the rest. A worker

@@ -233,6 +233,38 @@ fn rejects_unknown_scenarios_and_empty_selection() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("no experiment selected"));
 }
 
+/// A sweep whose register file has a port or bus count of 0 would build
+/// and then deadlock; `experiments sweep` refuses it as a usage error
+/// naming the rf label and the field, and never exits 101.
+#[test]
+fn sweep_rejects_zero_port_and_bus_counts_by_rf_label() {
+    let dir = temp_out("zero_ports");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("sweep.json");
+    let fields = [
+        ("cache", "buses"),
+        ("cache", "upper_read_ports"),
+        ("cache", "lower_write_ports"),
+        ("single", "read_ports"),
+        ("single", "write_ports"),
+        ("replicated", "read_ports_per_bank"),
+        ("onelevel", "read_ports_per_bank"),
+        ("onelevel", "write_ports_per_bank"),
+    ];
+    for (kind, field) in fields {
+        let sweep = format!(
+            r#"{{"name": "a", "workloads": ["li"], "rf": [{{"{kind}": {{"{field}": 0}}, "name": "z"}}],
+                "insts": 2000, "warmup": 0}}"#
+        );
+        std::fs::write(&path, sweep).unwrap();
+        let out = experiments().arg("sweep").arg(&path).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{kind}.{field}: {stderr}");
+        assert!(stderr.contains(&format!("rf `z`: {field} must be at least 1")), "{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Committed instructions of a `simulate` report (`IPC x (N insts / ...`).
 fn committed(stdout: &str) -> u64 {
     let (_, rest) = stdout.split_once("IPC ").expect("report has an IPC line");
@@ -289,7 +321,7 @@ fn simulate_rejects_an_empty_trace() {
 
 #[test]
 fn simulate_rejects_bad_pipeline_flags_by_name() {
-    let cases: [(&[&str], &str); 9] = [
+    let cases: [(&[&str], &str); 14] = [
         (&["--window", "abc"], "bad --window"),
         (&["--window", "0"], "window_size must be at least 1"),
         (&["--phys-regs", "39"], "phys_regs 39 must be at least 40"),
@@ -300,6 +332,12 @@ fn simulate_rejects_bad_pipeline_flags_by_name() {
         (&["--arch", "rfc", "--upper-entries", "128"], "must be fewer than phys_regs 128"),
         (&["--arch", "replicated", "--banks", "0"], "banks must be at least 1"),
         (&["--arch", "onelevel", "--banks", "0"], "banks must be at least 1"),
+        // Port and bus counts of 0, which build and then deadlock.
+        (&["--arch", "1cyc", "--ports", "0,2"], "read_ports must be at least 1"),
+        (&["--arch", "2cyc", "--ports", "2,0"], "write_ports must be at least 1"),
+        (&["--arch", "rfc", "--rfc-ports", "0,2,2,2"], "upper_read_ports must be at least 1"),
+        (&["--arch", "rfc", "--rfc-ports", "2,2,0,2"], "lower_write_ports must be at least 1"),
+        (&["--arch", "rfc", "--rfc-ports", "2,2,2,0"], "buses must be at least 1"),
     ];
     for (args, reason) in cases {
         let out = simulate(&[args, &["--insts", "1000", "--warmup", "0"]].concat());

@@ -291,6 +291,13 @@ fn error_paths_answer_4xx_without_disturbing_the_inflight_campaign() {
     );
     assert_eq!(code, 400, "unbuildable register file: {body}");
     assert!(body.contains("rf `rfc`"), "the reason names the rf label: {body}");
+    // So is one that would build and then deadlock: no transfer bus.
+    let (code, body) = post(
+        "{\"scenarios\": [\"tiny\"], \"sweeps\": [{\"name\": \"tiny\", \
+         \"workloads\": [\"li\"], \"rf\": [{\"cache\": {\"buses\": 0}}]}]}",
+    );
+    assert_eq!(code, 400, "register file without buses: {body}");
+    assert!(body.contains("rf `rfc`: buses must be at least 1"), "{body}");
 
     let oversized = format!("{{\"scenarios\": [\"{}\"]}}", "x".repeat(http::MAX_BODY));
     let (code, body) = post(&oversized);

@@ -274,7 +274,10 @@ impl RegFileConfig {
     /// Names the violated bound: no physical registers, a zero read
     /// latency, an upper bank of fewer than two entries, not a power of
     /// two under pseudo-LRU, or not smaller than the register file, a zero
-    /// lower-bank latency, or no banks.
+    /// lower-bank latency, no banks, or a port or bus limit of 0, which
+    /// builds a file that can never read or write a value. (A cache's
+    /// `upper_write_ports` may be 0: results then reach the upper bank
+    /// by transfer.)
     pub fn validate(&self, phys_regs: usize) -> Result<(), String> {
         if phys_regs == 0 {
             return Err("phys_regs must be at least 1".to_string());
@@ -300,6 +303,30 @@ impl RegFileConfig {
                 Err("banks must be at least 1".into())
             }
             _ => Ok(()),
+        }?;
+        match self.port_limits().into_iter().find(|&(_, limit)| limit == Some(0)) {
+            Some((field, _)) => Err(format!("{field} must be at least 1")),
+            None => Ok(()),
+        }
+    }
+
+    /// The port and bus limits of the architecture, by field name: each
+    /// must allow at least one access per cycle.
+    fn port_limits(&self) -> Vec<(&'static str, Option<u32>)> {
+        match *self {
+            RegFileConfig::Single(c) => {
+                vec![("read_ports", c.ports.read), ("write_ports", c.ports.write)]
+            }
+            RegFileConfig::Cache(c) => vec![
+                ("upper_read_ports", c.upper_read_ports),
+                ("lower_write_ports", c.lower_write_ports),
+                ("buses", c.buses),
+            ],
+            RegFileConfig::Replicated(c) => vec![("read_ports_per_bank", c.read_ports_per_bank)],
+            RegFileConfig::OneLevel(c) => vec![
+                ("read_ports_per_bank", c.read_ports_per_bank),
+                ("write_ports_per_bank", c.write_ports_per_bank),
+            ],
         }
     }
 
@@ -360,6 +387,69 @@ mod tests {
         assert_eq!(c.buses, Some(3));
         let s = SingleBankConfig::one_cycle().with_ports(PortLimits::limited(3, 2));
         assert_eq!(s.ports.read, Some(3));
+    }
+
+    #[test]
+    fn zero_port_and_bus_counts_are_rejected_by_field() {
+        let single = SingleBankConfig::one_cycle();
+        let cache = RegFileCacheConfig::paper_default();
+        let replicated = ReplicatedConfig::default();
+        let onelevel = crate::OneLevelBankedConfig::default();
+        let cases = [
+            (RegFileConfig::Cache(RegFileCacheConfig { buses: Some(0), ..cache }), "buses"),
+            (
+                RegFileConfig::Cache(RegFileCacheConfig { upper_read_ports: Some(0), ..cache }),
+                "upper_read_ports",
+            ),
+            (
+                RegFileConfig::Cache(RegFileCacheConfig { lower_write_ports: Some(0), ..cache }),
+                "lower_write_ports",
+            ),
+            (RegFileConfig::Single(single.with_ports(PortLimits::limited(0, 2))), "read_ports"),
+            (RegFileConfig::Single(single.with_ports(PortLimits::limited(2, 0))), "write_ports"),
+            (
+                RegFileConfig::Replicated(ReplicatedConfig {
+                    read_ports_per_bank: Some(0),
+                    ..replicated
+                }),
+                "read_ports_per_bank",
+            ),
+            (
+                RegFileConfig::OneLevel(crate::OneLevelBankedConfig {
+                    read_ports_per_bank: Some(0),
+                    ..onelevel
+                }),
+                "read_ports_per_bank",
+            ),
+            (
+                RegFileConfig::OneLevel(crate::OneLevelBankedConfig {
+                    write_ports_per_bank: Some(0),
+                    ..onelevel
+                }),
+                "write_ports_per_bank",
+            ),
+        ];
+        for (config, field) in cases {
+            assert_eq!(
+                config.validate(128),
+                Err(format!("{field} must be at least 1")),
+                "{config:?}"
+            );
+        }
+        // One port or bus is enough to make progress, and results reach
+        // an upper bank without write ports by transfer.
+        let ones = [
+            RegFileConfig::Cache(cache.with_ports(1, 0, 1, 1)),
+            RegFileConfig::Single(single.with_ports(PortLimits::limited(1, 1))),
+            RegFileConfig::Replicated(ReplicatedConfig {
+                read_ports_per_bank: Some(1),
+                ..replicated
+            }),
+            RegFileConfig::OneLevel(crate::OneLevelBankedConfig::wallace(8)),
+        ];
+        for config in ones {
+            assert_eq!(config.validate(128), Ok(()), "{config:?}");
+        }
     }
 
     #[test]

@@ -256,16 +256,25 @@ mod tests {
 
     #[test]
     fn bypass_reads_do_not_consume_ports() {
-        let cfg = SingleBankConfig::one_cycle().with_ports(PortLimits::limited(0, 8));
+        let cfg = SingleBankConfig::one_cycle().with_ports(PortLimits::limited(1, 8));
         let mut rf = SingleBankModel::new(cfg, 8);
-        let r = preg(0);
+        let (r, w) = (preg(0), preg(1));
         rf.begin_cycle(0);
+        produce(&mut rf, w, 0);
         produce(&mut rf, r, 3);
+        rf.begin_cycle(1);
+        assert!(rf.try_writeback(w, 1, &RegBitSet::new(0)));
         rf.begin_cycle(3);
         let plan = rf.plan_read(&[r], 3).unwrap();
         assert_eq!(plan[0].path, ReadPath::Bypass);
         rf.commit_read(&plan, 3);
         assert_eq!(rf.stats().bypass_reads, 1);
+        // The bypass read left the one read port free for a register-file
+        // read in the same cycle, which then takes it.
+        let plan = rf.plan_read(&[w], 3).unwrap();
+        assert_eq!(plan[0].path, ReadPath::RegFile);
+        rf.commit_read(&plan, 3);
+        assert_eq!(rf.plan_read(&[w], 3), Err(PlanError::NoReadPort));
     }
 
     #[test]

@@ -25,16 +25,17 @@
 //! Wherever specs are simulated — the in-process pool, a shard worker,
 //! a distributed worker's lease — they go through one batch primitive,
 //! [`run_batch`]. It simulates each distinct spec once (the identity is
-//! the spec's `Debug` text, which the result cache also matches on) and
-//! copies the result to every plan index that repeats it, and it
-//! generates each synthetic instruction stream once for all the runs
-//! that read it. Each result is identical to [`RunSpec::run`] on its
-//! own, so none of this shows in results, records, fingerprints, lease
-//! or journal indices, or reports. With a result cache, each distinct
-//! spec is also looked up and stored once.
+//! the spec's `Debug` text, which the result cache also matches on, with
+//! a trace replay's seed left out) and copies the result to every plan
+//! index that repeats it, and it generates each synthetic instruction
+//! stream once for all the runs that read it. Each result is identical
+//! to [`RunSpec::run`] on its own, so none of this shows in results,
+//! records, fingerprints, lease or journal indices, or reports. With a
+//! result cache, each distinct spec (seed included) is also looked up
+//! and stored once.
 
 use crate::metrics_codec::{CampaignHeader, RecordFile, ShardRecord, TailPolicy};
-use crate::run::{distinct, run_batch, RunResult, RunSpec};
+use crate::run::{distinct_by, run_batch, RunResult, RunSpec};
 use std::fmt;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -169,17 +170,18 @@ impl Executor for InProcess {
     }
 }
 
-/// [`run_batch`] behind a result cache: each distinct spec is looked up
-/// once, only the distinct misses are simulated, and each fresh result is
-/// stored once. Records one cache session named `mode`, whose lookups and
-/// hits count plan indices.
+/// [`run_batch`] behind a result cache: each distinct spec (by the full
+/// `Debug` text the cache matches on) is looked up once, only the
+/// distinct misses are simulated, and each fresh result is stored once.
+/// Records one cache session named `mode`, whose lookups and hits count
+/// plan indices.
 fn run_batch_cached(
     specs: &[&RunSpec],
     jobs: usize,
     cache: &crate::cache::Cache,
     mode: &str,
 ) -> Vec<RunResult> {
-    let (firsts, slots) = distinct(specs);
+    let (firsts, slots) = distinct_by(specs, |spec| format!("{spec:?}"));
     let mut found: Vec<Option<RunResult>> =
         firsts.iter().map(|&i| cache.lookup(specs[i])).collect();
     let hits = slots.iter().filter(|&&k| found[k].is_some()).count();

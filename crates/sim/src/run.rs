@@ -257,6 +257,29 @@ impl RunSpec {
         }
     }
 
+    /// The identity [`run_batch`] dedupes on: the spec's `Debug` text,
+    /// with a trace replay's seed formatted as 0. A replay never reads
+    /// its seed, so specs that differ only in it are one simulation.
+    pub(crate) fn dedupe_key(&self) -> String {
+        match self.workload {
+            WorkloadSource::Trace(_) => format!("{:?}", self.clone().seed(0)),
+            _ => format!("{self:?}"),
+        }
+    }
+
+    /// A hash of the instruction stream the spec reads: the generator
+    /// profile and effective seed [`run_batch`] shares a stream by, or a
+    /// replayed trace's content hash. Runs with equal keys are what a
+    /// lease should keep together; a collision can only cost sharing.
+    pub(crate) fn stream_key(&self) -> u64 {
+        match self.stream() {
+            Stream::Generated(profile, seed) => {
+                fnv1a_64(format!("{profile:?}").bytes().chain(seed.to_le_bytes()))
+            }
+            Stream::Recorded(t) => t.content,
+        }
+    }
+
     /// The instruction stream the spec reads.
     fn stream(&self) -> Stream<'_> {
         match &self.workload {
@@ -442,7 +465,9 @@ const MAX_SHARED_PREFIX: u64 = 1 << 20;
 ///
 /// * **Specs.** Specs with the same `Debug` text, the identity the result
 ///   cache matches on ([`crate::cache`]), are simulated once, and the
-///   result is copied to every index that repeats the spec.
+///   result is copied to every index that repeats the spec. A trace
+///   replay ignores its seed, so replays that differ only in seed count
+///   as one spec.
 /// * **Streams.** Synthetic and family runs that read the same
 ///   instruction stream (the same generator profile and effective seed)
 ///   share it. The stream is generated once into a prefix as long as the
@@ -474,18 +499,27 @@ pub fn run_batch_capped(specs: &[&RunSpec], jobs: usize, cap: u64) -> Vec<RunRes
     slots.iter().map(|&k| results[k].clone()).collect()
 }
 
-/// Groups a plan by spec identity, the `Debug` text the result cache
-/// matches on (not the 64-bit fingerprint alone, which can collide).
-/// Returns the first index of each distinct spec, in order of first
-/// occurrence, and for every index the position of its spec in that list.
+/// Groups a plan by simulation identity ([`RunSpec::dedupe_key`]): the
+/// specs of one group simulate to the same result.
 pub(crate) fn distinct(specs: &[&RunSpec]) -> (Vec<usize>, Vec<usize>) {
+    distinct_by(specs, RunSpec::dedupe_key)
+}
+
+/// Groups a plan by `key`, a text (not a 64-bit hash alone, which can
+/// collide). Returns the first index of each distinct key, in order of
+/// first occurrence, and for every index the position of its key in that
+/// list. The result cache groups by the full `Debug` text it matches on.
+pub(crate) fn distinct_by(
+    specs: &[&RunSpec],
+    key: impl Fn(&RunSpec) -> String,
+) -> (Vec<usize>, Vec<usize>) {
     let mut position: HashMap<String, usize> = HashMap::with_capacity(specs.len());
     let mut firsts = Vec::new();
     let slots = specs
         .iter()
         .enumerate()
         .map(|(i, spec)| {
-            *position.entry(format!("{spec:?}")).or_insert_with(|| {
+            *position.entry(key(spec)).or_insert_with(|| {
                 firsts.push(i);
                 firsts.len() - 1
             })
@@ -740,6 +774,29 @@ mod tests {
         assert_eq!(r1.bench, "go~1");
         assert_ne!(r1.metrics.cycles, rb.metrics.cycles, "member 1 should diverge from the base");
         assert_eq!(r1.metrics.cycles, m1.run().metrics.cycles, "deterministic");
+    }
+
+    /// A trace replay never reads its seed, so the batch simulates replays
+    /// that differ only in seed once; a generated stream depends on it.
+    #[test]
+    fn distinct_ignores_only_a_trace_replays_seed() {
+        let trace = TraceWorkload {
+            path: "li.rfct".into(),
+            label: "li-trace".into(),
+            fp: false,
+            content: 0xfeed,
+            insts: Arc::new(Vec::new()),
+        };
+        let replay = RunSpec::from_workload(WorkloadSource::Trace(trace), one_cycle());
+        let li = RunSpec::known("li", one_cycle());
+        let specs =
+            [&replay.clone().seed(1), &replay.clone().seed(2), &li.clone().seed(1), &li.seed(2)];
+        let (firsts, slots) = distinct(&specs);
+        assert_eq!(firsts, vec![0, 2, 3]);
+        assert_eq!(slots, vec![0, 0, 1, 2]);
+        assert_eq!(specs[0].stream_key(), specs[1].stream_key(), "one trace, one stream");
+        assert_ne!(specs[2].stream_key(), specs[3].stream_key(), "a seed is a stream");
+        assert_ne!(specs[0].fingerprint(), specs[1].fingerprint(), "identities keep the seed");
     }
 
     #[test]

@@ -73,7 +73,7 @@ use crate::http;
 use crate::json;
 use crate::metrics_codec::{Frame, ShardRecord, TailPolicy};
 use crate::readiness::{listener_fd, stream_fd, PollSet};
-use crate::run::{distinct, RunResult, RunSpec};
+use crate::run::{distinct_by, RunResult, RunSpec};
 use crate::scenario::{CampaignPlan, CampaignRequest, ScenarioReport};
 use crate::transport::{JournalWriter, ServeOptions, ServeState, HANDSHAKE_DEADLINE, READ_TICK};
 use std::io;
@@ -234,7 +234,7 @@ struct Campaign {
 impl Campaign {
     /// Builds a queued campaign from its plan.
     fn new(id: u64, plan: CampaignPlan, opts: &ServeOptions) -> Campaign {
-        let state = ServeState::new(plan.runs(), opts.chunk, opts.lease_timeout);
+        let state = ServeState::new(&plan.flat(), opts.chunk, opts.lease_timeout);
         Campaign {
             id,
             plan,
@@ -372,7 +372,7 @@ impl Campaign {
     /// records and never leased.
     fn prefill(&mut self, cache: &Cache) -> Result<(), ExecutorError> {
         let flat = self.plan.flat();
-        let (firsts, group) = distinct(&flat);
+        let (firsts, group) = distinct_by(&flat, |spec| format!("{spec:?}"));
         let mut found: Vec<Option<Option<RunResult>>> = firsts.iter().map(|_| None).collect();
         let mut lookups = 0u64;
         for index in 0..flat.len() {

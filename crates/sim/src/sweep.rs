@@ -1074,6 +1074,36 @@ mod tests {
         assert!(SweepDef::parse(&huge).unwrap_err().contains("limit"));
     }
 
+    /// A port or bus count of 0 builds a register file that deadlocks, so
+    /// the parser rejects each such field, naming the rf label.
+    #[test]
+    fn zero_port_and_bus_counts_are_rejected_by_rf_label() {
+        let cases = [
+            (r#"{"cache": {"buses": 0}}"#, "rfc", "buses"),
+            (r#"{"cache": {"upper_read_ports": 0}}"#, "rfc", "upper_read_ports"),
+            (
+                r#"{"cache": {"lower_write_ports": [2, 0]}}"#,
+                "rfc lower_write_ports=0",
+                "lower_write_ports",
+            ),
+            (r#"{"single": {"read_ports": 0}, "name": "narrow"}"#, "narrow", "read_ports"),
+            (r#"{"single": {"write_ports": 0}}"#, "single", "write_ports"),
+            (r#"{"replicated": {"read_ports_per_bank": 0}}"#, "replicated", "read_ports_per_bank"),
+            (r#"{"onelevel": {"read_ports_per_bank": 0}}"#, "onelevel", "read_ports_per_bank"),
+            (r#"{"onelevel": {"write_ports_per_bank": 0}}"#, "onelevel", "write_ports_per_bank"),
+        ];
+        for (rf, label, field) in cases {
+            let text = format!(r#"{{"name": "x", "workloads": ["li"], "rf": [{rf}]}}"#);
+            let err = SweepDef::parse(&text).unwrap_err();
+            assert_eq!(err, format!("rf `{label}`: {field} must be at least 1"), "{rf}");
+        }
+        // An upper bank without write ports still runs: results reach it
+        // by transfer.
+        let text =
+            r#"{"name": "x", "workloads": ["li"], "rf": [{"cache": {"upper_write_ports": 0}}]}"#;
+        assert!(SweepDef::parse(text).is_ok());
+    }
+
     #[test]
     fn load_reads_files_and_names_them_in_errors() {
         let dir = std::env::temp_dir().join(format!("rfct-sweep-test-{}", std::process::id()));

@@ -6,10 +6,12 @@
 //! the campaign description in the `hello` frame's [`CampaignHeader`],
 //! re-derives the *same* plan ([`crate::CampaignRequest::plan`]), and
 //! proves it did by echoing the plan's [`crate::campaign_fingerprint`].
-//! After that handshake the coordinator hands out **leases** (small index
-//! ranges of the flat plan) and folds the streamed `record` frames into a
-//! plan-ordered result vector, so reports assembled from a distributed
-//! run are byte-identical to a single-process run.
+//! After that handshake the coordinator hands out **leases** (small sets
+//! of flat-plan indices, whole groups of the runs that read one
+//! instruction stream, so a worker generates each stream once) and folds
+//! the streamed `record` frames into a plan-ordered result vector, so
+//! reports assembled from a distributed run are byte-identical to a
+//! single-process run.
 //!
 //! **Fault tolerance.** Completed indices are tracked per lease:
 //!
@@ -42,8 +44,8 @@
 
 use crate::executor::{check_record, ExecutorError};
 use crate::metrics_codec::{CampaignHeader, Frame, ShardRecord};
-use crate::run::{run_batch, RunResult, RunSpec};
-use std::collections::VecDeque;
+use crate::run::{fnv1a_64, run_batch, RunResult, RunSpec};
+use std::collections::{HashMap, VecDeque};
 use std::fs::OpenOptions;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::net::TcpStream;
@@ -230,11 +232,21 @@ struct InFlight {
 /// Pure bookkeeping for lease issue, completion, re-queue on disconnect
 /// and re-issue on timeout. Time is injected, so the straggler logic is
 /// unit-testable without waiting.
+///
+/// **Stream groups.** A lease is simulated by one `run_batch` call, which
+/// shares each instruction stream and dedupes each repeated spec only
+/// among its own indices. So the pending queue keeps the runs of one
+/// stream together (equal specs together inside it), and a lease takes
+/// whole stream groups; see [`grouped`](Self::grouped).
 #[derive(Debug)]
 pub(crate) struct LeaseTable {
+    /// Target lease size: a lease takes stream groups until it holds at
+    /// least this many indices, so it stays below twice this.
     chunk: usize,
     timeout: Duration,
     pending: VecDeque<usize>,
+    /// For every plan index, the first index of its stream group.
+    group: Vec<usize>,
     in_flight: Vec<InFlight>,
     filled: Vec<bool>,
     completed: usize,
@@ -242,13 +254,48 @@ pub(crate) struct LeaseTable {
 }
 
 impl LeaseTable {
-    /// `chunk` = indices per lease (0 = auto: ~64 leases per campaign).
+    /// A table in plan order, every index a stream group of its own, so a
+    /// lease is `chunk` consecutive pending indices (0 = auto: ~64 leases
+    /// per campaign).
+    #[cfg(test)]
     pub(crate) fn new(runs: usize, chunk: usize, timeout: Duration) -> Self {
+        Self::ordered((0..runs).collect(), (0..runs).collect(), chunk, timeout)
+    }
+
+    /// A table that leases whole stream groups. `keys` holds each plan
+    /// index's stream key and spec key (hashes: a collision can only cost
+    /// sharing, since a lease is still a list of plan indices). Pending
+    /// indices are ordered by the first index of their stream, then the
+    /// first index of their spec, then their own index.
+    pub(crate) fn grouped(keys: &[(u64, u64)], chunk: usize, timeout: Duration) -> Self {
+        let mut stream_first: HashMap<u64, usize> = HashMap::new();
+        let mut spec_first: HashMap<(u64, u64), usize> = HashMap::new();
+        let mut order = Vec::with_capacity(keys.len());
+        let mut group = Vec::with_capacity(keys.len());
+        for (i, &(stream, spec)) in keys.iter().enumerate() {
+            let first = *stream_first.entry(stream).or_insert(i);
+            order.push((first, *spec_first.entry((stream, spec)).or_insert(i), i));
+            group.push(first);
+        }
+        order.sort_unstable();
+        Self::ordered(order.into_iter().map(|(_, _, i)| i).collect(), group, chunk, timeout)
+    }
+
+    /// A table that leases `pending` in this order; `group[i]` names the
+    /// stream group of plan index `i`.
+    fn ordered(
+        pending: VecDeque<usize>,
+        group: Vec<usize>,
+        chunk: usize,
+        timeout: Duration,
+    ) -> Self {
+        let runs = group.len();
         let chunk = if chunk == 0 { (runs / 64).max(1) } else { chunk };
         LeaseTable {
             chunk,
             timeout,
-            pending: (0..runs).collect(),
+            pending,
+            group,
             in_flight: Vec::new(),
             filled: vec![false; runs],
             completed: 0,
@@ -260,6 +307,10 @@ impl LeaseTable {
     /// unfilled remainder of the most overdue timed-out lease (straggler
     /// re-issue — the original worker keeps streaming, duplicates are
     /// dropped by [`record`](Self::record)'s filled check).
+    ///
+    /// Fresh work is taken a stream group at a time while the lease holds
+    /// fewer than `chunk` indices; a group larger than `chunk` is taken
+    /// `chunk` indices at a time.
     pub(crate) fn grab(&mut self, now: Instant) -> Option<Lease> {
         let indices: Vec<usize> = if self.pending.is_empty() {
             let overdue = self
@@ -272,8 +323,15 @@ impl LeaseTable {
             let old = self.in_flight.swap_remove(overdue);
             old.indices.into_iter().filter(|&i| !self.filled[i]).collect()
         } else {
-            let n = self.chunk.min(self.pending.len());
-            self.pending.drain(..n).collect()
+            let mut indices = Vec::new();
+            while indices.len() < self.chunk {
+                let Some(&front) = self.pending.front() else { break };
+                let group = self.group[front];
+                let same = |&&i: &&usize| self.group[i] == group;
+                let n = self.pending.iter().take(self.chunk).take_while(same).count();
+                indices.extend(self.pending.drain(..n));
+            }
+            indices
         };
         if indices.is_empty() {
             // A fully-filled lease lingered; retry (terminates: each call
@@ -352,7 +410,10 @@ pub struct ServeOptions {
     /// (straggler mitigation). Disconnects re-queue immediately
     /// regardless.
     pub lease_timeout: Duration,
-    /// Plan indices per lease (0 = auto: ~64 leases per campaign).
+    /// Target plan indices per lease (0 = auto: ~64 leases per
+    /// campaign). A lease takes whole groups of runs that read one
+    /// instruction stream until it holds at least this many, so it holds
+    /// fewer than twice this.
     pub chunk: usize,
 }
 
@@ -371,12 +432,18 @@ pub(crate) struct ServeState {
 }
 
 impl ServeState {
-    /// Fresh bookkeeping for a `runs`-spec plan (the coordinator builds
-    /// one per campaign).
-    pub(crate) fn new(runs: usize, chunk: usize, lease_timeout: Duration) -> Self {
+    /// Fresh bookkeeping for a plan (the coordinator builds one per
+    /// campaign). Its lease table takes whole stream groups: each spec's
+    /// stream key and simulation identity are hashed here once, and no
+    /// spec text is kept.
+    pub(crate) fn new(specs: &[&RunSpec], chunk: usize, lease_timeout: Duration) -> Self {
+        let keys: Vec<(u64, u64)> = specs
+            .iter()
+            .map(|spec| (spec.stream_key(), fnv1a_64(spec.dedupe_key().bytes())))
+            .collect();
         ServeState {
-            table: LeaseTable::new(runs, chunk, lease_timeout),
-            slots: (0..runs).map(|_| None).collect(),
+            table: LeaseTable::grouped(&keys, chunk, lease_timeout),
+            slots: specs.iter().map(|_| None).collect(),
             journal: None,
         }
     }
@@ -648,6 +715,7 @@ mod tests {
     use crate::experiments::ExperimentOpts;
     use crate::metrics_codec::TailPolicy;
     use crate::scenario::CampaignRequest;
+    use proptest::prelude::*;
     use rfcache_pipeline::SimMetrics;
 
     #[test]
@@ -819,6 +887,115 @@ mod tests {
         }
         assert_eq!(table.counts(), (5, 0, 0));
         assert!(table.complete());
+    }
+
+    /// Leases every index of `table` without completing any, in grab
+    /// order.
+    fn grab_all(table: &mut LeaseTable) -> Vec<Vec<usize>> {
+        std::iter::from_fn(|| table.grab(Instant::now())).map(|l| l.indices).collect()
+    }
+
+    proptest! {
+        /// Grouped leases over random stream and spec keys: every index
+        /// exactly once, every lease below twice the chunk, every stream
+        /// group no larger than the chunk in one lease, and one index per
+        /// lease at chunk 1.
+        #[test]
+        fn grouped_leases_take_whole_stream_groups(
+            keys in proptest::collection::vec((0..8u64, 0..3u64), 0..120),
+            chunk in prop_oneof![Just(1usize), 1..40usize],
+        ) {
+            let mut table = LeaseTable::grouped(&keys, chunk, Duration::from_secs(60));
+            let leases = grab_all(&mut table);
+            let mut leased: Vec<usize> = leases.iter().flatten().copied().collect();
+            leased.sort_unstable();
+            prop_assert_eq!(leased, (0..keys.len()).collect::<Vec<_>>());
+            for lease in &leases {
+                prop_assert!(!lease.is_empty() && lease.len() < 2 * chunk, "{:?}", lease);
+                prop_assert!(chunk > 1 || lease.len() == 1, "{:?}", lease);
+            }
+            for stream in 0..8u64 {
+                let runs = keys.iter().filter(|k| k.0 == stream).count();
+                let holding = leases.iter().filter(|l| l.iter().any(|&i| keys[i].0 == stream));
+                prop_assert!(runs > chunk || holding.count() <= 1, "stream {} split", stream);
+            }
+        }
+    }
+
+    #[test]
+    fn grouped_table_orders_by_stream_then_spec_and_requeues_releases() {
+        let t0 = Instant::now();
+        // Streams 7 and 9 interleave in plan order; 0 and 4 repeat a spec.
+        let keys = [(7, 0), (9, 0), (7, 1), (9, 1), (7, 0), (5, 0)];
+        let mut table = LeaseTable::grouped(&keys, 2, Duration::from_secs(60));
+        let a = table.grab(t0).unwrap();
+        assert_eq!(a.indices, vec![0, 4], "stream 7 is larger than the chunk: a piece");
+        let b = table.grab(at(t0, 1)).unwrap();
+        assert_eq!(b.indices, vec![2, 1, 3], "its rest, then the whole of stream 9");
+
+        // Lease `a`'s worker delivered one index, then disconnected: its
+        // remainder queues behind the pending stream 5.
+        assert!(table.record(0));
+        assert_eq!(table.release(a.id), 1);
+        assert_eq!(table.counts(), (1, 3, 2));
+        let c = table.grab(at(t0, 2)).unwrap();
+        assert_eq!(c.indices, vec![5, 4]);
+
+        // Lease `b` stalls and is re-issued whole after the timeout.
+        assert!(table.grab(at(t0, 30)).is_none());
+        let b2 = table.grab(at(t0, 61)).unwrap();
+        assert_eq!(b2.indices, vec![2, 1, 3]);
+        assert_ne!(b2.id, b.id);
+        for i in [5, 4, 2, 1, 3] {
+            assert!(table.record(i));
+        }
+        assert!(!table.record(3), "the straggler's late record is a duplicate");
+        assert!(table.complete());
+    }
+
+    /// The sharing a lease gets on the CI example sweep (two seeds):
+    /// 6 generated streams of 6 runs each and one recorded trace read by
+    /// 12 runs, 6 register-file and run-length points under 2 seeds.
+    #[test]
+    fn example_sweep_leases_share_streams_and_seed_blind_replays() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let text = std::fs::read_to_string(format!("{root}/ci/sweeps/example.json")).unwrap();
+        let text = text.replace("\"ci/fixtures/", &format!("\"{root}/ci/fixtures/"));
+        let plan = crate::SweepDef::parse(&text).unwrap().plan(&ExperimentOpts::default());
+        let specs: Vec<&RunSpec> = plan.iter().collect();
+        assert_eq!(specs.len(), 48);
+        let is_trace = |spec: &&RunSpec| matches!(spec.workload, crate::WorkloadSource::Trace(_));
+
+        // At chunk 12, the largest stream group, each stream is one lease,
+        // and a lease simulates each replay once for both seeds.
+        let mut table = ServeState::new(&specs, 12, Duration::from_secs(60)).table;
+        let leases = grab_all(&mut table);
+        let mut streams: Vec<u64> = specs.iter().map(|s| s.stream_key()).collect();
+        streams.sort_unstable();
+        streams.dedup();
+        assert_eq!(streams.len(), 7);
+        for stream in streams {
+            let holding =
+                leases.iter().filter(|l| l.iter().any(|&i| specs[i].stream_key() == stream));
+            assert_eq!(holding.count(), 1, "stream {stream:016x} is split");
+        }
+        let mut replays = 0;
+        for lease in &leases {
+            let trace: Vec<&RunSpec> = lease.iter().map(|&i| specs[i]).filter(is_trace).collect();
+            let (firsts, _) = crate::run::distinct(&trace);
+            assert_eq!(firsts.len() * 2, trace.len(), "one simulation per seed-blind replay");
+            replays += trace.len();
+        }
+        assert_eq!(replays, 12);
+
+        // The default chunk of a 48-run plan is 1, like `--chunk 1`: one
+        // index per lease.
+        for chunk in [0, 1] {
+            let mut table = ServeState::new(&specs, chunk, Duration::from_secs(60)).table;
+            let leases = grab_all(&mut table);
+            assert_eq!(leases.len(), 48);
+            assert!(leases.iter().all(|l| l.len() == 1), "chunk {chunk}");
+        }
     }
 
     #[test]

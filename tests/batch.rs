@@ -30,7 +30,8 @@ fn family(base: &str, member: u32) -> WorkloadSource {
 /// seed 3 reads too (member 0 is the base profile with the seed
 /// unfolded), so a synthetic and a family spec share a stream. li
 /// seed 2 and swim seed 5 are streams of one run. The recorded li trace
-/// is replayed under two seeds, which it ignores.
+/// is replayed under three seeds, which it ignores: two of its replays
+/// differ only in seed, so the batch simulates them once.
 fn pool() -> &'static [RunSpec] {
     static POOL: OnceLock<Vec<RunSpec>> = OnceLock::new();
     POOL.get_or_init(|| {
@@ -55,10 +56,14 @@ fn pool() -> &'static [RunSpec] {
                 .warmup(100)
                 .insts(500)
                 .seed(42),
-            RunSpec::from_workload(WorkloadSource::Trace(trace), rfc)
+            RunSpec::from_workload(WorkloadSource::Trace(trace.clone()), rfc)
                 .warmup(100)
                 .insts(500)
                 .seed(7),
+            RunSpec::from_workload(WorkloadSource::Trace(trace), one_cycle())
+                .warmup(100)
+                .insts(500)
+                .seed(9),
         ]
     })
 }
@@ -86,7 +91,7 @@ proptest! {
     /// the shared prefix onto the generator.
     #[test]
     fn batch_results_equal_unshared_runs(
-        picks in proptest::collection::vec(0..12usize, 0..7),
+        picks in proptest::collection::vec(0..13usize, 0..7),
         repeat in 0..8usize,
         cap in prop_oneof![Just(None), Just(Some(0u64)), (1..900u64).prop_map(Some)],
     ) {
