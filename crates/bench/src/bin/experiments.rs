@@ -26,6 +26,9 @@
 //! experiments cache <stats|verify|clear> DIR [--json]
 //! ```
 //!
+//! Every subcommand reads its flags by the grammar `simulate` shares
+//! ([`rfcache_bench::Flags`]).
+//!
 //! `--list` enumerates the registered scenarios; `all` runs every one in
 //! canonical order. Duplicate scenario names are run once (with a
 //! warning). All selected scenarios are scheduled through **one**
@@ -127,13 +130,14 @@
 //! (`rfcache_sim::DEFAULT_INSTS` / `DEFAULT_WARMUP`; the paper simulates
 //! 100M after skipping initialization).
 
+use rfcache_bench::Flags;
 use rfcache_sim::cache::Cache;
 use rfcache_sim::executor::{
-    assemble_shard_results, read_record_file, run_shard, Executor as _, ExecutorError, InProcess,
+    assemble_shard_results, read_record_file, run_shard, Executor as _, InProcess,
 };
 use rfcache_sim::experiments::ExperimentOpts;
 use rfcache_sim::metrics_codec::{CampaignHeader, TailPolicy};
-use rfcache_sim::service::{serve_service, JournalMode, ServiceConfig, ServiceSummary};
+use rfcache_sim::service::{serve_service, JournalMode, ServiceConfig};
 use rfcache_sim::sweep::SweepDef;
 use rfcache_sim::transport::{self, ServeOptions, WorkOptions};
 use rfcache_sim::{
@@ -172,6 +176,15 @@ const USAGE: &str = "usage: experiments --list [--sweep FILE]
        experiments cache <stats|verify|clear> DIR [--json]
 run `experiments --list` for the registered scenario names";
 
+/// The value flags that describe a campaign, on a run, `sweep`, `serve
+/// <names>` and `submit` (`--quick` is their switch).
+const CAMPAIGN_FLAGS: &str = "--insts --warmup --seed --sweep";
+
+/// The value flags of a coordinator that runs a campaign and prints its
+/// reports, on `serve` and `resume`.
+const COORDINATOR_FLAGS: &str =
+    "--bind --http --lease-timeout --chunk --journal --journal-sync --csv --json --cache";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -182,325 +195,183 @@ fn main() {
         list(&args);
         return;
     }
+    let rest = &args[1..];
     match args[0].as_str() {
-        "merge" => merge_main(&args[1..]),
-        "serve" => serve_main(&args[1..]),
-        "submit" => submit_main(&args[1..]),
-        "fetch" => fetch_main(&args[1..]),
-        "work" => work_main(&args[1..]),
-        "resume" => resume_main(&args[1..]),
-        "status" => status_main(&args[1..]),
-        "cache" => cache_main(&args[1..]),
-        "sweep" => sweep_main(&args[1..]),
-        _ => run_main(&args),
+        "merge" => merge_main(rest),
+        "serve" => serve_main(rest),
+        "submit" => submit_main(rest),
+        "fetch" => fetch_main(rest),
+        "work" => work_main(rest),
+        "resume" => resume_main(rest),
+        "status" => status_main(rest),
+        "cache" => cache_main(rest),
+        "sweep" => run_main(rest, true),
+        _ => run_main(&args, false),
     }
 }
 
-/// `experiments sweep FILE...`: shorthand for a campaign whose
-/// positional arguments are sweep definition files instead of scenario
-/// names — every flag a named campaign takes works here too.
-fn sweep_main(args: &[String]) {
-    let mut rewritten: Vec<String> = Vec::new();
-    let mut files = 0usize;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--quick" {
-            rewritten.push(arg.clone());
-        } else if arg.starts_with("--") {
-            // Every other run_main flag takes a value; carry it through
-            // so its value is not mistaken for a sweep file.
-            rewritten.push(arg.clone());
-            if let Some(value) = it.next() {
-                rewritten.push(value.clone());
-            }
-        } else {
-            files += 1;
-            rewritten.push("--sweep".to_string());
-            rewritten.push(arg.clone());
+/// Runs a campaign in process, as one `--shard`, or as a
+/// `--dist-workers` session. As `experiments sweep FILE...` (`sweep`),
+/// the positional arguments are sweep definition files instead of
+/// scenario names, and every flag of a named campaign works too.
+fn run_main(args: &[String], sweep: bool) {
+    let values = [
+        CAMPAIGN_FLAGS,
+        "--jobs --csv --json --shard --out --dist-workers --journal --journal-sync --http --cache",
+    ];
+    let mut flags = Flags::parse(args, &values, &["--quick"], usage_error);
+    if sweep {
+        if flags.positionals().next().is_none() {
+            usage_error("sweep needs at least one definition file: sweep FILE...");
         }
+        flags = flags.positionals_as("--sweep");
     }
-    if files == 0 {
-        usage_error("sweep needs at least one definition file: sweep FILE...");
-    }
-    run_main(&rewritten);
-}
-
-fn run_main(args: &[String]) {
-    let mut opts = ExperimentOpts::default();
-    let mut csv_dir: Option<PathBuf> = None;
-    let mut json_dir: Option<PathBuf> = None;
-    let mut shard: Option<(usize, usize)> = None;
-    let mut out_file: Option<PathBuf> = None;
-    let mut dist_workers: Option<usize> = None;
-    let mut journal: Option<PathBuf> = None;
-    let mut journal_sync: Option<usize> = None;
-    let mut http: Option<String> = None;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut sweep_files: Vec<PathBuf> = Vec::new();
-    let mut names: Vec<&str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--insts" => opts.insts = parse_num("--insts", it.next()),
-            "--warmup" => opts.warmup = parse_num("--warmup", it.next()),
-            "--seed" => opts.seed = parse_num("--seed", it.next()),
-            "--jobs" => opts.jobs = parse_num("--jobs", it.next()) as usize,
-            "--quick" => opts.quick = true,
-            "--csv" => csv_dir = Some(parse_path("--csv", it.next())),
-            "--json" => json_dir = Some(parse_path("--json", it.next())),
-            "--shard" => shard = Some(parse_shard(it.next())),
-            "--out" => out_file = Some(parse_path("--out", it.next())),
-            "--sweep" => sweep_files.push(parse_path("--sweep", it.next())),
-            "--dist-workers" => {
-                dist_workers = Some(parse_positive("--dist-workers", it.next()));
-            }
-            "--journal" => journal = Some(parse_path("--journal", it.next())),
-            "--journal-sync" => {
-                journal_sync = Some(parse_num("--journal-sync", it.next()) as usize);
-            }
-            "--http" => http = Some(parse_value("--http", it.next())),
-            "--cache" => cache_dir = Some(parse_path("--cache", it.next())),
-            flag if flag.starts_with("--") => {
-                usage_error(&format!("unknown option {flag}"));
-            }
-            name => {
-                if names.contains(&name) {
-                    eprintln!("warning: duplicate scenario name {name} ignored");
-                } else {
-                    names.push(name);
-                }
-            }
-        }
-    }
-    if out_file.is_some() && shard.is_none() {
+    let shard = flags.all("--shard").map(|slice| parse_shard(&flags, slice)).last();
+    let dist_workers = flags.count("--dist-workers");
+    if flags.has("--out") && shard.is_none() {
         usage_error("--out requires --shard");
     }
-    if shard.is_some() && (csv_dir.is_some() || json_dir.is_some()) {
+    if shard.is_some() && (flags.has("--csv") || flags.has("--json")) {
         usage_error("--shard emits a shard file, not reports: drop --csv/--json");
     }
     if dist_workers.is_some() && shard.is_some() {
         usage_error("--dist-workers runs a coordinator session: drop --shard");
     }
-    if journal.is_some() && dist_workers.is_none() {
+    if flags.has("--journal") && dist_workers.is_none() {
         usage_error("--journal requires --dist-workers (or the serve/resume subcommands)");
     }
-    if journal_sync.is_some() && journal.is_none() {
+    if flags.has("--journal-sync") && !flags.has("--journal") {
         usage_error("--journal-sync requires --journal");
     }
-    if http.is_some() && dist_workers.is_none() {
+    if flags.has("--http") && dist_workers.is_none() {
         usage_error("--http requires --dist-workers (or the serve/resume subcommands)");
     }
 
-    let plan = plan_campaign(&sweep_files, names, opts);
-    let (scenarios, runs) = (plan.request().scenarios.len(), plan.runs());
+    let plan = plan_campaign(&flags);
+    let jobs = plan.request().opts.jobs;
+    let cache_dir = flags.path("--cache");
     let start = Instant::now();
-
     if let Some((index, count)) = shard {
-        run_worker(&plan, index, count, opts.jobs, out_file, cache_dir.as_deref());
+        run_worker(&plan, index, count, jobs, flags.path("--out"), cache_dir.as_deref());
         eprintln!(
-            "[shard {index}/{count}: {} of {runs} simulation(s), {:.1}s]",
-            (0..runs).filter(|i| i % count == index).count(),
+            "[shard {index}/{count}: {} of {} simulation(s), {:.1}s]",
+            (0..plan.runs()).filter(|i| i % count == index).count(),
+            plan.runs(),
             start.elapsed().as_secs_f64()
         );
-        return;
-    }
-
-    let backend = if let Some(count) = dist_workers {
-        let (listener, control) = bind_session("127.0.0.1:0", http.as_deref(), runs);
-        let addr = listener
-            .local_addr()
-            .unwrap_or_else(|e| die(&format!("cannot read the bound address: {e}")));
-        let cache = cache_dir.as_deref().map(open_cache);
-        let mut pool = spawn_pool(addr, count, split_jobs(opts.jobs, count));
-        let outcome = {
-            // A session whose whole self-spawned pool died must end, not
-            // wait forever for workers that will never reconnect.
-            let mut pool_check = || {
-                let all_gone = pool.iter_mut().all(|c| matches!(c.try_wait(), Ok(Some(_))));
-                all_gone.then(|| {
-                    format!(
-                        "all {count} self-spawned worker(s) exited before the campaign completed"
-                    )
-                })
-            };
-            serve_service(ServiceConfig {
-                listener: &listener,
-                http: control.as_ref(),
-                opts: &ServeOptions::default(),
-                cache: cache.as_ref(),
-                journal: journal.as_deref().map(JournalMode::Create),
-                journal_sync: journal_sync.unwrap_or(1),
-                max_campaigns: Some(1),
-                campaign: Some(plan),
-                supervise: Some(&mut pool_check),
-            })
-        };
-        // The session is over either way: on success the workers have
-        // been sent `done`; on failure they would block on a dead
-        // coordinator.
-        reap(pool);
-        emit_results(&session_results(outcome), csv_dir.as_deref(), json_dir.as_deref());
-        format!("{count} distributed worker(s)")
+    } else if let Some(count) = dist_workers {
+        // A localhost session on an ephemeral port.
+        let coordinator = Coordinator::read(&flags, "127.0.0.1:0");
+        let journal = flags.path("--journal");
+        let journal = journal.as_deref().map(JournalMode::Create);
+        let backend = format!("{count} distributed worker(s)");
+        run_session(plan, &coordinator, journal, Some(count), &backend);
     } else {
         // One flat work queue across every selected scenario: the tail
         // of one scenario's runs overlaps the head of the next.
-        let mut executor = InProcess::new(opts.jobs);
+        let mut executor = InProcess::new(jobs);
         if let Some(dir) = &cache_dir {
             executor = executor.with_cache(open_cache(dir));
         }
         let results = executor.execute(&plan.flat()).unwrap_or_else(|e| die(&e.to_string()));
-        let reports = plan.assemble(results);
-        emit_reports(&plan.request().scenarios, &reports, csv_dir.as_deref(), json_dir.as_deref());
-        "in-process".to_string()
-    };
-    eprintln!(
-        "[campaign: {scenarios} scenario(s), {runs} simulation(s), {backend}, {:.1}s]",
-        start.elapsed().as_secs_f64()
-    );
-}
-
-/// Splits the thread budget across `count` worker processes: each
-/// running a full per-core pool would oversubscribe the CPU.
-fn split_jobs(jobs: usize, count: usize) -> usize {
-    let total = if jobs == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        jobs
-    };
-    (total / count).max(1)
+        emit_reports(&plan.request().scenarios, &plan.assemble(results), &flags);
+        campaign_done(plan.request().scenarios.len(), plan.runs(), "in-process", start);
+    }
 }
 
 /// Runs the coordinator: a one-campaign session when scenarios are
 /// named, the multi-campaign service otherwise.
 fn serve_main(args: &[String]) {
-    let mut opts = ExperimentOpts::default();
-    let mut serve_opts = ServeOptions::default();
-    let mut bind: Option<String> = None;
-    let mut http: Option<String> = None;
-    let mut csv_dir: Option<PathBuf> = None;
-    let mut json_dir: Option<PathBuf> = None;
-    let mut journal: Option<PathBuf> = None;
-    let mut journal_sync: Option<usize> = None;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut max_campaigns: Option<usize> = None;
-    let mut sweep_files: Vec<PathBuf> = Vec::new();
-    let mut names: Vec<&str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--bind" => bind = Some(parse_value("--bind", it.next())),
-            "--sweep" => sweep_files.push(parse_path("--sweep", it.next())),
-            "--http" => http = Some(parse_value("--http", it.next())),
-            "--max-campaigns" => {
-                max_campaigns = Some(parse_positive("--max-campaigns", it.next()));
-            }
-            "--lease-timeout" => {
-                serve_opts.lease_timeout =
-                    Duration::from_secs(parse_positive("--lease-timeout", it.next()) as u64);
-            }
-            "--chunk" => serve_opts.chunk = parse_num("--chunk", it.next()) as usize,
-            "--journal" => journal = Some(parse_path("--journal", it.next())),
-            "--journal-sync" => {
-                journal_sync = Some(parse_num("--journal-sync", it.next()) as usize);
-            }
-            "--insts" => opts.insts = parse_num("--insts", it.next()),
-            "--warmup" => opts.warmup = parse_num("--warmup", it.next()),
-            "--seed" => opts.seed = parse_num("--seed", it.next()),
-            "--quick" => opts.quick = true,
-            "--csv" => csv_dir = Some(parse_path("--csv", it.next())),
-            "--json" => json_dir = Some(parse_path("--json", it.next())),
-            "--cache" => cache_dir = Some(parse_path("--cache", it.next())),
-            flag if flag.starts_with("--") => usage_error(&format!("unknown option {flag}")),
-            name => {
-                if names.contains(&name) {
-                    eprintln!("warning: duplicate scenario name {name} ignored");
-                } else {
-                    names.push(name);
-                }
-            }
-        }
-    }
-    let Some(bind) = bind else {
+    let values = [CAMPAIGN_FLAGS, COORDINATOR_FLAGS, "--max-campaigns"];
+    let flags = Flags::parse(args, &values, &["--quick"], usage_error);
+    let Some(bind) = flags.value("--bind") else {
         usage_error("serve needs --bind ADDR (e.g. --bind 0.0.0.0:7841)");
     };
-    if journal_sync.is_some() && journal.is_none() {
+    if flags.has("--journal-sync") && !flags.has("--journal") {
         usage_error("--journal-sync requires --journal");
     }
-    if names.is_empty() && sweep_files.is_empty() {
-        // No campaign on the command line: run the multi-campaign
-        // service and take campaigns over the control plane instead.
-        if csv_dir.is_some() || json_dir.is_some() {
-            usage_error(
-                "the campaign service streams results over HTTP (use `fetch --csv/--json`): \
-                 drop --csv/--json",
-            );
+    let coordinator = Coordinator::read(&flags, bind);
+    let journal = flags.path("--journal");
+    if flags.positionals().next().is_some() || flags.has("--sweep") {
+        if flags.has("--max-campaigns") {
+            usage_error("--max-campaigns is a campaign-service flag: drop the scenario names");
         }
-        if opts != ExperimentOpts::default() {
-            usage_error(
-                "the campaign service takes its options per submission: move \
-                 --insts/--warmup/--seed/--quick onto `submit`",
-            );
-        }
-        let Some(http) = http else {
-            usage_error(
-                "serve without scenario names runs the campaign service and needs \
-                 --http ADDR to accept submissions (or name scenarios for a single campaign)",
-            );
-        };
-        let (listener, addr) = bind_or_die(&bind);
-        let (control, http_addr) = bind_or_die(&http);
-        eprintln!("[service: workers on {addr}, submissions on http://{http_addr}/campaigns]");
-        let cache = cache_dir.as_deref().map(open_cache);
-        let start = Instant::now();
-        let summary = serve_service(ServiceConfig {
-            listener: &listener,
-            http: Some(&control),
-            opts: &serve_opts,
-            cache: cache.as_ref(),
-            journal: journal.as_deref().map(JournalMode::Dir),
-            journal_sync: journal_sync.unwrap_or(1),
-            max_campaigns,
-            campaign: None,
-            supervise: None,
-        })
-        .unwrap_or_else(|e| die(&e.to_string()));
-        eprintln!(
-            "[service: {} campaign(s) submitted, {} completed, {} fetched, {} failed, {:.1}s]",
-            summary.submitted,
-            summary.completed,
-            summary.fetched,
-            summary.failed,
-            start.elapsed().as_secs_f64()
-        );
-        if summary.failed > 0 {
-            std::process::exit(1);
-        }
+        let plan = plan_campaign(&flags);
+        let journal = journal.as_deref().map(JournalMode::Create);
+        run_session(plan, &coordinator, journal, None, "distributed coordinator");
         return;
     }
-    if max_campaigns.is_some() {
-        usage_error("--max-campaigns is a campaign-service flag: drop the scenario names");
+    // No campaign on the command line: run the multi-campaign service and
+    // take campaigns over the control plane instead.
+    if flags.has("--csv") || flags.has("--json") {
+        usage_error(
+            "the campaign service streams results over HTTP (use `fetch --csv/--json`): \
+             drop --csv/--json",
+        );
     }
-    let plan = plan_campaign(&sweep_files, names, opts);
-    let (scenarios, runs) = (plan.request().scenarios.len(), plan.runs());
+    if campaign_opts(&flags) != ExperimentOpts::default() {
+        usage_error(
+            "the campaign service takes its options per submission: move \
+             --insts/--warmup/--seed/--quick onto `submit`",
+        );
+    }
+    let Some(http) = flags.value("--http") else {
+        usage_error(
+            "serve without scenario names runs the campaign service and needs \
+             --http ADDR to accept submissions (or name scenarios for a single campaign)",
+        );
+    };
+    let max_campaigns = flags.count("--max-campaigns");
+    let (listener, addr) = bind_or_die(bind);
+    let (control, http_addr) = bind_or_die(http);
+    eprintln!("[service: workers on {addr}, submissions on http://{http_addr}/campaigns]");
+    let cache = flags.path("--cache").map(|dir| open_cache(&dir));
     let start = Instant::now();
-    let (listener, control) = bind_session(&bind, http.as_deref(), runs);
-    let cache = cache_dir.as_deref().map(open_cache);
-    let outcome = serve_service(ServiceConfig {
+    let summary = serve_service(ServiceConfig {
         listener: &listener,
-        http: control.as_ref(),
-        opts: &serve_opts,
+        http: Some(&control),
+        opts: &coordinator.opts,
         cache: cache.as_ref(),
-        journal: journal.as_deref().map(JournalMode::Create),
-        journal_sync: journal_sync.unwrap_or(1),
-        max_campaigns: Some(1),
-        campaign: Some(plan),
+        journal: journal.as_deref().map(JournalMode::Dir),
+        journal_sync: coordinator.journal_sync,
+        max_campaigns,
+        campaign: None,
         supervise: None,
-    });
-    emit_results(&session_results(outcome), csv_dir.as_deref(), json_dir.as_deref());
+    })
+    .unwrap_or_else(|e| die(&e.to_string()));
     eprintln!(
-        "[campaign: {scenarios} scenario(s), {runs} simulation(s), distributed coordinator, {:.1}s]",
+        "[service: {} campaign(s) submitted, {} completed, {} fetched, {} failed, {:.1}s]",
+        summary.submitted,
+        summary.completed,
+        summary.fetched,
+        summary.failed,
         start.elapsed().as_secs_f64()
     );
+    if summary.failed > 0 {
+        std::process::exit(1);
+    }
+}
+
+/// The coordinator flags `serve`, `resume` and `--dist-workers` share,
+/// read before anything is bound, so that a bad value is reported first.
+struct Coordinator<'a> {
+    flags: &'a Flags,
+    /// Where workers connect.
+    bind: &'a str,
+    /// The lease options (`--lease-timeout`, `--chunk`).
+    opts: ServeOptions,
+    journal_sync: usize,
+}
+
+impl<'a> Coordinator<'a> {
+    fn read(flags: &'a Flags, bind: &'a str) -> Self {
+        let default = ServeOptions::default();
+        let opts = ServeOptions {
+            lease_timeout: flags.seconds("--lease-timeout").unwrap_or(default.lease_timeout),
+            chunk: flags.num("--chunk").unwrap_or(default.chunk),
+        };
+        Coordinator { flags, bind, opts, journal_sync: flags.num("--journal-sync").unwrap_or(1) }
+    }
 }
 
 /// Binds a listener, dying with the address on failure.
@@ -513,28 +384,79 @@ fn bind_or_die(bind: &str) -> (TcpListener, SocketAddr) {
     (listener, addr)
 }
 
-/// Binds a one-campaign session's worker listener and optional control
-/// plane, logging the addresses workers and probes connect to.
-fn bind_session(bind: &str, http: Option<&str>, runs: usize) -> (TcpListener, Option<TcpListener>) {
-    let (listener, addr) = bind_or_die(bind);
+/// Runs `plan` as a one-campaign session of the coordinator loop, as
+/// `serve <names>`, `resume` and `--dist-workers` all do: it listens for
+/// workers on the coordinator's address (and for probes on `--http`),
+/// journals as `journal` says and, given `pool` workers, spawns that many
+/// local `work` processes (sharing `--jobs`) and gives up if every one of
+/// them dies. The campaign's completion ends the session, which then
+/// prints the reports and writes the exports; a failed campaign exits 1.
+fn run_session(
+    plan: CampaignPlan,
+    coordinator: &Coordinator<'_>,
+    journal: Option<JournalMode<'_>>,
+    pool: Option<usize>,
+    backend: &str,
+) {
+    let flags = coordinator.flags;
+    let (scenarios, runs) = (plan.request().scenarios.len(), plan.runs());
+    let count = pool.unwrap_or(0);
+    let start = Instant::now();
+    let (listener, addr) = bind_or_die(coordinator.bind);
     eprintln!("[serve: listening on {addr}, {runs} simulation(s)]");
-    let control = http.map(|bind| {
+    let control = flags.value("--http").map(|bind| {
         let (control, addr) = bind_or_die(bind);
         eprintln!("[serve: http status on {addr}]");
         control
     });
-    (listener, control)
-}
-
-/// The results document of a finished one-campaign session. A failed
-/// campaign exits 1: the loop has already said why.
-fn session_results(outcome: Result<ServiceSummary, ExecutorError>) -> String {
+    let cache = flags.path("--cache").map(|dir| open_cache(&dir));
+    let mut workers = spawn_pool(addr, count, plan.request().opts.jobs);
+    let mut pool_check = || {
+        let all_gone = workers.iter_mut().all(|c| matches!(c.try_wait(), Ok(Some(_))));
+        all_gone.then(|| {
+            format!("all {count} self-spawned worker(s) exited before the campaign completed")
+        })
+    };
+    let outcome = serve_service(ServiceConfig {
+        listener: &listener,
+        http: control.as_ref(),
+        opts: &coordinator.opts,
+        cache: cache.as_ref(),
+        journal,
+        journal_sync: coordinator.journal_sync,
+        max_campaigns: Some(1),
+        campaign: Some(plan),
+        // A session whose whole self-spawned pool died must end, not
+        // wait forever for workers that will never reconnect.
+        supervise: pool.is_some().then_some(&mut pool_check as &mut dyn FnMut() -> _),
+    });
+    // The session is over either way: on success the workers have been
+    // sent `done`; on failure they would block on a dead coordinator.
+    reap(workers);
     let summary = outcome.unwrap_or_else(|e| die(&e.to_string()));
-    summary.results.unwrap_or_else(|| std::process::exit(1))
+    // A failed campaign exits 1: the loop has already said why.
+    let results = summary.results.unwrap_or_else(|| std::process::exit(1));
+    emit_results(&results, flags);
+    campaign_done(scenarios, runs, backend, start);
 }
 
-/// Spawns `count` local `work` processes of this binary against `addr`.
+/// The line a campaign that printed its reports closes with.
+fn campaign_done(scenarios: usize, runs: usize, backend: &str, start: Instant) {
+    eprintln!(
+        "[campaign: {scenarios} scenario(s), {runs} simulation(s), {backend}, {:.1}s]",
+        start.elapsed().as_secs_f64()
+    );
+}
+
+/// Spawns `count` local `work` processes of this binary against `addr`,
+/// splitting the `jobs` thread budget (0 = one per core) between them:
+/// each running a full per-core pool would oversubscribe the CPU.
 fn spawn_pool(addr: SocketAddr, count: usize, jobs: usize) -> Vec<Child> {
+    let total = match jobs {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        jobs => jobs,
+    };
+    let jobs = (total / count.max(1)).max(1);
     let exe = std::env::current_exe()
         .unwrap_or_else(|e| die(&format!("cannot locate this executable: {e}")));
     let mut pool = Vec::with_capacity(count);
@@ -568,15 +490,33 @@ fn reap(pool: Vec<Child>) {
     }
 }
 
+/// The run options on the command line.
+fn campaign_opts(flags: &Flags) -> ExperimentOpts {
+    let default = ExperimentOpts::default();
+    ExperimentOpts {
+        insts: flags.num("--insts").unwrap_or(default.insts),
+        warmup: flags.num("--warmup").unwrap_or(default.warmup),
+        seed: flags.num("--seed").unwrap_or(default.seed),
+        quick: flags.has("--quick"),
+        jobs: flags.num("--jobs").unwrap_or(default.jobs),
+    }
+}
+
 /// The description of the campaign the command line names (scenario
 /// names or `all`, plus `--sweep` files), carrying any sweep definitions
-/// inline so other processes can rebuild the namespace.
-fn campaign_request(
-    sweep_files: &[PathBuf],
-    names: Vec<&str>,
-    opts: ExperimentOpts,
-) -> CampaignRequest {
-    let registry = load_registry(sweep_files);
+/// inline so other processes can rebuild the namespace. A repeated name
+/// runs once, with a warning.
+fn campaign_request(flags: &Flags) -> CampaignRequest {
+    let opts = campaign_opts(flags);
+    let mut names: Vec<&str> = Vec::new();
+    for name in flags.positionals() {
+        if names.contains(&name) {
+            eprintln!("warning: duplicate scenario name {name} ignored");
+        } else {
+            names.push(name);
+        }
+    }
+    let registry = load_registry(flags);
     let names = with_sweep_names(names, &registry);
     let selected = select_scenarios(&registry, &names);
     CampaignRequest::new(selected.iter().map(|s| s.name.to_string()).collect(), opts)
@@ -584,45 +524,22 @@ fn campaign_request(
 }
 
 /// Plans the campaign the command line names.
-fn plan_campaign(sweep_files: &[PathBuf], names: Vec<&str>, opts: ExperimentOpts) -> CampaignPlan {
-    campaign_request(sweep_files, names, opts).plan().unwrap_or_else(|e| usage_error(&e))
+fn plan_campaign(flags: &Flags) -> CampaignPlan {
+    campaign_request(flags).plan().unwrap_or_else(|e| usage_error(&e))
 }
 
 /// Submits a campaign description to a running campaign service and
 /// prints the assigned campaign id to stdout (everything else goes to
 /// stderr, so `ID=$(experiments submit ...)` just works).
 fn submit_main(args: &[String]) {
-    let mut opts = ExperimentOpts::default();
-    let mut connect: Option<String> = None;
-    let mut raw = false;
-    let mut sweep_files: Vec<PathBuf> = Vec::new();
-    let mut names: Vec<&str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--connect" => connect = Some(parse_value("--connect", it.next())),
-            "--sweep" => sweep_files.push(parse_path("--sweep", it.next())),
-            "--insts" => opts.insts = parse_num("--insts", it.next()),
-            "--warmup" => opts.warmup = parse_num("--warmup", it.next()),
-            "--seed" => opts.seed = parse_num("--seed", it.next()),
-            "--quick" => opts.quick = true,
-            "--json" => raw = true,
-            flag if flag.starts_with("--") => usage_error(&format!("unknown option {flag}")),
-            name => {
-                if names.contains(&name) {
-                    eprintln!("warning: duplicate scenario name {name} ignored");
-                } else {
-                    names.push(name);
-                }
-            }
-        }
-    }
-    let Some(addr) = connect else {
+    let flags =
+        Flags::parse(args, &[CAMPAIGN_FLAGS, "--connect"], &["--quick --json"], usage_error);
+    let Some(addr) = flags.value("--connect") else {
         usage_error("submit needs --connect ADDR (the service's --http address)");
     };
-    let request = campaign_request(&sweep_files, names, opts);
+    let request = campaign_request(&flags);
     let (code, body) = http::post(
-        &addr,
+        addr,
         "/campaigns",
         "application/json",
         &request.to_json(),
@@ -632,7 +549,7 @@ fn submit_main(args: &[String]) {
     if code != 201 {
         die(&format!("{addr}: POST /campaigns answered {code}: {}", body.trim()));
     }
-    if raw {
+    if flags.has("--json") {
         print!("{body}");
         return;
     }
@@ -654,36 +571,20 @@ fn submit_main(args: &[String]) {
 /// reports (and writes `--csv`/`--json` exports) byte-identically to an
 /// in-process run of the same description.
 fn fetch_main(args: &[String]) {
-    let mut connect: Option<String> = None;
-    let mut id: Option<u64> = None;
-    let mut timeout = Duration::from_secs(120);
-    let mut csv_dir: Option<PathBuf> = None;
-    let mut json_dir: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--connect" => connect = Some(parse_value("--connect", it.next())),
-            "--id" => id = Some(parse_num("--id", it.next())),
-            "--timeout" => {
-                timeout = Duration::from_secs(parse_positive("--timeout", it.next()) as u64);
-            }
-            "--csv" => csv_dir = Some(parse_path("--csv", it.next())),
-            "--json" => json_dir = Some(parse_path("--json", it.next())),
-            flag if flag.starts_with("--") => usage_error(&format!("unknown option {flag}")),
-            other => usage_error(&format!("unexpected argument {other} (fetch takes only flags)")),
-        }
-    }
-    let Some(addr) = connect else {
+    let flags = Flags::parse(args, &["--connect --id --timeout --csv --json"], &[], usage_error);
+    flags.no_positionals("fetch takes only flags");
+    let Some(addr) = flags.value("--connect") else {
         usage_error("fetch needs --connect ADDR (the service's --http address)");
     };
-    let Some(id) = id else {
+    let Some(id) = flags.num::<u64>("--id") else {
         usage_error("fetch needs --id N (the id `submit` printed)");
     };
+    let timeout = flags.seconds("--timeout").unwrap_or(Duration::from_secs(120));
 
     // Poll the lifecycle until the campaign is fetchable (or doomed).
     let deadline = Instant::now() + timeout;
     loop {
-        let (code, body) = http::get(&addr, &format!("/campaigns/{id}"), Duration::from_secs(5))
+        let (code, body) = http::get(addr, &format!("/campaigns/{id}"), Duration::from_secs(5))
             .unwrap_or_else(|e| die(&e));
         if code != 200 {
             die(&format!("{addr}: GET /campaigns/{id} answered {code}: {}", body.trim()));
@@ -709,20 +610,20 @@ fn fetch_main(args: &[String]) {
         }
     }
 
-    let (code, body) =
-        http::get(&addr, &format!("/campaigns/{id}/results"), Duration::from_secs(5))
-            .unwrap_or_else(|e| die(&e));
+    let (code, body) = http::get(addr, &format!("/campaigns/{id}/results"), Duration::from_secs(5))
+        .unwrap_or_else(|e| die(&e));
     if code != 200 {
         die(&format!("{addr}: GET /campaigns/{id}/results answered {code}: {}", body.trim()));
     }
-    let reports = emit_results(&body, csv_dir.as_deref(), json_dir.as_deref());
+    let reports = emit_results(&body, &flags);
     eprintln!("[fetch: campaign {id}: {reports} scenario report(s)]");
 }
 
 /// Prints the reports of a results document (`GET /campaigns/<id>/results`)
-/// and writes its exports — byte for byte what [`emit_reports`] produces
-/// in process. Returns how many scenario reports it held.
-fn emit_results(doc: &str, csv_dir: Option<&Path>, json_dir: Option<&Path>) -> usize {
+/// and writes the `--csv`/`--json` exports the command line asks for —
+/// byte for byte what [`emit_reports`] produces in process. Returns how
+/// many scenario reports it held.
+fn emit_results(doc: &str, flags: &Flags) -> usize {
     let parsed =
         parse_json(doc).unwrap_or_else(|e| die(&format!("malformed results document: {e}")));
     let entries = parsed
@@ -741,11 +642,11 @@ fn emit_results(doc: &str, csv_dir: Option<&Path>, json_dir: Option<&Path>) -> u
                 .unwrap_or_else(|| die(&format!("results entry {name} carries no {key}")))
         };
         println!("{}", field("report"));
-        if let Some(dir) = csv_dir {
-            write_fetched(dir, name, "csv", field("csv"));
+        if let Some(dir) = flags.path("--csv") {
+            write_fetched(&dir, name, "csv", field("csv"));
         }
-        if let Some(dir) = json_dir {
-            write_fetched(dir, name, "json", field("json"));
+        if let Some(dir) = flags.path("--json") {
+            write_fetched(&dir, name, "json", field("json"));
         }
     }
     entries.len()
@@ -765,43 +666,15 @@ fn write_fetched(dir: &Path, name: &str, ext: &str, content: &str) {
 /// on the command line), completed records are replayed, and only the
 /// remainder is served.
 fn resume_main(args: &[String]) {
-    let mut serve_opts = ServeOptions::default();
-    let mut bind: Option<String> = None;
-    let mut http: Option<String> = None;
-    let mut csv_dir: Option<PathBuf> = None;
-    let mut json_dir: Option<PathBuf> = None;
-    let mut journal: Option<PathBuf> = None;
-    let mut journal_sync: Option<usize> = None;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--bind" => bind = Some(parse_value("--bind", it.next())),
-            "--http" => http = Some(parse_value("--http", it.next())),
-            "--lease-timeout" => {
-                serve_opts.lease_timeout =
-                    Duration::from_secs(parse_positive("--lease-timeout", it.next()) as u64);
-            }
-            "--chunk" => serve_opts.chunk = parse_num("--chunk", it.next()) as usize,
-            "--journal" => journal = Some(parse_path("--journal", it.next())),
-            "--journal-sync" => {
-                journal_sync = Some(parse_num("--journal-sync", it.next()) as usize);
-            }
-            "--csv" => csv_dir = Some(parse_path("--csv", it.next())),
-            "--json" => json_dir = Some(parse_path("--json", it.next())),
-            "--cache" => cache_dir = Some(parse_path("--cache", it.next())),
-            flag if flag.starts_with("--") => usage_error(&format!("unknown option {flag}")),
-            other => usage_error(&format!(
-                "unexpected argument {other} (resume re-derives the campaign from the journal)"
-            )),
-        }
-    }
-    let Some(journal) = journal else {
+    let flags = Flags::parse(args, &[COORDINATOR_FLAGS], &[], usage_error);
+    flags.no_positionals("resume re-derives the campaign from the journal");
+    let Some(journal) = flags.path("--journal") else {
         usage_error("resume needs --journal FILE (the interrupted campaign's journal)");
     };
-    let Some(bind) = bind else {
+    let Some(bind) = flags.value("--bind") else {
         usage_error("resume needs --bind ADDR (e.g. --bind 0.0.0.0:7841)");
     };
+    let coordinator = Coordinator::read(&flags, bind);
 
     // The journal header is the campaign description; only the first
     // line is read here — the session reads the file once and replays
@@ -825,60 +698,30 @@ fn resume_main(args: &[String]) {
         .campaign
         .plan()
         .unwrap_or_else(|e| die(&format!("journal {e} (written by a different binary version?)")));
-    let (scenarios, runs) = (plan.request().scenarios.len(), plan.runs());
-    eprintln!("[resume: resuming a {runs}-run campaign from {}]", journal.display());
-    let start = Instant::now();
-    let (listener, control) = bind_session(&bind, http.as_deref(), runs);
-    let cache = cache_dir.as_deref().map(open_cache);
-    let outcome = serve_service(ServiceConfig {
-        listener: &listener,
-        http: control.as_ref(),
-        opts: &serve_opts,
-        cache: cache.as_ref(),
-        journal: Some(JournalMode::Resume(&journal)),
-        journal_sync: journal_sync.unwrap_or(1),
-        max_campaigns: Some(1),
-        campaign: Some(plan),
-        supervise: None,
-    });
-    emit_results(&session_results(outcome), csv_dir.as_deref(), json_dir.as_deref());
-    eprintln!(
-        "[campaign: {scenarios} scenario(s), {runs} simulation(s), resumed coordinator, {:.1}s]",
-        start.elapsed().as_secs_f64()
-    );
+    eprintln!("[resume: resuming a {}-run campaign from {}]", plan.runs(), journal.display());
+    let journal = Some(JournalMode::Resume(&journal));
+    run_session(plan, &coordinator, journal, None, "resumed coordinator");
 }
 
 /// Runs as a distributed campaign worker until the coordinator says done.
 fn work_main(args: &[String]) {
-    let mut connect: Option<String> = None;
-    let mut work_opts = WorkOptions::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--connect" => connect = Some(parse_value("--connect", it.next())),
-            // Positive like --lease-timeout: a zero window collapses
-            // the retry loop to a single attempt, silently defeating
-            // the launched-before-the-coordinator race this flag exists
-            // to cover — reject it by name rather than accept a value
-            // that does not mean what it appears to.
-            "--connect-timeout" => {
-                work_opts.connect_timeout =
-                    Duration::from_secs(parse_positive("--connect-timeout", it.next()) as u64);
-            }
-            "--jobs" => work_opts.jobs = parse_num("--jobs", it.next()) as usize,
-            "--quit-after-leases" => {
-                work_opts.quit_after_leases =
-                    Some(parse_num("--quit-after-leases", it.next()) as usize);
-            }
-            flag if flag.starts_with("--") => usage_error(&format!("unknown option {flag}")),
-            other => usage_error(&format!("unexpected argument {other} (work takes only flags)")),
-        }
-    }
-    let Some(addr) = connect else {
+    let values = ["--connect --connect-timeout --jobs --quit-after-leases"];
+    let flags = Flags::parse(args, &values, &[], usage_error);
+    flags.no_positionals("work takes only flags");
+    let Some(addr) = flags.value("--connect") else {
         usage_error("work needs --connect ADDR (the coordinator's serve --bind address)");
     };
+    let default = WorkOptions::default();
+    let work_opts = WorkOptions {
+        jobs: flags.num("--jobs").unwrap_or(default.jobs),
+        // Positive like --lease-timeout: a zero window collapses the
+        // retry loop to a single attempt, silently defeating the
+        // launched-before-the-coordinator race this flag exists to cover.
+        connect_timeout: flags.seconds("--connect-timeout").unwrap_or(default.connect_timeout),
+        quit_after_leases: flags.num("--quit-after-leases"),
+    };
     let start = Instant::now();
-    let summary = transport::work(&addr, &work_opts).unwrap_or_else(|e| die(&e));
+    let summary = transport::work(addr, &work_opts).unwrap_or_else(|e| die(&e));
     eprintln!(
         "[work: {} simulation(s) in {} lease(s){}, {:.1}s]",
         summary.simulated,
@@ -893,26 +736,17 @@ fn work_main(args: &[String]) {
 /// roster (`--json` passes the raw snapshot through untouched for
 /// scripts).
 fn status_main(args: &[String]) {
-    let mut connect: Option<String> = None;
-    let mut raw = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--connect" => connect = Some(parse_value("--connect", it.next())),
-            "--json" => raw = true,
-            flag if flag.starts_with("--") => usage_error(&format!("unknown option {flag}")),
-            other => usage_error(&format!("unexpected argument {other} (status takes only flags)")),
-        }
-    }
-    let Some(addr) = connect else {
+    let flags = Flags::parse(args, &["--connect"], &["--json"], usage_error);
+    flags.no_positionals("status takes only flags");
+    let Some(addr) = flags.value("--connect") else {
         usage_error("status needs --connect ADDR (the coordinator's --http address)");
     };
     let (code, body) =
-        http::get(&addr, "/status", Duration::from_secs(5)).unwrap_or_else(|e| die(&e));
+        http::get(addr, "/status", Duration::from_secs(5)).unwrap_or_else(|e| die(&e));
     if code != 200 {
         die(&format!("{addr}: /status answered {code}: {}", body.trim()));
     }
-    if raw {
+    if flags.has("--json") {
         print!("{body}");
         return;
     }
@@ -1001,15 +835,8 @@ fn status_main(args: &[String]) {
 /// re-checks every entry end to end and exits 1 if anything is wrong,
 /// and `clear` empties the store.
 fn cache_main(args: &[String]) {
-    let mut json = false;
-    let mut positional: Vec<&str> = Vec::new();
-    for arg in args {
-        match arg.as_str() {
-            "--json" => json = true,
-            flag if flag.starts_with("--") => usage_error(&format!("unknown option {flag}")),
-            value => positional.push(value),
-        }
-    }
+    let flags = Flags::parse(args, &[], &["--json"], usage_error);
+    let positional: Vec<&str> = flags.positionals().collect();
     let [action, dir]: [&str; 2] = positional.try_into().unwrap_or_else(|_| {
         usage_error("cache needs an action and a directory: cache <stats|verify|clear> DIR")
     });
@@ -1028,7 +855,7 @@ fn cache_main(args: &[String]) {
             let stats = cache
                 .stats()
                 .unwrap_or_else(|e| die(&format!("cannot read cache {}: {e}", dir.display())));
-            if json {
+            if flags.has("--json") {
                 println!("{}", stats.to_json(&dir));
                 return;
             }
@@ -1116,18 +943,8 @@ fn open_cache(dir: &Path) -> Cache {
 
 /// Merges shard files back into reports and exports.
 fn merge_main(args: &[String]) {
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut csv_dir: Option<PathBuf> = None;
-    let mut json_dir: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--csv" => csv_dir = Some(parse_path("--csv", it.next())),
-            "--json" => json_dir = Some(parse_path("--json", it.next())),
-            flag if flag.starts_with("--") => usage_error(&format!("unknown option {flag}")),
-            file => files.push(PathBuf::from(file)),
-        }
-    }
+    let flags = Flags::parse(args, &["--csv --json"], &[], usage_error);
+    let files: Vec<PathBuf> = flags.positionals().map(PathBuf::from).collect();
     if files.is_empty() {
         usage_error("merge needs at least one shard file");
     }
@@ -1186,7 +1003,7 @@ fn merge_main(args: &[String]) {
     let results =
         assemble_shard_results(&plan.flat(), records).unwrap_or_else(|e| die(&e.to_string()));
     let names = &plan.request().scenarios;
-    emit_reports(names, &plan.assemble(results), csv_dir.as_deref(), json_dir.as_deref());
+    emit_reports(names, &plan.assemble(results), &flags);
     eprintln!(
         "[merge: {} scenario(s), {} simulation(s) from {} shard(s), {:.1}s]",
         names.len(),
@@ -1196,12 +1013,13 @@ fn merge_main(args: &[String]) {
     );
 }
 
-/// Loads `--sweep` definition files into a scenario registry (dying
-/// with a usage error on an invalid definition or duplicate name).
-fn load_registry(files: &[PathBuf]) -> Registry {
-    let defs: Vec<SweepDef> = files
-        .iter()
-        .map(|path| SweepDef::load(&path.display().to_string()).unwrap_or_else(|e| usage_error(&e)))
+/// Loads the `--sweep` definition files into a scenario registry, in
+/// command-line order (dying with a usage error on an invalid definition
+/// or duplicate name).
+fn load_registry(flags: &Flags) -> Registry {
+    let defs: Vec<SweepDef> = flags
+        .all("--sweep")
+        .map(|path| SweepDef::load(path).unwrap_or_else(|e| usage_error(&e)))
         .collect();
     Registry::with_sweeps(defs).unwrap_or_else(|e| usage_error(&e))
 }
@@ -1244,24 +1062,19 @@ fn select_scenarios<'r>(registry: &'r Registry, names: &[&str]) -> Vec<&'r scena
     selected
 }
 
-/// Prints each scenario's report to stdout and writes the requested
-/// exports.
-fn emit_reports(
-    names: &[String],
-    reports: &[Box<dyn ScenarioReport>],
-    csv_dir: Option<&Path>,
-    json_dir: Option<&Path>,
-) {
+/// Prints each scenario's report to stdout and writes the `--csv`/`--json`
+/// exports the command line asks for.
+fn emit_reports(names: &[String], reports: &[Box<dyn ScenarioReport>], flags: &Flags) {
     for (name, report) in names.iter().zip(reports) {
         println!("{report}");
         let table = report.to_table();
-        if let Some(dir) = csv_dir {
-            write_csv(dir, name, &table).unwrap_or_else(|e| {
+        if let Some(dir) = flags.path("--csv") {
+            write_csv(&dir, name, &table).unwrap_or_else(|e| {
                 die(&format!("cannot write {}/{name}.csv: {e}", dir.display()))
             });
         }
-        if let Some(dir) = json_dir {
-            write_json(dir, name, &table).unwrap_or_else(|e| {
+        if let Some(dir) = flags.path("--json") {
+            write_json(&dir, name, &table).unwrap_or_else(|e| {
                 die(&format!("cannot write {}/{name}.json: {e}", dir.display()))
             });
         }
@@ -1269,18 +1082,23 @@ fn emit_reports(
 }
 
 /// `--list`: the built-in scenarios, plus any `--sweep FILE` sweeps
-/// rendered with their axis summaries.
+/// rendered with their axis summaries. `--list` may stand anywhere on
+/// the command line, so anything else beside it is refused in its own
+/// words, flags included.
 fn list(args: &[String]) {
-    let mut sweep_files: Vec<PathBuf> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--sweep" => sweep_files.push(parse_path("--sweep", it.next())),
-            "--list" => {}
-            other => usage_error(&format!("--list takes only --sweep FILE, not {other}")),
-        }
+    let refuse = |other: &str| -> ! {
+        usage_error(&format!("--list takes only --sweep FILE, not {other}"));
+    };
+    if let Some(flag) =
+        args.iter().find(|a| a.starts_with("--") && *a != "--list" && *a != "--sweep")
+    {
+        refuse(flag);
     }
-    let registry = load_registry(&sweep_files);
+    let flags = Flags::parse(args, &["--sweep"], &["--list"], usage_error);
+    if let Some(other) = flags.positionals().next() {
+        refuse(other);
+    }
+    let registry = load_registry(&flags);
     let width = registry.iter().map(|s| s.name.len()).max().unwrap_or(0);
     for s in Registry::builtin().iter() {
         println!("{:width$}  {}", s.name, s.description);
@@ -1303,50 +1121,9 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_num(flag: &str, arg: Option<&String>) -> u64 {
-    let Some(arg) = arg else {
-        usage_error(&format!("missing value for {flag}"));
-    };
-    // Underscore grouping (1_000_000) is stripped before parsing, but
-    // the error must name the token the user typed, never the mangled
-    // one — `--insts _` strips to the empty string, whose stock parse
-    // error ("cannot parse integer from empty string") would point at
-    // nothing the user can see on their command line.
-    let digits = arg.replace('_', "");
-    digits.parse().unwrap_or_else(|_| {
-        usage_error(&format!("invalid value {arg} for {flag}: expected a number"));
-    })
-}
-
-fn parse_path(flag: &str, arg: Option<&String>) -> PathBuf {
-    PathBuf::from(parse_value(flag, arg))
-}
-
-fn parse_value(flag: &str, arg: Option<&String>) -> String {
-    // A following `--flag` is not a value: without this check,
-    // `--csv --quick` would silently swallow the next flag as its value.
-    match arg {
-        Some(arg) if !arg.starts_with("--") => arg.clone(),
-        _ => usage_error(&format!("missing value for {flag}")),
-    }
-}
-
-fn parse_positive(flag: &str, arg: Option<&String>) -> usize {
-    let n = parse_num(flag, arg) as usize;
-    if n == 0 {
-        usage_error(&format!("invalid value 0 for {flag}: count must be positive"));
-    }
-    n
-}
-
-/// Parses and validates the `I/N` argument of `--shard`.
-fn parse_shard(arg: Option<&String>) -> (usize, usize) {
-    let Some(arg) = arg else {
-        usage_error("missing value for --shard");
-    };
-    let invalid = |why: &str| -> ! {
-        usage_error(&format!("invalid value {arg} for --shard: {why}"));
-    };
+/// Parses and validates the `I/N` value of `--shard`.
+fn parse_shard(flags: &Flags, arg: &str) -> (usize, usize) {
+    let invalid = |why: &str| -> ! { flags.invalid("--shard", arg, why) };
     let Some((index, count)) = arg.split_once('/') else {
         invalid("expected I/N (e.g. 0/2)");
     };

@@ -15,9 +15,14 @@
 //! one, cyclically as sweeps replay traces, and reports it under the file
 //! stem (the `--bench` profile is then ignored).
 //!
-//! A malformed flag value, an invalid pipeline or register file
+//! Flags follow the grammar `experiments` shares ([`rfcache_bench::Flags`]).
+//! A malformed flag value, a register-file flag the chosen `--arch`
+//! ignores (`--upper-entries`, `--caching`, `--fetch` and `--rfc-ports`
+//! are for `rfc`, `--ports` for the single banks, `--banks` for
+//! `replicated` and `onelevel`), an invalid pipeline or register file
 //! configuration and an unreadable or empty trace exit 2 with the reason.
 
+use rfcache_bench::Flags;
 use rfcache_core::{
     CachingPolicy, FetchPolicy, OneLevelBankedConfig, PortLimits, RegFileCacheConfig,
     RegFileConfig, ReplicatedBankConfig, SingleBankConfig,
@@ -36,105 +41,38 @@ fn bail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-struct Args {
-    bench: String,
-    trace_in: Option<String>,
-    trace_out: Option<String>,
-    arch: String,
-    insts: u64,
-    warmup: u64,
-    seed: u64,
-    window: Option<usize>,
-    phys_regs: Option<usize>,
-    upper_entries: usize,
-    caching: CachingPolicy,
-    fetch: FetchPolicy,
-    ports: Option<(u32, u32)>,
-    rfc_ports: Option<(u32, u32, u32, u32)>,
-    banks: u32,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        bench: "gcc".into(),
-        trace_in: None,
-        trace_out: None,
-        arch: "rfc".into(),
-        insts: DEFAULT_INSTS,
-        warmup: DEFAULT_WARMUP,
-        seed: 42,
-        window: None,
-        phys_regs: None,
-        upper_entries: 16,
-        caching: CachingPolicy::NonBypass,
-        fetch: FetchPolicy::PrefetchFirstPair,
-        ports: None,
-        rfc_ports: None,
-        banks: 8,
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_else(|| bail("missing value"));
-        match flag.as_str() {
-            "--bench" => args.bench = value(),
-            "--trace-in" => args.trace_in = Some(value()),
-            "--trace-out" => args.trace_out = Some(value()),
-            "--arch" => args.arch = value(),
-            "--insts" => args.insts = value().parse().unwrap_or_else(|_| bail("bad --insts")),
-            "--warmup" => args.warmup = value().parse().unwrap_or_else(|_| bail("bad --warmup")),
-            "--seed" => args.seed = value().parse().unwrap_or_else(|_| bail("bad --seed")),
-            "--window" => {
-                args.window = Some(value().parse().unwrap_or_else(|_| bail("bad --window")))
-            }
-            "--phys-regs" => {
-                args.phys_regs = Some(value().parse().unwrap_or_else(|_| bail("bad --phys-regs")))
-            }
-            "--upper-entries" => {
-                args.upper_entries = value().parse().unwrap_or_else(|_| bail("bad --upper-entries"))
-            }
-            "--caching" => {
-                args.caching = match value().as_str() {
-                    "nonbypass" => CachingPolicy::NonBypass,
-                    "ready" => CachingPolicy::Ready,
-                    _ => bail("bad --caching"),
-                }
-            }
-            "--fetch" => {
-                args.fetch = match value().as_str() {
-                    "demand" => FetchPolicy::OnDemand,
-                    "prefetch" => FetchPolicy::PrefetchFirstPair,
-                    _ => bail("bad --fetch"),
-                }
-            }
-            "--ports" => {
-                let v = value();
-                let parts: Vec<u32> = v.split(',').filter_map(|s| s.parse().ok()).collect();
-                if parts.len() != 2 {
-                    bail("bad --ports, expected R,W");
-                }
-                args.ports = Some((parts[0], parts[1]));
-            }
-            "--rfc-ports" => {
-                let v = value();
-                let parts: Vec<u32> = v.split(',').filter_map(|s| s.parse().ok()).collect();
-                if parts.len() != 4 {
-                    bail("bad --rfc-ports, expected R,W,LW,B");
-                }
-                args.rfc_ports = Some((parts[0], parts[1], parts[2], parts[3]));
-            }
-            "--banks" => args.banks = value().parse().unwrap_or_else(|_| bail("bad --banks")),
-            other => bail(&format!("unknown flag {other}")),
-        }
-    }
-    args
+/// The last value of a comma-separated port flag, `N` counts long.
+fn ports<const N: usize>(flags: &Flags, flag: &str, shape: &str) -> Option<[u32; N]> {
+    flags
+        .all(flag)
+        .map(|value| {
+            let counts: Vec<u32> = value.split(',').map(|n| flags.number(flag, n)).collect();
+            counts.try_into().unwrap_or_else(|_| flags.invalid(flag, value, shape))
+        })
+        .last()
 }
 
 fn main() {
-    let args = parse_args();
-    let single_ports =
-        args.ports.map(|(r, w)| PortLimits::limited(r, w)).unwrap_or(PortLimits::UNLIMITED);
-    let rf = match args.arch.as_str() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let rf_flags = "--ports --upper-entries --caching --fetch --rfc-ports --banks";
+    let run_flags = "--bench --trace-in --trace-out --arch --insts --warmup --seed";
+    let flags = Flags::parse(&argv, &[run_flags, "--window --phys-regs", rf_flags], &[], bail);
+    flags.no_positionals("simulate takes only flags");
+    // Every register-file flag applies to some architectures only.
+    let arch = flags.value("--arch").unwrap_or("rfc");
+    let applies: &[&str] = match arch {
+        "1cyc" | "2cyc" | "2cyc-full" => &["--ports"],
+        "rfc" => &["--upper-entries", "--caching", "--fetch", "--rfc-ports"],
+        "replicated" | "onelevel" => &["--banks"],
+        other => bail(&format!("unknown architecture {other}")),
+    };
+    if let Some(flag) = rf_flags.split_whitespace().find(|f| flags.has(f) && !applies.contains(f)) {
+        bail(&format!("{flag} does not apply to --arch {arch}"));
+    }
+    let single_ports = ports(&flags, "--ports", "expected R,W")
+        .map_or(PortLimits::UNLIMITED, |[r, w]| PortLimits::limited(r, w));
+    let banks = flags.num("--banks").unwrap_or(8);
+    let rf = match arch {
         "1cyc" => RegFileConfig::Single(SingleBankConfig::one_cycle().with_ports(single_ports)),
         "2cyc" => RegFileConfig::Single(
             SingleBankConfig::two_cycle_single_bypass().with_ports(single_ports),
@@ -143,29 +81,40 @@ fn main() {
             SingleBankConfig::two_cycle_full_bypass().with_ports(single_ports),
         ),
         "rfc" => {
+            let caching =
+                [("nonbypass", CachingPolicy::NonBypass), ("ready", CachingPolicy::Ready)];
+            let fetch =
+                [("demand", FetchPolicy::OnDemand), ("prefetch", FetchPolicy::PrefetchFirstPair)];
             let mut cfg = RegFileCacheConfig {
-                upper_entries: args.upper_entries,
+                upper_entries: flags.num("--upper-entries").unwrap_or(16),
                 ..RegFileCacheConfig::paper_default()
             }
-            .with_policies(args.caching, args.fetch);
-            if let Some((r, w, lw, b)) = args.rfc_ports {
+            .with_policies(
+                flags.choice("--caching", &caching).unwrap_or(CachingPolicy::NonBypass),
+                flags.choice("--fetch", &fetch).unwrap_or(FetchPolicy::PrefetchFirstPair),
+            );
+            if let Some([r, w, lw, b]) = ports(&flags, "--rfc-ports", "expected R,W,LW,B") {
                 cfg = cfg.with_ports(r, w, lw, b);
             }
             RegFileConfig::Cache(cfg)
         }
         "replicated" => RegFileConfig::Replicated(ReplicatedBankConfig {
-            banks: args.banks,
+            banks,
             ..ReplicatedBankConfig::default()
         }),
-        "onelevel" => RegFileConfig::OneLevel(OneLevelBankedConfig::wallace(args.banks)),
-        other => bail(&format!("unknown architecture {other}")),
+        "onelevel" => RegFileConfig::OneLevel(OneLevelBankedConfig::wallace(banks)),
+        _ => unreachable!("architecture checked above"),
     };
+    let bench = flags.value("--bench").unwrap_or("gcc");
+    let insts = flags.num("--insts").unwrap_or(DEFAULT_INSTS);
+    let warmup = flags.num("--warmup").unwrap_or(DEFAULT_WARMUP);
+    let seed = flags.num("--seed").unwrap_or(42);
 
     let mut pipeline = PipelineConfig::default();
-    if let Some(w) = args.window {
+    if let Some(w) = flags.num("--window") {
         pipeline = pipeline.with_window(w);
     }
-    if let Some(p) = args.phys_regs {
+    if let Some(p) = flags.num("--phys-regs") {
         pipeline = pipeline.with_phys_regs(p);
     }
     if let Err(reason) = pipeline.validate() {
@@ -176,26 +125,25 @@ fn main() {
     }
 
     // Optional trace capture/replay via the RFCT format.
-    if let Some(path) = &args.trace_out {
-        let profile = rfcache_workload::BenchProfile::by_name(&args.bench)
-            .unwrap_or_else(|| bail("unknown benchmark"));
-        let insts: Vec<_> = rfcache_workload::TraceGenerator::new(profile, args.seed)
-            .take((args.warmup + args.insts) as usize)
+    if let Some(path) = flags.value("--trace-out") {
+        let profile = rfcache_workload::BenchProfile::by_name(bench)
+            .unwrap_or_else(|| bail(&format!("unknown benchmark {bench}")));
+        let insts: Vec<_> = rfcache_workload::TraceGenerator::new(profile, seed)
+            .take((warmup + insts) as usize)
             .collect();
         let file = std::fs::File::create(path).unwrap_or_else(|e| bail(&e.to_string()));
         rfcache_workload::write_trace(std::io::BufWriter::new(file), &insts)
             .unwrap_or_else(|e| bail(&e.to_string()));
         eprintln!("wrote {} instructions to {path}", insts.len());
     }
-    let spec = match &args.trace_in {
+    let spec = match flags.value("--trace-in") {
         Some(path) => {
             let trace = TraceWorkload::load(path, None, false).unwrap_or_else(|e| bail(&e));
             RunSpec::from_workload(WorkloadSource::Trace(trace), rf)
         }
-        None => RunSpec::new(&args.bench, rf).unwrap_or_else(|e| bail(&e)),
+        None => RunSpec::new(bench, rf).unwrap_or_else(|e| bail(&e)),
     };
-    let result =
-        spec.pipeline(pipeline).insts(args.insts).warmup(args.warmup).seed(args.seed).run();
+    let result = spec.pipeline(pipeline).insts(insts).warmup(warmup).seed(seed).run();
 
     let m = &result.metrics;
     println!("benchmark: {} | architecture: {rf}", result.bench);

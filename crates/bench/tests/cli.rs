@@ -265,6 +265,34 @@ fn sweep_rejects_zero_port_and_bus_counts_by_rf_label() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `experiments sweep` reads its positional arguments as `--sweep`
+/// files, in command-line order among the `--sweep` flags, and reports
+/// the sweeps in that order.
+#[test]
+fn sweep_reports_follow_command_line_order() {
+    let dir = temp_out("sweep_order");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, rf) in [("sa", "one-cycle"), ("sb", "rfc")] {
+        let sweep = format!(
+            r#"{{"name": "{name}", "workloads": ["li"], "rf": ["{rf}"], "insts": 1000, "warmup": 0}}"#
+        );
+        std::fs::write(dir.join(format!("{name}.json")), sweep).unwrap();
+    }
+    let (a, b) = (dir.join("sa.json"), dir.join("sb.json"));
+    let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
+    for (args, first, second) in [
+        ([a, "--sweep", b], "sweep sa ", "sweep sb "),
+        (["--sweep", b, a], "sweep sb ", "sweep sa "),
+    ] {
+        let out = experiments().arg("sweep").args(args).output().expect("binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let at = |title: &str| stdout.find(title).unwrap_or_else(|| panic!("{title}: {stdout}"));
+        assert!(at(first) < at(second), "{args:?}: {stdout}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Committed instructions of a `simulate` report (`IPC x (N insts / ...`).
 fn committed(stdout: &str) -> u64 {
     let (_, rest) = stdout.split_once("IPC ").expect("report has an IPC line");
@@ -321,8 +349,19 @@ fn simulate_rejects_an_empty_trace() {
 
 #[test]
 fn simulate_rejects_bad_pipeline_flags_by_name() {
-    let cases: [(&[&str], &str); 14] = [
-        (&["--window", "abc"], "bad --window"),
+    // Regression: a value flag at the end of the line used to die with a
+    // bare "missing value" that never named it.
+    let out = simulate(&["--insts"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("missing value for --insts"));
+    let cases: [(&[&str], &str); 27] = [
+        // Nor does a value flag take the next flag as its value.
+        (&["--bench", "--arch", "rfc"], "missing value for --bench"),
+        (&["--arch", "rfc", "--frob"], "unknown option --frob"),
+        (&["gcc"], "unexpected argument gcc"),
+        (&["--window", "abc"], "invalid value abc for --window: expected a number"),
+        (&["--insts", "1_0x"], "invalid value 1_0x for --insts: expected a number"),
+        (&["--bench", "foo", "--trace-out", "never-written.rfct"], "unknown benchmark foo"),
         (&["--window", "0"], "window_size must be at least 1"),
         (&["--phys-regs", "39"], "phys_regs 39 must be at least 40"),
         // Register files no model can be built from.
@@ -338,6 +377,21 @@ fn simulate_rejects_bad_pipeline_flags_by_name() {
         (&["--arch", "rfc", "--rfc-ports", "0,2,2,2"], "upper_read_ports must be at least 1"),
         (&["--arch", "rfc", "--rfc-ports", "2,2,0,2"], "lower_write_ports must be at least 1"),
         (&["--arch", "rfc", "--rfc-ports", "2,2,2,0"], "buses must be at least 1"),
+        (&["--arch", "rfc", "--rfc-ports", "2,2,2"], "invalid value 2,2,2 for --rfc-ports"),
+        // Register-file flags the architecture would ignore.
+        (
+            &["--arch", "1cyc", "--upper-entries", "4"],
+            "--upper-entries does not apply to --arch 1cyc",
+        ),
+        (&["--arch", "2cyc", "--caching", "ready"], "--caching does not apply to --arch 2cyc"),
+        (
+            &["--arch", "replicated", "--fetch", "demand"],
+            "--fetch does not apply to --arch replicated",
+        ),
+        (&["--arch", "onelevel", "--rfc-ports", "2,2,2,2"], "--rfc-ports does not apply"),
+        (&["--arch", "rfc", "--ports", "0,0"], "--ports does not apply to --arch rfc"),
+        (&["--arch", "rfc", "--banks", "0"], "--banks does not apply to --arch rfc"),
+        (&["--arch", "2cyc-full", "--banks", "4"], "--banks does not apply to --arch 2cyc-full"),
     ];
     for (args, reason) in cases {
         let out = simulate(&[args, &["--insts", "1000", "--warmup", "0"]].concat());

@@ -63,19 +63,6 @@ impl TraceInst {
         }
     }
 
-    /// Creates a one-source ALU-class instruction (`dst = op src`).
-    pub fn alu1(op: OpClass, dst: ArchReg, src: ArchReg) -> Self {
-        debug_assert!(!op.is_mem() && !op.is_branch(), "alu1() given {op}");
-        TraceInst {
-            pc: 0,
-            op,
-            dst: Some(dst),
-            srcs: [Some(src), None],
-            mem_addr: None,
-            branch: None,
-        }
-    }
-
     /// Creates a load: `dst = mem[addr]`, with `base` the address register.
     pub fn load(dst: ArchReg, base: ArchReg, addr: u64, pc: u64) -> Self {
         TraceInst {

@@ -10,7 +10,6 @@
 //! | 2 FP divide | 14 |
 //! | 4 load/store | address generation 1 + cache access |
 
-use crate::reg::RegClass;
 use std::fmt;
 
 /// Dynamic instruction class. Each class maps to one functional-unit kind
@@ -73,18 +72,6 @@ impl OpClass {
             OpClass::FpAlu => FuKind::SimpleFp,
             OpClass::FpDiv => FuKind::FpDiv,
             OpClass::Load | OpClass::Store => FuKind::LoadStore,
-        }
-    }
-
-    /// Register class of the destination produced by this instruction class
-    /// (`None` for stores and branches, which produce no register result).
-    #[inline]
-    pub fn dst_class(self) -> Option<RegClass> {
-        match self {
-            OpClass::IntAlu | OpClass::IntMul | OpClass::IntDiv => Some(RegClass::Int),
-            OpClass::FpAlu | OpClass::FpDiv => Some(RegClass::Fp),
-            OpClass::Load => None, // decided by the trace (int or fp load)
-            OpClass::Store | OpClass::Branch => None,
         }
     }
 

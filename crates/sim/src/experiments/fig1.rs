@@ -73,14 +73,6 @@ pub fn assemble(opts: &ExperimentOpts, results: Vec<RunResult>) -> Fig1Data {
     Fig1Data { sizes, int_hmean, fp_hmean }
 }
 
-impl Fig1Data {
-    /// IPC gain of the largest configuration over the smallest, per suite.
-    pub fn saturation_gain(&self) -> (f64, f64) {
-        let last = self.sizes.len() - 1;
-        (self.int_hmean[last] / self.int_hmean[0], self.fp_hmean[last] / self.fp_hmean[0])
-    }
-}
-
 impl fmt::Display for Fig1Data {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Figure 1: IPC vs physical registers (window/ROB = 256, 1-cycle RF)")?;

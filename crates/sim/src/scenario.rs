@@ -193,16 +193,16 @@ pub fn run_campaign_planned(
         .expect("the in-process executor is infallible")
 }
 
-/// [`run_campaign_planned`] through an explicit execution backend —
-/// the seam the multi-process (and, later, multi-host) backends plug
-/// into. The executor sees the flattened plan and must return one
-/// result per spec in plan order; the reports are byte-identical across
-/// backends.
+/// [`run_campaign_planned`] through an explicit [`Executor`]: the
+/// in-process pool, with or without a result cache, or a wrapper around
+/// one. The executor sees the flattened plan and must return one result
+/// per spec in plan order; the reports are byte-identical across
+/// executors.
 ///
 /// # Errors
 ///
-/// Propagates the executor's failure (worker crash, corrupt shard file,
-/// plan drift); the in-process backend never fails.
+/// Propagates the executor's failure; the in-process backend never
+/// fails.
 ///
 /// # Panics
 ///

@@ -68,14 +68,14 @@
 
 use crate::cache::{Cache, CacheSession};
 use crate::conn::{ActiveLease, HttpConn, WorkerConn, WorkerPhase};
-use crate::executor::{read_record_file, ExecutorError};
+use crate::executor::{check_record, read_record_file, ExecutorError};
 use crate::http;
 use crate::json;
 use crate::metrics_codec::{Frame, ShardRecord, TailPolicy};
 use crate::readiness::{listener_fd, stream_fd, PollSet};
 use crate::run::{distinct_by, RunResult, RunSpec};
 use crate::scenario::{CampaignPlan, CampaignRequest, ScenarioReport};
-use crate::transport::{JournalWriter, ServeOptions, ServeState, HANDSHAKE_DEADLINE, READ_TICK};
+use crate::transport::{JournalWriter, LeaseTable, ServeOptions, HANDSHAKE_DEADLINE, READ_TICK};
 use std::io;
 use std::net::TcpListener;
 use std::path::Path;
@@ -219,7 +219,10 @@ impl CacheUse {
 struct Campaign {
     id: u64,
     plan: CampaignPlan,
-    state: ServeState,
+    table: LeaseTable,
+    slots: Vec<Option<RunResult>>,
+    /// The write-ahead journal, once opened at promotion.
+    journal: Option<JournalWriter>,
     lifecycle: Lifecycle,
     failure: Option<String>,
     /// Indices satisfied from the cache at promotion.
@@ -234,11 +237,12 @@ struct Campaign {
 impl Campaign {
     /// Builds a queued campaign from its plan.
     fn new(id: u64, plan: CampaignPlan, opts: &ServeOptions) -> Campaign {
-        let state = ServeState::new(&plan.flat(), opts.chunk, opts.lease_timeout);
         Campaign {
             id,
+            table: LeaseTable::for_specs(&plan.flat(), opts.chunk, opts.lease_timeout),
+            slots: (0..plan.runs()).map(|_| None).collect(),
+            journal: None,
             plan,
-            state,
             lifecycle: Lifecycle::Queued,
             failure: None,
             cached: 0,
@@ -264,7 +268,7 @@ impl Campaign {
 
     /// Promotes a queued campaign to serving: open (or replay) its
     /// journal, then pre-fill from the cache — all through
-    /// [`ServeState::admit`], the same admission path live records use.
+    /// [`admit`](Self::admit), the same admission path live records use.
     fn promote(&mut self, cfg: &ServiceConfig<'_>) {
         debug_assert_eq!(self.lifecycle, Lifecycle::Queued);
         if let Some(journal) = cfg.journal {
@@ -314,7 +318,7 @@ impl Campaign {
                     format!("cannot create journal {}: {e}", path.display())
                 }
             })?;
-        self.state.journal = Some(writer);
+        self.journal = Some(writer);
         Ok(())
     }
 
@@ -346,22 +350,18 @@ impl Campaign {
                 replay.torn
             );
         }
+        // Replayed before the writer opens, so nothing read back is
+        // appended again.
+        let replayed = self.admit(replay.records, None).map_err(|e| e.to_string())?;
+        self.table.prune_pending();
         let writer = JournalWriter::resume(path, replay.valid_len as u64, sync_every)
             .map_err(|e| format!("cannot reopen journal {}: {e}", path.display()))?;
-        self.state.journal = Some(writer);
-        let flat = self.plan.flat();
-        let mut replayed = 0usize;
-        for record in replay.records {
-            if self.state.admit(&flat, record, false).map_err(|e| e.to_string())? {
-                replayed += 1;
-            }
-        }
-        self.state.table.prune_pending();
+        self.journal = Some(writer);
         if replayed > 0 {
             eprintln!(
                 "[service: campaign {}: replayed {replayed} of {} plan index(es) from the journal]",
                 self.id,
-                flat.len()
+                self.runs()
             );
         }
         Ok(())
@@ -375,19 +375,19 @@ impl Campaign {
         let (firsts, group) = distinct_by(&flat, |spec| format!("{spec:?}"));
         let mut found: Vec<Option<Option<RunResult>>> = firsts.iter().map(|_| None).collect();
         let mut lookups = 0u64;
+        let mut hits = Vec::new();
         for index in 0..flat.len() {
-            if self.state.table.is_filled(index) {
+            if self.table.is_filled(index) {
                 continue;
             }
             lookups += 1;
             let hit = found[group[index]].get_or_insert_with(|| cache.lookup(flat[index]));
-            let Some(result) = hit else { continue };
-            let record = ShardRecord::from_result(index, flat[index].fingerprint(), result);
-            if self.state.admit(&flat, record, true)? {
-                self.cached += 1;
+            if let Some(result) = hit {
+                hits.push(ShardRecord::from_result(index, flat[index].fingerprint(), result));
             }
         }
-        self.state.table.prune_pending();
+        self.cached += self.admit(hits, None)?;
+        self.table.prune_pending();
         let held = found.iter().map(|f| matches!(f, Some(Some(_)))).collect();
         self.cache_use = Some(CacheUse { group, held, lookups, stores: 0 });
         if self.cached > 0 {
@@ -395,18 +395,58 @@ impl Campaign {
                 "[service: campaign {}: {} of {} plan index(es) satisfied from the cache]",
                 self.id,
                 self.cached,
-                flat.len()
+                self.runs()
             );
         }
         Ok(())
+    }
+
+    /// Verifies ([`check_record`]) and stores records: the one admission
+    /// path of live `record` frames, journal replay and cache pre-fill.
+    /// A new record is appended to the open journal before it counts as
+    /// completed, so a crash never loses an accepted record, and stored
+    /// in `cache` once the campaign has looked its spec up there. A
+    /// record that fails the check, and a journal-append failure, are
+    /// fatal; duplicates from superseded stragglers are dropped. Returns
+    /// how many records were new.
+    fn admit(
+        &mut self,
+        records: impl IntoIterator<Item = ShardRecord>,
+        cache: Option<&Cache>,
+    ) -> Result<usize, ExecutorError> {
+        let flat = self.plan.flat();
+        let mut admitted = 0;
+        for record in records {
+            // Serialize only when the line will be appended: this runs
+            // for every record, and non-journaled campaigns (and replay,
+            // which re-reads what is already on disk) must not pay for
+            // encoding the full metrics set.
+            let line = self.journal.is_some().then(|| record.to_line());
+            let (index, result) = check_record(&flat, record)?;
+            if self.table.is_filled(index) {
+                continue;
+            }
+            if let (Some(line), Some(writer)) = (line, &mut self.journal) {
+                writer
+                    .append(&line)
+                    .map_err(|e| ExecutorError::io("cannot append to the campaign journal", e))?;
+            }
+            if let (Some(cache), Some(tally)) = (cache, &mut self.cache_use) {
+                tally.store(cache, index, flat[index], &result);
+            }
+            self.slots[index] = Some(result);
+            self.table.record(index);
+            admitted += 1;
+        }
+        Ok(admitted)
     }
 
     /// Completes a serving campaign: sync the journal, record the cache
     /// session, assemble the reports, and render the results document
     /// clients will fetch.
     fn finish(&mut self, cache: Option<&Cache>) {
-        debug_assert!(self.state.table.complete());
-        if let Some(writer) = &mut self.state.journal {
+        debug_assert!(self.table.complete());
+        if let Some(writer) = &mut self.journal {
             // The results are in memory; a failed final sync only
             // weakens the (now redundant) journal, so it warns.
             if let Err(e) = writer.sync() {
@@ -420,7 +460,7 @@ impl Campaign {
                 eprintln!("[service: warning: cannot record the cache session: {e}]");
             }
         }
-        let results: Vec<_> = std::mem::take(&mut self.state.slots)
+        let results: Vec<_> = std::mem::take(&mut self.slots)
             .into_iter()
             .map(|slot| slot.expect("complete table implies full slots"))
             .collect();
@@ -432,13 +472,13 @@ impl Campaign {
 
     /// The per-campaign status document (`GET /campaigns/<id>`).
     fn status_json(&self) -> String {
-        let (completed, leased, pending) = self.state.table.counts();
+        let (completed, leased, pending) = self.table.counts();
         let opts = &self.plan.request().opts;
         let failure = self
             .failure
             .as_ref()
             .map_or("null".to_string(), |f| format!("\"{}\"", json::escape(f)));
-        let journal = self.state.journal.as_ref().map_or("null".to_string(), |writer| {
+        let journal = self.journal.as_ref().map_or("null".to_string(), |writer| {
             let (records, bytes) = writer.position();
             format!("{{\"records\": {records}, \"bytes\": {bytes}}}")
         });
@@ -465,7 +505,7 @@ impl Campaign {
     /// The row this campaign contributes to `GET /status`. Its
     /// `completed`, `leased` and `pending` always sum to `runs`.
     fn brief_json(&self) -> String {
-        let (completed, leased, pending) = self.state.table.counts();
+        let (completed, leased, pending) = self.table.counts();
         format!(
             "{{\"id\": {}, \"state\": \"{}\", \"scenarios\": [{}], \"runs\": {}, \
              \"completed\": {completed}, \"leased\": {leased}, \"pending\": {pending}, \
@@ -752,7 +792,7 @@ pub fn serve_service(mut cfg: ServiceConfig<'_>) -> Result<ServiceSummary, Execu
         // any worker.
         loop {
             match campaigns.iter_mut().find(|c| c.lifecycle == Lifecycle::Serving) {
-                Some(c) if c.state.table.complete() => {
+                Some(c) if c.table.complete() => {
                     c.finish(cfg.cache);
                     for conn in workers.iter_mut() {
                         if conn.dead.is_none() && conn.campaign == Some(c.id) {
@@ -807,7 +847,7 @@ pub fn serve_service(mut cfg: ServiceConfig<'_>) -> Result<ServiceSummary, Execu
                 {
                     continue;
                 }
-                let Some(lease) = campaign.state.table.grab(now) else { break };
+                let Some(lease) = campaign.table.grab(now) else { break };
                 conn.lease = Some(ActiveLease { id: lease.id, issued: now });
                 conn.out.queue_frame(&Frame::Lease { id: lease.id, indices: lease.indices });
                 conn.phase = WorkerPhase::Streaming;
@@ -967,19 +1007,8 @@ pub fn serve_service(mut cfg: ServiceConfig<'_>) -> Result<ServiceSummary, Execu
                         if c.lifecycle != Lifecycle::Serving {
                             continue; // straggler record after failure
                         }
-                        let index = record.index;
-                        let flat = c.plan.flat();
-                        match c.state.admit(&flat, *record, true) {
-                            Ok(true) => {
-                                if let (Some(cache), Some(tally)) = (cfg.cache, &mut c.cache_use) {
-                                    let result = c.state.slots[index]
-                                        .as_ref()
-                                        .expect("admitted slot is filled");
-                                    tally.store(cache, index, flat[index], result);
-                                }
-                            }
-                            Ok(false) => {}
-                            Err(e) => c.fail(e.to_string()),
+                        if let Err(e) = c.admit([*record], cfg.cache) {
+                            c.fail(e.to_string());
                         }
                     }
                     (WorkerPhase::Streaming, Frame::Done) => {
@@ -987,7 +1016,7 @@ pub fn serve_service(mut cfg: ServiceConfig<'_>) -> Result<ServiceSummary, Execu
                         // may acknowledge without covering every index;
                         // anything unfilled goes back in the queue.
                         if let (Some(active), Some(c)) = (conn.lease.take(), campaign) {
-                            let requeued = c.state.table.release(active.id);
+                            let requeued = c.table.release(active.id);
                             if requeued > 0 {
                                 eprintln!(
                                     "[service: re-queued {requeued} index(es) from worker {}]",
@@ -1044,7 +1073,7 @@ pub fn serve_service(mut cfg: ServiceConfig<'_>) -> Result<ServiceSummary, Execu
                     conn.campaign.and_then(|id| campaigns.iter_mut().find(|c| c.id == id))
                 {
                     if c.lifecycle == Lifecycle::Serving {
-                        let requeued = c.state.table.release(active.id);
+                        let requeued = c.table.release(active.id);
                         if requeued > 0 {
                             eprintln!(
                                 "[service: re-queued {requeued} index(es) from worker {}]",

@@ -24,7 +24,8 @@
 //!   lease was re-issued — are deduplicated by plan index, and every
 //!   record's index, spec fingerprint and workload are checked before it
 //!   fills a slot, so a drifting worker is a loud
-//!   [`ExecutorError::PlanDrift`] instead of a silently scrambled report.
+//!   [`ExecutorError::PlanDrift`](crate::executor::ExecutorError::PlanDrift)
+//!   instead of a silently scrambled report.
 //!
 //! **Durability.** A journaling coordinator write-ahead journals the
 //! campaign header and every accepted record to disk ([`JournalWriter`];
@@ -42,9 +43,8 @@
 //! splits in `tests/metrics_codec.rs`. The coordinator's readiness loop
 //! that drives all of this is [`crate::service::serve_service`].
 
-use crate::executor::{check_record, ExecutorError};
 use crate::metrics_codec::{CampaignHeader, Frame, ShardRecord};
-use crate::run::{fnv1a_64, run_batch, RunResult, RunSpec};
+use crate::run::{fnv1a_64, run_batch, RunSpec};
 use std::collections::{HashMap, VecDeque};
 use std::fs::OpenOptions;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -166,7 +166,7 @@ impl JournalWriter {
     /// Appends one accepted record line (the `\n` is added here, in the
     /// same `write` call, so partial writes never fabricate a complete
     /// line).
-    fn append(&mut self, record_line: &str) -> io::Result<()> {
+    pub(crate) fn append(&mut self, record_line: &str) -> io::Result<()> {
         let mut line = String::with_capacity(record_line.len() + 1);
         line.push_str(record_line);
         line.push('\n');
@@ -279,6 +279,17 @@ impl LeaseTable {
         }
         order.sort_unstable();
         Self::ordered(order.into_iter().map(|(_, _, i)| i).collect(), group, chunk, timeout)
+    }
+
+    /// [`grouped`](Self::grouped) over a plan's specs: each spec's stream
+    /// key and simulation identity are hashed here once, and no spec text
+    /// is kept.
+    pub(crate) fn for_specs(specs: &[&RunSpec], chunk: usize, timeout: Duration) -> Self {
+        let keys: Vec<(u64, u64)> = specs
+            .iter()
+            .map(|spec| (spec.stream_key(), fnv1a_64(spec.dedupe_key().bytes())))
+            .collect();
+        Self::grouped(&keys, chunk, timeout)
     }
 
     /// A table that leases `pending` in this order; `group[i]` names the
@@ -420,64 +431,6 @@ pub struct ServeOptions {
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions { lease_timeout: Duration::from_secs(60), chunk: 0 }
-    }
-}
-
-/// One campaign's coordinator bookkeeping: lease table, result slots and
-/// the optional write-ahead journal.
-pub(crate) struct ServeState {
-    pub(crate) table: LeaseTable,
-    pub(crate) slots: Vec<Option<RunResult>>,
-    pub(crate) journal: Option<JournalWriter>,
-}
-
-impl ServeState {
-    /// Fresh bookkeeping for a plan (the coordinator builds one per
-    /// campaign). Its lease table takes whole stream groups: each spec's
-    /// stream key and simulation identity are hashed here once, and no
-    /// spec text is kept.
-    pub(crate) fn new(specs: &[&RunSpec], chunk: usize, lease_timeout: Duration) -> Self {
-        let keys: Vec<(u64, u64)> = specs
-            .iter()
-            .map(|spec| (spec.stream_key(), fnv1a_64(spec.dedupe_key().bytes())))
-            .collect();
-        ServeState {
-            table: LeaseTable::grouped(&keys, chunk, lease_timeout),
-            slots: specs.iter().map(|_| None).collect(),
-            journal: None,
-        }
-    }
-
-    /// Verifies ([`check_record`]) and stores one record — the single
-    /// admission path shared by live `record` frames, journal replay and
-    /// cache pre-fill (`journal = false` skips re-appending what was just
-    /// read back). A record that fails the check, and a journal-append
-    /// failure, are fatal; duplicates are silently dropped (`Ok(false)`).
-    pub(crate) fn admit(
-        &mut self,
-        specs: &[&RunSpec],
-        record: ShardRecord,
-        journal: bool,
-    ) -> Result<bool, ExecutorError> {
-        // Serialize only when the line will be appended: this runs for
-        // every record, and non-journaled campaigns (and replay, which
-        // re-reads what is already on disk) must not pay for encoding
-        // the full metrics set.
-        let line = (journal && self.journal.is_some()).then(|| record.to_line());
-        let (index, result) = check_record(specs, record)?;
-        if self.table.is_filled(index) {
-            return Ok(false); // duplicate from a superseded straggler
-        }
-        // Write-ahead: the record reaches the journal before it counts
-        // as completed, so a crash never *loses* an accepted record.
-        if let (Some(line), Some(writer)) = (line, &mut self.journal) {
-            writer
-                .append(&line)
-                .map_err(|e| ExecutorError::io("cannot append to the campaign journal", e))?;
-        }
-        self.slots[index] = Some(result);
-        self.table.record(index);
-        Ok(true)
     }
 }
 
@@ -968,7 +921,7 @@ mod tests {
 
         // At chunk 12, the largest stream group, each stream is one lease,
         // and a lease simulates each replay once for both seeds.
-        let mut table = ServeState::new(&specs, 12, Duration::from_secs(60)).table;
+        let mut table = LeaseTable::for_specs(&specs, 12, Duration::from_secs(60));
         let leases = grab_all(&mut table);
         let mut streams: Vec<u64> = specs.iter().map(|s| s.stream_key()).collect();
         streams.sort_unstable();
@@ -991,7 +944,7 @@ mod tests {
         // The default chunk of a 48-run plan is 1, like `--chunk 1`: one
         // index per lease.
         for chunk in [0, 1] {
-            let mut table = ServeState::new(&specs, chunk, Duration::from_secs(60)).table;
+            let mut table = LeaseTable::for_specs(&specs, chunk, Duration::from_secs(60));
             let leases = grab_all(&mut table);
             assert_eq!(leases.len(), 48);
             assert!(leases.iter().all(|l| l.len() == 1), "chunk {chunk}");

@@ -92,15 +92,6 @@ impl TraceStats {
         (self.dep_distance_count > 0)
             .then(|| self.dep_distance_sum as f64 / self.dep_distance_count as f64)
     }
-
-    /// Fraction of register sources produced within the last 8 dynamic
-    /// instructions.
-    pub fn near_source_fraction(&self) -> f64 {
-        if self.register_sources == 0 {
-            return 0.0;
-        }
-        self.near_sources as f64 / self.register_sources as f64
-    }
 }
 
 #[cfg(test)]
