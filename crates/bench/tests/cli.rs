@@ -354,7 +354,7 @@ fn simulate_rejects_bad_pipeline_flags_by_name() {
     let out = simulate(&["--insts"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("missing value for --insts"));
-    let cases: [(&[&str], &str); 27] = [
+    let cases: [(&[&str], &str); 30] = [
         // Nor does a value flag take the next flag as its value.
         (&["--bench", "--arch", "rfc"], "missing value for --bench"),
         (&["--arch", "rfc", "--frob"], "unknown option --frob"),
@@ -364,6 +364,8 @@ fn simulate_rejects_bad_pipeline_flags_by_name() {
         (&["--bench", "foo", "--trace-out", "never-written.rfct"], "unknown benchmark foo"),
         (&["--window", "0"], "window_size must be at least 1"),
         (&["--phys-regs", "39"], "phys_regs 39 must be at least 40"),
+        // Register tags are 16-bit: more registers used to deadlock.
+        (&["--phys-regs", "65536"], "phys_regs 65536 must be at most 65535"),
         // Register files no model can be built from.
         (&["--arch", "rfc", "--upper-entries", "0"], "upper_entries 0 must be at least 2"),
         (&["--arch", "rfc", "--upper-entries", "1"], "upper_entries 1 must be at least 2"),
@@ -371,6 +373,8 @@ fn simulate_rejects_bad_pipeline_flags_by_name() {
         (&["--arch", "rfc", "--upper-entries", "128"], "must be fewer than phys_regs 128"),
         (&["--arch", "replicated", "--banks", "0"], "banks must be at least 1"),
         (&["--arch", "onelevel", "--banks", "0"], "banks must be at least 1"),
+        (&["--arch", "onelevel", "--banks", "129"], "banks 129 must be at most phys_regs 128"),
+        (&["--arch", "replicated", "--banks", "129"], "banks 129 must be at most phys_regs 128"),
         // Port and bus counts of 0, which build and then deadlock.
         (&["--arch", "1cyc", "--ports", "0,2"], "read_ports must be at least 1"),
         (&["--arch", "2cyc", "--ports", "2,0"], "write_ports must be at least 1"),

@@ -298,6 +298,16 @@ fn error_paths_answer_4xx_without_disturbing_the_inflight_campaign() {
     );
     assert_eq!(code, 400, "register file without buses: {body}");
     assert!(body.contains("rf `rfc`: buses must be at least 1"), "{body}");
+    // A short body naming 125,000 register files is refused from its
+    // axis lengths, within the timeout, before any of them is built.
+    let ports = format!("[{}]", (1..=50).map(|i| i.to_string()).collect::<Vec<_>>().join(", "));
+    let (code, body) = post(&format!(
+        "{{\"scenarios\": [\"big\"], \"sweeps\": [{{\"name\": \"big\", \
+         \"workloads\": [\"li\"], \"rf\": [{{\"cache\": {{\"upper_read_ports\": {ports}, \
+         \"upper_write_ports\": {ports}, \"buses\": {ports}}}}}]}}]}}"
+    ));
+    assert_eq!(code, 400, "oversized cross-product: {body}");
+    assert!(body.contains("sweep expands to 125000 runs; the limit is 65536"), "{body}");
 
     let oversized = format!("{{\"scenarios\": [\"{}\"]}}", "x".repeat(http::MAX_BODY));
     let (code, body) = post(&oversized);

@@ -274,7 +274,9 @@ impl RegFileConfig {
     /// Names the violated bound: no physical registers, a zero read
     /// latency, an upper bank of fewer than two entries, not a power of
     /// two under pseudo-LRU, or not smaller than the register file, a zero
-    /// lower-bank latency, no banks, or a port or bus limit of 0, which
+    /// lower-bank latency, no banks, more banks than physical registers
+    /// (such a bank holds no register of its own, yet the models keep
+    /// its port counters every cycle), or a port or bus limit of 0, which
     /// builds a file that can never read or write a value. (A cache's
     /// `upper_write_ports` may be 0: results then reach the upper bank
     /// by transfer.)
@@ -298,9 +300,15 @@ impl RegFileConfig {
                     Ok(())
                 }
             }
-            RegFileConfig::Replicated(ReplicatedConfig { banks: 0, .. })
-            | RegFileConfig::OneLevel(crate::OneLevelBankedConfig { banks: 0, .. }) => {
-                Err("banks must be at least 1".into())
+            RegFileConfig::Replicated(ReplicatedConfig { banks, .. })
+            | RegFileConfig::OneLevel(crate::OneLevelBankedConfig { banks, .. }) => {
+                if banks == 0 {
+                    Err("banks must be at least 1".into())
+                } else if banks as usize > phys_regs {
+                    Err(format!("banks {banks} must be at most phys_regs {phys_regs}"))
+                } else {
+                    Ok(())
+                }
             }
             _ => Ok(()),
         }?;
@@ -449,6 +457,24 @@ mod tests {
         ];
         for config in ones {
             assert_eq!(config.validate(128), Ok(()), "{config:?}");
+        }
+    }
+
+    #[test]
+    fn bank_counts_are_bounded_by_phys_regs() {
+        let replicated =
+            |banks| RegFileConfig::Replicated(ReplicatedConfig { banks, ..Default::default() });
+        let onelevel = |banks| RegFileConfig::OneLevel(crate::OneLevelBankedConfig::wallace(banks));
+        let cases = [
+            (replicated(0), Err("banks must be at least 1".to_string())),
+            (onelevel(0), Err("banks must be at least 1".to_string())),
+            (replicated(128), Ok(())),
+            (onelevel(128), Ok(())),
+            (replicated(129), Err("banks 129 must be at most phys_regs 128".to_string())),
+            (onelevel(u32::MAX), Err(format!("banks {} must be at most phys_regs 128", u32::MAX))),
+        ];
+        for (config, expected) in cases {
+            assert_eq!(config.validate(128), expected, "{config:?}");
         }
     }
 

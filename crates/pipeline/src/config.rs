@@ -97,8 +97,8 @@ impl PipelineConfig {
     ///
     /// Names the first violated bound: a zero width, window, LSQ or
     /// branch limit, a window larger than the ROB, too few physical
-    /// registers beyond the architectural ones, or a functional-unit
-    /// kind with no unit.
+    /// registers beyond the architectural ones or more than a 16-bit
+    /// register tag can name, or a functional-unit kind with no unit.
     pub fn validate(&self) -> Result<(), String> {
         let positive = [
             ("decode_width", self.decode_width),
@@ -125,6 +125,10 @@ impl PipelineConfig {
                 self.phys_regs,
                 arch + 8
             ));
+        }
+        let max = usize::from(u16::MAX);
+        if self.phys_regs > max {
+            return Err(format!("phys_regs {} must be at most {max}", self.phys_regs));
         }
         if self.fu_counts.contains(&0) {
             return Err("every FU kind needs at least one unit".to_string());
@@ -162,6 +166,9 @@ mod tests {
     fn too_few_phys_regs_rejected() {
         let err = PipelineConfig::default().with_phys_regs(32).validate().unwrap_err();
         assert!(err.contains("phys_regs 32") && err.contains("headroom"), "{err}");
+        let err = PipelineConfig::default().with_phys_regs(65_536).validate().unwrap_err();
+        assert_eq!(err, "phys_regs 65536 must be at most 65535");
+        assert_eq!(PipelineConfig::default().with_phys_regs(65_535).validate(), Ok(()));
         let err = PipelineConfig::default().with_window(0).validate().unwrap_err();
         assert!(err.contains("window_size"), "{err}");
     }

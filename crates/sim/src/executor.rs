@@ -271,24 +271,26 @@ pub fn read_record_file(path: &Path, tail: TailPolicy) -> Result<RecordFile, Exe
         .map_err(|e| ExecutorError::Corrupt { file: path.to_path_buf(), detail: e.to_string() })
 }
 
-/// Checks one record against the campaign plan — the index is in range,
-/// the spec fingerprint matches, and the recorded workload is the spec's
-/// — and returns its plan index and result. Every record a campaign
-/// accepts passes here: merged shard files, live worker frames, journal
-/// replay and cache pre-fill.
+/// Checks one record against the spec its index names in a `runs`-spec
+/// plan (`None` when the index is out of range) — the spec fingerprint
+/// matches, and the recorded workload is the spec's — and returns its
+/// plan index and result. Every record a campaign accepts passes here:
+/// merged shard files, live worker frames, journal replay and cache
+/// pre-fill.
 ///
 /// # Errors
 ///
 /// Returns [`ExecutorError::Coverage`] for an out-of-range index and
 /// [`ExecutorError::PlanDrift`] for a fingerprint or workload mismatch.
 pub(crate) fn check_record(
-    specs: &[&RunSpec],
+    spec: Option<&RunSpec>,
+    runs: usize,
     record: ShardRecord,
 ) -> Result<(usize, RunResult), ExecutorError> {
     let index = record.index;
-    let Some(spec) = specs.get(index) else {
+    let Some(spec) = spec else {
         return Err(ExecutorError::Coverage {
-            detail: format!("record index {index} exceeds the {}-spec plan", specs.len()),
+            detail: format!("record index {index} exceeds the {runs}-spec plan"),
         });
     };
     let expected = spec.fingerprint();
@@ -326,7 +328,7 @@ pub fn assemble_shard_results(
     let mut slots: Vec<Option<RunResult>> = (0..specs.len()).map(|_| None).collect();
     let mut duplicated: Vec<usize> = Vec::new();
     for record in records {
-        let (index, result) = check_record(specs, record)?;
+        let (index, result) = check_record(specs.get(record.index).copied(), specs.len(), record)?;
         if slots[index].is_some() {
             duplicated.push(index);
             continue;

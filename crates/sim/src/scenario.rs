@@ -583,6 +583,18 @@ impl CampaignPlan {
         flatten_plans(&self.plans)
     }
 
+    /// The spec at plan index `index` of [`flat`](Self::flat), found
+    /// without building the flat list.
+    pub(crate) fn spec(&self, mut index: usize) -> Option<&RunSpec> {
+        for plan in &self.plans {
+            match plan.get(index) {
+                Some(spec) => return Some(spec),
+                None => index -= plan.len(),
+            }
+        }
+        None
+    }
+
     /// How many specs the campaign plans.
     pub fn runs(&self) -> usize {
         self.plans.iter().map(Vec::len).sum()

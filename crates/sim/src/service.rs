@@ -414,7 +414,7 @@ impl Campaign {
         records: impl IntoIterator<Item = ShardRecord>,
         cache: Option<&Cache>,
     ) -> Result<usize, ExecutorError> {
-        let flat = self.plan.flat();
+        let runs = self.runs();
         let mut admitted = 0;
         for record in records {
             // Serialize only when the line will be appended: this runs
@@ -422,7 +422,8 @@ impl Campaign {
             // which re-reads what is already on disk) must not pay for
             // encoding the full metrics set.
             let line = self.journal.is_some().then(|| record.to_line());
-            let (index, result) = check_record(&flat, record)?;
+            let spec = self.plan.spec(record.index);
+            let (index, result) = check_record(spec, runs, record)?;
             if self.table.is_filled(index) {
                 continue;
             }
@@ -431,8 +432,8 @@ impl Campaign {
                     .append(&line)
                     .map_err(|e| ExecutorError::io("cannot append to the campaign journal", e))?;
             }
-            if let (Some(cache), Some(tally)) = (cache, &mut self.cache_use) {
-                tally.store(cache, index, flat[index], &result);
+            if let (Some(cache), Some(tally), Some(spec)) = (cache, &mut self.cache_use, spec) {
+                tally.store(cache, index, spec, &result);
             }
             self.slots[index] = Some(result);
             self.table.record(index);

@@ -69,6 +69,7 @@ use rfcache_core::{
 };
 use rfcache_pipeline::PipelineConfig;
 use rfcache_workload::BenchProfile;
+use std::collections::HashSet;
 use std::fmt;
 
 /// Largest accepted definition text. Sweeps travel inline in campaign
@@ -76,7 +77,8 @@ use std::fmt;
 /// from ballooning every header line.
 pub const MAX_SWEEP_BYTES: usize = 64 * 1024;
 
-/// Largest accepted cross-product (runs per sweep).
+/// Largest accepted cross-product (runs per sweep), checked on the axis
+/// lengths before any register file is built.
 pub const MAX_SWEEP_RUNS: usize = 65_536;
 
 /// Largest accepted family `members` count.
@@ -103,59 +105,110 @@ pub struct SweepDef {
     seeds: Vec<u64>,
 }
 
-/// One expanded register-file choice while parsing: the label parts
-/// contributed by array-valued fields, and the finished config.
-struct RfChoice {
-    label: String,
-    config: RegFileConfig,
+/// One field of a register-file kind: its key, and a setter that
+/// decodes one JSON value into the config.
+type Field<C> = (&'static str, fn(&mut C, &JsonValue) -> Result<(), String>);
+
+/// A register-file kind of the `rf` axis: the label and defaults of an
+/// entry that sets nothing, and every field it accepts, in the order the
+/// expansion varies them (first slowest) and names them in labels.
+struct Kind<C: 'static> {
+    label: &'static str,
+    base: fn() -> C,
+    wrap: fn(C) -> RegFileConfig,
+    fields: &'static [Field<C>],
 }
 
-/// A boxed setter that writes one decoded field value into a config.
-type Applier<C> = Box<dyn Fn(&mut C)>;
+/// The register files one `rf` entry expands to, built lazily in plan
+/// order, each with its label.
+type RfWalk<'a> = Box<dyn Iterator<Item = Result<(String, RegFileConfig), String>> + 'a>;
 
-/// One field of a config kind: every accepted value (scalar input →
-/// one value) with the label part to advertise when the field varies.
-struct FieldAxis<C> {
-    /// `Some(part)` per value when the field was an array (it varies),
-    /// `None` when scalar or defaulted (it doesn't name itself).
-    labels: Vec<Option<String>>,
-    appliers: Vec<Applier<C>>,
+const SINGLE: Kind<SingleBankConfig> = Kind {
+    label: "single",
+    base: SingleBankConfig::one_cycle,
+    wrap: RegFileConfig::Single,
+    fields: &[
+        ("latency", |c, v| set(&mut c.latency, decode_u64(v))),
+        ("bypass", |c, v| {
+            let choices =
+                [("full", BypassNetwork::Full), ("single-level", BypassNetwork::SingleLevel)];
+            set(&mut c.bypass, decode_keyword(v, &choices))
+        }),
+        ("read_ports", |c, v| set(&mut c.ports.read, decode_port(v))),
+        ("write_ports", |c, v| set(&mut c.ports.write, decode_port(v))),
+    ],
+};
+
+const CACHE: Kind<RegFileCacheConfig> = Kind {
+    label: "rfc",
+    base: RegFileCacheConfig::paper_default,
+    wrap: RegFileConfig::Cache,
+    fields: &[
+        ("upper_entries", |c, v| set(&mut c.upper_entries, decode_usize(v))),
+        ("lower_latency", |c, v| set(&mut c.lower_latency, decode_u64(v))),
+        ("caching", |c, v| {
+            let choices =
+                [("non-bypass", CachingPolicy::NonBypass), ("ready", CachingPolicy::Ready)];
+            set(&mut c.caching, decode_keyword(v, &choices))
+        }),
+        ("fetch", |c, v| {
+            let choices = [
+                ("on-demand", FetchPolicy::OnDemand),
+                ("prefetch-first-pair", FetchPolicy::PrefetchFirstPair),
+            ];
+            set(&mut c.fetch, decode_keyword(v, &choices))
+        }),
+        ("replacement", |c, v| {
+            let choices = [
+                ("pseudo-lru", Replacement::PseudoLru),
+                ("fifo", Replacement::Fifo),
+                ("random", Replacement::Random),
+            ];
+            set(&mut c.replacement, decode_keyword(v, &choices))
+        }),
+        ("upper_read_ports", |c, v| set(&mut c.upper_read_ports, decode_port(v))),
+        ("upper_write_ports", |c, v| set(&mut c.upper_write_ports, decode_port(v))),
+        ("lower_write_ports", |c, v| set(&mut c.lower_write_ports, decode_port(v))),
+        ("buses", |c, v| set(&mut c.buses, decode_port(v))),
+    ],
+};
+
+const REPLICATED: Kind<ReplicatedBankConfig> = Kind {
+    label: "replicated",
+    base: ReplicatedBankConfig::default,
+    wrap: RegFileConfig::Replicated,
+    fields: &[
+        ("banks", |c, v| set(&mut c.banks, decode_u32(v))),
+        ("read_ports_per_bank", |c, v| set(&mut c.read_ports_per_bank, decode_port(v))),
+        ("remote_write_delay", |c, v| set(&mut c.remote_write_delay, decode_u64(v))),
+    ],
+};
+
+const ONELEVEL: Kind<OneLevelBankedConfig> = Kind {
+    label: "onelevel",
+    base: OneLevelBankedConfig::default,
+    wrap: RegFileConfig::OneLevel,
+    fields: &[
+        ("banks", |c, v| set(&mut c.banks, decode_u32(v))),
+        ("read_ports_per_bank", |c, v| set(&mut c.read_ports_per_bank, decode_port(v))),
+        ("write_ports_per_bank", |c, v| set(&mut c.write_ports_per_bank, decode_port(v))),
+    ],
+};
+
+/// Stores a decoded field value.
+fn set<T>(slot: &mut T, value: Result<T, String>) -> Result<(), String> {
+    *slot = value?;
+    Ok(())
 }
 
-impl<C> FieldAxis<C> {
-    fn len(&self) -> usize {
-        self.appliers.len()
+/// The values of a scalar-or-array field or axis (a scalar is one
+/// value); `None` for an empty array.
+fn elements(v: &JsonValue) -> Option<&[JsonValue]> {
+    match v {
+        JsonValue::Array(items) if items.is_empty() => None,
+        JsonValue::Array(items) => Some(items),
+        scalar => Some(std::slice::from_ref(scalar)),
     }
-}
-
-/// Collects a scalar-or-array field into a [`FieldAxis`], decoding each
-/// element with `decode` (which returns the label text and the setter).
-fn field_axis<C, T>(
-    v: &JsonValue,
-    key: &str,
-    decode: impl Fn(&JsonValue) -> Result<T, String>,
-    apply: impl Fn(T) -> Applier<C>,
-    label: impl Fn(&JsonValue) -> String,
-) -> Result<FieldAxis<C>, String> {
-    let Some(raw) = v.get(key) else {
-        return Ok(FieldAxis { labels: vec![None], appliers: vec![Box::new(|_| {})] });
-    };
-    let elements: Vec<&JsonValue> = match raw {
-        JsonValue::Array(items) if items.is_empty() => {
-            return Err(format!("field `{key}` must not be an empty array"));
-        }
-        JsonValue::Array(items) => items.iter().collect(),
-        scalar => vec![scalar],
-    };
-    let varies = elements.len() > 1;
-    let mut labels = Vec::with_capacity(elements.len());
-    let mut appliers: Vec<Applier<C>> = Vec::with_capacity(elements.len());
-    for e in &elements {
-        let value = decode(e).map_err(|reason| format!("field `{key}`: {reason}"))?;
-        labels.push(varies.then(|| format!("{key}={}", label(e))));
-        appliers.push(apply(value));
-    }
-    Ok(FieldAxis { labels, appliers })
 }
 
 /// Renders a scalar JSON value for a label part (`null` → `unlimited`).
@@ -189,296 +242,71 @@ fn decode_port(v: &JsonValue) -> Result<Option<u32>, String> {
     }
 }
 
-fn decode_keyword<'a, T: Copy>(
-    choices: &'a [(&'a str, T)],
-) -> impl Fn(&JsonValue) -> Result<T, String> + 'a {
-    move |v| {
-        let s = v.as_str().ok_or_else(|| "expected a string".to_string())?;
-        choices.iter().find(|(k, _)| *k == s).map(|(_, t)| *t).ok_or_else(|| {
-            let names: Vec<&str> = choices.iter().map(|(k, _)| *k).collect();
-            format!("unknown value `{s}` (expected one of: {})", names.join(", "))
-        })
-    }
+fn decode_keyword<T: Copy>(v: &JsonValue, choices: &[(&str, T)]) -> Result<T, String> {
+    let s = v.as_str().ok_or_else(|| "expected a string".to_string())?;
+    choices.iter().find(|(k, _)| *k == s).map(|(_, t)| *t).ok_or_else(|| {
+        let names: Vec<&str> = choices.iter().map(|(k, _)| *k).collect();
+        format!("unknown value `{s}` (expected one of: {})", names.join(", "))
+    })
 }
 
-/// Rejects keys the kind does not define (a typo'd field must not
+/// Rejects keys `known` does not accept (a typo'd field must not
 /// silently sweep the default).
-fn check_keys(v: &JsonValue, kind: &str, allowed: &[&str]) -> Result<(), String> {
+fn check_keys(v: &JsonValue, kind: &str, known: impl Fn(&str) -> bool) -> Result<(), String> {
     let JsonValue::Object(fields) = v else {
         return Err(format!("`{kind}` must be an object"));
     };
-    for (key, _) in fields {
-        if !allowed.contains(&key.as_str()) {
-            return Err(format!("unknown `{kind}` field `{key}`"));
-        }
+    match fields.iter().find(|(key, _)| !known(key)) {
+        Some((key, _)) => Err(format!("unknown `{kind}` field `{key}`")),
+        None => Ok(()),
     }
-    Ok(())
 }
 
-/// Expands the cross-product of a kind's field axes into labelled
-/// configs, starting each from `base`.
-fn expand_fields<C: Clone>(
-    base: C,
-    base_label: &str,
-    fields: Vec<FieldAxis<C>>,
-    wrap: impl Fn(C) -> RegFileConfig,
-) -> Vec<RfChoice> {
-    let total: usize = fields.iter().map(FieldAxis::len).product();
-    let mut out = Vec::with_capacity(total);
-    for mut index in 0..total {
-        let mut config = base.clone();
-        let mut parts = vec![base_label.to_string()];
-        for axis in &fields {
-            let i = index % axis.len();
-            index /= axis.len();
-            (axis.appliers[i])(&mut config);
-            if let Some(part) = &axis.labels[i] {
-                parts.push(part.clone());
+/// Reads a kind's body against its field table — every key must be a
+/// field and every given value must decode — and returns how many
+/// register files it expands to, with the walk that builds them: the
+/// cross-product of the given fields from the kind's defaults, in table
+/// order with the first field slowest. A field given two or more values
+/// adds `key=value` to the label.
+fn expand<'a, C: Copy>(
+    key: &str,
+    kind: &'a Kind<C>,
+    body: &'a JsonValue,
+    name: Option<&'a str>,
+) -> Result<(usize, RfWalk<'a>), String> {
+    check_keys(body, key, |field| kind.fields.iter().any(|(known, _)| *known == field))?;
+    let base = (kind.base)();
+    let mut axes = Vec::new();
+    for &(field, set) in kind.fields {
+        let Some(raw) = body.get(field) else { continue };
+        let values =
+            elements(raw).ok_or_else(|| format!("field `{field}` must not be an empty array"))?;
+        for value in values {
+            let mut scratch = base;
+            set(&mut scratch, value).map_err(|reason| format!("field `{field}`: {reason}"))?;
+        }
+        axes.push((field, set, values));
+    }
+    let count = axes.iter().map(|(_, _, values)| values.len()).fold(1, usize::saturating_mul);
+    let walk = (0..count).map(move |rank| {
+        let (mut config, mut stride) = (base, count);
+        let mut label = name.unwrap_or(kind.label).to_string();
+        for &(field, set, values) in &axes {
+            stride /= values.len();
+            let value = &values[rank / stride % values.len()];
+            set(&mut config, value)?;
+            if values.len() > 1 {
+                label += &format!(" {field}={}", label_text(value));
             }
         }
-        out.push(RfChoice { label: parts.join(" "), config: wrap(config) });
-    }
-    // The index arithmetic above varies the *first* field fastest;
-    // re-sorting by declared field order keeps plan order intuitive
-    // (first field slowest, like nested loops). Stable sort on the
-    // label is wrong (labels may tie); recompute by mixed radix with
-    // the first field as the most significant digit instead.
-    let mut reordered = Vec::with_capacity(total);
-    let mut strides = vec![1usize; fields.len()];
-    for i in (0..fields.len().saturating_sub(1)).rev() {
-        strides[i] = strides[i + 1] * fields[i + 1].len();
-    }
-    for rank in 0..total {
-        let mut flat = 0usize;
-        let mut stride = 1usize;
-        let mut remaining = rank;
-        for (i, axis) in fields.iter().enumerate() {
-            let digit = (remaining / strides[i]) % axis.len();
-            remaining %= strides[i];
-            flat += digit * stride;
-            stride *= axis.len();
-        }
-        reordered.push(std::mem::replace(
-            &mut out[flat],
-            RfChoice {
-                label: String::new(),
-                config: RegFileConfig::Single(SingleBankConfig::one_cycle()),
-            },
-        ));
-    }
-    reordered
+        Ok((label, (kind.wrap)(config)))
+    });
+    Ok((count, Box::new(walk)))
 }
 
-fn parse_single(v: &JsonValue, name: Option<&str>) -> Result<Vec<RfChoice>, String> {
-    check_keys(v, "single", &["latency", "bypass", "read_ports", "write_ports"])?;
-    let fields: Vec<FieldAxis<SingleBankConfig>> = vec![
-        field_axis(
-            v,
-            "latency",
-            decode_u64,
-            |n| Box::new(move |c: &mut SingleBankConfig| c.latency = n),
-            label_text,
-        )?,
-        field_axis(
-            v,
-            "bypass",
-            decode_keyword(&[
-                ("full", BypassNetwork::Full),
-                ("single-level", BypassNetwork::SingleLevel),
-            ]),
-            |b| Box::new(move |c: &mut SingleBankConfig| c.bypass = b),
-            label_text,
-        )?,
-        field_axis(
-            v,
-            "read_ports",
-            decode_port,
-            |p| Box::new(move |c: &mut SingleBankConfig| c.ports.read = p),
-            label_text,
-        )?,
-        field_axis(
-            v,
-            "write_ports",
-            decode_port,
-            |p| Box::new(move |c: &mut SingleBankConfig| c.ports.write = p),
-            label_text,
-        )?,
-    ];
-    Ok(expand_fields(
-        SingleBankConfig::one_cycle(),
-        name.unwrap_or("single"),
-        fields,
-        RegFileConfig::Single,
-    ))
-}
-
-fn parse_cache(v: &JsonValue, name: Option<&str>) -> Result<Vec<RfChoice>, String> {
-    check_keys(
-        v,
-        "cache",
-        &[
-            "upper_entries",
-            "lower_latency",
-            "caching",
-            "fetch",
-            "replacement",
-            "upper_read_ports",
-            "upper_write_ports",
-            "lower_write_ports",
-            "buses",
-        ],
-    )?;
-    let fields: Vec<FieldAxis<RegFileCacheConfig>> = vec![
-        field_axis(
-            v,
-            "upper_entries",
-            decode_usize,
-            |n| Box::new(move |c: &mut RegFileCacheConfig| c.upper_entries = n),
-            label_text,
-        )?,
-        field_axis(
-            v,
-            "lower_latency",
-            decode_u64,
-            |n| Box::new(move |c: &mut RegFileCacheConfig| c.lower_latency = n),
-            label_text,
-        )?,
-        field_axis(
-            v,
-            "caching",
-            decode_keyword(&[
-                ("non-bypass", CachingPolicy::NonBypass),
-                ("ready", CachingPolicy::Ready),
-            ]),
-            |p| Box::new(move |c: &mut RegFileCacheConfig| c.caching = p),
-            label_text,
-        )?,
-        field_axis(
-            v,
-            "fetch",
-            decode_keyword(&[
-                ("on-demand", FetchPolicy::OnDemand),
-                ("prefetch-first-pair", FetchPolicy::PrefetchFirstPair),
-            ]),
-            |p| Box::new(move |c: &mut RegFileCacheConfig| c.fetch = p),
-            label_text,
-        )?,
-        field_axis(
-            v,
-            "replacement",
-            decode_keyword(&[
-                ("pseudo-lru", Replacement::PseudoLru),
-                ("fifo", Replacement::Fifo),
-                ("random", Replacement::Random),
-            ]),
-            |p| Box::new(move |c: &mut RegFileCacheConfig| c.replacement = p),
-            label_text,
-        )?,
-        field_axis(
-            v,
-            "upper_read_ports",
-            decode_port,
-            |p| Box::new(move |c: &mut RegFileCacheConfig| c.upper_read_ports = p),
-            label_text,
-        )?,
-        field_axis(
-            v,
-            "upper_write_ports",
-            decode_port,
-            |p| Box::new(move |c: &mut RegFileCacheConfig| c.upper_write_ports = p),
-            label_text,
-        )?,
-        field_axis(
-            v,
-            "lower_write_ports",
-            decode_port,
-            |p| Box::new(move |c: &mut RegFileCacheConfig| c.lower_write_ports = p),
-            label_text,
-        )?,
-        field_axis(
-            v,
-            "buses",
-            decode_port,
-            |p| Box::new(move |c: &mut RegFileCacheConfig| c.buses = p),
-            label_text,
-        )?,
-    ];
-    Ok(expand_fields(
-        RegFileCacheConfig::paper_default(),
-        name.unwrap_or("rfc"),
-        fields,
-        RegFileConfig::Cache,
-    ))
-}
-
-fn parse_replicated(v: &JsonValue, name: Option<&str>) -> Result<Vec<RfChoice>, String> {
-    check_keys(v, "replicated", &["banks", "read_ports_per_bank", "remote_write_delay"])?;
-    let fields: Vec<FieldAxis<ReplicatedBankConfig>> = vec![
-        field_axis(
-            v,
-            "banks",
-            decode_u32,
-            |n| Box::new(move |c: &mut ReplicatedBankConfig| c.banks = n),
-            label_text,
-        )?,
-        field_axis(
-            v,
-            "read_ports_per_bank",
-            decode_port,
-            |p| Box::new(move |c: &mut ReplicatedBankConfig| c.read_ports_per_bank = p),
-            label_text,
-        )?,
-        field_axis(
-            v,
-            "remote_write_delay",
-            decode_u64,
-            |n| Box::new(move |c: &mut ReplicatedBankConfig| c.remote_write_delay = n),
-            label_text,
-        )?,
-    ];
-    Ok(expand_fields(
-        ReplicatedBankConfig::default(),
-        name.unwrap_or("replicated"),
-        fields,
-        RegFileConfig::Replicated,
-    ))
-}
-
-fn parse_onelevel(v: &JsonValue, name: Option<&str>) -> Result<Vec<RfChoice>, String> {
-    check_keys(v, "onelevel", &["banks", "read_ports_per_bank", "write_ports_per_bank"])?;
-    let fields: Vec<FieldAxis<OneLevelBankedConfig>> = vec![
-        field_axis(
-            v,
-            "banks",
-            decode_u32,
-            |n| Box::new(move |c: &mut OneLevelBankedConfig| c.banks = n),
-            label_text,
-        )?,
-        field_axis(
-            v,
-            "read_ports_per_bank",
-            decode_port,
-            |p| Box::new(move |c: &mut OneLevelBankedConfig| c.read_ports_per_bank = p),
-            label_text,
-        )?,
-        field_axis(
-            v,
-            "write_ports_per_bank",
-            decode_port,
-            |p| Box::new(move |c: &mut OneLevelBankedConfig| c.write_ports_per_bank = p),
-            label_text,
-        )?,
-    ];
-    Ok(expand_fields(
-        OneLevelBankedConfig::default(),
-        name.unwrap_or("onelevel"),
-        fields,
-        RegFileConfig::OneLevel,
-    ))
-}
-
-/// Parses one entry of the `rf` axis into its expanded choices.
-fn parse_rf_entry(entry: &JsonValue) -> Result<Vec<RfChoice>, String> {
+/// Reads one entry of the `rf` axis: how many register files it
+/// expands to, and the walk that builds them.
+fn parse_rf_entry(entry: &JsonValue) -> Result<(usize, RfWalk<'_>), String> {
     if let Some(preset) = entry.as_str() {
         let config = match preset {
             "one-cycle" => RegFileConfig::Single(SingleBankConfig::one_cycle()),
@@ -496,7 +324,7 @@ fn parse_rf_entry(entry: &JsonValue) -> Result<Vec<RfChoice>, String> {
                 ));
             }
         };
-        return Ok(vec![RfChoice { label: preset.to_string(), config }]);
+        return Ok((1, Box::new(std::iter::once(Ok((preset.to_string(), config))))));
     }
     let JsonValue::Object(fields) = entry else {
         return Err("rf entries must be preset names or config objects".to_string());
@@ -516,10 +344,10 @@ fn parse_rf_entry(entry: &JsonValue) -> Result<Vec<RfChoice>, String> {
     };
     let body = entry.get(kind).expect("kind key just enumerated");
     match kind {
-        "single" => parse_single(body, name),
-        "cache" => parse_cache(body, name),
-        "replicated" => parse_replicated(body, name),
-        "onelevel" => parse_onelevel(body, name),
+        "single" => expand(kind, &SINGLE, body, name),
+        "cache" => expand(kind, &CACHE, body, name),
+        "replicated" => expand(kind, &REPLICATED, body, name),
+        "onelevel" => expand(kind, &ONELEVEL, body, name),
         other => Err(format!(
             "unknown rf kind `{other}` (expected single, cache, replicated or onelevel)"
         )),
@@ -537,7 +365,7 @@ fn parse_workload_entry(entry: &JsonValue) -> Result<Vec<WorkloadSource>, String
         return Err("workload entries must be benchmark names or objects".to_string());
     };
     if let Some(path) = entry.get("trace") {
-        check_keys(entry, "trace workload", &["trace", "name", "fp"])?;
+        check_keys(entry, "trace workload", |key| ["trace", "name", "fp"].contains(&key))?;
         let path = path.as_str().ok_or("`trace` must be a path string")?;
         let label = match entry.get("name") {
             None => None,
@@ -551,7 +379,7 @@ fn parse_workload_entry(entry: &JsonValue) -> Result<Vec<WorkloadSource>, String
         return Ok(vec![WorkloadSource::Trace(trace)]);
     }
     if let Some(bench) = entry.get("family") {
-        check_keys(entry, "family workload", &["family", "members"])?;
+        check_keys(entry, "family workload", |key| ["family", "members"].contains(&key))?;
         let bench = bench.as_str().ok_or("`family` must be a benchmark name")?;
         let base =
             BenchProfile::by_name(bench).ok_or_else(|| format!("unknown benchmark `{bench}`"))?;
@@ -573,19 +401,13 @@ fn parse_workload_entry(entry: &JsonValue) -> Result<Vec<WorkloadSource>, String
 /// Parses an optional number-or-array axis (`insts`, `warmup`, `seed`).
 /// Missing → empty (the campaign's option value fills in at plan time).
 fn parse_param_axis(v: &JsonValue, key: &str) -> Result<Vec<u64>, String> {
-    match v.get(key) {
-        None => Ok(Vec::new()),
-        Some(JsonValue::Array(items)) => {
-            if items.is_empty() {
-                return Err(format!("`{key}` must not be an empty array"));
-            }
-            items
-                .iter()
-                .map(|n| n.as_u64().ok_or_else(|| format!("`{key}` entries must be whole numbers")))
-                .collect()
-        }
-        Some(n) => Ok(vec![n.as_u64().ok_or_else(|| format!("`{key}` must be a whole number"))?]),
-    }
+    let Some(raw) = v.get(key) else { return Ok(Vec::new()) };
+    let values = elements(raw).ok_or_else(|| format!("`{key}` must not be an empty array"))?;
+    let wanted = match raw {
+        JsonValue::Array(_) => "entries must be whole numbers",
+        _ => "must be a whole number",
+    };
+    values.iter().map(|n| n.as_u64().ok_or_else(|| format!("`{key}` {wanted}"))).collect()
 }
 
 impl SweepDef {
@@ -610,11 +432,8 @@ impl SweepDef {
             ));
         }
         let v = parse_json(text).map_err(|e| e.to_string())?;
-        check_keys(
-            &v,
-            "sweep",
-            &["name", "description", "workloads", "rf", "insts", "warmup", "seed"],
-        )?;
+        let keys = ["name", "description", "workloads", "rf", "insts", "warmup", "seed"];
+        check_keys(&v, "sweep", |key| keys.contains(&key))?;
 
         let name = v
             .get("name")
@@ -656,40 +475,37 @@ impl SweepDef {
             return Err("`workloads` must list at least one workload".to_string());
         }
 
-        let rfs: Vec<(String, RegFileConfig)> = v
+        let rf = v
             .get("rf")
             .ok_or("sweep definitions need an `rf` axis")?
             .as_array()
-            .ok_or("`rf` must be an array")?
-            .iter()
-            .map(parse_rf_entry)
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .flatten()
-            .map(|choice| (choice.label, choice.config))
-            .collect();
-        if rfs.is_empty() {
+            .ok_or("`rf` must be an array")?;
+        if rf.is_empty() {
             return Err("`rf` must list at least one register file".to_string());
         }
-        let phys_regs = PipelineConfig::default().phys_regs;
-        for (i, (label, config)) in rfs.iter().enumerate() {
-            if rfs[..i].iter().any(|(other, _)| other == label) {
-                return Err(format!("rf label `{label}` is ambiguous; set distinct `name`s"));
-            }
-            config.validate(phys_regs).map_err(|reason| format!("rf `{label}`: {reason}"))?;
-        }
-
+        let rf_walks = rf.iter().map(parse_rf_entry).collect::<Result<Vec<_>, _>>()?;
         let insts = parse_param_axis(&v, "insts")?;
         let warmup = parse_param_axis(&v, "warmup")?;
         let seeds = parse_param_axis(&v, "seed")?;
 
-        let runs = workloads.len()
-            * rfs.len()
-            * insts.len().max(1)
-            * warmup.len().max(1)
-            * seeds.len().max(1);
+        // Sized from the axis lengths, before any register file is built.
+        let rf_count = rf_walks.iter().map(|(count, _)| *count).fold(0, usize::saturating_add);
+        let runs = [workloads.len(), rf_count, insts.len(), warmup.len(), seeds.len()]
+            .into_iter()
+            .map(|len| len.max(1))
+            .fold(1, usize::saturating_mul);
         if runs > MAX_SWEEP_RUNS {
             return Err(format!("sweep expands to {runs} runs; the limit is {MAX_SWEEP_RUNS}"));
+        }
+
+        let rfs = rf_walks.into_iter().flat_map(|(_, walk)| walk).collect::<Result<Vec<_>, _>>()?;
+        let phys_regs = PipelineConfig::default().phys_regs;
+        let mut labels = HashSet::with_capacity(rfs.len());
+        for (label, config) in &rfs {
+            if !labels.insert(label) {
+                return Err(format!("rf label `{label}` is ambiguous; set distinct `name`s"));
+            }
+            config.validate(phys_regs).map_err(|reason| format!("rf `{label}`: {reason}"))?;
         }
 
         Ok(SweepDef {
@@ -942,6 +758,35 @@ mod tests {
         }
     }
 
+    /// Pins the whole rf expansion: every field of every kind given two
+    /// legal values, the four presets and a `"name"` override, hashed
+    /// over each choice's label and config in `rfs` order.
+    #[test]
+    fn rf_expansion_is_pinned() {
+        let def = SweepDef::parse(
+            r#"{"name": "pin", "workloads": ["li"], "rf": [
+                "one-cycle", "two-cycle-single-bypass", "two-cycle-full-bypass", "rfc",
+                {"single": {"latency": [1, 2], "bypass": ["full", "single-level"],
+                            "read_ports": [2, null], "write_ports": [1, null]}},
+                {"cache": {"upper_entries": [8, 16], "lower_latency": [1, 2],
+                           "caching": ["non-bypass", "ready"],
+                           "fetch": ["on-demand", "prefetch-first-pair"],
+                           "replacement": ["pseudo-lru", "fifo"],
+                           "upper_read_ports": [2, null], "upper_write_ports": [0, 2],
+                           "lower_write_ports": [1, null], "buses": [1, 3]}},
+                {"replicated": {"banks": [2, 4], "read_ports_per_bank": [1, null],
+                                "remote_write_delay": [0, 1]}, "name": "rep"},
+                {"onelevel": {"banks": [4, 8], "read_ports_per_bank": [1, null],
+                              "write_ports_per_bank": [1, 2]}}]}"#,
+        )
+        .unwrap();
+        assert_eq!(def.rfs.len(), 4 + 16 + 512 + 8 + 8);
+        let lines: Vec<String> =
+            def.rfs.iter().map(|(label, config)| format!("{label}\t{config:?}")).collect();
+        let hash = crate::run::fnv1a_64(lines.join("\n").into_bytes());
+        assert_eq!(hash, 0xd1df_08e8_159e_7641, "{hash:016x}\n{}", lines[..8].join("\n"));
+    }
+
     #[test]
     fn family_workloads_expand_members() {
         let def = SweepDef::parse(
@@ -1062,6 +907,14 @@ mod tests {
                 "{\"name\": \"x\", \"workloads\": [\"li\"], \"rf\": [{\"onelevel\": {\"banks\": 0}}]}",
                 "rf `onelevel`: banks must be at least 1",
             ),
+            (
+                "{\"name\": \"x\", \"workloads\": [\"li\"], \"rf\": [{\"replicated\": {\"banks\": [2, 129]}}]}",
+                "rf `replicated banks=129`: banks 129 must be at most phys_regs 128",
+            ),
+            (
+                "{\"name\": \"x\", \"workloads\": [\"li\"], \"rf\": [{\"onelevel\": {\"banks\": 4294967295}}]}",
+                "rf `onelevel`: banks 4294967295 must be at most phys_regs 128",
+            ),
         ];
         for (text, needle) in cases {
             let err = SweepDef::parse(text).unwrap_err();
@@ -1072,6 +925,56 @@ mod tests {
                        "seed": [SEEDS]}"#
             .replace("SEEDS", &(0..70_000).map(|i| i.to_string()).collect::<Vec<_>>().join(", "));
         assert!(SweepDef::parse(&huge).unwrap_err().contains("limit"));
+    }
+
+    /// The run cap is checked on the axis lengths, before any register
+    /// file is built: a short definition may name millions of choices.
+    #[test]
+    fn run_cap_is_checked_before_the_cross_product_is_built() {
+        let values =
+            |n: u32| format!("[{}]", (1..=n).map(|i| i.to_string()).collect::<Vec<_>>().join(", "));
+        // 711 bytes, 30^5 = 24.3M register files.
+        let v30 = values(30);
+        let huge = format!(
+            r#"{{"name": "huge", "workloads": ["li"], "rf": [{{"cache": {{"lower_latency": {v30}, "upper_read_ports": {v30}, "upper_write_ports": {v30}, "lower_write_ports": {v30}, "buses": {v30}}}}}]}}"#
+        );
+        assert_eq!(huge.len(), 711);
+        assert_eq!(
+            SweepDef::parse(&huge).unwrap_err(),
+            "sweep expands to 24300000 runs; the limit is 65536"
+        );
+        // Two rf entries: 255 x 256 + 256 = 65,536 runs parse, one more does not.
+        let at_cap = |extra: &str| {
+            format!(
+                r#"{{"name": "cap", "workloads": ["li"], "rf": [{extra}
+                    {{"cache": {{"upper_read_ports": {}, "buses": {}}}}},
+                    {{"single": {{"read_ports": {}}}}}]}}"#,
+                values(255),
+                values(256),
+                values(256)
+            )
+        };
+        let def = SweepDef::parse(&at_cap("")).unwrap();
+        assert_eq!(def.runs(&ExperimentOpts::default()), MAX_SWEEP_RUNS);
+        assert_eq!(
+            SweepDef::parse(&at_cap(r#""one-cycle","#)).unwrap_err(),
+            "sweep expands to 65537 runs; the limit is 65536"
+        );
+        // A product past usize saturates instead of wrapping to a small
+        // count: six fields of 2048 values each name 2^66 choices.
+        let ones = format!("[{}]", vec!["1"; 2048].join(", "));
+        let fields: Vec<String> = CACHE
+            .fields
+            .iter()
+            .filter(|(key, _)| !["caching", "fetch", "replacement"].contains(key))
+            .map(|(key, _)| format!(r#""{key}": {ones}"#))
+            .collect();
+        let wide = format!(
+            r#"{{"name": "wide", "workloads": ["li"], "rf": [{{"cache": {{{}}}}}]}}"#,
+            fields.join(", ")
+        );
+        let err = SweepDef::parse(&wide).unwrap_err();
+        assert_eq!(err, format!("sweep expands to {} runs; the limit is 65536", usize::MAX));
     }
 
     /// A port or bus count of 0 builds a register file that deadlocks, so
