@@ -504,9 +504,9 @@ fn campaign_opts(flags: &Flags) -> ExperimentOpts {
 
 /// The description of the campaign the command line names (scenario
 /// names or `all`, plus `--sweep` files), carrying any sweep definitions
-/// inline so other processes can rebuild the namespace. A repeated name
-/// runs once, with a warning.
-fn campaign_request(flags: &Flags) -> CampaignRequest {
+/// inline so other processes can rebuild the namespace, and the registry
+/// the files were parsed into. A repeated name runs once, with a warning.
+fn campaign_request(flags: &Flags) -> (CampaignRequest, Registry) {
     let opts = campaign_opts(flags);
     let mut names: Vec<&str> = Vec::new();
     for name in flags.positionals() {
@@ -519,13 +519,16 @@ fn campaign_request(flags: &Flags) -> CampaignRequest {
     let registry = load_registry(flags);
     let names = with_sweep_names(names, &registry);
     let selected = select_scenarios(&registry, &names);
-    CampaignRequest::new(selected.iter().map(|s| s.name.to_string()).collect(), opts)
-        .with_sweeps(registry.sweep_texts().to_vec())
+    let request = CampaignRequest::new(selected.iter().map(|s| s.name.to_string()).collect(), opts)
+        .with_sweeps(registry.sweep_texts().to_vec());
+    (request, registry)
 }
 
-/// Plans the campaign the command line names.
+/// Plans the campaign the command line names, in the registry its
+/// `--sweep` files were parsed into once.
 fn plan_campaign(flags: &Flags) -> CampaignPlan {
-    campaign_request(flags).plan().unwrap_or_else(|e| usage_error(&e))
+    let (request, registry) = campaign_request(flags);
+    request.plan_in(registry).unwrap_or_else(|e| usage_error(&e))
 }
 
 /// Submits a campaign description to a running campaign service and
@@ -537,7 +540,7 @@ fn submit_main(args: &[String]) {
     let Some(addr) = flags.value("--connect") else {
         usage_error("submit needs --connect ADDR (the service's --http address)");
     };
-    let request = campaign_request(&flags);
+    let (request, _) = campaign_request(&flags);
     let (code, body) = http::post(
         addr,
         "/campaigns",

@@ -347,6 +347,33 @@ fn simulate_rejects_an_empty_trace() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A trace that is not a regular file, or whose header claims more
+/// records than it holds, exits 2 naming the path, without blocking on
+/// the FIFO or reading the device.
+#[test]
+fn simulate_rejects_unbounded_trace_inputs_by_path() {
+    let dir = temp_out("unbounded_trace");
+    std::fs::create_dir_all(&dir).unwrap();
+    let fifo = dir.join("fifo.rfct");
+    let made = Command::new("mkfifo").arg(&fifo).status();
+    assert!(made.is_ok_and(|status| status.success()), "mkfifo {}", fifo.display());
+    let header = dir.join("header.rfct");
+    let mut bytes = b"RFCT\x01\x00\x00\x00".to_vec();
+    bytes.extend_from_slice(&(1u64 << 24).to_le_bytes()); // and no record
+    std::fs::write(&header, bytes).unwrap();
+    for (path, reason) in [
+        (fifo.to_str().unwrap(), "not a regular file"),
+        ("/dev/zero", "not a regular file"),
+        (header.to_str().unwrap(), "bad trace file"),
+    ] {
+        let out = simulate(&["--trace-in", path]);
+        assert_eq!(out.status.code(), Some(2), "{path}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(path) && stderr.contains(reason), "stderr: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn simulate_rejects_bad_pipeline_flags_by_name() {
     // Regression: a value flag at the end of the line used to die with a

@@ -308,6 +308,30 @@ fn error_paths_answer_4xx_without_disturbing_the_inflight_campaign() {
     ));
     assert_eq!(code, 400, "oversized cross-product: {body}");
     assert!(body.contains("sweep expands to 125000 runs; the limit is 65536"), "{body}");
+    // Trace paths are checked before the coordinator opens or decodes
+    // them: a FIFO would block its only thread, and a device or a header
+    // claiming millions of records would fill its memory.
+    let fifo = work.join("fifo.rfct");
+    let made = Command::new("mkfifo").arg(&fifo).status();
+    assert!(made.is_ok_and(|status| status.success()), "mkfifo {}", fifo.display());
+    let header = work.join("header.rfct");
+    let mut bytes = b"RFCT\x01\x00\x00\x00".to_vec();
+    bytes.extend_from_slice(&(1u64 << 24).to_le_bytes()); // and no record
+    std::fs::write(&header, bytes).unwrap();
+    for (path, reason) in [
+        (fifo.to_str().unwrap(), "not a regular file"),
+        ("/dev/zero", "not a regular file"),
+        (header.to_str().unwrap(), "bad trace file"),
+    ] {
+        let (code, body) = post(&format!(
+            "{{\"scenarios\": [\"t\"], \"sweeps\": [{{\"name\": \"t\", \
+             \"workloads\": [{{\"trace\": \"{path}\"}}], \"rf\": [\"one-cycle\"]}}]}}"
+        ));
+        assert_eq!(code, 400, "{path}: {body}");
+        assert!(body.contains(path) && body.contains(reason), "{body}");
+        let (code, _) = http::get(&control, "/healthz", timeout).expect("health answers");
+        assert_eq!(code, 200, "the coordinator keeps serving after {path}");
+    }
 
     let oversized = format!("{{\"scenarios\": [\"{}\"]}}", "x".repeat(http::MAX_BODY));
     let (code, body) = post(&oversized);

@@ -337,14 +337,6 @@ impl RegFileConfig {
             ],
         }
     }
-
-    /// Panics with the violated bound if [`validate`](Self::validate)
-    /// fails; every model constructor starts here.
-    pub(crate) fn expect_valid(&self, phys_regs: usize) {
-        if let Err(reason) = self.validate(phys_regs) {
-            panic!("invalid register file configuration: {reason}");
-        }
-    }
 }
 
 impl fmt::Display for RegFileConfig {

@@ -1,34 +1,9 @@
-//! The cycle-accurate protocol between the out-of-order core and a
-//! register file model, plus state shared by all implementations.
+//! Operand-read plans, statistics, and the register-lifetime table all
+//! four register file models share.
 //!
-//! # Timing contract
-//!
-//! * An instruction **issues** at cycle `c` and starts executing at
-//!   `c + L`, where `L` is the architecture's
-//!   [`RegFileConfig::read_latency`](crate::RegFileConfig::read_latency);
-//!   its result is **produced** at the end of its execute stage (cycle
-//!   `p`), which the core announces via [`RegFileModel::schedule_result`]
-//!   as soon as `p` is known.
-//! * The core retires produced results through a write-back queue: each
-//!   cycle it offers them oldest-first via [`RegFileModel::try_writeback`];
-//!   the model accepts as many as it has write ports, records the value as
-//!   *written* (readable by reads starting that same cycle — write-before-
-//!   read), and applies its caching policy.
-//! * To issue an instruction the core calls [`RegFileModel::plan_read`]
-//!   with the source registers; the model answers how each operand would be
-//!   obtained at this cycle (bypass network or register file read) or that
-//!   the instruction cannot issue yet (operand unavailable or read ports
-//!   exhausted). If the core goes ahead it calls
-//!   [`RegFileModel::commit_read`], which consumes ports and marks
-//!   bypass-consumed values.
-//! * The core must call [`RegFileModel::begin_cycle`] exactly once per
-//!   cycle, before any other call of that cycle, with a strictly
-//!   increasing cycle number.
-//!
-//! Every model keeps its registers' lifetimes in a [`PregTable`]; the
-//! trait implements the lifetime calls once, over that table.
+//! [`RegFile`](crate::RegFile) documents the timing contract between the
+//! core and a model.
 
-use crate::bitset::RegBitSet;
 use rfcache_isa::{Cycle, PhysReg};
 use std::fmt;
 
@@ -215,110 +190,6 @@ impl fmt::Display for RegFileStats {
     }
 }
 
-/// The cycle-accurate register file protocol. See the module documentation
-/// for the timing contract.
-///
-/// A model implements its port budgets, operand paths and write-back;
-/// the lifetime calls default to its [`PregTable`]. `Send` is a
-/// supertrait so whole CPUs can move across threads — the scenario
-/// engine runs independent simulations on a worker pool.
-pub trait RegFileModel: Send {
-    /// The model's register lifetimes and statistics.
-    fn table(&self) -> &PregTable;
-
-    /// Mutable access to the model's [`table`](Self::table).
-    fn table_mut(&mut self) -> &mut PregTable;
-
-    /// Starts cycle `now`: resets per-cycle port budgets and advances
-    /// internal machinery (e.g. bus transfers).
-    fn begin_cycle(&mut self, now: Cycle);
-
-    /// A physical register was allocated at rename; its previous life (if
-    /// any) is over.
-    fn on_alloc(&mut self, preg: PhysReg) {
-        self.table_mut().alloc(preg);
-    }
-
-    /// Seeds `preg` with an architectural value that exists before the
-    /// simulation starts (the initial mapping of the logical registers):
-    /// live, produced and written at cycle 0, resident only in the main
-    /// (lower) bank.
-    fn seed_initial(&mut self, preg: PhysReg) {
-        self.table_mut().seed(preg);
-    }
-
-    /// The producer of `preg` will finish executing at the end of cycle
-    /// `produced_at`.
-    fn schedule_result(&mut self, preg: PhysReg, produced_at: Cycle) {
-        self.table_mut().schedule(preg, produced_at);
-    }
-
-    /// Offers the produced value of `preg` for write-back at cycle `now`.
-    /// Returns `false` when no write port is free this cycle (the core
-    /// retries next cycle). On success the model applies its caching
-    /// policy; `ready` holds the registers some not-yet-issued
-    /// instruction reads with all of its source values produced (the
-    /// *ready* caching policy's input).
-    fn try_writeback(&mut self, preg: PhysReg, now: Cycle, ready: &RegBitSet) -> bool;
-
-    /// Whether the value of `preg` has been written to the main (lower)
-    /// bank — the condition for the producing instruction to commit.
-    fn is_written(&self, preg: PhysReg) -> bool {
-        self.table().state(preg).written_at.is_some()
-    }
-
-    /// Whether the value of `preg` has been produced (is architecturally
-    /// available somewhere, not necessarily readable this cycle).
-    fn is_produced(&self, preg: PhysReg, now: Cycle) -> bool {
-        matches!(self.table().state(preg).produced_at, Some(p) if p <= now)
-    }
-
-    /// Plans the operand reads of an instruction issuing at cycle `now`
-    /// with the given source registers. On failure the error says why the
-    /// instruction cannot issue this cycle.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanError::NotReady`] when an operand is unobtainable this cycle,
-    /// [`PlanError::UpperMiss`] when operands must first be transferred to
-    /// the upper bank, [`PlanError::NoReadPort`] on port exhaustion.
-    fn plan_read(&mut self, srcs: &[PhysReg], now: Cycle) -> Result<ReadPlan, PlanError>;
-
-    /// Commits a plan returned by [`plan_read`](Self::plan_read) this same
-    /// cycle: consumes ports, updates recency, marks bypassed values.
-    fn commit_read(&mut self, plan: &[SourceRead], now: Cycle);
-
-    /// Requests a demand transfer of `preg` into the upper bank (no-op for
-    /// one-level files).
-    fn request_demand(&mut self, preg: PhysReg, now: Cycle) {
-        let _ = (preg, now);
-    }
-
-    /// Requests a prefetch of `preg` into the upper bank (no-op unless the
-    /// fetch policy is prefetch-first-pair).
-    fn request_prefetch(&mut self, preg: PhysReg, now: Cycle) {
-        let _ = (preg, now);
-    }
-
-    /// The physical register was freed (its renaming superseded at
-    /// commit); the model clears all state for it.
-    fn on_free(&mut self, preg: PhysReg) {
-        self.table_mut().free(preg);
-    }
-
-    /// Accumulated statistics.
-    fn stats(&self) -> &RegFileStats {
-        &self.table().stats
-    }
-
-    /// Human-readable internal state of one operand (for deadlock
-    /// diagnostics). The default implementation returns an empty string.
-    fn debug_operand(&self, preg: PhysReg) -> String {
-        let _ = preg;
-        String::new()
-    }
-}
-
 /// Lifetime state of one physical register.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PregState {
@@ -338,37 +209,36 @@ pub(crate) struct PregState {
 /// models keep the same way: write-backs, operand reads by path, and how
 /// often each freed value was read.
 ///
-/// Each model owns one; the [`RegFileModel`] default methods drive it
-/// through allocation, scheduling and freeing, and the model's own
-/// write-back and read paths record into it. Its methods are private to
-/// this crate, so the protocol's implementations are too.
+/// [`RegFile`](crate::RegFile) drives it through allocation, scheduling
+/// and freeing, and passes it to the model's own write-back and read
+/// paths, which record into it.
 #[derive(Debug)]
-pub struct PregTable {
+pub(crate) struct PregTable {
     states: Vec<PregState>,
     /// Accumulated statistics; models add their own stall, caching and
     /// transfer counts.
-    pub(crate) stats: RegFileStats,
+    pub stats: RegFileStats,
 }
 
 impl PregTable {
     /// A table of `phys_regs` registers, none of them live.
-    pub(crate) fn new(phys_regs: usize) -> Self {
+    pub fn new(phys_regs: usize) -> Self {
         PregTable { states: vec![PregState::default(); phys_regs], stats: RegFileStats::default() }
     }
 
     /// The lifetime state of `preg`.
-    pub(crate) fn state(&self, preg: PhysReg) -> &PregState {
+    pub fn state(&self, preg: PhysReg) -> &PregState {
         &self.states[preg.index()]
     }
 
     /// Starts a fresh lifetime of `preg`: live, nothing produced yet.
-    pub(crate) fn alloc(&mut self, preg: PhysReg) {
+    pub fn alloc(&mut self, preg: PhysReg) {
         self.states[preg.index()] = PregState { live: true, ..PregState::default() };
     }
 
     /// Starts a lifetime whose value exists before the simulation:
     /// produced and written at cycle 0.
-    pub(crate) fn seed(&mut self, preg: PhysReg) {
+    pub fn seed(&mut self, preg: PhysReg) {
         self.states[preg.index()] = PregState {
             produced_at: Some(0),
             written_at: Some(0),
@@ -378,19 +248,19 @@ impl PregTable {
     }
 
     /// The value of `preg` is produced at the end of `produced_at`.
-    pub(crate) fn schedule(&mut self, preg: PhysReg, produced_at: Cycle) {
+    pub fn schedule(&mut self, preg: PhysReg, produced_at: Cycle) {
         self.states[preg.index()].produced_at = Some(produced_at);
     }
 
     /// Records an accepted write-back: `preg` is readable from the main
     /// bank from `now` on.
-    pub(crate) fn write(&mut self, preg: PhysReg, now: Cycle) {
+    pub fn write(&mut self, preg: PhysReg, now: Cycle) {
         self.states[preg.index()].written_at = Some(now);
         self.stats.writebacks += 1;
     }
 
     /// Counts one committed operand read on its path.
-    pub(crate) fn count_read(&mut self, read: SourceRead) {
+    pub fn count_read(&mut self, read: SourceRead) {
         let st = &mut self.states[read.preg.index()];
         st.reads += 1;
         match read.path {
@@ -404,7 +274,7 @@ impl PregTable {
 
     /// Ends the lifetime of `preg`. A live value that was produced is
     /// counted by how often it was read (the §3 read-count statistic).
-    pub(crate) fn free(&mut self, preg: PhysReg) {
+    pub fn free(&mut self, preg: PhysReg) {
         let st = std::mem::take(&mut self.states[preg.index()]);
         if st.live && st.produced_at.is_some() {
             match st.reads {

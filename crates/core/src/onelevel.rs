@@ -10,9 +10,7 @@
 //! bank's ports. Port conflicts are the price of the cheaper banks; the
 //! bypass network stays single-level like the register file cache's.
 
-use crate::bitset::RegBitSet;
-use crate::config::RegFileConfig;
-use crate::model::{PlanError, PregTable, ReadPath, ReadPlan, RegFileModel, SourceRead};
+use crate::model::{PlanError, PregTable, ReadPath, ReadPlan, SourceRead};
 use rfcache_isa::{Cycle, PhysReg};
 
 /// Configuration of the one-level banked organization.
@@ -44,81 +42,73 @@ impl Default for OneLevelBankedConfig {
 ///
 /// # Examples
 ///
-/// ```
-/// use rfcache_core::{OneLevelBankedConfig, OneLevelBankedModel, RegFileConfig};
+/// Register `i` lives in bank `i mod banks`, so operands in one bank
+/// contend for its read ports.
 ///
-/// let config = OneLevelBankedConfig::wallace(8);
-/// assert_eq!(RegFileConfig::OneLevel(config).read_latency(), 1);
-/// let rf = OneLevelBankedModel::new(config, 128);
-/// assert_eq!(rf.bank_of(rfcache_isa::PhysReg::new(9)), 1);
+/// ```
+/// use rfcache_core::{OneLevelBankedConfig, PlanError, RegFileConfig};
+/// use rfcache_isa::PhysReg;
+///
+/// let mut rf = RegFileConfig::OneLevel(OneLevelBankedConfig::wallace(8)).build_model(128);
+/// let (a, b, c) = (PhysReg::new(1), PhysReg::new(9), PhysReg::new(2)); // banks 1, 1, 2
+/// rf.begin_cycle(0);
+/// for p in [a, b, c] {
+///     rf.seed_initial(p);
+/// }
+/// rf.begin_cycle(5);
+/// let plan = rf.plan_read(&[a, b], 5).unwrap(); // both of bank 1's read ports
+/// rf.commit_read(&plan);
+/// assert_eq!(rf.plan_read(&[a], 5), Err(PlanError::NoReadPort));
+/// assert!(rf.plan_read(&[c], 5).is_ok());
 /// ```
 #[derive(Debug)]
-pub struct OneLevelBankedModel {
+pub(crate) struct OneLevelBankedModel {
     config: OneLevelBankedConfig,
-    table: PregTable,
     reads_used: Vec<u32>,
     writes_used: Vec<u32>,
 }
 
 impl OneLevelBankedModel {
-    /// Creates a model for `phys_regs` registers.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the violated bound if the configuration fails
-    /// [`RegFileConfig::validate`].
-    pub fn new(config: OneLevelBankedConfig, phys_regs: usize) -> Self {
-        RegFileConfig::OneLevel(config).expect_valid(phys_regs);
+    pub fn new(config: OneLevelBankedConfig) -> Self {
         OneLevelBankedModel {
-            table: PregTable::new(phys_regs),
             reads_used: vec![0; config.banks as usize],
             writes_used: vec![0; config.banks as usize],
             config,
         }
     }
 
-    /// The configuration this model was built from.
-    pub fn config(&self) -> &OneLevelBankedConfig {
-        &self.config
-    }
-
     /// Bank holding `preg`.
-    pub fn bank_of(&self, preg: PhysReg) -> usize {
+    fn bank_of(&self, preg: PhysReg) -> usize {
         preg.index() % self.config.banks as usize
     }
-}
 
-impl RegFileModel for OneLevelBankedModel {
-    fn table(&self) -> &PregTable {
-        &self.table
-    }
-
-    fn table_mut(&mut self) -> &mut PregTable {
-        &mut self.table
-    }
-
-    fn begin_cycle(&mut self, _now: Cycle) {
+    pub fn begin_cycle(&mut self) {
         self.reads_used.fill(0);
         self.writes_used.fill(0);
     }
 
-    fn try_writeback(&mut self, preg: PhysReg, now: Cycle, _ready: &RegBitSet) -> bool {
+    pub fn try_writeback(&mut self, table: &mut PregTable, preg: PhysReg, now: Cycle) -> bool {
         let bank = self.bank_of(preg);
         if let Some(limit) = self.config.write_ports_per_bank {
             if self.writes_used[bank] >= limit {
-                self.table.stats.write_port_stalls += 1;
+                table.stats.write_port_stalls += 1;
                 return false;
             }
         }
         self.writes_used[bank] += 1;
-        self.table.write(preg, now);
+        table.write(preg, now);
         true
     }
 
-    fn plan_read(&mut self, srcs: &[PhysReg], now: Cycle) -> Result<ReadPlan, PlanError> {
+    pub fn plan_read(
+        &self,
+        table: &mut PregTable,
+        srcs: &[PhysReg],
+        now: Cycle,
+    ) -> Result<ReadPlan, PlanError> {
         let mut plan = ReadPlan::new();
         for &preg in srcs {
-            let st = self.table.state(preg);
+            let st = table.state(preg);
             let Some(produced) = st.produced_at else { return Err(PlanError::NotReady) };
             if now == produced {
                 plan.push(SourceRead { preg, path: ReadPath::Bypass });
@@ -131,25 +121,13 @@ impl RegFileModel for OneLevelBankedModel {
         if let Some(limit) = self.config.read_ports_per_bank {
             // Per-bank demand of this instruction alone, computed by
             // scanning the (at most two-entry) plan instead of a
-            // banks-sized side table: each bank is checked once, at its
-            // first register-file read.
-            for (i, read) in plan.iter().enumerate() {
-                if read.path != ReadPath::RegFile {
-                    continue;
-                }
+            // banks-sized side table.
+            let file_reads = || plan.iter().filter(|r| r.path == ReadPath::RegFile);
+            for read in file_reads() {
                 let bank = self.bank_of(read.preg);
-                let already_counted = plan[..i]
-                    .iter()
-                    .any(|r| r.path == ReadPath::RegFile && self.bank_of(r.preg) == bank);
-                if already_counted {
-                    continue;
-                }
-                let demand = plan[i..]
-                    .iter()
-                    .filter(|r| r.path == ReadPath::RegFile && self.bank_of(r.preg) == bank)
-                    .count() as u32;
+                let demand = file_reads().filter(|r| self.bank_of(r.preg) == bank).count() as u32;
                 if self.reads_used[bank] + demand > limit {
-                    self.table.stats.read_port_stalls += 1;
+                    table.stats.read_port_stalls += 1;
                     return Err(PlanError::NoReadPort);
                 }
             }
@@ -157,9 +135,9 @@ impl RegFileModel for OneLevelBankedModel {
         Ok(plan)
     }
 
-    fn commit_read(&mut self, plan: &[SourceRead], _now: Cycle) {
+    pub fn commit_read(&mut self, table: &mut PregTable, plan: &[SourceRead]) {
         for &read in plan {
-            self.table.count_read(read);
+            table.count_read(read);
             if read.path == ReadPath::RegFile {
                 let bank = self.bank_of(read.preg);
                 self.reads_used[bank] += 1;
@@ -171,17 +149,28 @@ impl RegFileModel for OneLevelBankedModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RegFileConfig;
+    use crate::dispatch::{Model, RegFile};
+    use crate::RegBitSet;
 
-    fn model(banks: u32, r: u32, w: u32) -> OneLevelBankedModel {
+    fn model(banks: u32, r: u32, w: u32) -> RegFile {
         let config = OneLevelBankedConfig {
             banks,
             read_ports_per_bank: Some(r),
             write_ports_per_bank: Some(w),
         };
-        OneLevelBankedModel::new(config, 32)
+        RegFileConfig::OneLevel(config).build_model(32)
     }
 
-    fn seed_written(rf: &mut OneLevelBankedModel, pregs: &[u16]) {
+    /// Bank holding `preg` in `rf`.
+    fn bank_of(rf: &RegFile, preg: PhysReg) -> usize {
+        match &rf.model {
+            Model::OneLevel(m) => m.bank_of(preg),
+            other => unreachable!("a one-level configuration built {other:?}"),
+        }
+    }
+
+    fn seed_written(rf: &mut RegFile, pregs: &[u16]) {
         rf.begin_cycle(0);
         for &i in pregs {
             let p = PhysReg::new(i);
@@ -194,9 +183,9 @@ mod tests {
     #[test]
     fn registers_map_round_robin_to_banks() {
         let rf = model(4, 2, 1);
-        assert_eq!(rf.bank_of(PhysReg::new(0)), 0);
-        assert_eq!(rf.bank_of(PhysReg::new(5)), 1);
-        assert_eq!(rf.bank_of(PhysReg::new(7)), 3);
+        assert_eq!(bank_of(&rf, PhysReg::new(0)), 0);
+        assert_eq!(bank_of(&rf, PhysReg::new(5)), 1);
+        assert_eq!(bank_of(&rf, PhysReg::new(7)), 3);
     }
 
     #[test]
@@ -211,7 +200,7 @@ mod tests {
         );
         // preg0 (bank 0) and preg1 (bank 1) are fine.
         let plan = rf.plan_read(&[PhysReg::new(0), PhysReg::new(1)], 5).unwrap();
-        rf.commit_read(&plan, 5);
+        rf.commit_read(&plan);
         // Bank 0's single port is now used; preg2 must wait a cycle.
         assert_eq!(rf.plan_read(&[PhysReg::new(2)], 5), Err(PlanError::NoReadPort));
         rf.begin_cycle(6);

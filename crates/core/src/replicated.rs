@@ -4,9 +4,8 @@
 //! every bank, reaching remote banks one cycle later; each functional-unit
 //! cluster reads its local bank.
 
-use crate::bitset::RegBitSet;
-use crate::config::{RegFileConfig, ReplicatedBankConfig};
-use crate::model::{PlanError, PregTable, ReadPath, ReadPlan, RegFileModel, SourceRead};
+use crate::config::ReplicatedBankConfig;
+use crate::model::{PlanError, PregTable, ReadPath, ReadPlan, SourceRead};
 use rfcache_isa::{Cycle, PhysReg};
 
 /// Timing model of a replicated-bank register file.
@@ -20,17 +19,25 @@ use rfcache_isa::{Cycle, PhysReg};
 /// # Examples
 ///
 /// ```
-/// use rfcache_core::{RegFileConfig, ReplicatedBankConfig, ReplicatedBankModel};
+/// use rfcache_core::{PlanError, RegBitSet, RegFileConfig, ReplicatedBankConfig};
+/// use rfcache_isa::PhysReg;
 ///
 /// let config = ReplicatedBankConfig::default();
 /// assert_eq!(RegFileConfig::Replicated(config).read_latency(), 1);
-/// let rf = ReplicatedBankModel::new(config, 128);
-/// assert_eq!(rf.current_cluster(), 0);
+/// let mut rf = RegFileConfig::Replicated(config).build_model(128);
+/// let p = PhysReg::new(0);
+/// rf.begin_cycle(0);
+/// rf.on_alloc(p);
+/// rf.schedule_result(p, 2); // by cluster 0
+/// rf.begin_cycle(3);
+/// assert!(rf.try_writeback(p, 3, &RegBitSet::new(0)));
+/// let plan = rf.plan_read(&[p], 3).unwrap(); // cluster 0 reads its own bank
+/// rf.commit_read(&plan);
+/// assert_eq!(rf.plan_read(&[p], 3), Err(PlanError::NotReady)); // cluster 1 waits
 /// ```
 #[derive(Debug)]
-pub struct ReplicatedBankModel {
+pub(crate) struct ReplicatedBankModel {
     config: ReplicatedBankConfig,
-    table: PregTable,
     /// Cluster that produced each register's value.
     producer_cluster: Vec<u32>,
     /// Cluster the next issuing instruction is assigned to.
@@ -40,16 +47,8 @@ pub struct ReplicatedBankModel {
 }
 
 impl ReplicatedBankModel {
-    /// Creates a model for `phys_regs` registers.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the violated bound if the configuration fails
-    /// [`RegFileConfig::validate`].
     pub fn new(config: ReplicatedBankConfig, phys_regs: usize) -> Self {
-        RegFileConfig::Replicated(config).expect_valid(phys_regs);
         ReplicatedBankModel {
-            table: PregTable::new(phys_regs),
             producer_cluster: vec![0; phys_regs],
             next_cluster: 0,
             reads_used: vec![0; config.banks as usize],
@@ -57,65 +56,40 @@ impl ReplicatedBankModel {
         }
     }
 
-    /// The cluster the next issuing instruction will use.
-    pub fn current_cluster(&self) -> u32 {
-        self.next_cluster
+    fn readable_in(&self, table: &PregTable, preg: PhysReg, cluster: u32, now: Cycle) -> bool {
+        let local = self.producer_cluster[preg.index()] == cluster;
+        let delay = if local { 0 } else { self.config.remote_write_delay };
+        table.state(preg).written_at.is_some_and(|w| now >= w + delay)
     }
 
-    fn readable_in(&self, preg: PhysReg, cluster: u32, now: Cycle) -> bool {
-        match self.table.state(preg).written_at {
-            Some(w) => {
-                let effective = if self.producer_cluster[preg.index()] == cluster {
-                    w
-                } else {
-                    w + self.config.remote_write_delay
-                };
-                now >= effective
-            }
-            None => false,
-        }
-    }
-}
-
-impl RegFileModel for ReplicatedBankModel {
-    fn table(&self) -> &PregTable {
-        &self.table
-    }
-
-    fn table_mut(&mut self) -> &mut PregTable {
-        &mut self.table
-    }
-
-    fn begin_cycle(&mut self, _now: Cycle) {
+    pub fn begin_cycle(&mut self) {
         self.reads_used.fill(0);
     }
 
-    fn schedule_result(&mut self, preg: PhysReg, produced_at: Cycle) {
-        self.table.schedule(preg, produced_at);
+    /// Attributes the value of `preg` to the cluster of its producer.
+    pub fn schedule_result(&mut self, preg: PhysReg) {
         // The producing instruction itself ran in some cluster; attribute
         // round-robin like every other issue.
         self.producer_cluster[preg.index()] = self.next_cluster;
     }
 
-    fn try_writeback(&mut self, preg: PhysReg, now: Cycle, _ready: &RegBitSet) -> bool {
-        // Every bank has a dedicated write port per result bus (full
-        // replication); write-back never stalls on ports in this model.
-        self.table.write(preg, now);
-        true
-    }
-
-    fn plan_read(&mut self, srcs: &[PhysReg], now: Cycle) -> Result<ReadPlan, PlanError> {
+    pub fn plan_read(
+        &self,
+        table: &mut PregTable,
+        srcs: &[PhysReg],
+        now: Cycle,
+    ) -> Result<ReadPlan, PlanError> {
         let cluster = self.next_cluster;
         let mut plan = ReadPlan::new();
         let mut ports_needed = 0;
         for &preg in srcs {
-            let Some(produced) = self.table.state(preg).produced_at else {
+            let Some(produced) = table.state(preg).produced_at else {
                 return Err(PlanError::NotReady);
             };
             let local = self.producer_cluster[preg.index()] == cluster;
             if now == produced && local {
                 plan.push(SourceRead { preg, path: ReadPath::Bypass });
-            } else if self.readable_in(preg, cluster, now) {
+            } else if self.readable_in(table, preg, cluster, now) {
                 ports_needed += 1;
                 plan.push(SourceRead { preg, path: ReadPath::RegFile });
             } else {
@@ -124,17 +98,17 @@ impl RegFileModel for ReplicatedBankModel {
         }
         if let Some(limit) = self.config.read_ports_per_bank {
             if self.reads_used[cluster as usize] + ports_needed > limit {
-                self.table.stats.read_port_stalls += 1;
+                table.stats.read_port_stalls += 1;
                 return Err(PlanError::NoReadPort);
             }
         }
         Ok(plan)
     }
 
-    fn commit_read(&mut self, plan: &[SourceRead], _now: Cycle) {
+    pub fn commit_read(&mut self, table: &mut PregTable, plan: &[SourceRead]) {
         let cluster = self.next_cluster;
         for &read in plan {
-            self.table.count_read(read);
+            table.count_read(read);
             if read.path == ReadPath::RegFile {
                 self.reads_used[cluster as usize] += 1;
             }
@@ -146,9 +120,24 @@ impl RegFileModel for ReplicatedBankModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RegFileConfig;
+    use crate::dispatch::{Model, RegFile};
+    use crate::RegBitSet;
 
-    fn two_banks() -> ReplicatedBankModel {
-        ReplicatedBankModel::new(ReplicatedBankConfig::default(), 16)
+    fn build(config: ReplicatedBankConfig) -> RegFile {
+        RegFileConfig::Replicated(config).build_model(16)
+    }
+
+    fn two_banks() -> RegFile {
+        build(ReplicatedBankConfig::default())
+    }
+
+    /// The cluster the next issuing instruction will use.
+    fn current_cluster(rf: &RegFile) -> u32 {
+        match &rf.model {
+            Model::Replicated(m) => m.next_cluster,
+            other => unreachable!("a replicated configuration built {other:?}"),
+        }
     }
 
     #[test]
@@ -161,12 +150,12 @@ mod tests {
         rf.begin_cycle(3);
         assert!(rf.try_writeback(r, 3, &RegBitSet::new(0)));
         // Cluster 0 (local): readable at 3.
-        assert_eq!(rf.current_cluster(), 0);
+        assert_eq!(current_cluster(&rf), 0);
         let plan = rf.plan_read(&[r], 3).unwrap();
         // Committing the read advances to cluster 1.
-        rf.commit_read(&plan, 3);
+        rf.commit_read(&plan);
         // Cluster 1 (remote): not readable until 4.
-        assert_eq!(rf.current_cluster(), 1);
+        assert_eq!(current_cluster(&rf), 1);
         assert_eq!(rf.plan_read(&[r], 3), Err(PlanError::NotReady));
         rf.begin_cycle(4);
         assert!(rf.plan_read(&[r], 4).is_ok());
@@ -176,7 +165,7 @@ mod tests {
     fn per_bank_read_ports() {
         let cfg =
             ReplicatedBankConfig { banks: 2, read_ports_per_bank: Some(1), remote_write_delay: 1 };
-        let mut rf = ReplicatedBankModel::new(cfg, 16);
+        let mut rf = build(cfg);
         let (a, b) = (PhysReg::new(0), PhysReg::new(1));
         rf.begin_cycle(0);
         for r in [a, b] {
@@ -191,7 +180,7 @@ mod tests {
         assert_eq!(rf.plan_read(&[a, b], 2), Err(PlanError::NoReadPort));
         // One operand fits.
         let plan = rf.plan_read(&[a], 2).unwrap();
-        rf.commit_read(&plan, 2);
+        rf.commit_read(&plan);
         // The next instruction runs in cluster 1 with a fresh port budget.
         assert!(rf.plan_read(&[b], 2).is_ok());
     }
@@ -207,7 +196,7 @@ mod tests {
         // Cluster 0 catches the bypass.
         let plan = rf.plan_read(&[r], 5).unwrap();
         assert_eq!(plan[0].path, ReadPath::Bypass);
-        rf.commit_read(&plan, 5);
+        rf.commit_read(&plan);
         // Cluster 1 cannot: value not produced locally, not yet written.
         assert_eq!(rf.plan_read(&[r], 5), Err(PlanError::NotReady));
     }

@@ -11,8 +11,8 @@
 //! demand or by prefetch.
 
 use crate::bitset::RegBitSet;
-use crate::config::{CachingPolicy, FetchPolicy, RegFileCacheConfig, RegFileConfig};
-use crate::model::{MissList, PlanError, PregTable, ReadPath, ReadPlan, RegFileModel, SourceRead};
+use crate::config::{CachingPolicy, FetchPolicy, RegFileCacheConfig};
+use crate::model::{MissList, PlanError, PregTable, ReadPath, ReadPlan, SourceRead};
 use crate::plru::ReplacementState;
 use rfcache_isa::{Cycle, PhysReg};
 use std::collections::VecDeque;
@@ -41,25 +41,34 @@ enum Transfer {
 ///
 /// # Examples
 ///
+/// Under ready caching a result no waiting instruction reads stays in the
+/// lower bank; its consumer misses the upper bank, and a demand transfer
+/// brings the value up `lower_latency` cycles after it starts.
+///
 /// ```
-/// use rfcache_core::{ReadPath, RegBitSet, RegFileCacheConfig, RegFileCacheModel, RegFileModel};
+/// use rfcache_core::{
+///     CachingPolicy, FetchPolicy, PlanError, RegBitSet, RegFileCacheConfig, RegFileConfig,
+/// };
 /// use rfcache_isa::PhysReg;
 ///
-/// let mut rf = RegFileCacheModel::new(RegFileCacheConfig::paper_default(), 32);
+/// let config = RegFileCacheConfig::paper_default()
+///     .with_policies(CachingPolicy::Ready, FetchPolicy::OnDemand);
+/// let mut rf = RegFileConfig::Cache(config).build_model(32);
 /// let p = PhysReg::new(3);
 /// rf.begin_cycle(0);
 /// rf.on_alloc(p);
 /// rf.schedule_result(p, 2);
-/// // Not consumed from the bypass ⇒ non-bypass caching writes it upward.
 /// rf.begin_cycle(3);
-/// assert!(rf.try_writeback(p, 3, &RegBitSet::new(32)));
-/// let plan = rf.plan_read(&[p], 3).unwrap();
-/// assert_eq!(plan[0].path, ReadPath::RegFile); // upper-bank hit
+/// assert!(rf.try_writeback(p, 3, &RegBitSet::new(32))); // lower bank only
+/// assert!(matches!(rf.plan_read(&[p], 3), Err(PlanError::UpperMiss(_))));
+/// rf.request_demand(p);
+/// rf.begin_cycle(4); // the transfer starts
+/// rf.begin_cycle(6); // and lands
+/// assert!(rf.plan_read(&[p], 6).is_ok());
 /// ```
 #[derive(Debug)]
-pub struct RegFileCacheModel {
+pub(crate) struct RegFileCacheModel {
     config: RegFileCacheConfig,
-    table: PregTable,
     transfers: Vec<Transfer>,
     /// Whether each preg currently resides in the upper bank.
     in_upper: Vec<bool>,
@@ -88,17 +97,9 @@ pub struct RegFileCacheModel {
 }
 
 impl RegFileCacheModel {
-    /// Creates a model for `phys_regs` physical registers.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the violated bound if the configuration fails
-    /// [`RegFileConfig::validate`].
     pub fn new(config: RegFileCacheConfig, phys_regs: usize) -> Self {
-        RegFileConfig::Cache(config).expect_valid(phys_regs);
         let replacement = ReplacementState::new(config.replacement, config.upper_entries);
         RegFileCacheModel {
-            table: PregTable::new(phys_regs),
             transfers: vec![Transfer::None; phys_regs],
             in_upper: vec![false; phys_regs],
             slots: vec![None; config.upper_entries],
@@ -118,23 +119,8 @@ impl RegFileCacheModel {
         }
     }
 
-    /// The configuration this model was built from.
-    pub fn config(&self) -> &RegFileCacheConfig {
-        &self.config
-    }
-
-    /// Number of values currently resident in the upper bank.
-    pub fn upper_occupancy(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Whether `preg` is resident in the upper bank.
-    pub fn in_upper(&self, preg: PhysReg) -> bool {
-        self.in_upper[preg.index()]
-    }
-
     /// Inserts `preg` into the upper bank, evicting if necessary.
-    fn insert_upper(&mut self, preg: PhysReg) {
+    fn insert_upper(&mut self, table: &mut PregTable, preg: PhysReg) {
         if self.in_upper[preg.index()] {
             if let Some(slot) = self.slot_of[preg.index()] {
                 self.replacement.touch(slot as usize);
@@ -169,7 +155,7 @@ impl RegFileCacheModel {
                 if let Some(victim) = self.slots[victim_slot as usize] {
                     self.in_upper[victim.index()] = false;
                     self.slot_of[victim.index()] = None;
-                    self.table.stats.evictions += 1;
+                    table.stats.evictions += 1;
                 }
                 victim_slot
             }
@@ -190,7 +176,7 @@ impl RegFileCacheModel {
     }
 
     /// Starts queued transfers on free buses, demands before prefetches.
-    fn start_transfers(&mut self, now: Cycle) {
+    fn start_transfers(&mut self, table: &mut PregTable, now: Cycle) {
         loop {
             // Find a free bus (or synthesize one when unlimited).
             let bus_idx = match &self.bus_free_at {
@@ -217,7 +203,7 @@ impl RegFileCacheModel {
                         queue.remove(scanned); // stale (freed or restarted)
                         continue;
                     }
-                    let st = self.table.state(preg);
+                    let st = table.state(preg);
                     if !st.live || self.in_upper[idx] {
                         queue.remove(scanned);
                         self.transfers[idx] = Transfer::None;
@@ -247,9 +233,9 @@ impl RegFileCacheModel {
             self.transfers[preg.index()] = Transfer::InFlight { ready_at };
             self.arrivals.push_back((ready_at, preg, is_demand));
             if is_demand {
-                self.table.stats.demand_transfers += 1;
+                table.stats.demand_transfers += 1;
             } else {
-                self.table.stats.prefetch_transfers += 1;
+                table.stats.prefetch_transfers += 1;
             }
             if let (Some(i), Some(buses)) = (bus_idx, self.bus_free_at.as_mut()) {
                 buses[i] = ready_at;
@@ -258,86 +244,90 @@ impl RegFileCacheModel {
     }
 
     /// Lands transfers whose values become readable this cycle.
-    fn process_arrivals(&mut self, now: Cycle) {
+    fn process_arrivals(&mut self, table: &mut PregTable, now: Cycle) {
         while let Some(&(ready_at, preg, is_demand)) = self.arrivals.front() {
             if ready_at > now {
                 break;
             }
             self.arrivals.pop_front();
             if self.transfers[preg.index()] == (Transfer::InFlight { ready_at })
-                && self.table.state(preg).live
+                && table.state(preg).live
             {
                 self.transfers[preg.index()] = Transfer::None;
                 if is_demand {
                     self.pinned_until[preg.index()] = now + DEMAND_PIN_CYCLES;
                 }
-                self.insert_upper(preg);
+                self.insert_upper(table, preg);
             }
         }
     }
-}
 
-impl RegFileModel for RegFileCacheModel {
-    fn table(&self) -> &PregTable {
-        &self.table
-    }
-
-    fn table_mut(&mut self) -> &mut PregTable {
-        &mut self.table
-    }
-
-    fn begin_cycle(&mut self, now: Cycle) {
+    pub fn begin_cycle(&mut self, table: &mut PregTable, now: Cycle) {
         self.now = now;
         self.reads_used = 0;
         self.result_writes_used = 0;
         self.lower_writes_used = 0;
-        self.process_arrivals(now);
-        self.start_transfers(now);
+        self.process_arrivals(table, now);
+        self.start_transfers(table, now);
     }
 
-    fn on_alloc(&mut self, preg: PhysReg) {
-        self.table.alloc(preg);
+    /// Drops any upper-bank copy, queued or in-flight transfer and pin of
+    /// `preg`: its value's lifetime begins or ends. Queues drop stale
+    /// entries lazily.
+    pub fn forget(&mut self, preg: PhysReg) {
         self.transfers[preg.index()] = Transfer::None;
+        self.pinned_until[preg.index()] = 0;
         self.remove_upper(preg);
     }
 
-    fn try_writeback(&mut self, preg: PhysReg, now: Cycle, ready: &RegBitSet) -> bool {
+    pub fn try_writeback(
+        &mut self,
+        table: &mut PregTable,
+        preg: PhysReg,
+        now: Cycle,
+        ready: &RegBitSet,
+    ) -> bool {
         if let Some(limit) = self.config.lower_write_ports {
             if self.lower_writes_used >= limit {
-                self.table.stats.write_port_stalls += 1;
+                table.stats.write_port_stalls += 1;
                 return false;
             }
         }
         self.lower_writes_used += 1;
-        self.table.write(preg, now);
+        table.write(preg, now);
 
         let cache_it = match self.config.caching {
-            CachingPolicy::NonBypass => !self.table.state(preg).bypass_consumed,
+            CachingPolicy::NonBypass => !table.state(preg).bypass_consumed,
             CachingPolicy::Ready => ready.contains(preg.raw()),
         };
         if !cache_it {
-            self.table.stats.policy_skipped += 1;
+            table.stats.policy_skipped += 1;
             return true;
         }
         if let Some(limit) = self.config.upper_write_ports {
             if self.result_writes_used >= limit {
-                self.table.stats.port_skipped += 1;
+                table.stats.port_skipped += 1;
                 return true;
             }
         }
         self.result_writes_used += 1;
-        self.insert_upper(preg);
-        self.table.stats.cached_results += 1;
+        self.insert_upper(table, preg);
+        table.stats.cached_results += 1;
         true
     }
 
-    fn plan_read(&mut self, srcs: &[PhysReg], now: Cycle) -> Result<ReadPlan, PlanError> {
+    pub fn plan_read(
+        &self,
+        table: &mut PregTable,
+        srcs: &[PhysReg],
+        now: Cycle,
+    ) -> Result<ReadPlan, PlanError> {
         let mut plan = ReadPlan::new();
         let mut ports_needed = 0;
         let mut missing = MissList::new();
         let mut any_unproduced = false;
         for &preg in srcs {
-            let Some(produced) = self.table.state(preg).produced_at else {
+            let Some(produced) = table.state(preg).produced_at else {
                 any_unproduced = true;
                 continue;
             };
@@ -357,21 +347,21 @@ impl RegFileModel for RegFileCacheModel {
             return Err(PlanError::NotReady);
         }
         if !missing.is_empty() {
-            self.table.stats.upper_miss_stalls += 1;
+            table.stats.upper_miss_stalls += 1;
             return Err(PlanError::UpperMiss(missing));
         }
         if let Some(limit) = self.config.upper_read_ports {
             if self.reads_used + ports_needed > limit {
-                self.table.stats.read_port_stalls += 1;
+                table.stats.read_port_stalls += 1;
                 return Err(PlanError::NoReadPort);
             }
         }
         Ok(plan)
     }
 
-    fn commit_read(&mut self, plan: &[SourceRead], _now: Cycle) {
+    pub fn commit_read(&mut self, table: &mut PregTable, plan: &[SourceRead]) {
         for &read in plan {
-            self.table.count_read(read);
+            table.count_read(read);
             if read.path == ReadPath::RegFile {
                 self.reads_used += 1;
                 // The pinned value served its consumer; normal
@@ -384,25 +374,21 @@ impl RegFileModel for RegFileCacheModel {
         }
     }
 
-    fn request_demand(&mut self, preg: PhysReg, _now: Cycle) {
+    pub fn request_demand(&mut self, table: &PregTable, preg: PhysReg) {
         let idx = preg.index();
-        if !self.table.state(preg).live
-            || self.in_upper[idx]
-            || self.transfers[idx] != Transfer::None
-        {
+        if !table.state(preg).live || self.in_upper[idx] || self.transfers[idx] != Transfer::None {
             return;
         }
         self.transfers[idx] = Transfer::Queued;
         self.demand_queue.push_back(preg);
     }
 
-    fn request_prefetch(&mut self, preg: PhysReg, now: Cycle) {
+    pub fn request_prefetch(&mut self, table: &mut PregTable, preg: PhysReg) {
         if self.config.fetch != FetchPolicy::PrefetchFirstPair {
             return;
         }
-        let _ = now;
         let idx = preg.index();
-        let st = self.table.state(preg);
+        let st = table.state(preg);
         // Values already resident or on their way need no prefetch; values
         // whose production is not even scheduled cannot be located. A
         // produced-but-not-yet-written value may queue: the bus scheduler
@@ -412,22 +398,14 @@ impl RegFileModel for RegFileCacheModel {
             || self.transfers[idx] != Transfer::None
             || st.produced_at.is_none()
         {
-            self.table.stats.prefetch_dropped += 1;
+            table.stats.prefetch_dropped += 1;
             return;
         }
         self.transfers[idx] = Transfer::Queued;
         self.prefetch_queue.push_back(preg);
     }
 
-    fn on_free(&mut self, preg: PhysReg) {
-        let idx = preg.index();
-        self.table.free(preg);
-        self.transfers[idx] = Transfer::None; // queues drop stale entries lazily
-        self.pinned_until[idx] = 0;
-        self.remove_upper(preg);
-    }
-
-    fn debug_operand(&self, preg: PhysReg) -> String {
+    pub fn debug_operand(&self, table: &PregTable, preg: PhysReg) -> String {
         let idx = preg.index();
         let queue_head: Vec<String> = self
             .demand_queue
@@ -438,9 +416,9 @@ impl RegFileModel for RegFileCacheModel {
                 format!(
                     "p{i}(q={:?},w={},u={},l={})",
                     self.transfers[i],
-                    self.is_written(*p),
+                    table.state(*p).written_at.is_some(),
                     self.in_upper[i],
-                    self.table.state(*p).live
+                    table.state(*p).live
                 )
             })
             .collect();
@@ -460,18 +438,45 @@ impl RegFileModel for RegFileCacheModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Replacement;
+    use crate::config::{RegFileConfig, Replacement};
+    use crate::dispatch::{Model, RegFile};
+    use proptest::prelude::*;
 
     fn preg(i: u16) -> PhysReg {
         PhysReg::new(i)
     }
 
-    fn model() -> RegFileCacheModel {
-        RegFileCacheModel::new(RegFileCacheConfig::paper_default(), 64)
+    fn build(config: RegFileCacheConfig) -> RegFile {
+        RegFileConfig::Cache(config).build_model(64)
+    }
+
+    fn model() -> RegFile {
+        build(RegFileCacheConfig::paper_default())
+    }
+
+    /// The cache model inside `rf`.
+    fn cache(rf: &mut RegFile) -> &mut RegFileCacheModel {
+        match &mut rf.model {
+            Model::Cache(m) => m,
+            other => unreachable!("a cache configuration built {other:?}"),
+        }
+    }
+
+    fn in_upper(rf: &mut RegFile, preg: PhysReg) -> bool {
+        cache(rf).in_upper[preg.index()]
+    }
+
+    fn upper_occupancy(rf: &mut RegFile) -> usize {
+        cache(rf).slots.iter().flatten().count()
+    }
+
+    /// Takes `preg` out of the upper bank, as an uncounted eviction.
+    fn evict(rf: &mut RegFile, preg: PhysReg) {
+        cache(rf).remove_upper(preg);
     }
 
     /// Alloc + schedule + (cycle p+1) writeback, returning at cycle p+1.
-    fn produce_and_write(rf: &mut RegFileCacheModel, r: PhysReg, p: Cycle, ready: &RegBitSet) {
+    fn produce_and_write(rf: &mut RegFile, r: PhysReg, p: Cycle, ready: &RegBitSet) {
         rf.on_alloc(r);
         rf.schedule_result(r, p);
         rf.begin_cycle(p + 1);
@@ -483,7 +488,7 @@ mod tests {
         let mut rf = model();
         let r = preg(0);
         produce_and_write(&mut rf, r, 2, &RegBitSet::new(0));
-        assert!(rf.in_upper(r));
+        assert!(in_upper(&mut rf, r));
         let plan = rf.plan_read(&[r], 3).unwrap();
         assert_eq!(plan[0].path, ReadPath::RegFile);
     }
@@ -499,11 +504,11 @@ mod tests {
         rf.begin_cycle(2);
         let plan = rf.plan_read(&[r], 2).unwrap();
         assert_eq!(plan[0].path, ReadPath::Bypass);
-        rf.commit_read(&plan, 2);
+        rf.commit_read(&plan);
         // Write-back next cycle: policy declines to cache it.
         rf.begin_cycle(3);
         assert!(rf.try_writeback(r, 3, &RegBitSet::new(0)));
-        assert!(!rf.in_upper(r));
+        assert!(!in_upper(&mut rf, r));
         assert_eq!(rf.stats().policy_skipped, 1);
     }
 
@@ -513,23 +518,23 @@ mod tests {
         ready.insert(0);
         let cfg = RegFileCacheConfig::paper_default()
             .with_policies(CachingPolicy::Ready, FetchPolicy::OnDemand);
-        let mut rf = RegFileCacheModel::new(cfg, 64);
+        let mut rf = build(cfg);
         let r = preg(0);
         produce_and_write(&mut rf, r, 2, &ready);
-        assert!(rf.in_upper(r));
+        assert!(in_upper(&mut rf, r));
 
         // Without a ready consumer the value stays in the lower bank only.
-        let mut rf = RegFileCacheModel::new(cfg, 64);
+        let mut rf = build(cfg);
         let r = preg(1);
         produce_and_write(&mut rf, r, 2, &RegBitSet::new(0));
-        assert!(!rf.in_upper(r));
+        assert!(!in_upper(&mut rf, r));
     }
 
     #[test]
     fn upper_miss_reports_missing_registers() {
         let cfg = RegFileCacheConfig::paper_default()
             .with_policies(CachingPolicy::Ready, FetchPolicy::OnDemand);
-        let mut rf = RegFileCacheModel::new(cfg, 64);
+        let mut rf = build(cfg);
         let r = preg(0);
         produce_and_write(&mut rf, r, 2, &RegBitSet::new(0)); // not cached (Ready policy, no consumer)
         rf.begin_cycle(4);
@@ -544,10 +549,10 @@ mod tests {
         let cfg = RegFileCacheConfig::paper_default()
             .with_policies(CachingPolicy::Ready, FetchPolicy::OnDemand)
             .with_ports(16, 8, 8, 2);
-        let mut rf = RegFileCacheModel::new(cfg, 64);
+        let mut rf = build(cfg);
         let r = preg(0);
         produce_and_write(&mut rf, r, 2, &RegBitSet::new(0)); // in lower only, written at 3
-        rf.request_demand(r, 3);
+        rf.request_demand(r);
         // Transfer starts at the next begin_cycle (4); lower latency 2 ⇒
         // readable for issues at cycle 6.
         rf.begin_cycle(4);
@@ -565,7 +570,7 @@ mod tests {
         let cfg = RegFileCacheConfig::paper_default()
             .with_policies(CachingPolicy::Ready, FetchPolicy::OnDemand)
             .with_ports(16, 8, 8, 1); // single bus
-        let mut rf = RegFileCacheModel::new(cfg, 64);
+        let mut rf = build(cfg);
         let (a, b) = (preg(0), preg(1));
         rf.on_alloc(a);
         rf.on_alloc(b);
@@ -574,8 +579,8 @@ mod tests {
         rf.begin_cycle(3);
         assert!(rf.try_writeback(a, 3, &RegBitSet::new(0)));
         assert!(rf.try_writeback(b, 3, &RegBitSet::new(0)));
-        rf.request_demand(a, 3);
-        rf.request_demand(b, 3);
+        rf.request_demand(a);
+        rf.request_demand(b);
         // Bus starts a at cycle 4 (ready 6); b must wait for the bus and
         // starts at 6 (ready 8).
         rf.begin_cycle(4);
@@ -593,19 +598,19 @@ mod tests {
     fn prefetch_only_under_prefetch_policy() {
         let on_demand = RegFileCacheConfig::paper_default()
             .with_policies(CachingPolicy::Ready, FetchPolicy::OnDemand);
-        let mut rf = RegFileCacheModel::new(on_demand, 64);
+        let mut rf = build(on_demand);
         let r = preg(0);
         produce_and_write(&mut rf, r, 2, &RegBitSet::new(0));
-        rf.request_prefetch(r, 3);
+        rf.request_prefetch(r);
         rf.begin_cycle(10);
         assert!(rf.plan_read(&[r], 10).is_err(), "on-demand config must ignore prefetches");
 
         let pf = RegFileCacheConfig::paper_default()
             .with_policies(CachingPolicy::Ready, FetchPolicy::PrefetchFirstPair);
-        let mut rf = RegFileCacheModel::new(pf, 64);
+        let mut rf = build(pf);
         let r = preg(0);
         produce_and_write(&mut rf, r, 2, &RegBitSet::new(0));
-        rf.request_prefetch(r, 3);
+        rf.request_prefetch(r);
         rf.begin_cycle(4);
         rf.begin_cycle(5);
         rf.begin_cycle(6);
@@ -616,19 +621,19 @@ mod tests {
     #[test]
     fn prefetch_of_unscheduled_value_is_dropped_but_scheduled_one_queues() {
         let pf = RegFileCacheConfig::paper_default();
-        let mut rf = RegFileCacheModel::new(pf, 64);
+        let mut rf = build(pf);
         let r = preg(0);
         rf.on_alloc(r);
         rf.begin_cycle(2);
-        rf.request_prefetch(r, 2); // production not even scheduled: dropped
+        rf.request_prefetch(r); // production not even scheduled: dropped
         assert_eq!(rf.stats().prefetch_dropped, 1);
 
         rf.schedule_result(r, 5);
-        rf.request_prefetch(r, 2); // scheduled: queues, starts after WB
+        rf.request_prefetch(r); // scheduled: queues, starts after WB
         assert_eq!(rf.stats().prefetch_dropped, 1);
         rf.begin_cycle(6);
         assert!(rf.try_writeback(r, 6, &RegBitSet::new(0)));
-        rf.remove_upper(r); // undo non-bypass caching to force the transfer
+        evict(&mut rf, r); // undo non-bypass caching to force the transfer
         rf.begin_cycle(7);
         rf.begin_cycle(8);
         rf.begin_cycle(9);
@@ -639,7 +644,7 @@ mod tests {
     #[test]
     fn demands_have_priority_over_prefetches() {
         let cfg = RegFileCacheConfig::paper_default().with_ports(16, 8, 8, 1);
-        let mut rf = RegFileCacheModel::new(cfg, 64);
+        let mut rf = build(cfg);
         let (d, p) = (preg(0), preg(1));
         for r in [d, p] {
             rf.on_alloc(r);
@@ -650,10 +655,10 @@ mod tests {
         assert!(rf.try_writeback(p, 3, &RegBitSet::new(0)));
         // Both were bypass-free so non-bypass caching already cached them;
         // remove them to force transfers.
-        rf.remove_upper(d);
-        rf.remove_upper(p);
-        rf.request_prefetch(p, 3); // queued first
-        rf.request_demand(d, 3);
+        evict(&mut rf, d);
+        evict(&mut rf, p);
+        rf.request_prefetch(p); // queued first
+        rf.request_demand(d);
         rf.begin_cycle(4); // single bus: demand d must win
         rf.begin_cycle(6);
         assert!(rf.plan_read(&[d], 6).is_ok());
@@ -663,7 +668,7 @@ mod tests {
     #[test]
     fn upper_bank_evicts_with_plru_when_full() {
         let cfg = RegFileCacheConfig { upper_entries: 4, ..RegFileCacheConfig::paper_default() };
-        let mut rf = RegFileCacheModel::new(cfg, 64);
+        let mut rf = build(cfg);
         for i in 0..5u16 {
             let r = preg(i);
             rf.on_alloc(r);
@@ -671,15 +676,15 @@ mod tests {
             rf.begin_cycle(3 + u64::from(i));
             assert!(rf.try_writeback(r, 3 + u64::from(i), &RegBitSet::new(0)));
         }
-        assert_eq!(rf.upper_occupancy(), 4);
+        assert_eq!(upper_occupancy(&mut rf), 4);
         assert_eq!(rf.stats().evictions, 1);
-        assert!(!rf.in_upper(preg(0)), "the oldest untouched entry is the PLRU victim");
+        assert!(!in_upper(&mut rf, preg(0)), "the oldest untouched entry is the PLRU victim");
     }
 
     #[test]
     fn upper_write_port_exhaustion_skips_caching() {
         let cfg = RegFileCacheConfig::paper_default().with_ports(16, 1, 8, 2);
-        let mut rf = RegFileCacheModel::new(cfg, 64);
+        let mut rf = build(cfg);
         let (a, b) = (preg(0), preg(1));
         for r in [a, b] {
             rf.on_alloc(r);
@@ -688,8 +693,8 @@ mod tests {
         rf.begin_cycle(3);
         assert!(rf.try_writeback(a, 3, &RegBitSet::new(0)));
         assert!(rf.try_writeback(b, 3, &RegBitSet::new(0))); // lower write ok
-        assert!(rf.in_upper(a));
-        assert!(!rf.in_upper(b), "second caching write must be dropped");
+        assert!(in_upper(&mut rf, a));
+        assert!(!in_upper(&mut rf, b), "second caching write must be dropped");
         assert_eq!(rf.stats().port_skipped, 1);
         assert!(rf.is_written(b), "the lower-bank write still happened");
     }
@@ -697,7 +702,7 @@ mod tests {
     #[test]
     fn lower_write_port_exhaustion_defers_writeback() {
         let cfg = RegFileCacheConfig::paper_default().with_ports(16, 8, 1, 2);
-        let mut rf = RegFileCacheModel::new(cfg, 64);
+        let mut rf = build(cfg);
         let (a, b) = (preg(0), preg(1));
         for r in [a, b] {
             rf.on_alloc(r);
@@ -715,10 +720,10 @@ mod tests {
         let mut rf = model();
         let r = preg(0);
         produce_and_write(&mut rf, r, 2, &RegBitSet::new(0));
-        assert!(rf.in_upper(r));
+        assert!(in_upper(&mut rf, r));
         rf.on_free(r);
-        assert!(!rf.in_upper(r));
-        assert_eq!(rf.upper_occupancy(), 0);
+        assert!(!in_upper(&mut rf, r));
+        assert_eq!(upper_occupancy(&mut rf), 0);
         // Freed slot is reusable without eviction.
         let s = preg(1);
         produce_and_write(&mut rf, s, 5, &RegBitSet::new(0));
@@ -734,18 +739,18 @@ mod tests {
             upper_entries: 4,
             ..RegFileCacheConfig::paper_default().with_ports(16, 8, 8, 2)
         };
-        let mut rf = RegFileCacheModel::new(cfg, 64);
+        let mut rf = build(cfg);
         let target = preg(0);
         rf.on_alloc(target);
         rf.schedule_result(target, 1);
         rf.begin_cycle(2);
         assert!(rf.try_writeback(target, 2, &RegBitSet::new(0)));
-        rf.remove_upper(target); // simulate an earlier eviction
-        rf.request_demand(target, 2);
+        evict(&mut rf, target); // simulate an earlier eviction
+        rf.request_demand(target);
         rf.begin_cycle(3); // transfer starts (ready at 5)
         rf.begin_cycle(4);
         rf.begin_cycle(5); // arrival: pinned
-        assert!(rf.in_upper(target));
+        assert!(in_upper(&mut rf, target));
         // Now flood the 4-entry bank with fresh results for several
         // cycles; the pinned value must survive.
         let mut next = 1u16;
@@ -758,12 +763,12 @@ mod tests {
                 rf.schedule_result(p, cycle - 1);
                 assert!(rf.try_writeback(p, cycle, &RegBitSet::new(0)));
             }
-            assert!(rf.in_upper(target), "pinned value evicted at cycle {cycle}");
+            assert!(in_upper(&mut rf, target), "pinned value evicted at cycle {cycle}");
         }
         // Reading it releases the pin; churn may now evict it.
         rf.begin_cycle(10);
         let plan = rf.plan_read(&[target], 10).unwrap();
-        rf.commit_read(&plan, 10);
+        rf.commit_read(&plan);
         for _ in 0..6 {
             let p = preg(next);
             next += 1;
@@ -771,7 +776,7 @@ mod tests {
             rf.schedule_result(p, 9);
             assert!(rf.try_writeback(p, 10, &RegBitSet::new(0)));
         }
-        assert!(!rf.in_upper(target), "unpinned value should be evictable again");
+        assert!(!in_upper(&mut rf, target), "unpinned value should be evictable again");
     }
 
     #[test]
@@ -781,7 +786,7 @@ mod tests {
             replacement: Replacement::Fifo,
             ..RegFileCacheConfig::paper_default()
         };
-        let mut rf = RegFileCacheModel::new(cfg, 64);
+        let mut rf = build(cfg);
         for i in 0..6u16 {
             let r = preg(i);
             rf.on_alloc(r);
@@ -790,8 +795,57 @@ mod tests {
             assert!(rf.try_writeback(r, 3 + u64::from(i), &RegBitSet::new(0)));
         }
         // FIFO: first two inserted are the first two evicted.
-        assert!(!rf.in_upper(preg(0)));
-        assert!(!rf.in_upper(preg(1)));
-        assert!(rf.in_upper(preg(5)));
+        assert!(!in_upper(&mut rf, preg(0)));
+        assert!(!in_upper(&mut rf, preg(1)));
+        assert!(in_upper(&mut rf, preg(5)));
+    }
+
+    proptest! {
+        /// Random protocol sequences never break the register file
+        /// cache's invariants: occupancy bounded by capacity, residency
+        /// only for live values, and plan_read/commit_read never
+        /// panicking.
+        #[test]
+        fn rfc_protocol_fuzz(ops in proptest::collection::vec((0u8..6, 0u16..24), 1..300)) {
+            let cfg = RegFileCacheConfig { upper_entries: 4, ..RegFileCacheConfig::paper_default() }
+                .with_ports(2, 1, 2, 1);
+            let mut rf = RegFileConfig::Cache(cfg).build_model(24);
+            let mut now = 0u64;
+            let mut live = [false; 24];
+            rf.begin_cycle(now);
+            for (op, reg) in ops {
+                let preg = PhysReg::new(reg);
+                match op {
+                    0 => {
+                        rf.on_alloc(preg);
+                        live[reg as usize] = true;
+                    }
+                    1 if live[reg as usize] => rf.schedule_result(preg, now),
+                    2 if live[reg as usize] => {
+                        let _ = rf.try_writeback(preg, now, &RegBitSet::new(0));
+                    }
+                    3 if live[reg as usize] => {
+                        if let Ok(plan) = rf.plan_read(&[preg], now) {
+                            rf.commit_read(&plan);
+                        }
+                    }
+                    4 => rf.request_demand(preg),
+                    5 => {
+                        rf.request_prefetch(preg);
+                        rf.on_free(preg);
+                        live[reg as usize] = false;
+                    }
+                    _ => {}
+                }
+                now += 1;
+                rf.begin_cycle(now);
+                prop_assert!(upper_occupancy(&mut rf) <= 4);
+                for i in 0..24u16 {
+                    if in_upper(&mut rf, PhysReg::new(i)) {
+                        prop_assert!(live[i as usize], "freed register resident in upper bank");
+                    }
+                }
+            }
+        }
     }
 }

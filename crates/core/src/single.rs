@@ -1,9 +1,8 @@
 //! Conventional single-banked register file model (1- or 2-cycle access,
 //! full or single-level bypass).
 
-use crate::bitset::RegBitSet;
-use crate::config::{RegFileConfig, SingleBankConfig};
-use crate::model::{PlanError, PregTable, ReadPath, ReadPlan, RegFileModel, SourceRead};
+use crate::config::SingleBankConfig;
+use crate::model::{PlanError, PregTable, ReadPath, ReadPlan, SourceRead};
 use rfcache_isa::{Cycle, PhysReg};
 
 /// Timing model of a conventional single-banked register file.
@@ -23,48 +22,41 @@ use rfcache_isa::{Cycle, PhysReg};
 ///
 /// # Examples
 ///
+/// With two read cycles and only the last bypass level, a consumer
+/// issuing the cycle before production cannot catch the value: it would
+/// execute right after production, before that level carries it.
+///
 /// ```
-/// use rfcache_core::{RegFileModel, SingleBankConfig, SingleBankModel, ReadPath};
+/// use rfcache_core::{PlanError, ReadPath, RegFileConfig, SingleBankConfig};
 /// use rfcache_isa::PhysReg;
 ///
-/// let mut rf = SingleBankModel::new(SingleBankConfig::one_cycle(), 8);
+/// let config = SingleBankConfig::two_cycle_single_bypass();
+/// let mut rf = RegFileConfig::Single(config).build_model(8);
 /// let p = PhysReg::new(0);
 /// rf.begin_cycle(0);
 /// rf.on_alloc(p);
 /// rf.schedule_result(p, 4); // produced at end of cycle 4
+/// rf.begin_cycle(3);
+/// assert_eq!(rf.plan_read(&[p], 3), Err(PlanError::NotReady));
 /// rf.begin_cycle(4);
-/// let plan = rf.plan_read(&[p], 4).unwrap();
-/// assert_eq!(plan[0].path, ReadPath::Bypass); // back-to-back via bypass
+/// assert_eq!(rf.plan_read(&[p], 4).unwrap()[0].path, ReadPath::Bypass);
 /// ```
 #[derive(Debug)]
-pub struct SingleBankModel {
+pub(crate) struct SingleBankModel {
     config: SingleBankConfig,
-    table: PregTable,
     reads_used: u32,
     writes_used: u32,
 }
 
 impl SingleBankModel {
-    /// Creates a model for `phys_regs` physical registers.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the violated bound if the configuration fails
-    /// [`RegFileConfig::validate`].
-    pub fn new(config: SingleBankConfig, phys_regs: usize) -> Self {
-        RegFileConfig::Single(config).expect_valid(phys_regs);
-        SingleBankModel { config, table: PregTable::new(phys_regs), reads_used: 0, writes_used: 0 }
-    }
-
-    /// The configuration this model was built from.
-    pub fn config(&self) -> &SingleBankConfig {
-        &self.config
+    pub fn new(config: SingleBankConfig) -> Self {
+        SingleBankModel { config, reads_used: 0, writes_used: 0 }
     }
 
     /// Classifies how `preg` would be read by an instruction issuing at
     /// `now`, or `None` if it cannot be obtained this cycle.
-    fn classify(&self, preg: PhysReg, now: Cycle) -> Option<ReadPath> {
-        let st = self.table.state(preg);
+    fn classify(&self, table: &PregTable, preg: PhysReg, now: Cycle) -> Option<ReadPath> {
+        let st = table.state(preg);
         let produced = st.produced_at?;
         let lat = self.config.latency;
         let t_ex = now + lat;
@@ -80,39 +72,34 @@ impl SingleBankModel {
             _ => None,
         }
     }
-}
 
-impl RegFileModel for SingleBankModel {
-    fn table(&self) -> &PregTable {
-        &self.table
-    }
-
-    fn table_mut(&mut self) -> &mut PregTable {
-        &mut self.table
-    }
-
-    fn begin_cycle(&mut self, _now: Cycle) {
+    pub fn begin_cycle(&mut self) {
         self.reads_used = 0;
         self.writes_used = 0;
     }
 
-    fn try_writeback(&mut self, preg: PhysReg, now: Cycle, _ready: &RegBitSet) -> bool {
+    pub fn try_writeback(&mut self, table: &mut PregTable, preg: PhysReg, now: Cycle) -> bool {
         if let Some(limit) = self.config.ports.write {
             if self.writes_used >= limit {
-                self.table.stats.write_port_stalls += 1;
+                table.stats.write_port_stalls += 1;
                 return false;
             }
         }
         self.writes_used += 1;
-        self.table.write(preg, now);
+        table.write(preg, now);
         true
     }
 
-    fn plan_read(&mut self, srcs: &[PhysReg], now: Cycle) -> Result<ReadPlan, PlanError> {
+    pub fn plan_read(
+        &self,
+        table: &mut PregTable,
+        srcs: &[PhysReg],
+        now: Cycle,
+    ) -> Result<ReadPlan, PlanError> {
         let mut plan = ReadPlan::new();
         let mut ports_needed = 0;
         for &preg in srcs {
-            match self.classify(preg, now) {
+            match self.classify(table, preg, now) {
                 Some(path) => {
                     if path == ReadPath::RegFile {
                         ports_needed += 1;
@@ -124,16 +111,16 @@ impl RegFileModel for SingleBankModel {
         }
         if let Some(limit) = self.config.ports.read {
             if self.reads_used + ports_needed > limit {
-                self.table.stats.read_port_stalls += 1;
+                table.stats.read_port_stalls += 1;
                 return Err(PlanError::NoReadPort);
             }
         }
         Ok(plan)
     }
 
-    fn commit_read(&mut self, plan: &[SourceRead], _now: Cycle) {
+    pub fn commit_read(&mut self, table: &mut PregTable, plan: &[SourceRead]) {
         for &read in plan {
-            self.table.count_read(read);
+            table.count_read(read);
             if read.path == ReadPath::RegFile {
                 self.reads_used += 1;
             }
@@ -144,7 +131,12 @@ impl RegFileModel for SingleBankModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PortLimits;
+    use crate::config::{PortLimits, RegFileConfig};
+    use crate::{RegBitSet, RegFile};
+
+    fn model(config: SingleBankConfig, phys_regs: usize) -> RegFile {
+        RegFileConfig::Single(config).build_model(phys_regs)
+    }
 
     fn preg(i: u16) -> PhysReg {
         PhysReg::new(i)
@@ -152,14 +144,14 @@ mod tests {
 
     /// Drives a model through alloc + schedule + writeback at the natural
     /// cycles: produced at `p`, written back at `p + 1`.
-    fn produce(rf: &mut SingleBankModel, r: PhysReg, p: Cycle) {
+    fn produce(rf: &mut RegFile, r: PhysReg, p: Cycle) {
         rf.on_alloc(r);
         rf.schedule_result(r, p);
     }
 
     #[test]
     fn one_cycle_file_has_no_holes() {
-        let mut rf = SingleBankModel::new(SingleBankConfig::one_cycle(), 4);
+        let mut rf = model(SingleBankConfig::one_cycle(), 4);
         let r = preg(0);
         rf.begin_cycle(0);
         produce(&mut rf, r, 5);
@@ -181,7 +173,7 @@ mod tests {
 
     #[test]
     fn two_cycle_single_bypass_loses_back_to_back() {
-        let mut rf = SingleBankModel::new(SingleBankConfig::two_cycle_single_bypass(), 4);
+        let mut rf = model(SingleBankConfig::two_cycle_single_bypass(), 4);
         let r = preg(0);
         rf.begin_cycle(0);
         produce(&mut rf, r, 5);
@@ -201,7 +193,7 @@ mod tests {
 
     #[test]
     fn two_cycle_full_bypass_allows_back_to_back() {
-        let mut rf = SingleBankModel::new(SingleBankConfig::two_cycle_full_bypass(), 4);
+        let mut rf = model(SingleBankConfig::two_cycle_full_bypass(), 4);
         let r = preg(0);
         rf.begin_cycle(0);
         produce(&mut rf, r, 5);
@@ -219,7 +211,7 @@ mod tests {
 
     #[test]
     fn delayed_writeback_creates_hole_with_single_bypass() {
-        let mut rf = SingleBankModel::new(SingleBankConfig::one_cycle(), 4);
+        let mut rf = model(SingleBankConfig::one_cycle(), 4);
         let r = preg(0);
         rf.begin_cycle(0);
         produce(&mut rf, r, 5);
@@ -232,7 +224,7 @@ mod tests {
     #[test]
     fn read_ports_are_enforced_per_cycle() {
         let cfg = SingleBankConfig::one_cycle().with_ports(PortLimits::limited(2, 8));
-        let mut rf = SingleBankModel::new(cfg, 8);
+        let mut rf = model(cfg, 8);
         let (a, b, c) = (preg(0), preg(1), preg(2));
         rf.begin_cycle(0);
         for r in [a, b, c] {
@@ -245,7 +237,7 @@ mod tests {
         rf.begin_cycle(2);
         // Two RF reads fit...
         let plan = rf.plan_read(&[a, b], 2).unwrap();
-        rf.commit_read(&plan, 2);
+        rf.commit_read(&plan);
         // ...a third does not.
         assert_eq!(rf.plan_read(&[c], 2), Err(PlanError::NoReadPort));
         assert_eq!(rf.stats().read_port_stalls, 1);
@@ -257,7 +249,7 @@ mod tests {
     #[test]
     fn bypass_reads_do_not_consume_ports() {
         let cfg = SingleBankConfig::one_cycle().with_ports(PortLimits::limited(1, 8));
-        let mut rf = SingleBankModel::new(cfg, 8);
+        let mut rf = model(cfg, 8);
         let (r, w) = (preg(0), preg(1));
         rf.begin_cycle(0);
         produce(&mut rf, w, 0);
@@ -267,20 +259,20 @@ mod tests {
         rf.begin_cycle(3);
         let plan = rf.plan_read(&[r], 3).unwrap();
         assert_eq!(plan[0].path, ReadPath::Bypass);
-        rf.commit_read(&plan, 3);
+        rf.commit_read(&plan);
         assert_eq!(rf.stats().bypass_reads, 1);
         // The bypass read left the one read port free for a register-file
         // read in the same cycle, which then takes it.
         let plan = rf.plan_read(&[w], 3).unwrap();
         assert_eq!(plan[0].path, ReadPath::RegFile);
-        rf.commit_read(&plan, 3);
+        rf.commit_read(&plan);
         assert_eq!(rf.plan_read(&[w], 3), Err(PlanError::NoReadPort));
     }
 
     #[test]
     fn write_ports_are_enforced_per_cycle() {
         let cfg = SingleBankConfig::one_cycle().with_ports(PortLimits::limited(8, 1));
-        let mut rf = SingleBankModel::new(cfg, 8);
+        let mut rf = model(cfg, 8);
         let (a, b) = (preg(0), preg(1));
         rf.begin_cycle(0);
         produce(&mut rf, a, 0);
@@ -296,14 +288,14 @@ mod tests {
 
     #[test]
     fn read_count_statistics_on_free() {
-        let mut rf = SingleBankModel::new(SingleBankConfig::one_cycle(), 4);
+        let mut rf = model(SingleBankConfig::one_cycle(), 4);
         let r = preg(0);
         rf.begin_cycle(0);
         produce(&mut rf, r, 0);
         rf.begin_cycle(1);
         assert!(rf.try_writeback(r, 1, &RegBitSet::new(0)));
         let plan = rf.plan_read(&[r], 1).unwrap();
-        rf.commit_read(&plan, 1);
+        rf.commit_read(&plan);
         rf.on_free(r);
         assert_eq!(rf.stats().values_read_once, 1);
 
@@ -317,7 +309,7 @@ mod tests {
 
     #[test]
     fn squashed_allocation_leaves_no_value_statistics() {
-        let mut rf = SingleBankModel::new(SingleBankConfig::one_cycle(), 4);
+        let mut rf = model(SingleBankConfig::one_cycle(), 4);
         let r = preg(0);
         rf.begin_cycle(0);
         rf.on_alloc(r);
@@ -328,7 +320,7 @@ mod tests {
 
     #[test]
     fn plan_with_multiple_sources_mixes_paths() {
-        let mut rf = SingleBankModel::new(SingleBankConfig::one_cycle(), 4);
+        let mut rf = model(SingleBankConfig::one_cycle(), 4);
         let (a, b) = (preg(0), preg(1));
         rf.begin_cycle(0);
         produce(&mut rf, a, 0);

@@ -5,7 +5,7 @@
 
 use crate::btb::Btb;
 use crate::gshare::Gshare;
-use rfcache_isa::{Cycle, InstSeq, TraceInst};
+use rfcache_isa::{Cycle, TraceInst};
 use rfcache_mem::{CacheConfig, SetAssocCache};
 use std::collections::VecDeque;
 
@@ -34,13 +34,11 @@ impl Default for FetchConfig {
 }
 
 /// One fetched instruction, annotated with the prediction outcome the back
-/// end needs to restart fetch.
+/// end needs to restart fetch. Instructions are delivered in trace order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchedInst {
     /// The trace instruction.
     pub inst: TraceInst,
-    /// Dynamic sequence number (fetch order).
-    pub seq: InstSeq,
     /// Whether the branch (if any) was mispredicted; the back end must call
     /// [`FetchUnit::redirect`] when such a branch resolves.
     pub mispredicted: bool,
@@ -94,7 +92,6 @@ pub struct FetchUnit<I: Iterator<Item = TraceInst>> {
     config: FetchConfig,
     stall_until: Cycle,
     waiting_for_redirect: bool,
-    next_seq: InstSeq,
     stats: FetchStats,
 }
 
@@ -118,7 +115,6 @@ impl<I: Iterator<Item = TraceInst>> FetchUnit<I> {
             config,
             stall_until: 0,
             waiting_for_redirect: false,
-            next_seq: 0,
             stats: FetchStats::default(),
         }
     }
@@ -163,10 +159,7 @@ impl<I: Iterator<Item = TraceInst>> FetchUnit<I> {
             }
 
             let inst = self.trace.next().expect("peeked instruction exists");
-            let seq = self.next_seq;
-            self.next_seq += 1;
-
-            let mut fetched = FetchedInst { inst, seq, mispredicted: false };
+            let mut fetched = FetchedInst { inst, mispredicted: false };
             if let Some(branch) = inst.branch {
                 self.stats.branches += 1;
                 let pred = self.predictor.predict_and_update(inst.pc, branch.taken);
@@ -255,9 +248,9 @@ mod tests {
         // costs a 6-cycle stall, so allow generous drain time.
         let all = drain(&mut f, 60);
         assert_eq!(all.len(), 64);
-        // Sequence numbers are dense and ordered.
+        // Delivered in trace order, none skipped or repeated.
         for (i, fi) in all.iter().enumerate() {
-            assert_eq!(fi.seq, i as u64);
+            assert_eq!(fi.inst.pc, 0x1000 + i as u64 * 4);
         }
     }
 

@@ -36,14 +36,13 @@ use crate::fu::FuPool;
 use crate::lsq::{Lsq, LsqId, StoreSearch};
 use crate::metrics::SimMetrics;
 use crate::rename::RenameUnit;
-use crate::rob::{InFlight, Rob, SlotId, Stage};
+use crate::rob::{InFlight, Rob};
 use crate::wheel::EventWheel;
 use rfcache_core::{
-    CachingPolicy, FetchPolicy, PlanError, ReadPlan, RegBitSet, RegFile, RegFileConfig,
-    RegFileModel, SourceRead,
+    CachingPolicy, FetchPolicy, PlanError, ReadPlan, RegBitSet, RegFile, RegFileConfig, SourceRead,
 };
 use rfcache_frontend::{FetchUnit, FetchedInst};
-use rfcache_isa::{Cycle, OpClass, PhysReg, RegClass, TraceInst};
+use rfcache_isa::{Cycle, InstSeq, OpClass, PhysReg, RegClass, TraceInst};
 use rfcache_mem::DataCache;
 use std::collections::VecDeque;
 
@@ -59,21 +58,19 @@ enum EventKind {
     Complete,
 }
 
-/// Sentinel for "no result scheduled yet" in the produced-cycle mirror.
-const UNSCHEDULED: Cycle = Cycle::MAX;
-
-/// Inserts `(seq, slot)` into a list sorted by sequence number.
-fn insert_sorted(list: &mut Vec<(u64, SlotId)>, seq: u64, slot: SlotId) {
-    let pos = list.partition_point(|&(s, _)| s < seq);
-    list.insert(pos, (seq, slot));
+/// Inserts `seq` into a list sorted by sequence number.
+fn insert_sorted(list: &mut Vec<InstSeq>, seq: InstSeq) {
+    let pos = list.partition_point(|&s| s < seq);
+    list.insert(pos, seq);
 }
 
 /// The simulated processor.
 ///
 /// Construct with a [`PipelineConfig`], a [`RegFileConfig`] (the
 /// architecture under study), and a dynamic instruction trace; drive it
-/// with [`Cpu::run`]. Each register class gets its own model of the
-/// architecture, held as the statically dispatched [`RegFile`] enum.
+/// with [`Cpu::run`]. Each register class gets its own [`RegFile`] of the
+/// architecture. Every in-flight instruction is named by its sequence
+/// number, which the reorder buffer assigns at dispatch.
 pub struct Cpu<I: Iterator<Item = TraceInst>> {
     config: PipelineConfig,
     now: Cycle,
@@ -81,51 +78,46 @@ pub struct Cpu<I: Iterator<Item = TraceInst>> {
     fetch_buffer: VecDeque<FetchedInst>,
     rename: RenameUnit,
     rob: Rob,
-    /// Dense per-ROB-slot "dispatched, unissued" flags — the window
-    /// membership test. Set at dispatch and cleared at issue, so a set
-    /// bit always means the slot's current occupant is waiting in the
-    /// instruction window.
+    /// Row mask of the per-instruction tables below: instruction `seq`
+    /// owns row `seq & mask`. The tables have the reorder buffer's size
+    /// rounded up to a power of two, and in-flight sequence numbers are
+    /// consecutive, so no two in-flight instructions share a row.
+    mask: InstSeq,
+    /// Per-row "dispatched, unissued" flags — the window membership
+    /// test. Set at dispatch and cleared at issue, so a set flag always
+    /// means the row's instruction is waiting in the instruction window.
     in_window: Vec<bool>,
-    /// Per-ROB-slot copy of the occupant's renamed sources, written at
-    /// dispatch and immutable while `in_window` is set. The wakeup logic
+    /// Per-row renamed sources, written at dispatch. The wakeup logic
     /// reads these without touching the (much larger, scattered) ROB
     /// entries.
-    slot_srcs: Vec<[Option<(RegClass, PhysReg)>; 2]>,
-    /// Per-ROB-slot copy of the occupant's sequence number (program
-    /// order), valid while `in_window` is set.
-    slot_seq: Vec<u64>,
-    /// Per-ROB-slot load/store-queue handle, valid while the slot holds a
+    srcs: Vec<[Option<(RegClass, PhysReg)>; 2]>,
+    /// Per-row load/store-queue handle, valid while the row holds a
     /// memory operation (set at dispatch, retired at commit).
-    slot_lsq: Vec<LsqId>,
-    /// Per-class mirror of each physical register's scheduled production
-    /// cycle ([`UNSCHEDULED`] when no result is scheduled). Maintained at
-    /// the same points the models learn it (`seed_initial`,
-    /// `schedule_result`, `on_alloc`), it lets the issue stage reason
-    /// about operand readiness without touching model state.
-    produced_by: [Vec<Cycle>; 2],
-    /// Per-class, per-preg lists of window slots waiting for that
+    lsq_ids: Vec<LsqId>,
+    /// Per-class, per-preg lists of window instructions waiting for that
     /// register's result to be scheduled. Filled at dispatch, drained
-    /// when `schedule_result` fires. An entry that reads one register
+    /// when the result is scheduled. An entry that reads one register
     /// twice is listed twice; `in_eligible` keeps it from entering
     /// `eligible` twice.
-    waiters: [Vec<Vec<SlotId>>; 2],
-    /// Wakeup calendar: slots whose operands are all scheduled, keyed by
-    /// the first cycle the operands could possibly be obtainable.
-    wake_wheel: EventWheel<SlotId>,
+    waiters: [Vec<Vec<InstSeq>>; 2],
+    /// Wakeup calendar: instructions whose operands are all scheduled,
+    /// keyed by the first cycle the operands could possibly be
+    /// obtainable.
+    wake_wheel: EventWheel<InstSeq>,
     /// Entries whose operands are all produced (or within bypass reach),
     /// sorted by sequence number — the only entries the issue scan
     /// visits. An entry stays here until it issues (it may be held up by
     /// ports or functional units), except a load held by an older store
     /// with an unknown address, which moves to `parked`.
-    eligible: Vec<(u64, SlotId)>,
+    eligible: Vec<InstSeq>,
     /// Eligible loads held by the LSQ's store-address barrier, sorted by
     /// sequence number. Each returns to `eligible` once the barrier has
     /// passed it; the barrier only moves forward, so those are a prefix.
-    parked: Vec<(u64, SlotId)>,
-    /// Dense "already in `eligible` or `parked`" flags, preventing
+    parked: Vec<InstSeq>,
+    /// Per-row "already in `eligible` or `parked`" flags, preventing
     /// duplicate wakeups.
     in_eligible: Vec<bool>,
-    /// Number of set `in_window` bits (dispatched, unissued entries).
+    /// Number of set `in_window` flags (dispatched, unissued entries).
     unissued: usize,
     /// Mirror of the historical window-vector length: the unissued count
     /// as of the last issue pass plus entries dispatched since. The
@@ -138,8 +130,8 @@ pub struct Cpu<I: Iterator<Item = TraceInst>> {
     fus: FuPool,
     dcache: DataCache,
     rf: [RegFile; 2],
-    wb_queue: VecDeque<SlotId>,
-    events: EventWheel<(EventKind, SlotId)>,
+    wb_queue: VecDeque<InstSeq>,
+    events: EventWheel<(EventKind, InstSeq)>,
     outstanding_branches: usize,
     metrics: SimMetrics,
     last_commit: Cycle,
@@ -149,7 +141,7 @@ pub struct Cpu<I: Iterator<Item = TraceInst>> {
     /// planned in `issue` (reused every instruction, never allocated).
     srcs_scratch: [Vec<PhysReg>; 2],
     /// Scratch: write-back survivors, swapped with `wb_queue` per cycle.
-    wb_scratch: VecDeque<SlotId>,
+    wb_scratch: VecDeque<InstSeq>,
     /// Scratch: per-class ready-consumer sets for the write-back stage,
     /// filled only under the *ready* caching policy.
     ready_sets: [RegBitSet; 2],
@@ -189,29 +181,26 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
         let rename = RenameUnit::new(config.phys_regs);
         // The initial architectural state: logical register i lives in
         // physical register i, produced before the program starts.
-        let mut produced_by =
-            [vec![UNSCHEDULED; config.phys_regs], vec![UNSCHEDULED; config.phys_regs]];
         for class in RegClass::ALL {
             for preg in rename.mapped(class) {
                 rf[class.index()].seed_initial(preg);
-                produced_by[class.index()][preg.index()] = 0;
             }
         }
+        let rows = config.rob_size.next_power_of_two();
         Cpu {
             fetch: FetchUnit::new(config.fetch, trace),
             fetch_buffer: VecDeque::with_capacity(2 * config.fetch.width),
             rename,
             rob: Rob::new(config.rob_size),
-            in_window: vec![false; config.rob_size],
-            slot_srcs: vec![[None, None]; config.rob_size],
-            slot_seq: vec![0; config.rob_size],
-            slot_lsq: vec![LsqId::default(); config.rob_size],
-            produced_by,
+            mask: rows as InstSeq - 1,
+            in_window: vec![false; rows],
+            srcs: vec![[None, None]; rows],
+            lsq_ids: vec![LsqId::default(); rows],
             waiters: [vec![Vec::new(); config.phys_regs], vec![Vec::new(); config.phys_regs]],
             wake_wheel: EventWheel::new(),
             eligible: Vec::with_capacity(config.window_size),
             parked: Vec::with_capacity(config.lsq_size),
-            in_eligible: vec![false; config.rob_size],
+            in_eligible: vec![false; rows],
             unissued: 0,
             win_len: 0,
             read_latency: rf_config.read_latency(),
@@ -263,7 +252,7 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
     pub fn run(&mut self, insts: u64) -> SimMetrics {
         while self.metrics.committed < insts {
             self.step();
-            if self.fetch_done() && self.rob.is_empty() && self.fetch_buffer.is_empty() {
+            if self.fetch.is_exhausted() && self.rob.is_empty() && self.fetch_buffer.is_empty() {
                 break;
             }
             assert!(
@@ -283,10 +272,6 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
         m
     }
 
-    fn fetch_done(&mut self) -> bool {
-        self.fetch.is_exhausted()
-    }
-
     /// Advances the machine by one cycle.
     pub fn step(&mut self) {
         let now = self.now;
@@ -304,78 +289,79 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
         self.now += 1;
     }
 
+    /// The row of instruction `seq` in the per-instruction tables.
+    #[inline]
+    fn row(&self, seq: InstSeq) -> usize {
+        (seq & self.mask) as usize
+    }
+
     // ----- execute events ---------------------------------------------
 
     fn process_events(&mut self, now: Cycle) {
         let Some(list) = self.events.take(now) else { return };
         // Memory execute stages first, then completions, preserving order
         // within each kind.
-        for &(kind, slot) in list.iter().filter(|(k, _)| *k == EventKind::ExStart) {
-            debug_assert_eq!(kind, EventKind::ExStart);
-            self.mem_ex_start(slot, now);
+        for &(_, seq) in list.iter().filter(|(k, _)| *k == EventKind::ExStart) {
+            self.mem_ex_start(seq, now);
         }
-        for &(kind, slot) in list.iter().filter(|(k, _)| *k == EventKind::Complete) {
-            debug_assert_eq!(kind, EventKind::Complete);
-            self.complete(slot, now);
+        for &(_, seq) in list.iter().filter(|(k, _)| *k == EventKind::Complete) {
+            self.complete(seq, now);
         }
         self.events.recycle(now, list);
     }
 
-    fn schedule(&mut self, cycle: Cycle, kind: EventKind, slot: SlotId) {
-        self.events.schedule(self.now, cycle, (kind, slot));
+    fn schedule(&mut self, cycle: Cycle, kind: EventKind, seq: InstSeq) {
+        self.events.schedule(self.now, cycle, (kind, seq));
     }
 
     // ----- operand wakeup ------------------------------------------------
 
-    /// Records that `preg`'s result is scheduled for cycle `done` and
-    /// wakes every window entry that was waiting on it. Must be called
-    /// wherever a model learns the same fact via `schedule_result`.
-    fn note_scheduled(&mut self, class: RegClass, preg: PhysReg, done: Cycle, now: Cycle) {
-        self.produced_by[class.index()][preg.index()] = done;
+    /// Tells `preg`'s register file that its result is produced at the
+    /// end of cycle `done`, and wakes every window entry that was waiting
+    /// on it.
+    fn schedule_result(&mut self, class: RegClass, preg: PhysReg, done: Cycle, now: Cycle) {
+        self.rf[class.index()].schedule_result(preg, done);
         let mut list = std::mem::take(&mut self.waiters[class.index()][preg.index()]);
-        for slot in list.drain(..) {
-            self.try_wake(slot, now);
+        for seq in list.drain(..) {
+            self.try_wake(seq, now);
         }
         // Hand the drained buffer back so the list stays allocation-free.
         self.waiters[class.index()][preg.index()] = list;
     }
 
-    /// If `slot` is a live window entry whose sources are all scheduled,
+    /// If `seq` is a live window entry whose sources are all scheduled,
     /// queues it for the issue scan: immediately when the operands could
     /// already be obtainable, else on the wakeup calendar. A repeated
-    /// wakeup falls out of the `in_eligible` check; the generation check
-    /// guards against a handle whose ROB slot was reused after commit.
-    fn try_wake(&mut self, slot: SlotId, now: Cycle) {
-        let idx = slot.index as usize;
-        if !self.in_window[idx] || self.in_eligible[idx] || self.rob.get(slot).is_none() {
+    /// wakeup falls out of the `in_eligible` check; the reorder-buffer
+    /// lookup rejects an instruction that has committed, whose row a
+    /// younger one may own.
+    fn try_wake(&mut self, seq: InstSeq, now: Cycle) {
+        let row = self.row(seq);
+        if !self.in_window[row] || self.in_eligible[row] || self.rob.get(seq).is_none() {
             return;
         }
         let mut latest: Cycle = 0;
-        for &(class, preg) in self.slot_srcs[idx].iter().flatten() {
-            let done = self.produced_by[class.index()][preg.index()];
-            if done == UNSCHEDULED {
-                // Still waiting on another source; its wakeup re-runs
-                // this check.
-                return;
-            }
+        for &(class, preg) in self.srcs[row].iter().flatten() {
+            // A source not scheduled yet re-runs this check when it is.
+            let Some(done) = self.rf[class.index()].produced_at(preg) else { return };
             latest = latest.max(done);
         }
         // The earliest cycle the ready test can pass: `done <= c +
         // read_latency - 1`, i.e. `c >= done - (read_latency - 1)`.
         let ready_at = (latest + 1).saturating_sub(self.read_latency);
         if ready_at <= now {
-            self.insert_eligible(slot);
+            self.insert_eligible(seq);
         } else {
-            self.wake_wheel.schedule(now, ready_at, slot);
+            self.wake_wheel.schedule(now, ready_at, seq);
         }
     }
 
-    /// Inserts `slot` into the eligible list at its program-order
+    /// Inserts `seq` into the eligible list at its program-order
     /// position.
-    fn insert_eligible(&mut self, slot: SlotId) {
-        let idx = slot.index as usize;
-        insert_sorted(&mut self.eligible, self.slot_seq[idx], slot);
-        self.in_eligible[idx] = true;
+    fn insert_eligible(&mut self, seq: InstSeq) {
+        let row = self.row(seq);
+        insert_sorted(&mut self.eligible, seq);
+        self.in_eligible[row] = true;
     }
 
     /// Returns to `eligible` every parked load the store-address barrier
@@ -383,48 +369,48 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
     /// which precedes issue, so the scan that follows sees exactly the
     /// candidates it would have seen had the loads never left.
     fn release_parked(&mut self) {
-        let released = self.parked.partition_point(|&(_, slot)| self.load_may_execute(slot));
-        for &(seq, slot) in &self.parked[..released] {
-            debug_assert!(self.is_waiting_load(slot), "parked entries are in-window loads");
-            insert_sorted(&mut self.eligible, seq, slot);
+        let released = self.parked.partition_point(|&seq| self.load_may_execute(seq));
+        for &seq in &self.parked[..released] {
+            debug_assert!(self.is_waiting_load(seq), "parked entries are in-window loads");
+            insert_sorted(&mut self.eligible, seq);
         }
         self.parked.drain(..released);
         debug_assert!(
-            self.parked.iter().all(|&(_, slot)| !self.load_may_execute(slot)),
+            self.parked.iter().all(|&seq| !self.load_may_execute(seq)),
             "a load the barrier passed stayed parked"
         );
     }
 
-    /// Whether every store older than the load in `slot` has a known
-    /// address (Table 1's condition for a load to execute).
-    fn load_may_execute(&self, slot: SlotId) -> bool {
-        self.lsq.prior_store_addresses_known(self.slot_lsq[slot.index as usize])
+    /// Whether every store older than load `seq` has a known address
+    /// (Table 1's condition for a load to execute).
+    fn load_may_execute(&self, seq: InstSeq) -> bool {
+        self.lsq.prior_store_addresses_known(self.lsq_ids[self.row(seq)])
     }
 
-    /// Whether `slot` holds a live, unissued load queued for issue.
-    fn is_waiting_load(&self, slot: SlotId) -> bool {
-        let idx = slot.index as usize;
-        self.in_window[idx]
-            && self.in_eligible[idx]
-            && self.rob.get(slot).is_some_and(|e| e.inst.op == OpClass::Load)
+    /// Whether `seq` is a live, unissued load queued for issue.
+    fn is_waiting_load(&self, seq: InstSeq) -> bool {
+        let row = self.row(seq);
+        self.in_window[row]
+            && self.in_eligible[row]
+            && self.rob.get(seq).is_some_and(|e| e.inst.op == OpClass::Load)
     }
 
-    fn mem_ex_start(&mut self, slot: SlotId, now: Cycle) {
-        let Some(entry) = self.rob.get(slot) else { return };
-        let id = self.slot_lsq[slot.index as usize];
+    fn mem_ex_start(&mut self, seq: InstSeq, now: Cycle) {
+        let Some(entry) = self.rob.get(seq) else { return };
+        let id = self.lsq_ids[self.row(seq)];
         let addr = entry.inst.mem_addr.expect("memory op has an address");
         match entry.inst.op {
             OpClass::Store => {
                 // Address and data are ready at the end of this cycle.
                 self.lsq.store_address_ready(id);
-                self.complete(slot, now);
+                self.complete(seq, now);
             }
             OpClass::Load => {
                 let done = match self.lsq.search_older_stores(id, addr) {
                     StoreSearch::Forward => now + 1,
                     StoreSearch::MustWait => {
                         // Retry next cycle; the producing store completes soon.
-                        self.schedule(now + 1, EventKind::ExStart, slot);
+                        self.schedule(now + 1, EventKind::ExStart, seq);
                         return;
                     }
                     StoreSearch::NoConflict => {
@@ -432,43 +418,37 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
                         now + access.latency
                     }
                 };
-                if let Some((class, preg)) = self.rob.get(slot).and_then(|e| e.dst) {
-                    self.rf[class.index()].schedule_result(preg, done);
-                    self.note_scheduled(class, preg, done, now);
+                if let Some((class, preg)) = self.rob.get(seq).and_then(|e| e.dst) {
+                    self.schedule_result(class, preg, done, now);
                 }
-                self.schedule(done, EventKind::Complete, slot);
+                self.schedule(done, EventKind::Complete, seq);
             }
             other => unreachable!("non-memory op {other} in mem_ex_start"),
         }
     }
 
-    fn complete(&mut self, slot: SlotId, now: Cycle) {
-        let Some(entry) = self.rob.get_mut(slot) else { return };
-        if entry.stage >= Stage::Completed {
+    fn complete(&mut self, seq: InstSeq, now: Cycle) {
+        let Some(entry) = self.rob.get_mut(seq) else { return };
+        if entry.complete_cycle.is_some() {
             return;
         }
-        entry.stage = Stage::Completed;
         entry.complete_cycle = Some(now);
-        let seq = entry.seq;
-        let is_store = entry.inst.op == OpClass::Store;
-        let is_branch = entry.inst.op.is_branch();
-        let mispredicted = entry.mispredicted;
-        let has_dst = entry.dst.is_some();
-
-        if has_dst {
-            self.wb_queue.push_back(slot);
+        if entry.dst.is_some() {
+            self.wb_queue.push_back(seq);
         } else {
             // Nothing to write back: the write-back stage is a no-op cycle.
-            self.rob.get_mut(slot).expect("checked above").writeback_cycle = Some(now);
+            entry.writeback_cycle = Some(now);
         }
-        if is_store {
-            self.lsq.store_data_ready(self.slot_lsq[slot.index as usize]);
+        let (op, mispredicted) = (entry.inst.op, entry.mispredicted);
+        if op == OpClass::Store {
+            let id = self.lsq_ids[self.row(seq)];
+            self.lsq.store_data_ready(id);
         }
-        if is_branch && mispredicted {
+        if op.is_branch() && mispredicted {
             // Fetch stopped right after this branch, so no younger
             // instruction entered the core: resolution only restarts fetch.
             debug_assert!(
-                self.fetch_buffer.is_empty() && self.rob.iter().all(|(_, e)| e.seq <= seq),
+                self.fetch_buffer.is_empty() && self.rob.iter().all(|(s, _)| s <= seq),
                 "a resolving mispredicted branch must be the youngest instruction"
             );
             self.fetch.redirect(now);
@@ -480,23 +460,20 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
     fn commit(&mut self, now: Cycle) {
         let mut committed_this_cycle = 0;
         while committed_this_cycle < self.config.commit_width {
-            let Some(head) = self.rob.head() else { break };
-            let entry = self.rob.get(head).expect("head is alive");
-            let done = match entry.dst {
-                Some(_) => entry.stage == Stage::WrittenBack,
-                None => entry.stage >= Stage::Completed,
-            };
-            let settled = entry.writeback_cycle.is_some_and(|w| w < now);
-            if !done || !settled {
+            // The head retires once written back (an instruction without
+            // a result: completed) in an earlier cycle.
+            let Some((seq, head)) = self.rob.head() else { break };
+            if head.writeback_cycle.is_none_or(|w| w >= now) {
                 break;
             }
+            let row = self.row(seq);
             let entry = self.rob.pop_head().expect("head exists");
             if let Some((class, old)) = entry.old_dst {
                 self.rf[class.index()].on_free(old);
                 self.rename.release(class, old);
             }
             if entry.inst.op.is_mem() {
-                self.lsq.retire(self.slot_lsq[head.index as usize]);
+                self.lsq.retire(self.lsq_ids[row]);
             }
             match entry.inst.op {
                 OpClass::Store => {
@@ -529,14 +506,13 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
     /// *ready caching* window query, and the data behind Figure 3's
     /// dashed line).
     fn ready_consumer_sets(&mut self, now: Cycle) {
-        // Slot order, not program order — the result is a pair of sets,
-        // so the iteration order is unobservable. A set `in_window` bit
-        // is exactly the old "alive and still `Dispatched`" test.
-        for idx in 0..self.in_window.len() {
-            if !self.in_window[idx] {
+        // Row order, not program order — the result is a pair of sets,
+        // so the iteration order is unobservable.
+        for row in 0..self.in_window.len() {
+            if !self.in_window[row] {
                 continue;
             }
-            let srcs = &self.slot_srcs[idx];
+            let srcs = &self.srcs[row];
             let all_ready = srcs
                 .iter()
                 .flatten()
@@ -562,24 +538,22 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
         let mut blocked = [false; 2];
         let mut remaining = std::mem::take(&mut self.wb_scratch);
         debug_assert!(remaining.is_empty());
-        while let Some(slot) = self.wb_queue.pop_front() {
-            let entry = self.rob.get(slot).expect("queued results belong to live entries");
+        while let Some(seq) = self.wb_queue.pop_front() {
+            let entry = self.rob.get(seq).expect("queued results belong to live entries");
             // Results written back the cycle after production at the
             // earliest (distinct pipeline stages).
             let produced = entry.complete_cycle.expect("queued results are produced");
             let (class, preg) = entry.dst.expect("write-back queue entries have results");
             let ci = class.index();
             if produced >= now || blocked[ci] {
-                remaining.push_back(slot);
+                remaining.push_back(seq);
                 continue;
             }
             if self.rf[ci].try_writeback(preg, now, &self.ready_sets[ci]) {
-                let entry = self.rob.get_mut(slot).expect("alive");
-                entry.stage = Stage::WrittenBack;
-                entry.writeback_cycle = Some(now);
+                self.rob.get_mut(seq).expect("alive").writeback_cycle = Some(now);
             } else {
                 blocked[ci] = true;
-                remaining.push_back(slot);
+                remaining.push_back(seq);
             }
         }
         // The drained queue becomes next cycle's scratch; the survivors
@@ -597,10 +571,10 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
         self.win_len = self.unissued;
         // Pull in entries whose operands become reachable this cycle.
         if let Some(list) = self.wake_wheel.take(now) {
-            for &slot in list.iter() {
-                let idx = slot.index as usize;
-                if self.in_window[idx] && !self.in_eligible[idx] && self.rob.get(slot).is_some() {
-                    self.insert_eligible(slot);
+            for &seq in list.iter() {
+                let row = self.row(seq);
+                if self.in_window[row] && !self.in_eligible[row] && self.rob.get(seq).is_some() {
+                    self.insert_eligible(seq);
                 }
             }
             self.wake_wheel.recycle(now, list);
@@ -617,20 +591,21 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
         // result is scheduled to be produced by this cycle (bypass in the
         // baseline admits results up to `read_latency - 1` cycles ahead;
         // every other model requires production at or before `now`). The
-        // mirror test below is therefore a necessary condition for
-        // `plan_read` to deliver an operand or report an upper-bank miss;
-        // entries enter `eligible` exactly when it first passes. The scan
-        // so visits every candidate the historical full-window scan would
-        // have acted on, in the same program order, except parked loads:
-        // an older store address is still unknown, so they could not act.
+        // scheduled-cycle test below is therefore a necessary condition
+        // for `plan_read` to deliver an operand or report an upper-bank
+        // miss; entries enter `eligible` exactly when it first passes.
+        // The scan so visits every candidate the historical full-window
+        // scan would have acted on, in the same program order, except
+        // parked loads: an older store address is still unknown, so they
+        // could not act.
         let ready_horizon = ex_start - 1;
         let mut issued = 0;
         let mut keep = 0;
         for ei in 0..self.eligible.len() {
-            let (seq_key, slot) = self.eligible[ei];
-            let idx = slot.index as usize;
-            debug_assert!(self.in_window[idx], "eligible entries wait in the window");
-            self.eligible[keep] = (seq_key, slot);
+            let seq = self.eligible[ei];
+            let row = self.row(seq);
+            debug_assert!(self.in_window[row], "eligible entries wait in the window");
+            self.eligible[keep] = seq;
             keep += 1;
             if issued >= self.config.issue_width {
                 // Issue width exhausted: the rest of the pass only
@@ -639,31 +614,26 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
             }
 
             // An eligible entry's operands stay scheduled: a source preg
-            // cannot be reallocated (which would reset the mirror) until
-            // its consumer commits, and issue precedes commit. So
-            // readiness, once reached, is permanent.
+            // cannot be reallocated (which would unschedule it) until its
+            // consumer commits, and issue precedes commit. So readiness,
+            // once reached, is permanent.
             debug_assert!(
-                !self.slot_srcs[idx]
-                    .iter()
-                    .flatten()
-                    .any(|&(class, preg)| self.produced_by[class.index()][preg.index()]
-                        > ready_horizon),
+                self.srcs[row].iter().flatten().all(|&(class, preg)| self.rf[class.index()]
+                    .produced_at(preg)
+                    .is_some_and(|done| done <= ready_horizon)),
                 "eligible entry regressed to waiting"
             );
 
-            let entry = self.rob.get(slot).expect("in-window bit implies a live entry");
+            let entry = self.rob.get(seq).expect("in-window flag implies a live entry");
             let op = entry.inst.op;
 
             // Loads wait until all prior store addresses are known. A held
             // load has no side effect here, so it waits off the scan until
             // `release_parked` sees the barrier pass it.
-            if op == OpClass::Load && !self.load_may_execute(slot) {
-                debug_assert!(
-                    !self.parked.iter().any(|&(_, s)| s == slot),
-                    "a parked load re-entered the scan"
-                );
+            if op == OpClass::Load && !self.load_may_execute(seq) {
+                debug_assert!(!self.parked.contains(&seq), "a parked load re-entered the scan");
                 keep -= 1;
-                insert_sorted(&mut self.parked, seq_key, slot);
+                insert_sorted(&mut self.parked, seq);
                 continue;
             }
 
@@ -674,7 +644,7 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
             // buffers.
             self.srcs_scratch[0].clear();
             self.srcs_scratch[1].clear();
-            for &(class, preg) in self.slot_srcs[idx].iter().flatten() {
+            for &(class, preg) in self.srcs[row].iter().flatten() {
                 self.srcs_scratch[class.index()].push(preg);
             }
             let dst = entry.dst;
@@ -695,7 +665,7 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
             let (plan_int, plan_fp) = match (plan_int, plan_fp) {
                 (Ok(a), Ok(b)) => (a, b),
                 (a, b) => {
-                    self.file_demand_requests(a, b, now);
+                    self.file_demand_requests(a, b);
                     continue;
                 }
             };
@@ -705,38 +675,35 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
                 continue;
             }
 
-            self.commit_reads(&plan_int, &plan_fp, now);
-            let entry = self.rob.get_mut(slot).expect("alive");
-            entry.stage = Stage::Issued;
-            entry.issue_cycle = Some(now);
-            self.in_window[idx] = false;
-            self.in_eligible[idx] = false;
+            self.commit_reads(&plan_int, &plan_fp);
+            self.rob.get_mut(seq).expect("alive").issue_cycle = Some(now);
+            self.in_window[row] = false;
+            self.in_eligible[row] = false;
             self.unissued -= 1;
             keep -= 1;
 
-            // The prefetch peek must precede `note_scheduled`, which
+            // The prefetch peek must precede `schedule_result`, which
             // drains the waiter list it reads. Model state for the
             // prefetched operand is disjoint from the destination's, so
             // the model sees the same requests either way.
             if self.prefetch_active {
                 if let Some((class, preg)) = dst {
-                    self.prefetch_first_pair(class, preg, now);
+                    self.prefetch_first_pair(class, preg);
                 }
             }
 
             match op {
                 OpClass::Load | OpClass::Store => {
-                    self.schedule(ex_start, EventKind::ExStart, slot);
+                    self.schedule(ex_start, EventKind::ExStart, seq);
                 }
                 _ => {
                     let done = ex_start + op.exec_latency() - 1;
                     if let Some((class, preg)) = dst {
-                        self.rf[class.index()].schedule_result(preg, done);
                         // `done` is at least `ex_start`, so consumers wake
                         // through the calendar, never mid-scan.
-                        self.note_scheduled(class, preg, done, now);
+                        self.schedule_result(class, preg, done, now);
                     }
-                    self.schedule(done, EventKind::Complete, slot);
+                    self.schedule(done, EventKind::Complete, seq);
                 }
             }
             issued += 1;
@@ -744,12 +711,12 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
         self.eligible.truncate(keep);
     }
 
-    fn commit_reads(&mut self, plan_int: &[SourceRead], plan_fp: &[SourceRead], now: Cycle) {
+    fn commit_reads(&mut self, plan_int: &[SourceRead], plan_fp: &[SourceRead]) {
         if !plan_int.is_empty() {
-            self.rf[0].commit_read(plan_int, now);
+            self.rf[0].commit_read(plan_int);
         }
         if !plan_fp.is_empty() {
-            self.rf[1].commit_read(plan_fp, now);
+            self.rf[1].commit_read(plan_fp);
         }
     }
 
@@ -760,7 +727,6 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
         &mut self,
         int: Result<ReadPlan, PlanError>,
         fp: Result<ReadPlan, PlanError>,
-        now: Cycle,
     ) {
         if matches!(int, Err(PlanError::NotReady)) || matches!(fp, Err(PlanError::NotReady)) {
             return;
@@ -768,7 +734,7 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
         for (class, result) in [(0usize, int), (1usize, fp)] {
             if let Err(PlanError::UpperMiss(missing)) = result {
                 for &preg in missing.iter() {
-                    self.rf[class].request_demand(preg, now);
+                    self.rf[class].request_demand(preg);
                 }
             }
         }
@@ -777,23 +743,23 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
     /// The prefetch-first-pair heuristic: when an instruction producing
     /// `dst` issues, prefetch the other source operand of the first
     /// instruction in the window that consumes `dst`.
-    fn prefetch_first_pair(&mut self, class: RegClass, dst: PhysReg, now: Cycle) {
+    fn prefetch_first_pair(&mut self, class: RegClass, dst: PhysReg) {
         // Every live in-window consumer of `dst` sits in its waiter list:
         // `dst` stays unscheduled from allocation until this issue (loads:
         // until execute), so each consumer registered at dispatch — in
         // program order. The first live entry is therefore exactly what
         // the historical program-order window walk found, without touching
-        // the ROB. A handle whose ROB slot was reused after commit fails
-        // the liveness checks and is skipped.
+        // the ROB. An instruction that has committed fails the liveness
+        // checks and is skipped.
         let first = self.waiters[class.index()][dst.index()]
             .iter()
             .copied()
-            .find(|&s| self.in_window[s.index as usize] && self.rob.get(s).is_some());
-        let Some(slot) = first else { return };
-        let srcs = &self.slot_srcs[slot.index as usize];
+            .find(|&seq| self.in_window[self.row(seq)] && self.rob.get(seq).is_some());
+        let Some(seq) = first else { return };
+        let srcs = &self.srcs[self.row(seq)];
         let target = srcs.iter().flatten().find(|&&(c, p)| !(c == class && p == dst)).copied();
         if let Some((oclass, opreg)) = target {
-            self.rf[oclass.index()].request_prefetch(opreg, now);
+            self.rf[oclass.index()].request_prefetch(opreg);
         }
     }
 
@@ -828,7 +794,8 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
             }
 
             self.fetch_buffer.pop_front();
-            let slot = self.rob.push(fetched.seq, inst);
+            let seq = self.rob.push(inst);
+            let row = self.row(seq);
             // Rename sources before allocating the destination (an
             // instruction may read the register it overwrites).
             let mut srcs = [None, None];
@@ -837,62 +804,63 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
                     srcs[i] = Some((arch.class(), self.rename.lookup(*arch)));
                 }
             }
-            let mut dst_pair = None;
-            let mut old_pair = None;
+            let entry = self.rob.get_mut(seq).expect("just pushed");
             if let Some(arch) = inst.dst {
                 let alloc = self.rename.allocate(arch).expect("free list checked above");
-                dst_pair = Some((arch.class(), alloc.new_preg));
-                old_pair = Some((arch.class(), alloc.old_preg));
+                entry.dst = Some((arch.class(), alloc.new_preg));
+                entry.old_dst = Some((arch.class(), alloc.old_preg));
                 self.rf[arch.class().index()].on_alloc(alloc.new_preg);
-                self.produced_by[arch.class().index()][alloc.new_preg.index()] = UNSCHEDULED;
             }
-
-            let entry = self.rob.get_mut(slot).expect("just pushed");
-            entry.srcs = srcs;
-            entry.dst = dst_pair;
-            entry.old_dst = old_pair;
             entry.mispredicted = fetched.mispredicted;
             if inst.op.is_branch() {
                 self.outstanding_branches += 1;
             }
-            let idx = slot.index as usize;
             if inst.op.is_mem() {
-                self.slot_lsq[idx] = self.lsq.insert(
-                    fetched.seq,
+                self.lsq_ids[row] = self.lsq.insert(
+                    seq,
                     inst.op == OpClass::Store,
                     inst.mem_addr.expect("memory op has an address"),
                 );
             }
-            self.slot_srcs[idx] = srcs;
-            self.slot_seq[idx] = fetched.seq;
-            self.in_window[idx] = true;
+            self.srcs[row] = srcs;
+            self.in_window[row] = true;
             self.unissued += 1;
             self.win_len += 1;
             // Wire up the wakeup: wait on every source whose result is
             // not yet scheduled, or queue for issue directly.
             let mut waiting = false;
             for &(class, preg) in srcs.iter().flatten() {
-                if self.produced_by[class.index()][preg.index()] == UNSCHEDULED {
-                    self.waiters[class.index()][preg.index()].push(slot);
+                if self.rf[class.index()].produced_at(preg).is_none() {
+                    self.waiters[class.index()][preg.index()].push(seq);
                     waiting = true;
                 }
             }
             if !waiting {
-                self.try_wake(slot, now);
+                self.try_wake(seq, now);
             }
         }
     }
 
     /// Formats one reorder-buffer entry for
     /// [`debug_snapshot`](Cpu::debug_snapshot).
-    fn format_rob_entry(entry: &InFlight) -> String {
+    fn format_rob_entry(&self, seq: InstSeq, entry: &InFlight) -> String {
         let dst = entry.dst.map(|(c, p)| format!("{c}:{p}")).unwrap_or_else(|| "-".to_string());
-        let srcs: Vec<String> = entry.sources().map(|(c, p)| format!("{c}:{p}")).collect();
+        let srcs: Vec<String> =
+            self.srcs[self.row(seq)].iter().flatten().map(|(c, p)| format!("{c}:{p}")).collect();
+        let stage = if entry.writeback_cycle.is_some() {
+            "done"
+        } else if entry.complete_cycle.is_some() {
+            "completed"
+        } else if entry.issue_cycle.is_some() {
+            "issued"
+        } else {
+            "waiting"
+        };
         format!(
-            "[{:>6}] {:<12} {:<8?} dst {:<8} srcs [{}]{}",
-            entry.seq,
+            "[{:>6}] {:<12} {:<9} dst {:<8} srcs [{}]{}",
+            seq,
             entry.inst.op.to_string(),
-            entry.stage,
+            stage,
             dst,
             srcs.join(", "),
             if entry.mispredicted { " MISPREDICTED" } else { "" },
@@ -915,14 +883,14 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
             self.occ_value[ci].clear();
             self.occ_ready[ci].clear();
         }
-        // Slot order; both occupancy measures are sets, so iteration
+        // Row order; both occupancy measures are sets, so iteration
         // order is unobservable.
-        for idx in 0..self.in_window.len() {
-            if !self.in_window[idx] {
+        for row in 0..self.in_window.len() {
+            if !self.in_window[row] {
                 continue;
             }
             let mut all_ready = true;
-            for &(class, preg) in self.slot_srcs[idx].iter().flatten() {
+            for &(class, preg) in self.srcs[row].iter().flatten() {
                 if self.rf[class.index()].is_produced(preg, now) {
                     self.occ_value[class.index()].insert(preg.raw());
                 } else {
@@ -930,7 +898,7 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
                 }
             }
             if all_ready {
-                for &(class, preg) in self.slot_srcs[idx].iter().flatten() {
+                for &(class, preg) in self.srcs[row].iter().flatten() {
                     self.occ_ready[class.index()].insert(preg.raw());
                 }
             }
@@ -944,19 +912,13 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
     fn debug_head_state(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        let Some(head) = self.rob.head() else { return "ROB empty".into() };
-        let Some(entry) = self.rob.get(head) else { return "ROB head stale".into() };
+        let Some((seq, entry)) = self.rob.head() else { return "ROB empty".into() };
         let _ = writeln!(
             out,
-            "head: seq {} {:?} {} (issue {:?}, complete {:?}, wb {:?})",
-            entry.seq,
-            entry.stage,
-            entry.inst.op,
-            entry.issue_cycle,
-            entry.complete_cycle,
-            entry.writeback_cycle
+            "head: seq {seq} {} (issue {:?}, complete {:?}, wb {:?})",
+            entry.inst.op, entry.issue_cycle, entry.complete_cycle, entry.writeback_cycle
         );
-        for (class, preg) in entry.sources() {
+        for &(class, preg) in self.srcs[self.row(seq)].iter().flatten() {
             let rf = &self.rf[class.index()];
             let _ = writeln!(
                 out,
@@ -988,8 +950,8 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
             self.rename.free_count(RegClass::Int),
             self.rename.free_count(RegClass::Fp),
         );
-        for (_, entry) in self.rob.iter().take(24) {
-            let _ = writeln!(out, "  {}", Self::format_rob_entry(entry));
+        for (seq, entry) in self.rob.iter().take(24) {
+            let _ = writeln!(out, "  {}", self.format_rob_entry(seq, entry));
         }
         if self.rob.len() > 24 {
             let _ = writeln!(out, "  ... {} more", self.rob.len() - 24);

@@ -8,10 +8,10 @@
 //! simulation is trace-driven: fetch stops at a mispredicted branch and
 //! restarts once it resolves, so no wrong-path instruction enters the core.
 //!
-//! The register read stage is delegated to a [`rfcache_core::RegFileModel`]
-//! (one per register class), which is where the three compared register
-//! file architectures differ: read latency, bypass coverage, port
-//! arbitration, caching and transfer policies.
+//! The register read stage is delegated to a [`rfcache_core::RegFile`]
+//! (one per register class), which is where the compared register file
+//! architectures differ: read latency, bypass coverage, port arbitration,
+//! caching and transfer policies.
 //!
 //! # Examples
 //!
@@ -46,4 +46,4 @@ pub use fu::FuPool;
 pub use lsq::{Lsq, LsqId, StoreSearch};
 pub use metrics::{OccupancyHistogram, SimMetrics};
 pub use rename::RenameUnit;
-pub use rob::{Rob, SlotId, Stage};
+pub use rob::Rob;

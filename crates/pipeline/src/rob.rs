@@ -1,92 +1,40 @@
-//! The reorder buffer: a bounded circular buffer of in-flight
-//! instructions with generation-checked stable handles.
+//! The reorder buffer: in-flight instructions in program order, each named
+//! by its sequence number.
 
 use rfcache_isa::{Cycle, InstSeq, PhysReg, RegClass, TraceInst};
+use std::collections::VecDeque;
 
-/// Pipeline stage of an in-flight instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Stage {
-    /// Renamed and waiting in the instruction window.
-    Dispatched,
-    /// Issued; operands being read / executing.
-    Issued,
-    /// Result produced (end of execute).
-    Completed,
-    /// Result written to the register file.
-    WrittenBack,
-}
-
-/// A stable, generation-checked handle to a reorder-buffer entry.
-///
-/// Events and wakeup lists hold `SlotId`s; once the entry commits and its
-/// slot is reused, the generation mismatch marks any handle still held
-/// as stale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SlotId {
-    pub(crate) index: u32,
-    pub(crate) gen: u32,
-}
-
-/// One in-flight instruction.
+/// One in-flight instruction. Its stage is the latest of its cycles that
+/// is set: dispatched, issued, completed (result produced) or written
+/// back.
 #[derive(Debug, Clone)]
 pub struct InFlight {
-    /// Dynamic sequence number (program order).
-    pub seq: InstSeq,
     /// The trace instruction.
     pub inst: TraceInst,
-    /// Current stage.
-    pub stage: Stage,
     /// Renamed destination, if any.
     pub dst: Option<(RegClass, PhysReg)>,
     /// Previous mapping of the destination architectural register (freed
     /// at commit).
     pub old_dst: Option<(RegClass, PhysReg)>,
-    /// Renamed sources.
-    pub srcs: [Option<(RegClass, PhysReg)>; 2],
     /// Whether the front end mispredicted this branch.
     pub mispredicted: bool,
     /// Cycle the instruction issued.
     pub issue_cycle: Option<Cycle>,
-    /// Cycle the result was (or will be) produced.
+    /// Cycle the result was produced (end of execute).
     pub complete_cycle: Option<Cycle>,
-    /// Cycle the result was written back.
+    /// Cycle the result was written back (for an instruction without a
+    /// result, the cycle it completed).
     pub writeback_cycle: Option<Cycle>,
 }
 
-impl InFlight {
-    fn new(seq: InstSeq, inst: TraceInst) -> Self {
-        InFlight {
-            seq,
-            inst,
-            stage: Stage::Dispatched,
-            dst: None,
-            old_dst: None,
-            srcs: [None, None],
-            mispredicted: false,
-            issue_cycle: None,
-            complete_cycle: None,
-            writeback_cycle: None,
-        }
-    }
-
-    /// Renamed source registers that are present.
-    pub fn sources(&self) -> impl Iterator<Item = (RegClass, PhysReg)> + '_ {
-        self.srcs.iter().flatten().copied()
-    }
-}
-
-struct Slot {
-    gen: u32,
-    entry: Option<InFlight>,
-}
-
-/// The reorder buffer. Entries are appended in program order at dispatch
-/// and removed from the head at commit.
+/// The reorder buffer. Entries are appended in program order at dispatch,
+/// which numbers them, and removed from the head at commit.
 pub struct Rob {
-    slots: Vec<Slot>,
-    /// Indices into `slots`, in program order.
-    order: std::collections::VecDeque<u32>,
-    free: Vec<u32>,
+    entries: VecDeque<InFlight>,
+    /// Sequence number of the oldest entry (of the next one pushed when
+    /// the buffer is empty).
+    head: InstSeq,
+    capacity: usize,
 }
 
 impl Rob {
@@ -97,83 +45,78 @@ impl Rob {
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ROB capacity must be positive");
-        Rob {
-            slots: (0..capacity).map(|_| Slot { gen: 0, entry: None }).collect(),
-            order: std::collections::VecDeque::with_capacity(capacity),
-            free: (0..capacity as u32).rev().collect(),
-        }
+        Rob { entries: VecDeque::with_capacity(capacity), head: 0, capacity }
     }
 
     /// Number of occupied entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.entries.len()
     }
 
     /// Whether the buffer is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.entries.is_empty()
     }
 
     /// Whether the buffer is full.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.free.is_empty()
+        self.entries.len() == self.capacity
     }
 
-    /// Appends an instruction at the tail. Returns its handle.
+    /// Appends an instruction at the tail and returns its sequence
+    /// number, one more than the previous instruction's.
     ///
     /// # Panics
     ///
     /// Panics if the buffer is full (callers must check
     /// [`is_full`](Self::is_full) first).
-    pub fn push(&mut self, seq: InstSeq, inst: TraceInst) -> SlotId {
-        let index = self.free.pop().expect("ROB overflow: check is_full() before push");
-        let slot = &mut self.slots[index as usize];
-        slot.entry = Some(InFlight::new(seq, inst));
-        self.order.push_back(index);
-        SlotId { index, gen: slot.gen }
+    pub fn push(&mut self, inst: TraceInst) -> InstSeq {
+        assert!(!self.is_full(), "ROB overflow: check is_full() before push");
+        self.entries.push_back(InFlight {
+            inst,
+            dst: None,
+            old_dst: None,
+            mispredicted: false,
+            issue_cycle: None,
+            complete_cycle: None,
+            writeback_cycle: None,
+        });
+        self.head + self.entries.len() as u64 - 1
     }
 
-    /// Returns the entry for `id` if it is still alive.
+    /// The entry of instruction `seq`, or `None` once it has committed.
     #[inline]
-    pub fn get(&self, id: SlotId) -> Option<&InFlight> {
-        let slot = &self.slots[id.index as usize];
-        (slot.gen == id.gen).then_some(slot.entry.as_ref()).flatten()
+    pub fn get(&self, seq: InstSeq) -> Option<&InFlight> {
+        self.entries.get(seq.wrapping_sub(self.head) as usize)
     }
 
-    /// Mutable access to the entry for `id` if it is still alive.
+    /// Mutable access to the entry of instruction `seq`, or `None` once it
+    /// has committed.
     #[inline]
-    pub fn get_mut(&mut self, id: SlotId) -> Option<&mut InFlight> {
-        let slot = &mut self.slots[id.index as usize];
-        (slot.gen == id.gen).then_some(slot.entry.as_mut()).flatten()
+    pub fn get_mut(&mut self, seq: InstSeq) -> Option<&mut InFlight> {
+        self.entries.get_mut(seq.wrapping_sub(self.head) as usize)
     }
 
-    /// Handle of the oldest entry.
+    /// The oldest entry and its sequence number.
     #[inline]
-    pub fn head(&self) -> Option<SlotId> {
-        self.order.front().map(|&index| SlotId { index, gen: self.slots[index as usize].gen })
+    pub fn head(&self) -> Option<(InstSeq, &InFlight)> {
+        self.entries.front().map(|entry| (self.head, entry))
     }
 
     /// Removes and returns the oldest entry.
     pub fn pop_head(&mut self) -> Option<InFlight> {
-        let index = self.order.pop_front()?;
-        let slot = &mut self.slots[index as usize];
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(index);
-        slot.entry.take()
+        let entry = self.entries.pop_front()?;
+        self.head += 1;
+        Some(entry)
     }
 
-    /// Iterates over live entries in program order.
-    pub fn iter(&self) -> impl Iterator<Item = (SlotId, &InFlight)> + '_ {
-        self.order.iter().map(|&index| {
-            let slot = &self.slots[index as usize];
-            (
-                SlotId { index, gen: slot.gen },
-                slot.entry.as_ref().expect("ordered slot must be occupied"),
-            )
-        })
+    /// Iterates over the entries in program order, with their sequence
+    /// numbers.
+    pub fn iter(&self) -> impl Iterator<Item = (InstSeq, &InFlight)> + '_ {
+        (self.head..).zip(&self.entries)
     }
 }
 
@@ -189,32 +132,37 @@ mod tests {
     #[test]
     fn fifo_order() {
         let mut rob = Rob::new(4);
-        let a = rob.push(0, inst());
-        let _b = rob.push(1, inst());
+        let a = rob.push(inst().with_pc(0x10));
+        let b = rob.push(inst().with_pc(0x14));
+        assert_eq!((a, b), (0, 1));
         assert_eq!(rob.len(), 2);
-        assert_eq!(rob.head(), Some(a));
+        assert_eq!(rob.head().map(|(seq, _)| seq), Some(a));
         let popped = rob.pop_head().unwrap();
-        assert_eq!(popped.seq, 0);
+        assert_eq!(popped.inst.pc, 0x10);
         assert_eq!(rob.len(), 1);
+        assert_eq!(rob.head().map(|(seq, _)| seq), Some(b));
     }
 
     #[test]
     fn stale_handles_are_invalidated() {
         let mut rob = Rob::new(2);
-        let a = rob.push(0, inst());
+        let a = rob.push(inst());
         rob.pop_head();
         assert!(rob.get(a).is_none());
-        // Reusing the slot bumps the generation.
-        let b = rob.push(1, inst());
+        // The next instruction takes the next number, never a committed
+        // one, and a number not yet handed out names nothing.
+        let b = rob.push(inst());
+        assert_eq!(b, a + 1);
         assert!(rob.get(a).is_none());
         assert!(rob.get(b).is_some());
+        assert!(rob.get(b + 1).is_none());
     }
 
     #[test]
     fn capacity_enforced() {
         let mut rob = Rob::new(2);
-        rob.push(0, inst());
-        rob.push(1, inst());
+        rob.push(inst());
+        rob.push(inst());
         assert!(rob.is_full());
     }
 
@@ -222,19 +170,23 @@ mod tests {
     #[should_panic(expected = "ROB overflow")]
     fn push_past_capacity_panics() {
         let mut rob = Rob::new(1);
-        rob.push(0, inst());
-        rob.push(1, inst());
+        rob.push(inst());
+        rob.push(inst());
     }
 
     #[test]
     fn iter_is_program_order_after_churn() {
         let mut rob = Rob::new(4);
-        rob.push(0, inst());
-        rob.push(1, inst());
+        for pc in [0x10, 0x14] {
+            rob.push(inst().with_pc(pc));
+        }
         rob.pop_head();
-        rob.push(2, inst());
-        rob.push(3, inst());
-        let seqs: Vec<_> = rob.iter().map(|(_, e)| e.seq).collect();
-        assert_eq!(seqs, vec![1, 2, 3]);
+        for pc in [0x18, 0x1c] {
+            rob.push(inst().with_pc(pc));
+        }
+        let seen: Vec<_> = rob.iter().map(|(seq, e)| (seq, e.inst.pc)).collect();
+        assert_eq!(seen, vec![(1, 0x14), (2, 0x18), (3, 0x1c)]);
+        rob.get_mut(2).unwrap().issue_cycle = Some(7);
+        assert_eq!(rob.get(2).unwrap().issue_cycle, Some(7));
     }
 }

@@ -49,7 +49,7 @@ pub use run::run_batch_capped;
 pub use run::{
     campaign_fingerprint, flatten_plans, fnv1a_64, par_indexed, run_batch, run_suite,
     run_suite_jobs, RunResult, RunSpec, TraceWorkload, WorkloadSource, DEFAULT_INSTS,
-    DEFAULT_WARMUP,
+    DEFAULT_WARMUP, MAX_TRACE_BYTES,
 };
 pub use scenario::{
     run_campaign, run_campaign_planned, run_campaign_planned_with, CampaignPlan, CampaignRequest,

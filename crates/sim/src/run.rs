@@ -6,6 +6,7 @@ use rfcache_pipeline::{Cpu, PipelineConfig, SimMetrics};
 use rfcache_workload::{family_member, read_trace, BenchProfile, TraceGenerator};
 use std::collections::HashMap;
 use std::fmt;
+use std::io::Read;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -19,6 +20,11 @@ pub const DEFAULT_INSTS: u64 = 200_000;
 /// ([`ExperimentOpts`](crate::experiments::ExperimentOpts)) and the CLIs,
 /// so every path warms up identically.
 pub const DEFAULT_WARMUP: u64 = 60_000;
+
+/// The largest trace file [`TraceWorkload::load`] reads: 64 MiB, about
+/// 3.9M instructions at the 17 bytes per record of a recorded `li`
+/// stream.
+pub const MAX_TRACE_BYTES: u64 = 64 << 20;
 
 /// A recorded trace workload: the instructions of an RFCT trace file,
 /// loaded once and replayed (cyclically) instead of generated.
@@ -48,11 +54,29 @@ impl TraceWorkload {
     ///
     /// # Errors
     ///
-    /// Returns a message when the file cannot be read, is not a valid
-    /// RFCT trace, or contains no instructions.
+    /// Returns a message naming the path when it is not a regular file
+    /// (a FIFO or a device could block or never end), is larger than
+    /// [`MAX_TRACE_BYTES`], cannot be read, is not a valid RFCT trace, or
+    /// contains no instructions.
     pub fn load(path: &str, label: Option<&str>, fp: bool) -> Result<Self, String> {
-        let bytes =
-            std::fs::read(path).map_err(|e| format!("cannot read trace file {path}: {e}"))?;
+        let unreadable = |e: std::io::Error| format!("cannot read trace file {path}: {e}");
+        // Look before opening: opening a FIFO blocks until a writer comes.
+        let meta = std::fs::metadata(path).map_err(unreadable)?;
+        if !meta.is_file() {
+            return Err(format!("cannot read trace file {path}: not a regular file"));
+        }
+        let too_big = || format!("trace file {path} is larger than {MAX_TRACE_BYTES} bytes");
+        if meta.len() > MAX_TRACE_BYTES {
+            return Err(too_big());
+        }
+        // Bounded again while reading, in case the file grows meanwhile.
+        let mut bytes = Vec::with_capacity(meta.len() as usize);
+        std::fs::File::open(path)
+            .and_then(|file| file.take(MAX_TRACE_BYTES + 1).read_to_end(&mut bytes))
+            .map_err(unreadable)?;
+        if bytes.len() as u64 > MAX_TRACE_BYTES {
+            return Err(too_big());
+        }
         let content = fnv1a_64(bytes.iter().copied());
         let insts =
             read_trace(&mut bytes.as_slice()).map_err(|e| format!("bad trace file {path}: {e}"))?;

@@ -544,7 +544,18 @@ impl CampaignRequest {
     /// Returns the reason when an embedded sweep fails to parse or
     /// validate, sweep names collide, or a name resolves to no scenario.
     pub fn plan(&self) -> Result<CampaignPlan, String> {
-        let registry = Registry::from_texts(&self.sweeps)?;
+        self.plan_in(Registry::from_texts(&self.sweeps)?)
+    }
+
+    /// Plans the campaign like [`plan`](Self::plan), in a registry
+    /// already built from the request's sweeps (in order), so a process
+    /// that parsed the definitions itself does not parse them again.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason when a name resolves to no scenario.
+    pub fn plan_in(&self, registry: Registry) -> Result<CampaignPlan, String> {
+        debug_assert_eq!(registry.sweep_texts(), self.sweeps, "the request's own sweeps");
         let positions = self
             .scenarios
             .iter()

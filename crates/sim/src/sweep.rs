@@ -1007,6 +1007,39 @@ mod tests {
         assert!(SweepDef::parse(text).is_ok());
     }
 
+    /// A trace path is checked before it is opened or decoded: a FIFO
+    /// would block the parsing process (for `POST /campaigns`, the
+    /// coordinator's only thread), and a device, a file over the cap or
+    /// a header claiming millions of records would fill its memory.
+    #[test]
+    fn trace_workloads_are_bounded_before_they_are_read() {
+        let dir = std::env::temp_dir().join(format!("rfct-sweep-bounds-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let fifo = dir.join("fifo.rfct");
+        let made = std::process::Command::new("mkfifo").arg(&fifo).status();
+        assert!(made.is_ok_and(|status| status.success()), "mkfifo {}", fifo.display());
+        let header = dir.join("header.rfct");
+        let mut bytes = b"RFCT\x01\x00\x00\x00".to_vec();
+        bytes.extend_from_slice(&(1u64 << 24).to_le_bytes()); // and no record
+        std::fs::write(&header, bytes).unwrap();
+        let big = dir.join("big.rfct"); // sparse: only its length is set
+        let file = std::fs::File::create(&big).unwrap();
+        file.set_len(crate::run::MAX_TRACE_BYTES + 1).unwrap();
+        for (path, reason) in [
+            (fifo.to_str().unwrap(), "not a regular file"),
+            ("/dev/zero", "not a regular file"),
+            (header.to_str().unwrap(), "bad trace file"),
+            (big.to_str().unwrap(), "is larger than 67108864 bytes"),
+        ] {
+            let text = format!(
+                "{{\"name\": \"t\", \"workloads\": [{{\"trace\": \"{path}\"}}], \"rf\": [\"one-cycle\"]}}"
+            );
+            let err = SweepDef::parse(&text).unwrap_err();
+            assert!(err.contains(path) && err.contains(reason), "{path}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn load_reads_files_and_names_them_in_errors() {
         let dir = std::env::temp_dir().join(format!("rfct-sweep-test-{}", std::process::id()));

@@ -23,6 +23,8 @@ use std::io::{self, Read, Write};
 const MAGIC: &[u8; 4] = b"RFCT";
 const VERSION: u16 = 1;
 const NO_REG: u8 = 0xff;
+/// The shortest record: the op and register bytes, and the pc.
+const MIN_RECORD_BYTES: usize = 12;
 
 fn encode_reg(reg: Option<ArchReg>) -> u8 {
     match reg {
@@ -102,7 +104,9 @@ pub fn write_trace<W: Write>(mut writer: W, trace: &[TraceInst]) -> io::Result<(
     Ok(())
 }
 
-/// Reads a trace written by [`write_trace`].
+/// Reads a trace written by [`write_trace`]. It reads its input to the
+/// end first, and reserves room for no more records than that input can
+/// hold, whatever count the header claims.
 ///
 /// # Errors
 ///
@@ -124,7 +128,10 @@ pub fn read_trace<R: Read>(mut reader: R) -> io::Result<Vec<TraceInst>> {
     reader.read_exact(&mut u64buf)?;
     let count = u64::from_le_bytes(u64buf);
 
-    let mut trace = Vec::with_capacity(count.min(1 << 24) as usize);
+    let mut body = Vec::new();
+    reader.read_to_end(&mut body)?;
+    let mut trace = Vec::with_capacity(count.min((body.len() / MIN_RECORD_BYTES) as u64) as usize);
+    let mut reader = body.as_slice();
     for _ in 0..count {
         let mut head = [0u8; 4];
         reader.read_exact(&mut head)?;

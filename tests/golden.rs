@@ -27,6 +27,11 @@ fn small_lsq() -> PipelineConfig {
     PipelineConfig { lsq_size: 8, ..PipelineConfig::default() }
 }
 
+/// A window and reorder buffer whose sizes are not powers of two.
+fn odd_rob() -> PipelineConfig {
+    PipelineConfig { window_size: 40, rob_size: 48, ..PipelineConfig::default() }
+}
+
 fn goldens() -> Vec<Golden> {
     // Regenerated when the workspace switched to the vendored offline
     // `rand` shim (vendor/rand): the workload RNG stream changed from
@@ -157,6 +162,40 @@ fn goldens() -> Vec<Golden> {
             committed: 20_000,
             mispredicted: 61,
         },
+        // Reorder buffers whose size is not a power of two, so the
+        // per-instruction tables indexed by sequence number have more
+        // slots than the buffer has entries. The 12-entry buffer stalls
+        // dispatch on 5,235 of its 17,258 cycles, so sequence numbers
+        // wrap around its slots constantly.
+        Golden {
+            bench: "gcc",
+            rf: RegFileConfig::Cache(RegFileCacheConfig::paper_default()),
+            pipeline: odd_rob(),
+            cycles: 18_221,
+            committed: 20_003,
+            mispredicted: 1_303,
+        },
+        Golden {
+            bench: "swim",
+            rf: RegFileConfig::OneLevel(OneLevelBankedConfig::default()),
+            pipeline: odd_rob(),
+            cycles: 8_740,
+            committed: 20_000,
+            mispredicted: 130,
+        },
+        Golden {
+            bench: "li",
+            rf: RegFileConfig::Single(SingleBankConfig::two_cycle_full_bypass()),
+            pipeline: PipelineConfig {
+                window_size: 7,
+                rob_size: 12,
+                lsq_size: 5,
+                ..PipelineConfig::default()
+            },
+            cycles: 17_258,
+            committed: 20_002,
+            mispredicted: 725,
+        },
     ]
 }
 
@@ -173,9 +212,10 @@ fn timing_model_is_frozen() {
         assert_eq!(
             (m.cycles, m.committed, m.mispredicted),
             (g.cycles, g.committed, g.mispredicted),
-            "{} on {} (LSQ {}): timing model changed — if intentional, update this golden",
+            "{} on {} (ROB {}, LSQ {}): timing model changed — if intentional, update this golden",
             g.bench,
             g.rf,
+            g.pipeline.rob_size,
             g.pipeline.lsq_size,
         );
     }
