@@ -245,6 +245,13 @@ impl<I: Iterator<Item = TraceInst>> Cpu<I> {
     /// Runs until `insts` instructions have committed (or the trace ends),
     /// returning the metrics.
     ///
+    /// `insts` counts commits since the last
+    /// [`reset_metrics`](Self::reset_metrics) (or since construction), not
+    /// commits in this call, so a later call resumes where this one
+    /// stopped: `run(n1)` and then `run(n2)` on one CPU return exactly
+    /// what `run(n1)` and `run(n2)` return on two CPUs built and warmed up
+    /// alike.
+    ///
     /// # Panics
     ///
     /// Panics if the machine deadlocks (no commit for 50k cycles) — this

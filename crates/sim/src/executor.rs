@@ -27,7 +27,8 @@
 //! [`run_batch`]. It simulates each distinct spec once (the identity is
 //! the spec's `Debug` text, which the result cache also matches on, with
 //! a trace replay's seed left out) and copies the result to every plan
-//! index that repeats it, and it generates each synthetic instruction
+//! index that repeats it, simulates the specs that differ only in
+//! `insts` as one trajectory, and generates each synthetic instruction
 //! stream once for all the runs that read it. Each result is identical
 //! to [`RunSpec::run`] on its own, so none of this shows in results,
 //! records, fingerprints, lease or journal indices, or reports. With a

@@ -3,7 +3,7 @@
 use rfcache_core::RegFileConfig;
 use rfcache_isa::TraceInst;
 use rfcache_pipeline::{Cpu, PipelineConfig, SimMetrics};
-use rfcache_workload::{family_member, read_trace, BenchProfile, TraceGenerator};
+use rfcache_workload::{decode_trace, family_member, BenchProfile, TraceGenerator};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::Read;
@@ -78,8 +78,7 @@ impl TraceWorkload {
             return Err(too_big());
         }
         let content = fnv1a_64(bytes.iter().copied());
-        let insts =
-            read_trace(&mut bytes.as_slice()).map_err(|e| format!("bad trace file {path}: {e}"))?;
+        let insts = decode_trace(&bytes).map_err(|e| format!("bad trace file {path}: {e}"))?;
         if insts.is_empty() {
             return Err(format!("trace file {path} contains no instructions"));
         }
@@ -275,10 +274,7 @@ impl RunSpec {
     /// This is the reference path: [`run_batch`] must return exactly
     /// this for every spec it is given.
     pub fn run(&self) -> RunResult {
-        match self.stream() {
-            Stream::Generated(profile, seed) => self.run_on(TraceGenerator::new(profile, seed)),
-            Stream::Recorded(t) => self.run_on(t.insts.iter().cycle().cloned()),
-        }
+        run_trajectory(&[self]).remove(0)
     }
 
     /// The identity [`run_batch`] dedupes on: the spec's `Debug` text,
@@ -289,6 +285,14 @@ impl RunSpec {
             WorkloadSource::Trace(_) => format!("{:?}", self.clone().seed(0)),
             _ => format!("{self:?}"),
         }
+    }
+
+    /// The trajectory [`run_batch`] simulates the spec on: its
+    /// [`dedupe_key`](Self::dedupe_key) with `insts` left out. Specs with
+    /// equal keys run one machine over one stream from the same warmup,
+    /// so each is a prefix of the longest.
+    pub(crate) fn trajectory_key(&self) -> String {
+        self.clone().insts(0).dedupe_key()
     }
 
     /// A hash of the instruction stream the spec reads: the generator
@@ -317,17 +321,35 @@ impl RunSpec {
             WorkloadSource::Trace(t) => Stream::Recorded(t),
         }
     }
+}
 
-    /// Simulates the spec over `trace`: warmup, then the measured run.
-    fn run_on<I: Iterator<Item = TraceInst>>(&self, trace: I) -> RunResult {
-        let mut cpu = Cpu::new(self.pipeline, self.rf, trace);
-        if self.warmup > 0 {
-            cpu.run(self.warmup);
-            cpu.reset_metrics(); // counters restart at zero
-        }
-        let metrics = cpu.run(self.insts);
-        RunResult { bench: self.workload.label(), fp: self.workload.fp(), metrics }
+/// [`simulate`] over the trajectory's own stream, unshared.
+fn run_trajectory(runs: &[&RunSpec]) -> Vec<RunResult> {
+    match runs[0].stream() {
+        Stream::Generated(profile, seed) => simulate(runs, TraceGenerator::new(profile, seed)),
+        Stream::Recorded(t) => simulate(runs, t.insts.iter().cycle().cloned()),
     }
+}
+
+/// Simulates one trajectory over `trace`: `runs` differ at most in
+/// `insts` and are sorted by it. One CPU warms up once and then runs to
+/// each length in turn, keeping each length's metrics. [`Cpu::run`]
+/// resumes where the previous call stopped, so each result is exactly
+/// the separate run of its spec.
+fn simulate<I: Iterator<Item = TraceInst>>(runs: &[&RunSpec], trace: I) -> Vec<RunResult> {
+    let first = runs[0];
+    let mut cpu = Cpu::new(first.pipeline, first.rf, trace);
+    if first.warmup > 0 {
+        cpu.run(first.warmup);
+        cpu.reset_metrics(); // counters restart at zero
+    }
+    runs.iter()
+        .map(|spec| RunResult {
+            bench: spec.workload.label(),
+            fp: spec.workload.fp(),
+            metrics: cpu.run(spec.insts),
+        })
+        .collect()
 }
 
 /// The instruction stream a run reads.
@@ -492,18 +514,25 @@ const MAX_SHARED_PREFIX: u64 = 1 << 20;
 ///   result is copied to every index that repeats the spec. A trace
 ///   replay ignores its seed, so replays that differ only in seed count
 ///   as one spec.
-/// * **Streams.** Synthetic and family runs that read the same
+/// * **Trajectories.** Distinct specs that differ only in `insts` (the
+///   same stream, pipeline, register file and warmup) are prefixes of one
+///   trajectory. Each trajectory is simulated once: one [`Cpu`], the
+///   warmup, then [`Cpu::run`] to each length in ascending order, keeping
+///   each length's metrics. `Cpu::run` resumes where the previous call
+///   stopped, so each snapshot is the separate run.
+/// * **Streams.** Synthetic and family trajectories that read the same
 ///   instruction stream (the same generator profile and effective seed)
 ///   share it. The stream is generated once into a prefix as long as the
-///   longest of those runs plus the instructions still in flight when it
-///   stops. Each run replays the prefix and then continues on a clone of
-///   the generator positioned at its end, so a run that fetches past the
-///   prefix still sees the generator's exact sequence. The runs of a
-///   stream are queued together and its prefix is dropped after the last
-///   of them, so at most `jobs` prefixes are held at once.
+///   longest of their runs plus the instructions still in flight when it
+///   stops. Each trajectory replays the prefix and then continues on a
+///   clone of the generator positioned at its end, so a run that fetches
+///   past the prefix still sees the generator's exact sequence. The
+///   trajectories of a stream are queued together and its prefix is
+///   dropped after the last of them, so at most `jobs` prefixes are held
+///   at once.
 ///
-/// Trace replays, and streams that only one run reads, go through
-/// [`RunSpec::run`] unchanged.
+/// Trace replays, and streams that only one trajectory reads, are
+/// simulated on their own stream, as [`RunSpec::run`] does.
 ///
 /// # Panics
 ///
@@ -552,63 +581,86 @@ pub(crate) fn distinct_by(
     (firsts, slots)
 }
 
-/// Simulates distinct specs, sharing every generated stream that several
-/// of them read (see [`run_batch`]).
+/// Simulates distinct specs a trajectory at a time, sharing every
+/// generated stream that several trajectories read (see [`run_batch`]).
 fn run_shared(specs: &[&RunSpec], jobs: usize, cap: u64) -> Vec<RunResult> {
-    // Runs grouped by stream, in order of first occurrence; every trace
-    // replay is a group of its own.
+    // Trajectories in order of first occurrence, each sorted by length.
+    let (firsts, slots) = distinct_by(specs, RunSpec::trajectory_key);
+    let mut trajectories: Vec<Vec<usize>> = vec![Vec::new(); firsts.len()];
+    for (i, &t) in slots.iter().enumerate() {
+        trajectories[t].push(i);
+    }
+    for runs in &mut trajectories {
+        runs.sort_unstable_by_key(|&i| specs[i].insts);
+    }
+    // Trajectories grouped by stream, in order of first occurrence; every
+    // trace replay's trajectory is a group of its own.
     let mut groups: Vec<Vec<usize>> = Vec::new();
     let mut by_stream: HashMap<(String, u64), usize> = HashMap::new();
-    for (i, spec) in specs.iter().enumerate() {
+    for (t, runs) in trajectories.iter().enumerate() {
         let mut new_group = || {
             groups.push(Vec::new());
             groups.len() - 1
         };
-        let g = match spec.stream() {
+        let g = match specs[runs[0]].stream() {
             Stream::Generated(profile, seed) => {
                 *by_stream.entry((format!("{profile:?}"), seed)).or_insert_with(new_group)
             }
             Stream::Recorded(_) => new_group(),
         };
-        groups[g].push(i);
+        groups[g].push(t);
     }
+    // A trajectory's longest run is its last.
+    let longest = |t: usize| {
+        let spec = specs[trajectories[t][trajectories[t].len() - 1]];
+        spec.warmup.saturating_add(spec.insts)
+    };
     let shared: Vec<Option<SharedStream>> = groups
         .iter()
-        .map(|runs| match specs[runs[0]].stream() {
-            Stream::Generated(profile, seed) if runs.len() > 1 => {
-                let longest = runs.iter().map(|&i| specs[i].warmup.saturating_add(specs[i].insts));
-                let len = longest.max().unwrap_or(0).saturating_add(STREAM_SLACK).min(cap);
-                Some(SharedStream::new(profile, seed, len as usize, runs.len()))
+        .map(|group| match specs[trajectories[group[0]][0]].stream() {
+            Stream::Generated(profile, seed) if group.len() > 1 => {
+                let len = group.iter().map(|&t| longest(t)).max().unwrap_or(0);
+                let len = len.saturating_add(STREAM_SLACK).min(cap);
+                Some(SharedStream::new(profile, seed, len as usize, group.len()))
             }
             _ => None,
         })
         .collect();
-    // One task per run, a stream's runs consecutive: a worker moves on to
-    // the next stream only when every run of the current one has started.
-    let tasks: Vec<(usize, usize)> =
-        groups.iter().enumerate().flat_map(|(g, runs)| runs.iter().map(move |&i| (g, i))).collect();
-    let results = par_indexed(tasks.len(), jobs, |t| {
-        let (g, i) = tasks[t];
+    // One task per trajectory, a stream's trajectories consecutive: a
+    // worker moves on to the next stream only when every trajectory of
+    // the current one has started.
+    let tasks: Vec<(usize, usize)> = groups
+        .iter()
+        .enumerate()
+        .flat_map(|(g, group)| group.iter().map(move |&t| (g, t)))
+        .collect();
+    let results = par_indexed(tasks.len(), jobs, |k| {
+        let (g, t) = tasks[k];
+        let runs: Vec<&RunSpec> = trajectories[t].iter().map(|&i| specs[i]).collect();
         match &shared[g] {
-            Some(stream) => stream.run(specs[i]),
-            None => specs[i].run(),
+            Some(stream) => stream.run(&runs),
+            None => run_trajectory(&runs),
         }
     });
     let mut ordered: Vec<Option<RunResult>> = vec![None; specs.len()];
-    for (&(_, i), result) in tasks.iter().zip(results) {
-        ordered[i] = Some(result);
+    for (&(_, t), results) in tasks.iter().zip(results) {
+        for (&i, result) in trajectories[t].iter().zip(results) {
+            ordered[i] = Some(result);
+        }
     }
-    ordered.into_iter().map(|r| r.expect("every spec has a task")).collect()
+    ordered.into_iter().map(|r| r.expect("every spec is on a trajectory")).collect()
 }
 
-/// A generated stream that several runs of a batch read: generated by the
-/// first of them to start and dropped when the last one finishes.
+/// A generated stream that several trajectories of a batch read:
+/// generated by the first of them to start and dropped when the last one
+/// finishes.
 struct SharedStream {
     profile: BenchProfile,
     seed: u64,
     /// Instructions to generate into the prefix.
     len: usize,
-    /// Runs not yet finished, and the prefix while any of them runs.
+    /// Trajectories not yet finished, and the prefix while any of them
+    /// runs.
     state: Mutex<(usize, Option<Arc<Prefix>>)>,
 }
 
@@ -619,14 +671,14 @@ struct Prefix {
 }
 
 impl SharedStream {
-    fn new(profile: BenchProfile, seed: u64, len: usize, runs: usize) -> Self {
-        SharedStream { profile, seed, len, state: Mutex::new((runs, None)) }
+    fn new(profile: BenchProfile, seed: u64, len: usize, trajectories: usize) -> Self {
+        SharedStream { profile, seed, len, state: Mutex::new((trajectories, None)) }
     }
 
-    /// Simulates `spec` over the stream: the shared prefix, then a clone
-    /// of the generator at its end, which together are exactly the
-    /// generator's own sequence.
-    fn run(&self, spec: &RunSpec) -> RunResult {
+    /// Simulates the trajectory `runs` over the stream: the shared
+    /// prefix, then a clone of the generator at its end, which together
+    /// are exactly the generator's own sequence.
+    fn run(&self, runs: &[&RunSpec]) -> Vec<RunResult> {
         let prefix = {
             let mut state = self.state.lock().expect("stream generation panicked");
             let prefix = state.1.get_or_insert_with(|| {
@@ -637,14 +689,14 @@ impl SharedStream {
             });
             Arc::clone(prefix)
         };
-        let result = spec.run_on(prefix.insts.iter().copied().chain(prefix.rest.clone()));
+        let results = simulate(runs, prefix.insts.iter().copied().chain(prefix.rest.clone()));
         drop(prefix);
         let mut state = self.state.lock().expect("stream generation panicked");
         state.0 -= 1;
         if state.0 == 0 {
-            state.1 = None; // the stream's last run: free the prefix
+            state.1 = None; // the stream's last trajectory: free the prefix
         }
-        result
+        results
     }
 }
 
@@ -821,6 +873,41 @@ mod tests {
         assert_eq!(specs[0].stream_key(), specs[1].stream_key(), "one trace, one stream");
         assert_ne!(specs[2].stream_key(), specs[3].stream_key(), "a seed is a stream");
         assert_ne!(specs[0].fingerprint(), specs[1].fingerprint(), "identities keep the seed");
+    }
+
+    /// The work a batch saves on a sweep shaped like the repository
+    /// benchmark's `service-sweep`: 8 streams x 6 register files x 2 run
+    /// lengths x 20 seeds = 1920 runs. A replay ignores its seed, so 1692
+    /// specs are distinct; runs of 1500 and 3000 instructions after 500 of
+    /// warmup pair up into 846 trajectories, which simulate 36.4% fewer
+    /// instructions than the distinct specs run one by one.
+    #[test]
+    fn trajectories_shrink_the_benchmark_sweep() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let seeds: Vec<String> = (0..20).map(|i| (42_000 + i).to_string()).collect();
+        let text = format!(
+            r#"{{"name": "bench-service",
+  "workloads": ["gcc", "li", "go", "swim", {{"trace": "{root}/ci/fixtures/li.rfct", "name": "li-trace"}},
+                {{"family": "gcc", "members": 3}}],
+  "rf": ["one-cycle", "two-cycle-full-bypass", "rfc", {{"cache": {{"caching": "ready"}}, "name": "rfc-ready"}},
+         {{"onelevel": {{}}}}, {{"replicated": {{}}}}],
+  "insts": [1500, 3000], "warmup": 500, "seed": [{}]}}"#,
+            seeds.join(", ")
+        );
+        let plan = crate::SweepDef::parse(&text).unwrap().plan(&Default::default());
+        let specs: Vec<&RunSpec> = plan.iter().collect();
+        let (firsts, _) = distinct(&specs);
+        let unique: Vec<&RunSpec> = firsts.iter().map(|&i| specs[i]).collect();
+        let (starts, slots) = distinct_by(&unique, RunSpec::trajectory_key);
+        let mut longest = vec![0; starts.len()];
+        for (spec, &t) in unique.iter().zip(&slots) {
+            longest[t] = longest[t].max(spec.insts);
+        }
+        let alone: u64 = unique.iter().map(|s| s.warmup + s.insts).sum();
+        let shared: u64 =
+            starts.iter().zip(&longest).map(|(&i, insts)| unique[i].warmup + insts).sum();
+        assert_eq!((specs.len(), unique.len(), starts.len()), (1920, 1692, 846));
+        assert_eq!((alone, shared), (4_653_000, 2_961_000));
     }
 
     #[test]

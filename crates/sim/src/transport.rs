@@ -44,7 +44,7 @@
 //! that drives all of this is [`crate::service::serve_service`].
 
 use crate::metrics_codec::{CampaignHeader, Frame, ShardRecord};
-use crate::run::{fnv1a_64, run_batch, RunSpec};
+use crate::run::{fnv1a_64, run_batch, RunSpec, WorkloadSource};
 use std::collections::{HashMap, VecDeque};
 use std::fs::OpenOptions;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -229,15 +229,33 @@ struct InFlight {
     issued: Instant,
 }
 
+/// What a lease groups a plan index by. The keys are hashes: a collision
+/// can only cost sharing, since a lease is still a list of plan indices.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LeaseKey {
+    /// The instruction stream the run reads ([`RunSpec::stream_key`]).
+    pub stream: u64,
+    /// Whether that stream is generated: a worker generates it again for
+    /// every lease that holds some of its runs, while it loads a recorded
+    /// trace once with the plan.
+    pub generated: bool,
+    /// The run's trajectory ([`RunSpec::trajectory_key`]).
+    pub trajectory: u64,
+    /// The run's simulation identity ([`RunSpec::dedupe_key`]).
+    pub spec: u64,
+}
+
 /// Pure bookkeeping for lease issue, completion, re-queue on disconnect
 /// and re-issue on timeout. Time is injected, so the straggler logic is
 /// unit-testable without waiting.
 ///
 /// **Stream groups.** A lease is simulated by one `run_batch` call, which
-/// shares each instruction stream and dedupes each repeated spec only
-/// among its own indices. So the pending queue keeps the runs of one
-/// stream together (equal specs together inside it), and a lease takes
-/// whole stream groups; see [`grouped`](Self::grouped).
+/// shares each instruction stream, simulates each trajectory once and
+/// dedupes each repeated spec only among its own indices. So the pending
+/// queue keeps the runs of one stream together, the runs of one
+/// trajectory together inside it and equal specs together inside that,
+/// and a lease takes whole stream groups, or whole trajectories of a
+/// stream group larger than the lease; see [`grab`](Self::grab).
 #[derive(Debug)]
 pub(crate) struct LeaseTable {
     /// Target lease size: a lease takes stream groups until it holds at
@@ -246,7 +264,9 @@ pub(crate) struct LeaseTable {
     timeout: Duration,
     pending: VecDeque<usize>,
     /// For every plan index, the first index of its stream group.
-    group: Vec<usize>,
+    stream: Vec<usize>,
+    /// For every plan index, the first index of its trajectory.
+    trajectory: Vec<usize>,
     in_flight: Vec<InFlight>,
     filled: Vec<bool>,
     completed: usize,
@@ -254,59 +274,47 @@ pub(crate) struct LeaseTable {
 }
 
 impl LeaseTable {
-    /// A table in plan order, every index a stream group of its own, so a
-    /// lease is `chunk` consecutive pending indices (0 = auto: ~64 leases
-    /// per campaign).
+    /// A table in plan order, every index a recorded stream of its own,
+    /// so a lease is `chunk` consecutive pending indices.
     #[cfg(test)]
     pub(crate) fn new(runs: usize, chunk: usize, timeout: Duration) -> Self {
-        Self::ordered((0..runs).collect(), (0..runs).collect(), chunk, timeout)
-    }
-
-    /// A table that leases whole stream groups. `keys` holds each plan
-    /// index's stream key and spec key (hashes: a collision can only cost
-    /// sharing, since a lease is still a list of plan indices). Pending
-    /// indices are ordered by the first index of their stream, then the
-    /// first index of their spec, then their own index.
-    pub(crate) fn grouped(keys: &[(u64, u64)], chunk: usize, timeout: Duration) -> Self {
-        let mut stream_first: HashMap<u64, usize> = HashMap::new();
-        let mut spec_first: HashMap<(u64, u64), usize> = HashMap::new();
-        let mut order = Vec::with_capacity(keys.len());
-        let mut group = Vec::with_capacity(keys.len());
-        for (i, &(stream, spec)) in keys.iter().enumerate() {
-            let first = *stream_first.entry(stream).or_insert(i);
-            order.push((first, *spec_first.entry((stream, spec)).or_insert(i), i));
-            group.push(first);
-        }
-        order.sort_unstable();
-        Self::ordered(order.into_iter().map(|(_, _, i)| i).collect(), group, chunk, timeout)
-    }
-
-    /// [`grouped`](Self::grouped) over a plan's specs: each spec's stream
-    /// key and simulation identity are hashed here once, and no spec text
-    /// is kept.
-    pub(crate) fn for_specs(specs: &[&RunSpec], chunk: usize, timeout: Duration) -> Self {
-        let keys: Vec<(u64, u64)> = specs
-            .iter()
-            .map(|spec| (spec.stream_key(), fnv1a_64(spec.dedupe_key().bytes())))
+        let keys: Vec<LeaseKey> = (0..runs as u64)
+            .map(|i| LeaseKey { stream: i, generated: false, trajectory: 0, spec: 0 })
             .collect();
         Self::grouped(&keys, chunk, timeout)
     }
 
-    /// A table that leases `pending` in this order; `group[i]` names the
-    /// stream group of plan index `i`.
-    fn ordered(
-        pending: VecDeque<usize>,
-        group: Vec<usize>,
-        chunk: usize,
-        timeout: Duration,
-    ) -> Self {
-        let runs = group.len();
-        let chunk = if chunk == 0 { (runs / 64).max(1) } else { chunk };
+    /// A table that leases whole stream groups, `chunk` indices or more
+    /// at a time (0 = [`auto_chunk`]). Pending indices are ordered by the
+    /// first index of their stream, then of their trajectory, then of
+    /// their spec, then by their own index.
+    pub(crate) fn grouped(keys: &[LeaseKey], chunk: usize, timeout: Duration) -> Self {
+        let mut stream_first: HashMap<u64, usize> = HashMap::new();
+        let mut trajectory_first: HashMap<(u64, u64), usize> = HashMap::new();
+        let mut spec_first: HashMap<(u64, u64, u64), usize> = HashMap::new();
+        let mut generated_runs: HashMap<u64, usize> = HashMap::new();
+        let mut order = Vec::with_capacity(keys.len());
+        let (mut stream, mut trajectory) = (Vec::new(), Vec::new());
+        for (i, key) in keys.iter().enumerate() {
+            let first = *stream_first.entry(key.stream).or_insert(i);
+            let on = *trajectory_first.entry((key.stream, key.trajectory)).or_insert(i);
+            let spec = *spec_first.entry((key.stream, key.trajectory, key.spec)).or_insert(i);
+            order.push((first, on, spec, i));
+            stream.push(first);
+            trajectory.push(on);
+            if key.generated {
+                *generated_runs.entry(key.stream).or_default() += 1;
+            }
+        }
+        order.sort_unstable();
+        let runs = keys.len();
+        let largest = generated_runs.into_values().max().unwrap_or(0);
         LeaseTable {
-            chunk,
+            chunk: if chunk == 0 { auto_chunk(runs, largest) } else { chunk },
             timeout,
-            pending,
-            group,
+            pending: order.into_iter().map(|(_, _, _, i)| i).collect(),
+            stream,
+            trajectory,
             in_flight: Vec::new(),
             filled: vec![false; runs],
             completed: 0,
@@ -314,13 +322,30 @@ impl LeaseTable {
         }
     }
 
+    /// [`grouped`](Self::grouped) over a plan's specs: each spec's stream,
+    /// trajectory and simulation identity are hashed here once, and no
+    /// spec text is kept.
+    pub(crate) fn for_specs(specs: &[&RunSpec], chunk: usize, timeout: Duration) -> Self {
+        let keys: Vec<LeaseKey> = specs
+            .iter()
+            .map(|spec| LeaseKey {
+                stream: spec.stream_key(),
+                generated: !matches!(spec.workload, WorkloadSource::Trace(_)),
+                trajectory: fnv1a_64(spec.trajectory_key().bytes()),
+                spec: fnv1a_64(spec.dedupe_key().bytes()),
+            })
+            .collect();
+        Self::grouped(&keys, chunk, timeout)
+    }
+
     /// Takes the next lease: fresh pending work first, otherwise the
     /// unfilled remainder of the most overdue timed-out lease (straggler
     /// re-issue — the original worker keeps streaming, duplicates are
     /// dropped by [`record`](Self::record)'s filled check).
     ///
-    /// Fresh work is taken a stream group at a time while the lease holds
-    /// fewer than `chunk` indices; a group larger than `chunk` is taken
+    /// Fresh work is taken while the lease holds fewer than `chunk`
+    /// indices: a stream group at a time, and a group larger than `chunk`
+    /// a trajectory at a time, and a trajectory larger than `chunk`
     /// `chunk` indices at a time.
     pub(crate) fn grab(&mut self, now: Instant) -> Option<Lease> {
         let indices: Vec<usize> = if self.pending.is_empty() {
@@ -337,9 +362,17 @@ impl LeaseTable {
             let mut indices = Vec::new();
             while indices.len() < self.chunk {
                 let Some(&front) = self.pending.front() else { break };
-                let group = self.group[front];
-                let same = |&&i: &&usize| self.group[i] == group;
-                let n = self.pending.iter().take(self.chunk).take_while(same).count();
+                // The pending run of `front`'s group, counted to chunk + 1.
+                let run = |group: &[usize]| {
+                    let same = |&&i: &&usize| group[i] == group[front];
+                    self.pending.iter().take(self.chunk + 1).take_while(same).count()
+                };
+                let stream = run(&self.stream);
+                let n = if stream <= self.chunk {
+                    stream
+                } else {
+                    run(&self.trajectory).min(self.chunk)
+                };
                 indices.extend(self.pending.drain(..n));
             }
             indices
@@ -413,6 +446,16 @@ impl LeaseTable {
     }
 }
 
+/// The automatic lease size for a campaign of `runs` runs whose largest
+/// generated-stream group holds `largest` of them: about 64 leases per
+/// campaign, but at least that group, so that a worker generates the
+/// stream once; and at most an eighth of the campaign, so that a campaign
+/// of one stream is still spread over several leases (a trajectory at a
+/// time).
+pub(crate) fn auto_chunk(runs: usize, largest: usize) -> usize {
+    (runs / 64).max(largest).min(runs / 8).max(1)
+}
+
 /// Lease policy knobs of the coordinator loop
 /// ([`crate::service::serve_service`]), applied to every campaign.
 #[derive(Debug, Clone)]
@@ -421,10 +464,11 @@ pub struct ServeOptions {
     /// (straggler mitigation). Disconnects re-queue immediately
     /// regardless.
     pub lease_timeout: Duration,
-    /// Target plan indices per lease (0 = auto: ~64 leases per
-    /// campaign). A lease takes whole groups of runs that read one
-    /// instruction stream until it holds at least this many, so it holds
-    /// fewer than twice this.
+    /// Target plan indices per lease (0 = auto: about 64 leases per
+    /// campaign, but at least its largest group of runs that read one
+    /// generated stream, and at most an eighth of the campaign). A lease
+    /// takes whole groups of runs that read one instruction stream until
+    /// it holds at least this many, so it holds fewer than twice this.
     pub chunk: usize,
 }
 
@@ -848,17 +892,29 @@ mod tests {
         std::iter::from_fn(|| table.grab(Instant::now())).map(|l| l.indices).collect()
     }
 
+    /// Lease keys of generated streams from `(stream, trajectory, spec)`.
+    fn lease_keys(keys: &[(u64, u64, u64)]) -> Vec<LeaseKey> {
+        keys.iter()
+            .map(|&(stream, trajectory, spec)| LeaseKey {
+                stream,
+                generated: true,
+                trajectory,
+                spec,
+            })
+            .collect()
+    }
+
     proptest! {
-        /// Grouped leases over random stream and spec keys: every index
-        /// exactly once, every lease below twice the chunk, every stream
-        /// group no larger than the chunk in one lease, and one index per
-        /// lease at chunk 1.
+        /// Grouped leases over random stream, trajectory and spec keys:
+        /// every index exactly once, every lease below twice the chunk,
+        /// every stream group and every trajectory no larger than the
+        /// chunk in one lease, and one index per lease at chunk 1.
         #[test]
         fn grouped_leases_take_whole_stream_groups(
-            keys in proptest::collection::vec((0..8u64, 0..3u64), 0..120),
+            keys in proptest::collection::vec((0..8u64, 0..3u64, 0..3u64), 0..120),
             chunk in prop_oneof![Just(1usize), 1..40usize],
         ) {
-            let mut table = LeaseTable::grouped(&keys, chunk, Duration::from_secs(60));
+            let mut table = LeaseTable::grouped(&lease_keys(&keys), chunk, Duration::from_secs(60));
             let leases = grab_all(&mut table);
             let mut leased: Vec<usize> = leases.iter().flatten().copied().collect();
             leased.sort_unstable();
@@ -867,10 +923,16 @@ mod tests {
                 prop_assert!(!lease.is_empty() && lease.len() < 2 * chunk, "{:?}", lease);
                 prop_assert!(chunk > 1 || lease.len() == 1, "{:?}", lease);
             }
+            let split = |of: &dyn Fn(usize) -> bool| {
+                let runs = (0..keys.len()).filter(|&i| of(i)).count();
+                runs <= chunk && leases.iter().filter(|l| l.iter().any(|&i| of(i))).count() > 1
+            };
             for stream in 0..8u64 {
-                let runs = keys.iter().filter(|k| k.0 == stream).count();
-                let holding = leases.iter().filter(|l| l.iter().any(|&i| keys[i].0 == stream));
-                prop_assert!(runs > chunk || holding.count() <= 1, "stream {} split", stream);
+                prop_assert!(!split(&|i| keys[i].0 == stream), "stream {} split", stream);
+                for on in 0..3u64 {
+                    let of = |i: usize| keys[i].0 == stream && keys[i].1 == on;
+                    prop_assert!(!split(&of), "trajectory {}/{} split", stream, on);
+                }
             }
         }
     }
@@ -879,7 +941,7 @@ mod tests {
     fn grouped_table_orders_by_stream_then_spec_and_requeues_releases() {
         let t0 = Instant::now();
         // Streams 7 and 9 interleave in plan order; 0 and 4 repeat a spec.
-        let keys = [(7, 0), (9, 0), (7, 1), (9, 1), (7, 0), (5, 0)];
+        let keys = lease_keys(&[(7, 0, 0), (9, 0, 0), (7, 1, 1), (9, 1, 1), (7, 0, 0), (5, 0, 0)]);
         let mut table = LeaseTable::grouped(&keys, 2, Duration::from_secs(60));
         let a = table.grab(t0).unwrap();
         assert_eq!(a.indices, vec![0, 4], "stream 7 is larger than the chunk: a piece");
@@ -917,7 +979,7 @@ mod tests {
         let plan = crate::SweepDef::parse(&text).unwrap().plan(&ExperimentOpts::default());
         let specs: Vec<&RunSpec> = plan.iter().collect();
         assert_eq!(specs.len(), 48);
-        let is_trace = |spec: &&RunSpec| matches!(spec.workload, crate::WorkloadSource::Trace(_));
+        let is_trace = |spec: &&RunSpec| matches!(spec.workload, WorkloadSource::Trace(_));
 
         // At chunk 12, the largest stream group, each stream is one lease,
         // and a lease simulates each replay once for both seeds.
@@ -941,14 +1003,35 @@ mod tests {
         }
         assert_eq!(replays, 12);
 
-        // The default chunk of a 48-run plan is 1, like `--chunk 1`: one
-        // index per lease.
-        for chunk in [0, 1] {
-            let mut table = LeaseTable::for_specs(&specs, chunk, Duration::from_secs(60));
-            let leases = grab_all(&mut table);
-            assert_eq!(leases.len(), 48);
-            assert!(leases.iter().all(|l| l.len() == 1), "chunk {chunk}");
+        // The automatic size is the largest generated-stream group, 6 runs
+        // (3 register files x 2 lengths): each generated stream is one
+        // lease, and the replays' 12 runs go a trajectory (4 runs) at a
+        // time, so no trajectory is split either.
+        let mut table = LeaseTable::for_specs(&specs, 0, Duration::from_secs(60));
+        assert_eq!(table.chunk, 6);
+        let leases = grab_all(&mut table);
+        assert_eq!(leases.len(), 7);
+        let mut trajectories: Vec<String> = specs.iter().map(|s| s.trajectory_key()).collect();
+        trajectories.sort_unstable();
+        trajectories.dedup();
+        assert_eq!(trajectories.len(), 21, "18 generated and 3 replayed");
+        for trajectory in &trajectories {
+            let holding = leases
+                .iter()
+                .filter(|l| l.iter().any(|&i| &specs[i].trajectory_key() == trajectory));
+            assert_eq!(holding.count(), 1, "{trajectory} is split");
         }
+        for stream in specs.iter().filter(|s| !is_trace(s)).map(|s| s.stream_key()) {
+            let holding =
+                leases.iter().filter(|l| l.iter().any(|&i| specs[i].stream_key() == stream));
+            assert_eq!(holding.count(), 1, "stream {stream:016x} is split");
+        }
+
+        // An explicit `--chunk 1` still leases one index at a time.
+        let mut table = LeaseTable::for_specs(&specs, 1, Duration::from_secs(60));
+        let leases = grab_all(&mut table);
+        assert_eq!(leases.len(), 48);
+        assert!(leases.iter().all(|l| l.len() == 1));
     }
 
     #[test]
@@ -957,5 +1040,13 @@ mod tests {
         assert_eq!(LeaseTable::new(5, 0, Duration::from_secs(1)).chunk, 1);
         assert_eq!(LeaseTable::new(0, 0, Duration::from_secs(1)).chunk, 1);
         assert!(LeaseTable::new(0, 0, Duration::from_secs(1)).complete(), "empty plan is done");
+        // The benchmark's service sweep: 1920 runs, generated groups of 12.
+        assert_eq!(auto_chunk(1920, 12), 30);
+        // At least one generated-stream group ...
+        assert_eq!(auto_chunk(48, 6), 6);
+        assert_eq!(auto_chunk(640, 40), 40);
+        // ... but a campaign of one stream still goes out in pieces.
+        assert_eq!(auto_chunk(200, 200), 25);
+        assert_eq!(auto_chunk(5, 5), 1);
     }
 }

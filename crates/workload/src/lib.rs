@@ -50,4 +50,4 @@ pub use gen::TraceGenerator;
 pub use memgen::AddressGenerator;
 pub use profile::{suite_all, suite_fp, suite_int, BenchProfile, OpMix};
 pub use stats::TraceStats;
-pub use tracefile::{read_trace, write_trace};
+pub use tracefile::{decode_trace, read_trace, write_trace};

@@ -104,52 +104,62 @@ pub fn write_trace<W: Write>(mut writer: W, trace: &[TraceInst]) -> io::Result<(
     Ok(())
 }
 
-/// Reads a trace written by [`write_trace`]. It reads its input to the
-/// end first, and reserves room for no more records than that input can
-/// hold, whatever count the header claims.
+/// Reads a trace written by [`write_trace`]: reads its input to the end,
+/// then decodes it with [`decode_trace`].
 ///
 /// # Errors
 ///
 /// Returns `InvalidData` on magic/version mismatch or malformed records,
 /// and propagates I/O errors from the reader.
 pub fn read_trace<R: Read>(mut reader: R) -> io::Result<Vec<TraceInst>> {
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    decode_trace(&bytes)
+}
+
+/// Decodes a whole trace written by [`write_trace`] from memory. It
+/// reserves room for no more records than `bytes` can hold, whatever
+/// count the header claims.
+///
+/// # Errors
+///
+/// Returns `InvalidData` on magic/version mismatch or malformed records,
+/// and `UnexpectedEof` when `bytes` ends inside the header or a record.
+pub fn decode_trace(mut bytes: &[u8]) -> io::Result<Vec<TraceInst>> {
     let mut magic = [0u8; 4];
-    reader.read_exact(&mut magic)?;
+    bytes.read_exact(&mut magic)?;
     if &magic != MAGIC {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "not an RFCT trace"));
     }
     let mut u16buf = [0u8; 2];
-    reader.read_exact(&mut u16buf)?;
+    bytes.read_exact(&mut u16buf)?;
     if u16::from_le_bytes(u16buf) != VERSION {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "unsupported trace version"));
     }
-    reader.read_exact(&mut u16buf)?; // reserved
+    bytes.read_exact(&mut u16buf)?; // reserved
     let mut u64buf = [0u8; 8];
-    reader.read_exact(&mut u64buf)?;
+    bytes.read_exact(&mut u64buf)?;
     let count = u64::from_le_bytes(u64buf);
 
-    let mut body = Vec::new();
-    reader.read_to_end(&mut body)?;
-    let mut trace = Vec::with_capacity(count.min((body.len() / MIN_RECORD_BYTES) as u64) as usize);
-    let mut reader = body.as_slice();
+    let mut trace = Vec::with_capacity(count.min((bytes.len() / MIN_RECORD_BYTES) as u64) as usize);
     for _ in 0..count {
         let mut head = [0u8; 4];
-        reader.read_exact(&mut head)?;
+        bytes.read_exact(&mut head)?;
         let op = decode_op(head[0])?;
         let dst = decode_reg(head[1])?;
         let srcs = [decode_reg(head[2])?, decode_reg(head[3])?];
-        reader.read_exact(&mut u64buf)?;
+        bytes.read_exact(&mut u64buf)?;
         let pc = u64::from_le_bytes(u64buf);
         let mem_addr = if op.is_mem() {
-            reader.read_exact(&mut u64buf)?;
+            bytes.read_exact(&mut u64buf)?;
             Some(u64::from_le_bytes(u64buf))
         } else {
             None
         };
         let branch = if op.is_branch() {
             let mut taken = [0u8; 1];
-            reader.read_exact(&mut taken)?;
-            reader.read_exact(&mut u64buf)?;
+            bytes.read_exact(&mut taken)?;
+            bytes.read_exact(&mut u64buf)?;
             Some(BranchInfo { taken: taken[0] != 0, target: u64::from_le_bytes(u64buf) })
         } else {
             None
